@@ -57,7 +57,6 @@ from .restore import (
     filter_operators,
     filter_params,
     filter_success,
-    ow_success,
     restoration_factor,
     teleport_success,
     teleport_success_assembled,
@@ -83,7 +82,7 @@ __all__ = [
     "FidelityResult", "KLReport", "fidelity_bound", "fidelity_scan",
     "fidelity_state", "kl_check", "parity_project",
     "BellNorms", "FilterParams", "filter_operators", "filter_params",
-    "filter_success", "ow_success", "restoration_factor", "teleport_success",
+    "filter_success", "restoration_factor", "teleport_success",
     "teleport_success_assembled",
     "ChainResult", "RepeaterConfig", "SweepRow", "segment_gamma",
     "simulate_chain", "sweep",

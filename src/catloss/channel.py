@@ -72,10 +72,19 @@ class MixtureComponent:
 
 @dataclass(frozen=True)
 class LossClassWeights:
-    """Codeword loss-class probabilities p and input-dependent weights ptilde."""
+    """Codeword loss-class probabilities p, input-dependent weights ptilde,
+    and the Gram matrices both are built from.
+
+    ``gram`` holds the code-space overlaps at the input amplitude (its
+    [0, 1] entry is the s_bar of amplitude restoration); ``damped_grams[q]``
+    those of space q at the damped amplitude sqrt(gamma) * alpha (its
+    [0, 1] entry is s_tilde_q).
+    """
 
     p: np.ndarray
     ptilde: np.ndarray
+    gram: np.ndarray
+    damped_grams: list[np.ndarray]
 
 
 def _kraus_factors(n_max: int, gamma: float, k: int, log_fact: np.ndarray) -> np.ndarray:
@@ -139,11 +148,11 @@ def class_probabilities(spec: CodeSpec, params: ChannelParams) -> np.ndarray:
     y = spec.alpha**2
     x = (1.0 - gamma) * y
     norm0 = codeword_norm_sq(spec, 0)
+    damped_amp = np.sqrt(gamma) * spec.alpha
+    damped = [codeword_norm_sq(spec, q, damped_amp) for q in range(spec.spaces)]
     p = np.empty(spec.cycle)
     for j in range(spec.cycle):
-        q = j % spec.spaces
-        damped = codeword_norm_sq(spec, q, np.sqrt(gamma) * spec.alpha)
-        p[j] = sectioned_exp_real(x, spec.cycle, j) * damped / norm0
+        p[j] = sectioned_exp_real(x, spec.cycle, j) * damped[j % spec.spaces] / norm0
     return p
 
 
@@ -187,13 +196,14 @@ def mixture_weights(
     p = class_probabilities(spec, params)
     c = coeffs.as_array()
     damped_amp = np.sqrt(params.gamma) * spec.alpha
-    input_norm = _weighted_norm_sq(c, gram_matrix(spec, 0))
+    gram = gram_matrix(spec, 0)
+    input_norm = _weighted_norm_sq(c, gram)
     grams = [gram_matrix(spec, q, damped_amp) for q in range(spec.spaces)]
     ptilde = np.empty(spec.cycle)
     for j in range(spec.cycle):
         branch = c * _sector_phases(spec, j)
         ptilde[j] = p[j] * _weighted_norm_sq(branch, grams[j % spec.spaces]) / input_norm
-    return LossClassWeights(p=p, ptilde=ptilde)
+    return LossClassWeights(p=p, ptilde=ptilde, gram=gram, damped_grams=grams)
 
 
 def logical_mixture(

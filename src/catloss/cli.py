@@ -163,15 +163,10 @@ def cmd_weights(args) -> int:
 
 def cmd_fidelity(args) -> int:
     spec = codes.CodeSpec(args.L, 2, args.alpha)
-    grid = _gamma_grid(args)
-    plus = codes.LogicalCoeffs.balanced(sign=1)
-    minus = codes.LogicalCoeffs.balanced(sign=-1)
     rows = []
-    for g in grid:
-        params = channel.ChannelParams(float(g))
-        f_plus = qec.fidelity_state(spec, plus, params)
-        f_minus = qec.fidelity_state(spec, minus, params)
-        rows.append([float(g), f_plus, f_minus, min(f_plus, f_minus)])
+    for g in _gamma_grid(args):
+        bound = qec.fidelity_bound(spec, channel.ChannelParams(float(g)))
+        rows.append([float(g), bound.F_of_ab, bound.F_minus, bound.F_bound])
     _emit(["gamma", "F_plus", "F_minus", "F_bound"], rows, args, _params(args))
     return 0
 
@@ -200,12 +195,11 @@ def _ar_every(args) -> int:
     return {"old": 1, "new": 2}[args.scheme]
 
 
-def _chain_config(args, alpha=None, spacing=None) -> repeater.RepeaterConfig:
-    spec = codes.CodeSpec(args.L, 2, alpha if alpha is not None else args.alpha)
+def _chain_config(args) -> repeater.RepeaterConfig:
     return repeater.RepeaterConfig(
         total_km=args.total_km,
-        spacing_km=spacing if spacing is not None else args.spacing_km,
-        spec=spec,
+        spacing_km=args.spacing_km,
+        spec=codes.CodeSpec(args.L, 2, args.alpha),
         coeffs=codes.LogicalCoeffs.of(args.a, args.b),
         attenuation_km=args.attenuation_km,
         ar_every=_ar_every(args),
@@ -371,11 +365,15 @@ def _add_gamma_grid(p):
     p.add_argument("--gamma-steps", type=int, default=101)
 
 
+def _add_qubit_amplitudes(p):
+    p.add_argument("--a", type=float, default=1 / np.sqrt(2))
+    p.add_argument("--b", type=float, default=1 / np.sqrt(2))
+
+
 def _add_chain(p):
     p.add_argument("--L", type=int, required=True)
     p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--a", type=float, default=1 / np.sqrt(2))
-    p.add_argument("--b", type=float, default=1 / np.sqrt(2))
+    _add_qubit_amplitudes(p)
     p.add_argument("--total-km", type=float, default=1000.0)
     p.add_argument("--spacing-km", type=float, default=0.1)
     p.add_argument("--attenuation-km", type=float, default=repeater.DEFAULT_ATTENUATION_KM)
@@ -397,8 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--L", type=int, required=True)
     p.add_argument("--d", type=int, default=2)
     p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--a", type=float, default=1 / np.sqrt(2))
-    p.add_argument("--b", type=float, default=1 / np.sqrt(2))
+    _add_qubit_amplitudes(p)
     p.add_argument("--coeffs", default=None,
                    help="comma list of complex logical amplitudes (overrides --a/--b)")
     _add_gamma_grid(p)

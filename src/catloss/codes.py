@@ -46,8 +46,8 @@ class CodeSpec:
             raise ValueError(f"loss order must be >= 0, got {self.L}")
         if self.d < 2:
             raise ValueError(f"logical dimension must be >= 2, got {self.d}")
-        if self.alpha <= 0:
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
+        if not (np.isfinite(self.alpha) and self.alpha > 0):
+            raise ValueError(f"alpha must be finite and positive, got {self.alpha}")
         if self.alpha < SMALL_ALPHA:
             warnings.warn(
                 f"alpha={self.alpha} < {SMALL_ALPHA}: codewords nearly collinear",
@@ -99,6 +99,8 @@ class LogicalCoeffs:
     def of(cls, *amplitudes) -> "LogicalCoeffs":
         """Normalize raw amplitudes."""
         amps = np.asarray(amplitudes, dtype=complex)
+        if not np.all(np.isfinite(amps)):
+            raise ValueError(f"logical amplitudes must be finite, got {amps}")
         n = np.linalg.norm(amps)
         if n == 0:
             raise ValueError("all-zero logical coefficients")

@@ -43,12 +43,13 @@ class KLReport:
 class FidelityResult:
     """Worst-case bound over balanced qubit inputs.
 
-    F_of_ab is the correctable weight for the (1, 1)/sqrt(2) input; F_bound
-    the minimum over both balanced sign choices, attained by
-    minimizing_coeffs.
+    F_of_ab is the correctable weight for the (1, 1)/sqrt(2) input, F_minus
+    the one for (1, -1)/sqrt(2); F_bound is the minimum of the two, attained
+    by minimizing_coeffs.
     """
 
     F_of_ab: float
+    F_minus: float
     minimizing_coeffs: LogicalCoeffs
     F_bound: float
 
@@ -145,9 +146,13 @@ def fidelity_bound(spec: CodeSpec, params: ChannelParams) -> FidelityResult:
     minus = LogicalCoeffs.balanced(sign=-1)
     f_plus = fidelity_state(spec, plus, params)
     f_minus = fidelity_state(spec, minus, params)
-    if f_minus < f_plus:
-        return FidelityResult(F_of_ab=f_plus, minimizing_coeffs=minus, F_bound=f_minus)
-    return FidelityResult(F_of_ab=f_plus, minimizing_coeffs=plus, F_bound=f_plus)
+    worst = minus if f_minus < f_plus else plus
+    return FidelityResult(
+        F_of_ab=f_plus,
+        F_minus=f_minus,
+        minimizing_coeffs=worst,
+        F_bound=min(f_plus, f_minus),
+    )
 
 
 def fidelity_scan(

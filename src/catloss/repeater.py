@@ -59,6 +59,9 @@ class RepeaterConfig:
     ar_every: int = 1
 
     def __post_init__(self):
+        for name in ("total_km", "spacing_km", "attenuation_km"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.spacing_km <= 0 or self.total_km < self.spacing_km:
             raise ValueError(
                 f"need total_km >= spacing_km > 0, got {self.total_km}, {self.spacing_km}"

@@ -219,44 +219,24 @@ def restoration_factor(
     spec: CodeSpec,
     coeffs: LogicalCoeffs,
     params: ChannelParams,
-    amplitude_in: float | None = None,
 ) -> float:
     """One restoration step: mixture-weighted teleportation success.
 
     Sums ptilde_j * P_succ over all d(L+1) branches of the incoming mixture;
     branch j lives in space j mod (L+1) and carries the fixed phase
-    exp(2 pi i j / (2(L+1))) on its second logical sector.
+    exp(2 pi i j / (2(L+1))) on its second logical sector.  The overlaps
+    are read off the Gram matrices the mixture weights are built from:
+    s_bar from the code-space ``gram`` at the nominal amplitude, s_tilde
+    of branch j from ``damped_grams[j mod (L+1)]``.
     """
     if spec.d != 2:
         raise ValueError("restoration is defined for qubit codes only")
-    amp_in = spec.alpha if amplitude_in is None else amplitude_in
-    local = CodeSpec(spec.L, spec.d, amp_in) if amp_in != spec.alpha else spec
-    weights = mixture_weights(local, coeffs, params)
-    damped = np.sqrt(params.gamma) * amp_in
-    s_bar = codeword_overlap(spec, 0, 0, 1)
+    weights = mixture_weights(spec, coeffs, params)
+    s_bar = complex(weights.gram[0, 1])
     a, b = coeffs.amplitudes
     total = 0.0
     for j in range(spec.cycle):
-        q = j % spec.spaces
-        s_tilde = codeword_overlap(spec, q, 0, 1, amplitude_override=damped)
+        s_tilde = complex(weights.damped_grams[j % spec.spaces][0, 1])
         branch = LogicalCoeffs((a, b * np.exp(2j * np.pi * j / spec.cycle)))
         total += weights.ptilde[j] * teleport_success_from_overlaps(s_tilde, s_bar, branch)
     return total
-
-
-def ow_success(
-    spec: CodeSpec,
-    coeffs: LogicalCoeffs,
-    gamma_segment: float,
-    n_restorations: int,
-) -> float:
-    """Total success probability of a one-way chain of restorations.
-
-    ``gamma_segment`` is the transmission between consecutive restorations;
-    each step contributes the mixture-weighted filter success factor and the
-    chain multiplies n_restorations of them.
-    """
-    if n_restorations < 1:
-        raise ValueError(f"n_restorations must be >= 1, got {n_restorations}")
-    factor = restoration_factor(spec, coeffs, ChannelParams(gamma_segment))
-    return factor**n_restorations

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from catloss import fock
-from catloss.codes import CodeSpec, CodewordId, LogicalCoeffs, codeword_fock
+from catloss.codes import CodeSpec, CodewordId, LogicalCoeffs, codeword_fock, gram_matrix
 from catloss.channel import (
     ChannelParams,
     channel_apply_exact,
@@ -185,6 +185,17 @@ class TestMixtureWeights:
             (1 + 2 * re_ab * sg) / den * p[3],
         ]
         assert np.max(np.abs(w.ptilde - expected)) < 1e-12
+
+    @pytest.mark.parametrize(
+        "L,d,alpha,gamma", [(1, 2, 2.0, 0.9), (2, 2, 3.0, 0.7), (2, 3, 2.5, 0.8)]
+    )
+    def test_carries_the_gram_matrices_it_is_built_from(self, L, d, alpha, gamma):
+        spec = CodeSpec(L, d, alpha)
+        w = mixture_weights(spec, LogicalCoeffs.balanced(d), ChannelParams(gamma))
+        assert np.all(w.gram == gram_matrix(spec, 0))
+        assert len(w.damped_grams) == spec.spaces
+        for q, g in enumerate(w.damped_grams):
+            assert np.all(g == gram_matrix(spec, q, math.sqrt(gamma) * alpha))
 
     def test_no_loss_gives_unit_first_weight(self):
         w = mixture_weights(CodeSpec(2, 2, 3.0), BALANCED, ChannelParams(1.0))

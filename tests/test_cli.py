@@ -5,7 +5,10 @@ import json
 
 import pytest
 
+from catloss.channel import ChannelParams
 from catloss.cli import main
+from catloss.codes import CodeSpec
+from catloss.qec import fidelity_bound
 
 
 def run(args, capsys):
@@ -78,6 +81,18 @@ class TestFidelity:
         for row in rows:
             f_plus, f_minus, f_bound = map(float, row[1:])
             assert f_bound == min(f_plus, f_minus)
+
+    def test_columns_are_fidelity_bound(self, capsys):
+        _, out = run(
+            ["fidelity", "--L", "2", "--alpha", "3",
+             "--gamma-min", "0.7", "--gamma-max", "0.9", "--gamma-steps", "3"],
+            capsys,
+        )
+        _, rows = parse_csv(out)
+        for row in rows:
+            gamma, f_plus, f_minus, f_bound = map(float, row)
+            res = fidelity_bound(CodeSpec(2, 2, 3.0), ChannelParams(gamma))
+            assert (f_plus, f_minus, f_bound) == (res.F_of_ab, res.F_minus, res.F_bound)
 
 
 class TestKlReport:
@@ -231,6 +246,30 @@ class TestExitCodes:
             ["weights", "--L", "1", "--alpha", "2", "--gamma-min", "0",
              "--gamma-max", "1"]
         ) == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["repeater", "--L", "4", "--alpha", "7", "--total-km", "inf"],
+            ["repeater", "--L", "4", "--alpha", "nan"],
+            ["repeater", "--L", "1", "--alpha", "2", "--spacing-km", "nan"],
+            ["repeater", "--L", "1", "--alpha", "2", "--attenuation-km", "inf"],
+            ["repeater", "--L", "1", "--alpha", "2", "--total-km", "1", "--a", "nan"],
+            ["weights", "--L", "1", "--alpha", "nan", "--gamma-steps", "2"],
+            ["weights", "--L", "1", "--alpha", "2", "--gamma-steps", "2", "--coeffs", "nan,1"],
+            ["fidelity", "--L", "1", "--alpha", "inf", "--gamma-steps", "2"],
+            ["tables", "--which", "I", "--total-km", "inf"],
+            ["sweep", "--L", "1", "--alpha", "2", "--total-km", "1",
+             "--axis", "alpha", "--values", "nan"],
+        ],
+    )
+    def test_non_finite_input_is_one(self, argv, capsys):
+        # exit 1 with a one-line error, no NaN data and no traceback
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and "finite" in captured.err
 
     def test_verify_passes_on_clean_build(self, capsys):
         code, out = run(["verify"], capsys)

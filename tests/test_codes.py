@@ -25,6 +25,11 @@ class TestSpecValidation:
             CodeSpec(1, 1, 2.0)
         with pytest.raises(ValueError):
             CodeSpec(1, 2, 0.0)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                CodeSpec(1, 2, bad)
+            with pytest.raises(ValueError, match="finite"):
+                LogicalCoeffs.of(1.0, bad)
 
     def test_small_alpha_flagged(self):
         with pytest.warns(UserWarning, match="collinear"):

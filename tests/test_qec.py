@@ -201,6 +201,7 @@ class TestFidelityBound:
         f_minus = fidelity_state(spec, LogicalCoeffs.balanced(sign=-1), params)
         assert abs(res.F_bound - min(f_plus, f_minus)) < 1e-14
         assert res.F_of_ab == pytest.approx(f_plus)
+        assert res.F_minus == pytest.approx(f_minus)
         assert res.F_bound <= res.F_of_ab + 1e-12
 
     def test_minimizing_coeffs_reported(self):

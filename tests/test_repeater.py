@@ -50,6 +50,13 @@ class TestConfig:
             config(total=1.0, spacing=2.0)
         with pytest.raises(ValueError):
             RepeaterConfig(10, 1, CodeSpec(1, 2, 2.0), BALANCED, ar_every=0)
+        finite = {"total_km": 10.0, "spacing_km": 1.0, "attenuation_km": 22.0}
+        for field in finite:
+            for bad in (math.inf, math.nan):
+                with pytest.raises(ValueError, match=field):
+                    RepeaterConfig(
+                        spec=CodeSpec(1, 2, 2.0), coeffs=BALANCED, **{**finite, field: bad}
+                    )
 
     def test_non_integral_spacing_warns_and_floors(self):
         cfg = config(total=1.0, spacing=0.3)
@@ -103,6 +110,21 @@ class TestSimulateChain:
         cfg = config(L=1, alpha=2.0, total=400.0, spacing=200.0, ar_every=1)
         result = simulate_chain(cfg)
         assert result.amplitude_collapsed
+
+    def test_exponent_law(self):
+        # seven restoring stations multiply seven equal restoration factors
+        cfg = config(L=2, alpha=3.0, total=1.4, spacing=0.2, ar_every=1)
+        result = simulate_chain(cfg, with_trace=False)
+        factor = restoration_factor(cfg.spec, BALANCED, ChannelParams(segment_gamma(0.2)))
+        assert cfg.n_stations == 7
+        assert result.success_prob == pytest.approx(factor**7)
+
+    def test_long_haul_regime(self):
+        # 1000 km, restoration every 0.2 km, five-loss protection at alpha=7
+        cfg = config(L=4, alpha=7.0, total=1000.0, spacing=0.2, ar_every=1)
+        result = simulate_chain(cfg, with_trace=False)
+        assert cfg.n_stations == 5000
+        assert 0.35 < result.success_prob < 0.55
 
     def test_trace_skippable(self):
         result = simulate_chain(config(total=10.0, spacing=0.5), with_trace=False)

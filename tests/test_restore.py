@@ -12,7 +12,6 @@ from catloss.restore import (
     filter_operators,
     filter_params,
     filter_success,
-    ow_success,
     restoration_factor,
     teleport_success,
     teleport_success_assembled,
@@ -151,22 +150,21 @@ class TestOneWaySuccess:
     def test_unit_factor_power(self):
         # with zero loss and near-orthogonal words each step is certain
         spec = CodeSpec(1, 2, 6.0)
-        p = ow_success(spec, LogicalCoeffs.balanced(), 1.0, 40)
+        p = restoration_factor(spec, LogicalCoeffs.balanced(), ChannelParams(1.0)) ** 40
         assert abs(p - 1.0) < 1e-8
 
-    def test_exponent_law(self):
+    def test_overlaps_read_from_mixture_grams(self, monkeypatch):
+        # s_bar and s_tilde come from the Gram matrices of mixture_weights,
+        # so the factor itself evaluates no overlap
         spec = CodeSpec(2, 2, 3.0)
-        coeffs = LogicalCoeffs.balanced()
-        gamma = 0.99
-        factor = restoration_factor(spec, coeffs, ChannelParams(gamma))
-        assert ow_success(spec, coeffs, gamma, 7) == pytest.approx(factor**7)
+        params = ChannelParams(0.95)
+        expected = restoration_factor(spec, LogicalCoeffs.balanced(), params)
 
-    def test_long_haul_regime(self):
-        # 1000 km, restoration every 0.2 km, five-loss protection at alpha=7
-        spec = CodeSpec(4, 2, 7.0)
-        gamma = math.exp(-0.2 / 22.0)
-        p = ow_success(spec, LogicalCoeffs.balanced(), gamma, 5000)
-        assert 0.35 < p < 0.55
+        def forbidden(*args, **kwargs):
+            raise AssertionError("restoration_factor recomputed an overlap")
+
+        monkeypatch.setattr("catloss.restore.codeword_overlap", forbidden)
+        assert restoration_factor(spec, LogicalCoeffs.balanced(), params) == expected
 
     def test_restoration_factor_weighted_by_branches(self):
         # factor lies between the extreme per-branch success values
