@@ -5,8 +5,9 @@ significant digits, no timestamps inside the data).  When an output path is
 given, a manifest JSON with the resolved parameters, library version and a
 checksum of the data bytes is written alongside it.
 
-Exit codes: 0 success, 1 usage or validation error, 2 numerical-validation
-failure (the ``verify`` subcommand).
+Exit codes: 0 success, 1 usage or validation error, 2 numerical failure:
+a failed ``verify`` check, an arithmetic failure (overflow, a tripped clamp)
+or a non-finite value in the output, in which case nothing is written.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from datetime import datetime, timezone
 
@@ -88,6 +90,8 @@ class _Parser(argparse.ArgumentParser):
 
 def _fmt(value) -> str:
     if isinstance(value, float):
+        if not math.isfinite(value):
+            raise ArithmeticError(f"non-finite value {value} in output")
         return format(value, ".17g")
     return str(value)
 
@@ -498,6 +502,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except ArithmeticError as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -191,27 +191,79 @@ def codeword_coherent(
     return fock.FockVector(total, n_max).normalized()
 
 
-def _coherent_gram_overlap(spec, q, k1, k2, amp):
-    """<w_{k1,q}|w_{k2,q}> from the Gram matrix of the coherent components,
-    using <u|v> = exp(-|u|^2/2 - |v|^2/2 + conj(u) v)."""
-    m = spec.spaces
-    b1 = sector_amplitude(spec, k1, amp)
-    b2 = sector_amplitude(spec, k2, amp)
-    comps1 = [b1 * np.exp(2j * np.pi * j / m) for j in range(m)]
-    comps2 = [b2 * np.exp(2j * np.pi * j / m) for j in range(m)]
+def _cmul(ar, ai, br, bi):
+    """(ar + i ai)(br + i bi) in real arithmetic, rounded as the scalar
+    complex product is; numpy's vectorized complex multiply may fuse."""
+    return ar * br - ai * bi, ar * bi + ai * br
 
-    def phased_sum(ca, cb):
-        total = 0.0j
-        for ja, u in enumerate(ca):
-            for jb, v in enumerate(cb):
-                ph = np.exp(2j * np.pi * q * (jb - ja) / m)
-                total += ph * np.exp(-abs(u) ** 2 / 2 - abs(v) ** 2 / 2 + np.conj(u) * v)
-        return total
 
-    g12 = phased_sum(comps1, comps2)
-    g11 = phased_sum(comps1, comps1).real
-    g22 = phased_sum(comps2, comps2).real
-    return g12 / np.sqrt(g11 * g22)
+def _coherent_gram(spec: CodeSpec, q: int, amp: float) -> np.ndarray:
+    """All overlaps <w_{k1,q}|w_{k2,q}> from the Gram matrix of the coherent
+    components, using <u|v> = exp(-|u|^2/2 - |v|^2/2 + conj(u) v).
+
+    One array pass over (k1, k2, ja, jb).  Every rounding step matches the
+    scalar double loop it replaces (kept as the oracle in the tests): the
+    components and half-squares are scalar, products go through ``_cmul``
+    and each block is summed in (ja, jb) order from 0.
+    """
+    d, m = spec.d, spec.spaces
+    comps = np.array([
+        [sector_amplitude(spec, k, amp) * np.exp(2j * np.pi * j / m) for j in range(m)]
+        for k in range(d)
+    ])
+    half_sq = np.array([[abs(u) ** 2 / 2 for u in row] for row in comps])
+    # phase of the (ja, jb) term depends on jb - ja only
+    phases = np.array([np.exp(2j * np.pi * q * lag / m) for lag in range(1 - m, m)])
+    ph = phases[np.arange(m)[None, :] - np.arange(m)[:, None] + (m - 1)]
+    u = comps[:, None, :, None]
+    v = comps[None, :, None, :]
+    cr, ci = _cmul(u.real, -u.imag, v.real, v.imag)
+    arg = np.empty((d, d, m, m), dtype=complex)
+    arg.real = -half_sq[:, None, :, None] - half_sq[None, :, None, :] + cr
+    arg.imag = 0.0 + ci  # float + complex promotion: -0.0 becomes 0.0
+    e = np.exp(arg)
+    tr, ti = _cmul(ph.real, ph.imag, e.real, e.imag)
+    sums = np.empty((d, d), dtype=complex)
+    for part, out in ((tr, sums.real), (ti, sums.imag)):
+        terms = np.zeros((d, d, m * m + 1))
+        terms[..., 1:] = part.reshape(d, d, m * m)
+        out[...] = np.add.accumulate(terms, axis=-1)[..., -1]
+    g = np.eye(d, dtype=complex)
+    for k1 in range(d):
+        for k2 in range(k1 + 1, d):
+            g[k1, k2] = sums[k1, k2] / np.sqrt(sums[k1, k1].real * sums[k2, k2].real)
+            g[k2, k1] = np.conj(g[k1, k2])
+    return g
+
+
+def gram_matrix(spec: CodeSpec, q: int, amplitude: float | None = None) -> np.ndarray:
+    """d x d matrix of codeword overlaps <w_{k1,q}|w_{k2,q}> within space q.
+
+    This is the overlap kernel; ``codeword_overlap`` reads one entry of it.
+    The qubit one-loss spaces and the two-loss code space use their explicit
+    trigonometric forms; every other case is the coherent-component Gram
+    matrix, which is exact to machine precision.
+    """
+    if not 0 <= q <= spec.L:
+        raise ValueError(f"space index q={q} outside [0, {spec.L}]")
+    if amplitude is not None and amplitude <= 0:
+        raise ValueError(f"amplitude must be positive, got {amplitude}")
+    amp = spec.alpha if amplitude is None else amplitude
+    a2 = amp * amp
+    s = None
+    if spec.d == 2:
+        if spec.L == 1 and q == 0:
+            s = complex(np.cos(a2) / np.cosh(a2))
+        elif spec.L == 1 and q == 1:
+            s = complex(1j * np.sin(a2) / np.sinh(a2))
+        elif spec.L == 2 and q == 0:
+            root3 = np.sqrt(3.0)
+            num = np.exp(-a2) + 2 * np.exp(a2 / 2) * np.cos(root3 * a2 / 2)
+            den = np.exp(a2) + 2 * np.exp(-a2 / 2) * np.cos(root3 * a2 / 2)
+            s = complex(num / den)
+    if s is None:
+        return _coherent_gram(spec, q, amp)
+    return np.array([[1.0, s], [np.conj(s), 1.0]], dtype=complex)
 
 
 def codeword_overlap(
@@ -221,42 +273,15 @@ def codeword_overlap(
     k2: int,
     amplitude_override: float | None = None,
 ) -> complex:
-    """Closed-form overlap <w_{k1,q}|w_{k2,q}> of normalized codewords.
-
-    The qubit one-loss spaces and the two-loss code space use their explicit
-    trigonometric forms; every other case falls back to the coherent-component
-    Gram matrix, which is exact to machine precision.
-    """
+    """Closed-form overlap <w_{k1,q}|w_{k2,q}> of normalized codewords: one
+    entry of ``gram_matrix``, which holds the kernel."""
     CodewordId(k1, q).validate(spec)
     CodewordId(k2, q).validate(spec)
     if amplitude_override is not None and amplitude_override <= 0:
         raise ValueError(f"amplitude_override must be positive, got {amplitude_override}")
-    amp = spec.alpha if amplitude_override is None else amplitude_override
     if k1 == k2:
         return 1.0 + 0.0j
-    a2 = amp * amp
-    if spec.d == 2:
-        if spec.L == 1 and q == 0:
-            return complex(np.cos(a2) / np.cosh(a2))
-        if spec.L == 1 and q == 1:
-            v = 1j * np.sin(a2) / np.sinh(a2)
-            return complex(v if k1 < k2 else np.conj(v))
-        if spec.L == 2 and q == 0:
-            root3 = np.sqrt(3.0)
-            num = np.exp(-a2) + 2 * np.exp(a2 / 2) * np.cos(root3 * a2 / 2)
-            den = np.exp(a2) + 2 * np.exp(-a2 / 2) * np.cos(root3 * a2 / 2)
-            return complex(num / den)
-    return complex(_coherent_gram_overlap(spec, q, k1, k2, amp))
-
-
-def gram_matrix(spec: CodeSpec, q: int, amplitude: float | None = None) -> np.ndarray:
-    """d x d matrix of codeword overlaps within space q."""
-    g = np.eye(spec.d, dtype=complex)
-    for k1 in range(spec.d):
-        for k2 in range(k1 + 1, spec.d):
-            g[k1, k2] = codeword_overlap(spec, q, k1, k2, amplitude)
-            g[k2, k1] = np.conj(g[k1, k2])
-    return g
+    return complex(gram_matrix(spec, q, amplitude_override)[k1, k2])
 
 
 @dataclass(frozen=True)

@@ -271,6 +271,27 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err.startswith("error:") and "finite" in captured.err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fidelity", "--L", "40", "--alpha", "5", "--gamma-steps", "2"],
+            ["weights", "--L", "1", "--alpha", "30", "--gamma-steps", "2"],
+            ["repeater", "--L", "4", "--alpha", "30", "--total-km", "1"],
+            ["sweep", "--L", "4", "--alpha", "7", "--total-km", "1",
+             "--axis", "alpha", "--values", "30"],
+        ],
+    )
+    def test_numerical_failure_is_two(self, argv, tmp_path, capsys):
+        # a tripped clamp or a NaN result exits 2 with one line and writes nothing
+        out = tmp_path / "data.csv"
+        code = main(argv + ["--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("numerical failure:")
+        assert captured.err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
     def test_verify_passes_on_clean_build(self, capsys):
         code, out = run(["verify"], capsys)
         assert code == 0

@@ -10,11 +10,41 @@ from catloss.codes import (
     CodeSpec,
     CodewordId,
     LogicalCoeffs,
+    _cmul,
     codeword_coherent,
     codeword_fock,
     codeword_overlap,
+    gram_matrix,
+    sector_amplitude,
     verify_code_equations,
 )
+
+
+def scalar_gram_overlap(spec, q, k1, k2, amp):
+    """Reference scalar double loop for one Gram-route overlap: the kernel
+    must reproduce it bit for bit."""
+    m = spec.spaces
+    b1 = sector_amplitude(spec, k1, amp)
+    b2 = sector_amplitude(spec, k2, amp)
+    comps1 = [b1 * np.exp(2j * np.pi * j / m) for j in range(m)]
+    comps2 = [b2 * np.exp(2j * np.pi * j / m) for j in range(m)]
+
+    def phased_sum(ca, cb):
+        total = 0.0j
+        for ja, u in enumerate(ca):
+            for jb, v in enumerate(cb):
+                ph = np.exp(2j * np.pi * q * (jb - ja) / m)
+                total += ph * np.exp(-abs(u) ** 2 / 2 - abs(v) ** 2 / 2 + np.conj(u) * v)
+        return total
+
+    g12 = phased_sum(comps1, comps2)
+    g11 = phased_sum(comps1, comps1).real
+    g22 = phased_sum(comps2, comps2).real
+    return complex(g12 / np.sqrt(g11 * g22))
+
+
+def _trig_case(L, d, q):
+    return d == 2 and (L == 1 or (L == 2 and q == 0))
 
 
 class TestSpecValidation:
@@ -195,6 +225,63 @@ class TestOverlaps:
                     codeword_fock(spec, CodewordId(1, q2)),
                 )
                 assert abs(v) < 1e-12
+
+
+class TestGramKernel:
+    """The vectorized kernel equals the scalar loop exactly (``==``), so a
+    platform whose SIMD rounds differently fails here, not in a dataset."""
+
+    @staticmethod
+    def _grid():
+        rng = np.random.default_rng(3)
+        for L in range(9):
+            for d in range(2, 6):
+                spec = CodeSpec(L, d, float(rng.uniform(0.1, 10.0)))
+                for q in range(L + 1):
+                    amp = float(rng.uniform(0.1, 10.0))
+                    if not _trig_case(L, d, q):
+                        yield spec, q, amp
+
+    def test_matches_scalar_loop_bitwise(self):
+        cases = 0
+        for spec, q, amp in self._grid():
+            g = gram_matrix(spec, q, amp)
+            for k1 in range(spec.d):
+                assert g[k1, k1] == 1.0
+                for k2 in range(k1 + 1, spec.d):
+                    want = scalar_gram_overlap(spec, q, k1, k2, amp)
+                    assert g[k1, k2] == want, (spec, q, amp, k1, k2)
+                    assert g[k2, k1] == np.conj(g[k1, k2])
+                    cases += 1
+        assert cases == 897
+
+    def test_codeword_overlap_reads_gram_entry(self):
+        for spec, q, amp in self._grid():
+            if spec.L > 3:
+                continue
+            g = gram_matrix(spec, q, amp)
+            for k1 in range(spec.d):
+                for k2 in range(spec.d):
+                    assert codeword_overlap(spec, q, k1, k2, amplitude_override=amp) == g[k1, k2]
+
+    def test_cmul_rounds_like_scalar_product(self):
+        rng = np.random.default_rng(11)
+        n = 20_000
+        a = rng.normal(size=n) * 10.0 ** rng.integers(-3, 4, n) + 1j * rng.normal(size=n)
+        b = rng.normal(size=n) + 1j * rng.normal(size=n) * 10.0 ** rng.integers(-3, 4, n)
+        re, im = _cmul(a.real, a.imag, b.real, b.imag)
+        want = np.array([x * y for x, y in zip(a, b)])
+        assert np.array_equal(re, want.real)
+        assert np.array_equal(im, want.imag)
+
+    def test_validates_space_and_amplitude(self):
+        spec = CodeSpec(2, 3, 2.0)
+        with pytest.raises(ValueError, match="space index"):
+            gram_matrix(spec, 3)
+        with pytest.raises(ValueError, match="space index"):
+            gram_matrix(spec, -1)
+        with pytest.raises(ValueError, match="positive"):
+            gram_matrix(spec, 0, 0.0)
 
 
 class TestCodeEquations:
