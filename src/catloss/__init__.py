@@ -27,7 +27,6 @@ from .codes import (
     LogicalCoeffs,
     codeword_coherent,
     codeword_fock,
-    codeword_overlap,
     verify_code_equations,
 )
 from .channel import (
@@ -46,13 +45,10 @@ from .qec import (
     FidelityResult,
     KLReport,
     fidelity_bound,
-    fidelity_scan,
     fidelity_state,
     kl_check,
-    parity_project,
 )
 from .restore import (
-    BellNorms,
     FilterParams,
     filter_operators,
     filter_params,
@@ -75,15 +71,14 @@ __all__ = [
     "basis_state", "coherent_state", "default_n_max", "inner", "mix",
     "outer", "parity_phase_apply", "trace_distance",
     "CodeSpec", "CodewordId", "LogicalCoeffs", "codeword_coherent",
-    "codeword_fock", "codeword_overlap", "verify_code_equations",
+    "codeword_fock", "verify_code_equations",
     "ChannelParams", "LossClassWeights", "MixtureComponent",
     "channel_apply_exact", "class_probabilities", "class_probabilities_kraus",
     "encode", "kraus_apply", "logical_mixture", "mixture_weights",
-    "FidelityResult", "KLReport", "fidelity_bound", "fidelity_scan",
-    "fidelity_state", "kl_check", "parity_project",
-    "BellNorms", "FilterParams", "filter_operators", "filter_params",
-    "filter_success", "restoration_factor", "teleport_success",
-    "teleport_success_assembled",
+    "FidelityResult", "KLReport", "fidelity_bound", "fidelity_state",
+    "kl_check",
+    "FilterParams", "filter_operators", "filter_params", "filter_success",
+    "restoration_factor", "teleport_success", "teleport_success_assembled",
     "ChainResult", "RepeaterConfig", "SweepRow", "segment_gamma",
     "simulate_chain", "sweep",
 ]

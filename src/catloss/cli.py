@@ -23,6 +23,9 @@ import numpy as np
 
 from . import __version__, channel, codes, fock, qec, repeater, restore
 
+# Restoration cadence of each scheme: restore at every n-th station.
+SCHEME_AR_EVERY = {"old": 1, "new": 2}
+
 # Reference values for the 1000 km chain comparison (one block per code
 # order); rows are (alpha, spacing_km, F_new, P_new, F_old, P_old), None
 # where only "approximately 0/1" is known.
@@ -196,7 +199,7 @@ def cmd_klreport(args) -> int:
 def _ar_every(args) -> int:
     if args.ar_every is not None:
         return args.ar_every
-    return {"old": 1, "new": 2}[args.scheme]
+    return SCHEME_AR_EVERY[args.scheme]
 
 
 def _chain_config(args) -> repeater.RepeaterConfig:
@@ -268,7 +271,7 @@ def cmd_tables(args) -> int:
                     spacing_km=spacing,
                     spec=spec,
                     coeffs=codes.LogicalCoeffs.balanced(sign=sign),
-                    ar_every=1 if scheme == "old" else 2,
+                    ar_every=SCHEME_AR_EVERY[scheme],
                 )
                 results[sign] = repeater.simulate_chain(config, with_trace=False)
             f_min = min(results[1].fidelity, results[-1].fidelity)
@@ -381,7 +384,7 @@ def _add_chain(p):
     p.add_argument("--total-km", type=float, default=1000.0)
     p.add_argument("--spacing-km", type=float, default=0.1)
     p.add_argument("--attenuation-km", type=float, default=repeater.DEFAULT_ATTENUATION_KM)
-    p.add_argument("--scheme", choices=["old", "new"], default="new")
+    p.add_argument("--scheme", choices=list(SCHEME_AR_EVERY), default="new")
     p.add_argument("--ar-every", type=int, default=None,
                    help="restore every n-th station (overrides --scheme)")
 

@@ -21,13 +21,14 @@ downstream.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import fock
-from .series import log_factorials, sectioned_exp, sectioned_exp_real
+from .series import log_factorials, sectioned_exp_real
 
 # Below this amplitude the codewords are nearly collinear.
 SMALL_ALPHA = 0.1
@@ -147,9 +148,9 @@ def codeword_fock(
 ) -> fock.FockVector:
     """Codeword as its sectioned Fock series, normalized within truncation."""
     ident.validate(spec)
-    if amplitude_override is not None and amplitude_override <= 0:
-        raise ValueError(f"amplitude_override must be positive, got {amplitude_override}")
     amp = spec.alpha if amplitude_override is None else amplitude_override
+    if not (math.isfinite(amp) and amp > 0):
+        raise ValueError(f"amplitude must be finite and positive, got {amp}")
     if n_max is None:
         n_max = spec.n_max(amp)
     beta = sector_amplitude(spec, ident.k, amp)
@@ -166,7 +167,6 @@ def codeword_fock(
 def codeword_coherent(
     spec: CodeSpec,
     ident: CodewordId,
-    amplitude_override: float | None = None,
     n_max: int | None = None,
 ) -> fock.FockVector:
     """Same codeword built as a phased sum of L+1 coherent states.
@@ -176,12 +176,9 @@ def codeword_coherent(
     phase, which the equivalence tests pin down.
     """
     ident.validate(spec)
-    if amplitude_override is not None and amplitude_override <= 0:
-        raise ValueError(f"amplitude_override must be positive, got {amplitude_override}")
-    amp = spec.alpha if amplitude_override is None else amplitude_override
     if n_max is None:
-        n_max = spec.n_max(amp)
-    beta = sector_amplitude(spec, ident.k, amp)
+        n_max = spec.n_max()
+    beta = sector_amplitude(spec, ident.k)
     m = spec.spaces
     total = np.zeros(n_max + 1, dtype=complex)
     for j in range(m):
@@ -239,16 +236,17 @@ def _coherent_gram(spec: CodeSpec, q: int, amp: float) -> np.ndarray:
 def gram_matrix(spec: CodeSpec, q: int, amplitude: float | None = None) -> np.ndarray:
     """d x d matrix of codeword overlaps <w_{k1,q}|w_{k2,q}> within space q.
 
-    This is the overlap kernel; ``codeword_overlap`` reads one entry of it.
-    The qubit one-loss spaces and the two-loss code space use their explicit
+    This is the only overlap routine: entry [k1, k2] is the overlap of
+    sectors k1 and k2 at ``amplitude`` (the nominal alpha by default).  The
+    qubit one-loss spaces and the two-loss code space use their explicit
     trigonometric forms; every other case is the coherent-component Gram
     matrix, which is exact to machine precision.
     """
     if not 0 <= q <= spec.L:
         raise ValueError(f"space index q={q} outside [0, {spec.L}]")
-    if amplitude is not None and amplitude <= 0:
-        raise ValueError(f"amplitude must be positive, got {amplitude}")
     amp = spec.alpha if amplitude is None else amplitude
+    if not (math.isfinite(amp) and amp > 0):
+        raise ValueError(f"amplitude must be finite and positive, got {amp}")
     a2 = amp * amp
     s = None
     if spec.d == 2:
@@ -264,24 +262,6 @@ def gram_matrix(spec: CodeSpec, q: int, amplitude: float | None = None) -> np.nd
     if s is None:
         return _coherent_gram(spec, q, amp)
     return np.array([[1.0, s], [np.conj(s), 1.0]], dtype=complex)
-
-
-def codeword_overlap(
-    spec: CodeSpec,
-    q: int,
-    k1: int,
-    k2: int,
-    amplitude_override: float | None = None,
-) -> complex:
-    """Closed-form overlap <w_{k1,q}|w_{k2,q}> of normalized codewords: one
-    entry of ``gram_matrix``, which holds the kernel."""
-    CodewordId(k1, q).validate(spec)
-    CodewordId(k2, q).validate(spec)
-    if amplitude_override is not None and amplitude_override <= 0:
-        raise ValueError(f"amplitude_override must be positive, got {amplitude_override}")
-    if k1 == k2:
-        return 1.0 + 0.0j
-    return complex(gram_matrix(spec, q, amplitude_override)[k1, k2])
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,5 @@
 """Correctability analysis: orthogonality and non-deformation of corrupted
-codewords, syndrome projection, and the state-dependent / worst-case fidelity.
+codewords, and the state-dependent / worst-case fidelity.
 
 The error model is the photon-annihilation ladder E_i = a^i.  A code is
 exactly correctable for a pair (E_i, E_j) when corrupted codewords stay
@@ -21,7 +21,7 @@ import numpy as np
 
 from . import fock
 from .codes import CodeSpec, CodewordId, LogicalCoeffs, codeword_fock
-from .channel import ChannelParams, MixtureComponent, mixture_weights
+from .channel import ChannelParams, mixture_weights
 
 
 @dataclass(frozen=True)
@@ -102,26 +102,6 @@ def kl_check(
     )
 
 
-def parity_project(
-    mixture: list[MixtureComponent],
-    q: int,
-) -> tuple[fock.DensityMatrix | None, float]:
-    """Condition the output mixture on syndrome q.
-
-    Returns the normalized post-measurement density matrix together with the
-    syndrome probability; a zero-probability syndrome is flagged by a None
-    matrix instead of dividing by zero.
-    """
-    selected = [c for c in mixture if c.space_q == q]
-    if not selected:
-        raise ValueError(f"no mixture component carries syndrome q={q}")
-    prob = float(sum(c.weight for c in selected))
-    if prob <= 0.0:
-        return None, 0.0
-    rho = fock.mix([(c.weight / prob, c.state) for c in selected])
-    return rho, prob
-
-
 def fidelity_state(
     spec: CodeSpec,
     coeffs: LogicalCoeffs,
@@ -153,30 +133,3 @@ def fidelity_bound(spec: CodeSpec, params: ChannelParams) -> FidelityResult:
         minimizing_coeffs=worst,
         F_bound=min(f_plus, f_minus),
     )
-
-
-def fidelity_scan(
-    spec: CodeSpec,
-    params: ChannelParams,
-    n_amplitudes: int = 32,
-    n_phases: int = 16,
-) -> tuple[float, LogicalCoeffs]:
-    """Diagnostic grid minimization over complex qubit inputs.
-
-    Scans (a, b) = (a, sqrt(1-a^2) e^{i phi}) over an amplitude/phase grid
-    and returns the smallest state-dependent fidelity found with its input.
-    The reported bound stays ``fidelity_bound`` (real coefficients); this
-    scan only probes how much the real restriction gives away.
-    """
-    if spec.d != 2:
-        raise ValueError("the diagnostic scan is defined for qubit codes only")
-    best = np.inf
-    best_coeffs = LogicalCoeffs.balanced()
-    for a in np.linspace(0.0, 1.0, n_amplitudes):
-        b_mag = np.sqrt(max(0.0, 1.0 - a * a))
-        for phi in np.linspace(0.0, 2.0 * np.pi, n_phases, endpoint=False):
-            coeffs = LogicalCoeffs((complex(a), b_mag * np.exp(1j * phi)))
-            f = fidelity_state(spec, coeffs, params)
-            if f < best:
-                best, best_coeffs = f, coeffs
-    return best, best_coeffs

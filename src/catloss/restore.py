@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fock
-from .codes import CodeSpec, CodewordId, LogicalCoeffs, codeword_fock, codeword_overlap
+from .codes import CodeSpec, CodewordId, LogicalCoeffs, codeword_fock, gram_matrix
 from .channel import ChannelParams, mixture_weights
 
 
@@ -35,25 +35,6 @@ class FilterParams:
     b1: float
     phi: float
     s: complex
-
-
-@dataclass(frozen=True)
-class BellNorms:
-    """Squared norms of the Bell branches and candidate output qubits.
-
-    N_phi_* and N_psi_* are the symmetric/antisymmetric pair norms built on
-    the damped overlap, N_phi_hat the asymmetric resource norm, N_omega the
-    incoming qubit norm, and N_chi the four output-qubit norms on the
-    full-amplitude overlap.
-    """
-
-    N_phi_plus: float
-    N_phi_minus: float
-    N_psi_plus: float
-    N_psi_minus: float
-    N_phi_hat: float
-    N_omega: float
-    N_chi: tuple[float, float, float, float]
 
 
 def filter_params(s: complex) -> FilterParams:
@@ -89,29 +70,6 @@ def _pair_norm_sq(v: np.ndarray, s: complex) -> float:
     return float(np.real(v.conj() @ gram @ v))
 
 
-def bell_norms(s_tilde: complex, s_bar: complex, c: LogicalCoeffs) -> BellNorms:
-    """All norms entering the teleportation success probability.
-
-    The four output-qubit norms are derived from the Gram matrix of the
-    full-amplitude codewords applied to the four coefficient patterns
-    (c0, c1), (c0, -c1), (c1, c0), (-c1, c0).
-    """
-    c0, c1 = c.amplitudes
-    chi = tuple(
-        _pair_norm_sq(np.array(v), s_bar)
-        for v in [(c0, c1), (c0, -c1), (c1, c0), (-c1, c0)]
-    )
-    return BellNorms(
-        N_phi_plus=1.0 + float(np.real(s_tilde**2)),
-        N_phi_minus=1.0 - float(np.real(s_tilde**2)),
-        N_psi_plus=1.0 + abs(s_tilde) ** 2,
-        N_psi_minus=1.0 - abs(s_tilde) ** 2,
-        N_phi_hat=1.0 + float(np.real(s_tilde * s_bar)),
-        N_omega=_pair_norm_sq(np.array([c0, c1]), s_tilde),
-        N_chi=chi,
-    )
-
-
 def teleport_success_from_overlaps(
     s_tilde: complex,
     s_bar: complex,
@@ -122,20 +80,33 @@ def teleport_success_from_overlaps(
     P = (1-|s_tilde|)^2 / (4 N_omega N_phi_hat)
         * (N_chi1 N_phi+ + N_chi2 N_phi- + N_chi3 N_psi+ + N_chi4 N_psi-).
 
+    N_phi+- = 1 +- Re(s_tilde^2) and N_psi+- = 1 +- |s_tilde|^2 are the Bell
+    pair norms on the damped overlap, N_phi_hat = 1 + Re(s_tilde s_bar) the
+    asymmetric resource norm and N_omega the incoming qubit norm.  The four
+    output-qubit norms N_chi apply the full-amplitude Gram matrix to the
+    coefficient patterns (c0, c1), (c0, -c1), (c1, c0), (-c1, c0).
+
     Saturated overlaps (|s_tilde| -> 1, e.g. a collapsed amplitude) give a
     vanishing filter success, so the limit value 0 is returned rather than
     an error.
     """
     if 1.0 - abs(s_tilde) <= 1e-12:
         return 0.0
-    n = bell_norms(s_tilde, s_bar, c)
-    branch_sum = (
-        n.N_chi[0] * n.N_phi_plus
-        + n.N_chi[1] * n.N_phi_minus
-        + n.N_chi[2] * n.N_psi_plus
-        + n.N_chi[3] * n.N_psi_minus
-    )
-    return (1.0 - abs(s_tilde)) ** 2 / (4.0 * n.N_omega * n.N_phi_hat) * branch_sum
+    c0, c1 = c.amplitudes
+    chi = [
+        _pair_norm_sq(np.array(v), s_bar)
+        for v in [(c0, c1), (c0, -c1), (c1, c0), (-c1, c0)]
+    ]
+    bell = [
+        1.0 + float(np.real(s_tilde**2)),
+        1.0 - float(np.real(s_tilde**2)),
+        1.0 + abs(s_tilde) ** 2,
+        1.0 - abs(s_tilde) ** 2,
+    ]
+    n_phi_hat = 1.0 + float(np.real(s_tilde * s_bar))
+    n_omega = _pair_norm_sq(np.array([c0, c1]), s_tilde)
+    branch_sum = chi[0] * bell[0] + chi[1] * bell[1] + chi[2] * bell[2] + chi[3] * bell[3]
+    return (1.0 - abs(s_tilde)) ** 2 / (4.0 * n_omega * n_phi_hat) * branch_sum
 
 
 def teleport_success(
@@ -143,21 +114,18 @@ def teleport_success(
     q: int,
     params: ChannelParams,
     c: LogicalCoeffs,
-    amplitude_in: float | None = None,
 ) -> float:
     """Success probability of restoring a qubit sitting in space q.
 
-    The qubit entered the channel at ``amplitude_in`` (the nominal alpha by
-    default) and now lives at sqrt(gamma) * amplitude_in with coefficients c,
-    branch phase gates included; the target is the code space at the nominal
-    amplitude.
+    The qubit entered the channel at the nominal alpha and now lives at
+    sqrt(gamma) * alpha with coefficients c, branch phase gates included;
+    the target is the code space at the nominal amplitude.  s_tilde and
+    s_bar are the Gram entries ``restoration_factor`` reads.
     """
     if spec.d != 2:
         raise ValueError("teleportation restore is defined for qubit codes only")
-    amp_in = spec.alpha if amplitude_in is None else amplitude_in
-    damped = np.sqrt(params.gamma) * amp_in
-    s_tilde = codeword_overlap(spec, q, 0, 1, amplitude_override=damped)
-    s_bar = codeword_overlap(spec, 0, 0, 1)
+    s_tilde = complex(gram_matrix(spec, q, np.sqrt(params.gamma) * spec.alpha)[0, 1])
+    s_bar = complex(gram_matrix(spec, 0)[0, 1])
     return teleport_success_from_overlaps(s_tilde, s_bar, c)
 
 
@@ -166,8 +134,6 @@ def teleport_success_assembled(
     q: int,
     params: ChannelParams,
     c: LogicalCoeffs,
-    amplitude_in: float | None = None,
-    n_max: int | None = None,
 ) -> float:
     """Brute-force route for ``teleport_success``: assemble the four-branch
     post-filter state from explicit Fock vectors and take its squared norm.
@@ -179,10 +145,8 @@ def teleport_success_assembled(
     """
     if spec.d != 2:
         raise ValueError("teleportation restore is defined for qubit codes only")
-    amp_in = spec.alpha if amplitude_in is None else amplitude_in
-    damped = np.sqrt(params.gamma) * amp_in
-    if n_max is None:
-        n_max = spec.n_max(amp_in)
+    damped = np.sqrt(params.gamma) * spec.alpha
+    n_max = spec.n_max()
     w0t = codeword_fock(spec, CodewordId(0, q), damped, n_max)
     w1t = codeword_fock(spec, CodewordId(1, q), damped, n_max)
     w0b = codeword_fock(spec, CodewordId(0, 0), n_max=n_max)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from catloss import fock
-from catloss.codes import CodeSpec, CodewordId, LogicalCoeffs, codeword_fock, codeword_overlap
+from catloss.codes import CodeSpec, CodewordId, LogicalCoeffs, codeword_fock, gram_matrix
 from catloss.channel import (
     ChannelParams,
     channel_apply_exact,
@@ -75,10 +75,10 @@ def test_02_closed_form_identities():
                 (k, q): codeword_fock(one, CodewordId(k, q)) for k in (0, 1) for q in (0, 1)
             }
             direct0 = fock.inner(words[(0, 0)], words[(1, 0)])
-            assert abs(codeword_overlap(one, 0, 0, 1) - direct0) < 1e-10
+            assert abs(gram_matrix(one, 0)[0, 1] - direct0) < 1e-10
             assert abs(direct0 - math.cos(a2) / math.cosh(a2)) < 1e-10
             direct1 = fock.inner(words[(0, 1)], words[(1, 1)])
-            assert abs(codeword_overlap(one, 1, 0, 1) - direct1) < 1e-10
+            assert abs(gram_matrix(one, 1)[0, 1] - direct1) < 1e-10
             assert abs(direct1 - 1j * math.sin(a2) / math.sinh(a2)) < 1e-10
 
             # one-loss class probabilities vs Kraus norms
@@ -173,7 +173,7 @@ def test_05_fidelity_endpoints_and_extremum():
 def test_06_filter_formula():
     with criterion(6, "filter success 1-|s| and POVM completeness"):
         for alpha in (0.5, 1.0, 2.0):
-            s = codeword_overlap(CodeSpec(0, 2, alpha), 0, 0, 1)
+            s = gram_matrix(CodeSpec(0, 2, alpha), 0)[0, 1]
             assert abs(filter_success(s) - (1.0 - math.exp(-2 * alpha**2))) < 1e-12
         for mag in (0.0, 0.3, 0.7, 0.99):
             for phase in (0.0, 1.0, -2.0):

@@ -13,7 +13,6 @@ from catloss.codes import (
     _cmul,
     codeword_coherent,
     codeword_fock,
-    codeword_overlap,
     gram_matrix,
     sector_amplitude,
     verify_code_equations,
@@ -162,21 +161,21 @@ class TestCoherentForm:
 class TestOverlaps:
     def test_self_overlap_is_one(self):
         spec = CodeSpec(2, 2, 3.0)
-        assert codeword_overlap(spec, 1, 1, 1) == 1.0 + 0.0j
+        assert gram_matrix(spec, 1)[1, 1] == 1.0 + 0.0j
 
     def test_one_loss_code_space_form(self):
         a2 = 4.0
-        got = codeword_overlap(CodeSpec(1, 2, 2.0), 0, 0, 1)
+        got = gram_matrix(CodeSpec(1, 2, 2.0), 0)[0, 1]
         assert abs(got - np.cos(a2) / np.cosh(a2)) < 1e-14
 
     def test_one_loss_error_space_form(self):
         a2 = 4.0
-        got = codeword_overlap(CodeSpec(1, 2, 2.0), 1, 0, 1)
+        got = gram_matrix(CodeSpec(1, 2, 2.0), 1)[0, 1]
         assert abs(got - 1j * np.sin(a2) / np.sinh(a2)) < 1e-14
 
     def test_two_loss_code_space_form(self):
         a2 = 9.0
-        got = codeword_overlap(CodeSpec(2, 2, 3.0), 0, 0, 1)
+        got = gram_matrix(CodeSpec(2, 2, 3.0), 0)[0, 1]
         num = np.exp(-a2) + 2 * np.exp(a2 / 2) * np.cos(np.sqrt(3) * a2 / 2)
         den = np.exp(a2) + 2 * np.exp(-a2 / 2) * np.cos(np.sqrt(3) * a2 / 2)
         assert abs(got - num / den) < 1e-14
@@ -192,7 +191,7 @@ class TestOverlaps:
     ])
     def test_closed_forms_match_vector_inner_products(self, L, d, q, k1, k2, alpha):
         spec = CodeSpec(L, d, alpha)
-        closed = codeword_overlap(spec, q, k1, k2)
+        closed = gram_matrix(spec, q)[k1, k2]
         direct = fock.inner(
             codeword_fock(spec, CodewordId(k1, q)),
             codeword_fock(spec, CodewordId(k2, q)),
@@ -202,18 +201,18 @@ class TestOverlaps:
     def test_conjugate_on_swapped_indices(self):
         spec = CodeSpec(1, 2, 2.0)
         assert abs(
-            codeword_overlap(spec, 1, 0, 1) - np.conj(codeword_overlap(spec, 1, 1, 0))
+            gram_matrix(spec, 1)[0, 1] - np.conj(gram_matrix(spec, 1)[1, 0])
         ) < 1e-14
 
     def test_overlap_decays_with_amplitude(self):
         vals = [
-            abs(codeword_overlap(CodeSpec(1, 2, a), 0, 0, 1)) for a in (0.8, 2.0, 6.0)
+            abs(gram_matrix(CodeSpec(1, 2, a), 0)[0, 1]) for a in (0.8, 2.0, 6.0)
         ]
         assert vals[2] < vals[1] < vals[0]
 
     def test_amplitude_override(self):
         spec = CodeSpec(1, 2, 2.0)
-        damped = codeword_overlap(spec, 0, 0, 1, amplitude_override=1.0)
+        damped = gram_matrix(spec, 0, 1.0)[0, 1]
         assert abs(damped - np.cos(1.0) / np.cosh(1.0)) < 1e-14
 
     def test_distinct_error_spaces_orthogonal(self):
@@ -255,15 +254,6 @@ class TestGramKernel:
                     cases += 1
         assert cases == 897
 
-    def test_codeword_overlap_reads_gram_entry(self):
-        for spec, q, amp in self._grid():
-            if spec.L > 3:
-                continue
-            g = gram_matrix(spec, q, amp)
-            for k1 in range(spec.d):
-                for k2 in range(spec.d):
-                    assert codeword_overlap(spec, q, k1, k2, amplitude_override=amp) == g[k1, k2]
-
     def test_cmul_rounds_like_scalar_product(self):
         rng = np.random.default_rng(11)
         n = 20_000
@@ -280,8 +270,15 @@ class TestGramKernel:
             gram_matrix(spec, 3)
         with pytest.raises(ValueError, match="space index"):
             gram_matrix(spec, -1)
-        with pytest.raises(ValueError, match="positive"):
-            gram_matrix(spec, 0, 0.0)
+        for bad in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite and positive"):
+                gram_matrix(spec, 0, bad)
+
+    def test_codeword_fock_validates_amplitude(self):
+        spec = CodeSpec(2, 3, 2.0)
+        for bad in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite and positive"):
+                codeword_fock(spec, CodewordId(1, 0), bad)
 
 
 class TestCodeEquations:

@@ -1,4 +1,4 @@
-"""Correctability reports, syndrome projection, and fidelity bounds."""
+"""Correctability reports, syndrome conditioning, and fidelity bounds."""
 
 import math
 
@@ -8,13 +8,7 @@ import pytest
 from catloss import fock
 from catloss.codes import CodeSpec, CodewordId, LogicalCoeffs, codeword_fock
 from catloss.channel import ChannelParams, encode, logical_mixture, mixture_weights
-from catloss.qec import (
-    fidelity_bound,
-    fidelity_scan,
-    fidelity_state,
-    kl_check,
-    parity_project,
-)
+from catloss.qec import fidelity_bound, fidelity_state, kl_check
 
 from conftest import central_difference
 
@@ -88,12 +82,22 @@ class TestKlCheckX:
             kl_check(CodeSpec(1, 3, 2.0), "X", 0, 0)
 
 
+def _syndrome(mixture, q):
+    """Components of the output mixture that carry syndrome q, with their
+    total weight (the syndrome probability)."""
+    selected = [c for c in mixture if c.space_q == q]
+    return selected, sum(c.weight for c in selected)
+
+
 class TestParityProject:
+    """Syndrome conditioning of ``logical_mixture`` output."""
+
     def test_no_loss_even_syndrome_is_pure_input(self):
         spec = CodeSpec(1, 2, 2.0)
         mixture = logical_mixture(spec, BALANCED, ChannelParams(1.0))
-        rho, prob = parity_project(mixture, 0)
+        selected, prob = _syndrome(mixture, 0)
         assert abs(prob - 1.0) < 1e-12
+        rho = fock.mix([(c.weight / prob, c.state) for c in selected])
         psi = encode(spec, BALANCED)
         overlap = np.real(np.vdot(psi.coeffs, rho.entries @ psi.coeffs))
         assert abs(overlap - 1.0) < 1e-10
@@ -101,15 +105,16 @@ class TestParityProject:
     def test_zero_probability_syndrome_flagged(self):
         spec = CodeSpec(1, 2, 2.0)
         mixture = logical_mixture(spec, BALANCED, ChannelParams(1.0))
-        rho, prob = parity_project(mixture, 1)
-        assert rho is None
+        selected, prob = _syndrome(mixture, 1)
+        assert selected
         assert prob == 0.0
 
     def test_odd_syndrome_two_components(self):
         spec = CodeSpec(1, 2, 2.0)
         params = ChannelParams(0.9)
         mixture = logical_mixture(spec, BALANCED, params)
-        rho, prob = parity_project(mixture, 1)
+        selected, prob = _syndrome(mixture, 1)
+        rho = fock.mix([(c.weight / prob, c.state) for c in selected])
         w = mixture_weights(spec, BALANCED, params)
         assert abs(prob - (w.ptilde[1] + w.ptilde[3])) < 1e-12
         assert abs(rho.trace() - 1.0) < 1e-10
@@ -121,7 +126,7 @@ class TestParityProject:
     def test_syndrome_probabilities_complete(self):
         spec = CodeSpec(2, 2, 3.0)
         mixture = logical_mixture(spec, BALANCED, ChannelParams(0.8))
-        total = sum(parity_project(mixture, q)[1] for q in range(3))
+        total = sum(_syndrome(mixture, q)[1] for q in range(3))
         assert abs(total - 1.0) < 1e-10
 
 
@@ -158,7 +163,7 @@ class TestFidelityState:
         w = mixture_weights(spec, BALANCED, params)
         total = 0.0
         for q in range(2):
-            _, prob = parity_project(mixture, q)
+            _, prob = _syndrome(mixture, q)
             branch_weights = [w.ptilde[j] for j in range(4) if j % 2 == q]
             total += prob * (branch_weights[0] / sum(branch_weights))
         assert abs(total - fidelity_state(spec, BALANCED, params)) < 1e-10
@@ -233,8 +238,12 @@ class TestFidelityBound:
         spec = CodeSpec(1, 2, 2.0)
         params = ChannelParams(0.9)
         bound = fidelity_bound(spec, params).F_bound
-        scanned, coeffs = fidelity_scan(spec, params)
+        scanned = math.inf
+        for a in np.linspace(0.0, 1.0, 32):
+            b_mag = np.sqrt(max(0.0, 1.0 - a * a))
+            for phi in np.linspace(0.0, 2.0 * np.pi, 16, endpoint=False):
+                coeffs = LogicalCoeffs((complex(a), b_mag * np.exp(1j * phi)))
+                scanned = min(scanned, fidelity_state(spec, coeffs, params))
         # grid resolution keeps the scan near the analytic minimum; a value
         # clearly below it would flag that complex phases matter
         assert scanned == pytest.approx(bound, abs=1e-3)
-        assert abs(fidelity_state(spec, coeffs, params) - scanned) < 1e-14
