@@ -23,7 +23,6 @@ from .fock import (
 )
 from .codes import (
     CodeSpec,
-    CodewordId,
     LogicalCoeffs,
     codeword_coherent,
     codeword_fock,
@@ -60,7 +59,6 @@ from .restore import (
 from .repeater import (
     ChainResult,
     RepeaterConfig,
-    SweepRow,
     segment_gamma,
     simulate_chain,
     sweep,
@@ -70,7 +68,7 @@ __all__ = [
     "DensityMatrix", "FockVector", "TruncationError", "annihilate",
     "basis_state", "coherent_state", "default_n_max", "inner", "mix",
     "outer", "parity_phase_apply", "trace_distance",
-    "CodeSpec", "CodewordId", "LogicalCoeffs", "codeword_coherent",
+    "CodeSpec", "LogicalCoeffs", "codeword_coherent",
     "codeword_fock", "verify_code_equations",
     "ChannelParams", "LossClassWeights", "MixtureComponent",
     "channel_apply_exact", "class_probabilities", "class_probabilities_kraus",
@@ -79,6 +77,6 @@ __all__ = [
     "kl_check",
     "FilterParams", "filter_operators", "filter_params", "filter_success",
     "restoration_factor", "teleport_success", "teleport_success_assembled",
-    "ChainResult", "RepeaterConfig", "SweepRow", "segment_gamma",
+    "ChainResult", "RepeaterConfig", "segment_gamma",
     "simulate_chain", "sweep",
 ]

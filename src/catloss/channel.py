@@ -29,15 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fock
-from .codes import (
-    CodeSpec,
-    CodewordId,
-    LogicalCoeffs,
-    codeword_fock,
-    codeword_norm_sq,
-    gram_matrix,
-)
-from .series import log_factorials, sectioned_exp_real
+from .codes import CodeSpec, LogicalCoeffs, codeword_fock, codeword_norm_sq, gram_matrix
+from .series import log_factorials, sectioned_exp
 
 # Residual probability left unsummed by the exact Kraus evolution.
 KRAUS_RESIDUAL = 1e-12
@@ -152,22 +145,16 @@ def class_probabilities(spec: CodeSpec, params: ChannelParams) -> np.ndarray:
     damped = [codeword_norm_sq(spec, q, damped_amp) for q in range(spec.spaces)]
     p = np.empty(spec.cycle)
     for j in range(spec.cycle):
-        p[j] = sectioned_exp_real(x, spec.cycle, j) * damped[j % spec.spaces] / norm0
+        p[j] = sectioned_exp(x, spec.cycle, j) * damped[j % spec.spaces] / norm0
     return p
 
 
-def class_probabilities_kraus(
-    spec: CodeSpec,
-    params: ChannelParams,
-    n_max: int | None = None,
-) -> np.ndarray:
+def class_probabilities_kraus(spec: CodeSpec, params: ChannelParams) -> np.ndarray:
     """Brute-force route for ``class_probabilities``: sum the squared norms
     ||A_k w||^2 of a codeword grouped by k modulo the cycle."""
-    if n_max is None:
-        n_max = spec.n_max()
-    word = codeword_fock(spec, CodewordId(0, 0), n_max=n_max)
+    word = codeword_fock(spec, 0, 0)
     p = np.zeros(spec.cycle)
-    for k in range(n_max + 1):
+    for k in range(word.n_max + 1):
         p[k % spec.cycle] += kraus_apply(word, params, k).norm() ** 2
     return p
 
@@ -210,16 +197,13 @@ def logical_mixture(
     spec: CodeSpec,
     coeffs: LogicalCoeffs,
     params: ChannelParams,
-    n_max: int | None = None,
 ) -> list[MixtureComponent]:
     """The d(L+1)-component output mixture of an encoded logical state."""
     weights = mixture_weights(spec, coeffs, params)
     damped_amp = np.sqrt(params.gamma) * spec.alpha
-    if n_max is None:
-        n_max = spec.n_max()
     c = coeffs.as_array()
     words = [
-        [codeword_fock(spec, CodewordId(k, q), damped_amp, n_max) for k in range(spec.d)]
+        [codeword_fock(spec, k, q, damped_amp) for k in range(spec.d)]
         for q in range(spec.spaces)
     ]
     components = []
@@ -241,18 +225,12 @@ def logical_mixture(
     return components
 
 
-def encode(
-    spec: CodeSpec,
-    coeffs: LogicalCoeffs,
-    n_max: int | None = None,
-) -> fock.FockVector:
+def encode(spec: CodeSpec, coeffs: LogicalCoeffs) -> fock.FockVector:
     """Normalized logical state sum_k c_k |w_{k,0}> in the code space."""
     if coeffs.d != spec.d:
         raise ValueError(f"coefficient count {coeffs.d} != logical dimension {spec.d}")
-    if n_max is None:
-        n_max = spec.n_max()
     c = coeffs.as_array()
-    vec = codeword_fock(spec, CodewordId(0, 0), n_max=n_max) * c[0]
+    vec = codeword_fock(spec, 0, 0) * c[0]
     for k in range(1, spec.d):
-        vec = vec + codeword_fock(spec, CodewordId(k, 0), n_max=n_max) * c[k]
+        vec = vec + codeword_fock(spec, k, 0) * c[k]
     return vec.normalized()

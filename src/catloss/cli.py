@@ -141,6 +141,8 @@ def _emit(columns, rows, args, params):
 def _gamma_grid(args) -> np.ndarray:
     if not 0.0 < args.gamma_min <= args.gamma_max <= 1.0:
         raise CliError("need 0 < gamma-min <= gamma-max <= 1")
+    if args.gamma_steps < 1:
+        raise CliError(f"need gamma-steps >= 1, got {args.gamma_steps}")
     return np.linspace(args.gamma_min, args.gamma_max, args.gamma_steps)
 
 
@@ -237,8 +239,8 @@ def cmd_sweep(args) -> int:
     values = [float(tok) for tok in args.values.split(",")]
     config = _chain_config(args)
     rows = [
-        [r.value, r.fidelity, r.success_prob, int(r.amplitude_collapsed)]
-        for r in repeater.sweep(config, args.axis, values)
+        [v, r.fidelity, r.success_prob, int(r.amplitude_collapsed)]
+        for v, r in zip(values, repeater.sweep(config, args.axis, values))
     ]
     _emit(
         [args.axis, "fidelity", "success_prob", "amplitude_collapsed"],
@@ -306,13 +308,10 @@ def cmd_verify(args) -> int:
     ok &= _check("coherent-overlap closed form", abs(got - expected), 1e-12, lines)
 
     spec = codes.CodeSpec(2, 2, 3.0)
-    ident = codes.CodewordId(1, 1)
-    diff = (
-        codes.codeword_fock(spec, ident) - codes.codeword_coherent(spec, ident)
-    ).norm()
+    diff = (codes.codeword_fock(spec, 1, 1) - codes.codeword_coherent(spec, 1, 1)).norm()
     ok &= _check("fock/coherent codeword equivalence", diff, 1e-10, lines)
 
-    res = codes.verify_code_equations(spec, ident)
+    res = codes.verify_code_equations(spec, 1, 1)
     ok &= _check("code-equation residuals", max(res.parity, res.lowering), 1e-9, lines)
 
     params = channel.ChannelParams(0.9)

@@ -21,6 +21,7 @@ downstream.
 
 from __future__ import annotations
 
+import cmath
 import math
 import warnings
 from dataclasses import dataclass
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fock
-from .series import log_factorials, sectioned_exp_real
+from .series import log_factorials, sectioned_exp
 
 # Below this amplitude the codewords are nearly collinear.
 SMALL_ALPHA = 0.1
@@ -69,18 +70,22 @@ class CodeSpec:
         return fock.default_n_max(max(self.alpha, amplitude or 0.0))
 
 
-@dataclass(frozen=True)
-class CodewordId:
-    """Logical index k in [0, d) and subspace index q in [0, L]."""
+def _codeword_amplitude(spec: CodeSpec, k: int, q: int, amplitude: float | None) -> float:
+    """Check logical index k in [0, d), space index q in [0, L] and the
+    amplitude of codeword (k, q), alpha by default; return the amplitude."""
+    if not 0 <= k < spec.d:
+        raise ValueError(f"logical index k={k} outside [0, {spec.d})")
+    if not 0 <= q <= spec.L:
+        raise ValueError(f"space index q={q} outside [0, {spec.L}]")
+    amp = spec.alpha if amplitude is None else amplitude
+    if not (math.isfinite(amp) and amp > 0):
+        raise ValueError(f"amplitude must be finite and positive, got {amp}")
+    return amp
 
-    k: int
-    q: int
 
-    def validate(self, spec: CodeSpec) -> None:
-        if not 0 <= self.k < spec.d:
-            raise ValueError(f"logical index k={self.k} outside [0, {spec.d})")
-        if not 0 <= self.q <= spec.L:
-            raise ValueError(f"space index q={self.q} outside [0, {spec.L}]")
+def _check_finite(amps) -> None:
+    if not all(cmath.isfinite(a) for a in amps):
+        raise ValueError(f"logical amplitudes must be finite, got {list(map(complex, amps))}")
 
 
 @dataclass(frozen=True)
@@ -91,6 +96,7 @@ class LogicalCoeffs:
 
     def __post_init__(self):
         amps = tuple(complex(a) for a in self.amplitudes)
+        _check_finite(amps)
         total = sum(abs(a) ** 2 for a in amps)
         if abs(total - 1.0) > 1e-12:
             raise ValueError(f"coefficients not normalized: sum |.|^2 = {total}")
@@ -99,9 +105,8 @@ class LogicalCoeffs:
     @classmethod
     def of(cls, *amplitudes) -> "LogicalCoeffs":
         """Normalize raw amplitudes."""
+        _check_finite(amplitudes)  # before dividing, which would warn on NaN
         amps = np.asarray(amplitudes, dtype=complex)
-        if not np.all(np.isfinite(amps)):
-            raise ValueError(f"logical amplitudes must be finite, got {amps}")
         n = np.linalg.norm(amps)
         if n == 0:
             raise ValueError("all-zero logical coefficients")
@@ -137,25 +142,26 @@ def codeword_norm_sq(spec: CodeSpec, q: int, amplitude: float | None = None) -> 
     """Squared norm of the unnormalized codeword series, sum over its class
     of |amp|^(2n)/n!; independent of the logical index k."""
     amp = spec.alpha if amplitude is None else amplitude
-    return sectioned_exp_real(amp * amp, spec.spaces, support_residue(spec, q))
+    return sectioned_exp(amp * amp, spec.spaces, support_residue(spec, q))
 
 
 def codeword_fock(
     spec: CodeSpec,
-    ident: CodewordId,
-    amplitude_override: float | None = None,
+    k: int,
+    q: int,
+    amplitude: float | None = None,
     n_max: int | None = None,
 ) -> fock.FockVector:
-    """Codeword as its sectioned Fock series, normalized within truncation."""
-    ident.validate(spec)
-    amp = spec.alpha if amplitude_override is None else amplitude_override
-    if not (math.isfinite(amp) and amp > 0):
-        raise ValueError(f"amplitude must be finite and positive, got {amp}")
+    """Codeword w_{k,q} as its sectioned Fock series, normalized within
+    truncation.  The cutoff defaults to ``spec.n_max(amplitude)``, which is
+    ``spec.n_max()`` for every amplitude up to alpha, so damped words share
+    the code's truncation."""
+    amp = _codeword_amplitude(spec, k, q, amplitude)
     if n_max is None:
         n_max = spec.n_max(amp)
-    beta = sector_amplitude(spec, ident.k, amp)
+    beta = sector_amplitude(spec, k, amp)
     n = np.arange(n_max + 1)
-    mask = (n % spec.spaces) == support_residue(spec, ident.q)
+    mask = (n % spec.spaces) == support_residue(spec, q)
     log_mag = np.full(n_max + 1, -np.inf)
     log_mag[mask] = n[mask] * np.log(abs(beta)) - 0.5 * log_factorials(n_max)[mask]
     log_mag -= log_mag.max()
@@ -164,25 +170,19 @@ def codeword_fock(
     return fock.FockVector(coeffs, n_max).normalized()
 
 
-def codeword_coherent(
-    spec: CodeSpec,
-    ident: CodewordId,
-    n_max: int | None = None,
-) -> fock.FockVector:
+def codeword_coherent(spec: CodeSpec, k: int, q: int) -> fock.FockVector:
     """Same codeword built as a phased sum of L+1 coherent states.
 
     Serves as the independent construction route: the coherent sum collapses
     onto the sectioned Fock series of ``codeword_fock`` including its global
     phase, which the equivalence tests pin down.
     """
-    ident.validate(spec)
-    if n_max is None:
-        n_max = spec.n_max()
-    beta = sector_amplitude(spec, ident.k)
+    beta = sector_amplitude(spec, k, _codeword_amplitude(spec, k, q, None))
+    n_max = spec.n_max()
     m = spec.spaces
     total = np.zeros(n_max + 1, dtype=complex)
     for j in range(m):
-        phase = np.exp(2j * np.pi * ident.q * j / m)
+        phase = np.exp(2j * np.pi * q * j / m)
         component = fock.coherent_state(beta * np.exp(2j * np.pi * j / m), n_max)
         total += phase * component.coeffs
     return fock.FockVector(total, n_max).normalized()
@@ -242,11 +242,7 @@ def gram_matrix(spec: CodeSpec, q: int, amplitude: float | None = None) -> np.nd
     trigonometric forms; every other case is the coherent-component Gram
     matrix, which is exact to machine precision.
     """
-    if not 0 <= q <= spec.L:
-        raise ValueError(f"space index q={q} outside [0, {spec.L}]")
-    amp = spec.alpha if amplitude is None else amplitude
-    if not (math.isfinite(amp) and amp > 0):
-        raise ValueError(f"amplitude must be finite and positive, got {amp}")
+    amp = _codeword_amplitude(spec, 0, q, amplitude)
     a2 = amp * amp
     s = None
     if spec.d == 2:
@@ -261,6 +257,8 @@ def gram_matrix(spec: CodeSpec, q: int, amplitude: float | None = None) -> np.nd
             s = complex(num / den)
     if s is None:
         return _coherent_gram(spec, q, amp)
+    if not cmath.isfinite(s):  # the two-loss form overflows to inf/inf
+        raise ArithmeticError(f"overlap of space {q} at amplitude {amp} is {s}")
     return np.array([[1.0, s], [np.conj(s), 1.0]], dtype=complex)
 
 
@@ -272,11 +270,7 @@ class CodeResiduals:
     lowering: float
 
 
-def verify_code_equations(
-    spec: CodeSpec,
-    ident: CodewordId,
-    n_max: int | None = None,
-) -> CodeResiduals:
+def verify_code_equations(spec: CodeSpec, k: int, q: int) -> CodeResiduals:
     """Residuals of the two eigenvalue equations on a constructed codeword.
 
     Returns ||(exp(2 pi i n_hat/(L+1)) - exp(-2 pi i q/(L+1))) |w>|| and
@@ -287,18 +281,15 @@ def verify_code_equations(
     eigenvalue of space q is the inverse root of unity exp(-2 pi i q/(L+1));
     the L+1 syndrome values stay distinct and perfectly distinguishable.
 
-    The default truncation gets extra headroom beyond the construction
-    policy: a^(L+1) probes the top L+1 slots, and without the margin the
-    residual would report truncation dust instead of equation quality at
-    the largest working amplitudes.
+    The truncation gets extra headroom beyond the construction policy:
+    a^(L+1) probes the top L+1 slots, and without the margin the residual
+    would report truncation dust instead of equation quality at the
+    largest working amplitudes.
     """
-    ident.validate(spec)
-    if n_max is None:
-        n_max = spec.n_max() + 4 * spec.spaces + 16
-    w = codeword_fock(spec, ident, n_max=n_max)
+    w = codeword_fock(spec, k, q, n_max=spec.n_max() + 4 * spec.spaces + 16)
     m = spec.spaces
-    parity_eig = np.exp(2j * np.pi * support_residue(spec, ident.q) / m)
+    parity_eig = np.exp(2j * np.pi * support_residue(spec, q) / m)
     parity_res = (fock.parity_phase_apply(w, m) - parity_eig * w).norm()
-    lower_eig = np.exp(2j * np.pi * ident.k / spec.d) * spec.alpha**m
+    lower_eig = np.exp(2j * np.pi * k / spec.d) * spec.alpha**m
     lower_res = (fock.annihilate(w, m) - lower_eig * w).norm() / spec.alpha**m
     return CodeResiduals(parity=parity_res, lowering=lower_res)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fock
-from .codes import CodeSpec, CodewordId, LogicalCoeffs, codeword_fock
+from .codes import CodeSpec, LogicalCoeffs, codeword_fock
 from .channel import ChannelParams, mixture_weights
 
 
@@ -33,7 +33,6 @@ class KLReport:
     deform_violation the largest relative spread among the diagonals.
     """
 
-    error_pair: tuple[int, int]
     gram: np.ndarray
     ortho_violation: float
     deform_violation: float
@@ -44,18 +43,16 @@ class FidelityResult:
     """Worst-case bound over balanced qubit inputs.
 
     F_of_ab is the correctable weight for the (1, 1)/sqrt(2) input, F_minus
-    the one for (1, -1)/sqrt(2); F_bound is the minimum of the two, attained
-    by minimizing_coeffs.
+    the one for (1, -1)/sqrt(2); F_bound is the minimum of the two.
     """
 
     F_of_ab: float
     F_minus: float
-    minimizing_coeffs: LogicalCoeffs
     F_bound: float
 
 
-def _code_basis(spec: CodeSpec, basis: str, n_max: int | None):
-    words = [codeword_fock(spec, CodewordId(k, 0), n_max=n_max) for k in range(spec.d)]
+def _code_basis(spec: CodeSpec, basis: str):
+    words = [codeword_fock(spec, k, 0) for k in range(spec.d)]
     if basis == "Z":
         return words
     if basis == "X":
@@ -68,17 +65,11 @@ def _code_basis(spec: CodeSpec, basis: str, n_max: int | None):
     raise ValueError(f"basis must be 'Z' or 'X', got {basis!r}")
 
 
-def kl_check(
-    spec: CodeSpec,
-    basis: str,
-    error_i: int,
-    error_j: int,
-    n_max: int | None = None,
-) -> KLReport:
+def kl_check(spec: CodeSpec, basis: str, error_i: int, error_j: int) -> KLReport:
     """Evaluate both correctability conditions for the pair (a^i, a^j)."""
     if error_i < 0 or error_j < 0:
         raise ValueError("loss counts must be nonnegative")
-    words = _code_basis(spec, basis, n_max)
+    words = _code_basis(spec, basis)
     corrupted_i = [fock.annihilate(w, error_i) for w in words]
     corrupted_j = (
         corrupted_i
@@ -95,7 +86,6 @@ def kl_check(
     scale = float(np.max(np.abs(diag)))
     spread = float(diag.max() - diag.min()) / scale if scale > 0 else 0.0
     return KLReport(
-        error_pair=(error_i, error_j),
         gram=gram,
         ortho_violation=float(off.max()),
         deform_violation=spread,
@@ -122,14 +112,6 @@ def fidelity_bound(spec: CodeSpec, params: ChannelParams) -> FidelityResult:
     """
     if spec.d != 2:
         raise ValueError("the worst-case bound is defined for qubit codes only")
-    plus = LogicalCoeffs.balanced(sign=1)
-    minus = LogicalCoeffs.balanced(sign=-1)
-    f_plus = fidelity_state(spec, plus, params)
-    f_minus = fidelity_state(spec, minus, params)
-    worst = minus if f_minus < f_plus else plus
-    return FidelityResult(
-        F_of_ab=f_plus,
-        F_minus=f_minus,
-        minimizing_coeffs=worst,
-        F_bound=min(f_plus, f_minus),
-    )
+    f_plus = fidelity_state(spec, LogicalCoeffs.balanced(sign=1), params)
+    f_minus = fidelity_state(spec, LogicalCoeffs.balanced(sign=-1), params)
+    return FidelityResult(F_of_ab=f_plus, F_minus=f_minus, F_bound=min(f_plus, f_minus))

@@ -143,16 +143,8 @@ def simulate_chain(config: RepeaterConfig, with_trace: bool = True) -> ChainResu
     )
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    value: float
-    fidelity: float
-    success_prob: float
-    amplitude_collapsed: bool
-
-
-def sweep(config: RepeaterConfig, axis: str, values: list[float]) -> list[SweepRow]:
-    """One chain per value of the swept axis, in input order.
+def sweep(config: RepeaterConfig, axis: str, values: list[float]) -> list[ChainResult]:
+    """One chain per value of the swept axis, in input order, without traces.
 
     axis 'spacing' varies the station spacing in km, 'alpha' the coherent
     amplitude, and 'gamma' the per-segment transmission (realized by setting
@@ -172,13 +164,5 @@ def sweep(config: RepeaterConfig, axis: str, values: list[float]) -> list[SweepR
             cfg = replace(config, spacing_km=-config.attenuation_km * np.log(v))
         else:
             raise ValueError(f"axis must be spacing|alpha|gamma, got {axis!r}")
-        result = simulate_chain(cfg, with_trace=False)
-        rows.append(
-            SweepRow(
-                value=float(v),
-                fidelity=result.fidelity,
-                success_prob=result.success_prob,
-                amplitude_collapsed=result.amplitude_collapsed,
-            )
-        )
+        rows.append(simulate_chain(cfg, with_trace=False))
     return rows

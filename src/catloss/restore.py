@@ -18,12 +18,13 @@ s_tilde and the code-space overlap s_bar.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import fock
-from .codes import CodeSpec, CodewordId, LogicalCoeffs, codeword_fock, gram_matrix
+from .codes import CodeSpec, LogicalCoeffs, codeword_fock, gram_matrix
 from .channel import ChannelParams, mixture_weights
 
 
@@ -34,18 +35,23 @@ class FilterParams:
     b0: float
     b1: float
     phi: float
-    s: complex
+
+
+def _filter_magnitude(s: complex) -> float:
+    """|s|, which must be below 1 (NaN is rejected too)."""
+    mag = abs(s)
+    if not mag < 1.0:
+        raise ValueError(f"|s|={mag} >= 1: collinear codewords cannot be filtered")
+    return mag
 
 
 def filter_params(s: complex) -> FilterParams:
     """Basis weights (b0, b1) and overlap phase for codewords with overlap s."""
-    mag = abs(s)
-    if mag >= 1.0:
-        raise ValueError(f"|s|={mag} >= 1: collinear codewords cannot be filtered")
+    mag = _filter_magnitude(s)
     b0 = np.sqrt((1.0 + mag) / 2.0)
     b1 = np.sqrt((1.0 - mag) / 2.0)
     phi = float(np.angle(s)) if s != 0 else 0.0
-    return FilterParams(b0=float(b0), b1=float(b1), phi=phi, s=complex(s))
+    return FilterParams(b0=float(b0), b1=float(b1), phi=phi)
 
 
 def filter_operators(fp: FilterParams) -> tuple[np.ndarray, np.ndarray]:
@@ -58,10 +64,7 @@ def filter_operators(fp: FilterParams) -> tuple[np.ndarray, np.ndarray]:
 
 def filter_success(s: complex) -> float:
     """Probability that the filter succeeds: 1 - |s|."""
-    mag = abs(s)
-    if mag >= 1.0:
-        raise ValueError(f"|s|={mag} >= 1: collinear codewords cannot be filtered")
-    return 1.0 - mag
+    return 1.0 - _filter_magnitude(s)
 
 
 def _pair_norm_sq(v: np.ndarray, s: complex) -> float:
@@ -88,8 +91,10 @@ def teleport_success_from_overlaps(
 
     Saturated overlaps (|s_tilde| -> 1, e.g. a collapsed amplitude) give a
     vanishing filter success, so the limit value 0 is returned rather than
-    an error.
+    an error; a non-finite overlap is an error.
     """
+    if not (cmath.isfinite(s_tilde) and cmath.isfinite(s_bar)):
+        raise ValueError(f"overlaps must be finite, got s_tilde={s_tilde}, s_bar={s_bar}")
     if 1.0 - abs(s_tilde) <= 1e-12:
         return 0.0
     c0, c1 = c.amplitudes
@@ -146,11 +151,10 @@ def teleport_success_assembled(
     if spec.d != 2:
         raise ValueError("teleportation restore is defined for qubit codes only")
     damped = np.sqrt(params.gamma) * spec.alpha
-    n_max = spec.n_max()
-    w0t = codeword_fock(spec, CodewordId(0, q), damped, n_max)
-    w1t = codeword_fock(spec, CodewordId(1, q), damped, n_max)
-    w0b = codeword_fock(spec, CodewordId(0, 0), n_max=n_max)
-    w1b = codeword_fock(spec, CodewordId(1, 0), n_max=n_max)
+    w0t = codeword_fock(spec, 0, q, damped)
+    w1t = codeword_fock(spec, 1, q, damped)
+    w0b = codeword_fock(spec, 0, 0)
+    w1b = codeword_fock(spec, 1, 0)
     s_tilde = fock.inner(w0t, w1t)
     s_bar = fock.inner(w0b, w1b)
     b1 = filter_params(s_tilde).b1

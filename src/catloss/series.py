@@ -1,15 +1,15 @@
 """Sectioned exponential series and log-factorial helpers.
 
-The sectioned exponential S_{m,j}(z) = sum_{n = j mod m} z^n / n! is the
+The sectioned exponential S_{m,j}(x) = sum_{n = j mod m} x^n / n! is the
 building block of every codeword norm, codeword overlap and loss-class
 probability in this package.  It is evaluated in closed form with the
 root-of-unity filter
 
-    S_{m,j}(z) = (1/m) sum_{r=0}^{m-1} w^{-jr} exp(w^r z),   w = exp(2*pi*i/m),
+    S_{m,j}(x) = (1/m) sum_{r=0}^{m-1} w^{-jr} exp(w^r x),   w = exp(2*pi*i/m),
 
-which costs O(m) per call and is stable for |z| well below the exp overflow
-threshold (|z| ~ 700).  For real nonnegative arguments the result is real;
-roundoff can leave a tiny negative residue which is clamped to zero.
+which costs O(m) per call and is stable for x well below the exp overflow
+threshold (x ~ 700).  Every argument is a real x >= 0, so the result is
+real; roundoff can leave a tiny negative residue which is clamped to zero.
 """
 
 from __future__ import annotations
@@ -28,27 +28,23 @@ def log_factorials(n_max: int) -> np.ndarray:
     return out
 
 
-def sectioned_exp(z: complex, modulus: int, residue: int) -> complex:
-    """S_{m,j}(z): sum of z^n/n! over photon numbers n = j (mod m)."""
+def sectioned_exp(x: float, modulus: int, residue: int) -> float:
+    """S_{m,j}(x): sum of x^n/n! over photon numbers n = j (mod m), for a
+    real x >= 0; tiny negative roundoff is clamped to 0."""
+    if x < 0:
+        raise ValueError(f"expected nonnegative argument, got {x}")
     m = int(modulus)
     if m < 1:
         raise ValueError(f"modulus must be >= 1, got {modulus}")
     if m == 1:
-        return complex(np.exp(z))
-    j = int(residue) % m
-    if z == 0:
-        return 1.0 + 0.0j if j == 0 else 0.0j
-    r = np.arange(m)
-    roots = np.exp(2j * np.pi * r / m)
-    val = np.sum(np.exp(roots * z) * np.exp(-2j * np.pi * j * r / m)) / m
-    return complex(val)
-
-
-def sectioned_exp_real(x: float, modulus: int, residue: int) -> float:
-    """Sectioned exponential of a real x >= 0; tiny negative roundoff -> 0."""
-    if x < 0:
-        raise ValueError(f"expected nonnegative argument, got {x}")
-    v = sectioned_exp(x, modulus, residue).real
+        v = float(np.exp(x))
+    else:
+        j = int(residue) % m
+        if x == 0:
+            return 1.0 if j == 0 else 0.0
+        r = np.arange(m)
+        roots = np.exp(2j * np.pi * r / m)
+        v = complex(np.sum(np.exp(roots * x) * np.exp(-2j * np.pi * j * r / m)) / m).real
     if v < 0.0:
         if v < -CLAMP_TOL:
             raise ArithmeticError(

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from catloss import fock
-from catloss.codes import CodeSpec, CodewordId, LogicalCoeffs, codeword_fock, gram_matrix
+from catloss.codes import CodeSpec, LogicalCoeffs, codeword_fock, gram_matrix
 from catloss.channel import (
     ChannelParams,
     channel_apply_exact,
@@ -72,7 +72,7 @@ def test_02_closed_form_identities():
             one = CodeSpec(1, 2, alpha)
             # code-space and error-space overlaps
             words = {
-                (k, q): codeword_fock(one, CodewordId(k, q)) for k in (0, 1) for q in (0, 1)
+                (k, q): codeword_fock(one, k, q) for k in (0, 1) for q in (0, 1)
             }
             direct0 = fock.inner(words[(0, 0)], words[(1, 0)])
             assert abs(gram_matrix(one, 0)[0, 1] - direct0) < 1e-10
@@ -109,13 +109,13 @@ def test_02_closed_form_identities():
                     / math.sqrt(math.factorial(2 * m + 1))
                 )
                 for k, phase in ((0, 1.0), (1, 1j)):
-                    word = codeword_fock(one, CodewordId(k, 0), n_max=n_max)
+                    word = codeword_fock(one, k, 0, n_max=n_max)
                     out_even = kraus_apply(word, ChannelParams(gamma), 2 * m)
-                    target = codeword_fock(one, CodewordId(k, 0), damped, n_max)
+                    target = codeword_fock(one, k, 0, damped, n_max)
                     scale = even_pref * phase ** (2 * m)
                     assert np.max(np.abs(out_even.coeffs - scale * target.coeffs)) < 1e-10
                     out_odd = kraus_apply(word, ChannelParams(gamma), 2 * m + 1)
-                    target = codeword_fock(one, CodewordId(k, 1), damped, n_max)
+                    target = codeword_fock(one, k, 1, damped, n_max)
                     scale = odd_pref * phase ** (2 * m + 1)
                     assert np.max(np.abs(out_odd.coeffs - scale * target.coeffs)) < 1e-10
 
@@ -140,8 +140,8 @@ def test_04_non_deformation():
         params = ChannelParams(0.85)
         for L, alpha in ((1, 2.0), (2, 3.0)):
             spec = CodeSpec(L, 2, alpha)
-            w0 = codeword_fock(spec, CodewordId(0, 0))
-            w1 = codeword_fock(spec, CodewordId(1, 0))
+            w0 = codeword_fock(spec, 0, 0)
+            w1 = codeword_fock(spec, 1, 0)
             for k in range(13):
                 n0 = kraus_apply(w0, params, k).norm()
                 n1 = kraus_apply(w1, params, k).norm()

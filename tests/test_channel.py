@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from catloss import fock
-from catloss.codes import CodeSpec, CodewordId, LogicalCoeffs, codeword_fock, gram_matrix
+from catloss.codes import CodeSpec, LogicalCoeffs, codeword_fock, gram_matrix
 from catloss.channel import (
     ChannelParams,
     channel_apply_exact,
@@ -46,9 +46,9 @@ class TestKrausApply:
         # sqrt(cosh(g a^2)/cosh(a^2)) (1-g) a^2 / sqrt(2)
         alpha, gamma, m = 2.0, 0.8, 1
         spec = CodeSpec(1, 2, alpha)
-        word = codeword_fock(spec, CodewordId(0, 0))
+        word = codeword_fock(spec, 0, 0)
         out = kraus_apply(word, ChannelParams(gamma), 2 * m)
-        damped = codeword_fock(spec, CodewordId(0, 0), np.sqrt(gamma) * alpha, word.n_max)
+        damped = codeword_fock(spec, 0, 0, np.sqrt(gamma) * alpha, word.n_max)
         prefactor = (
             math.sqrt(math.cosh(gamma * alpha**2) / math.cosh(alpha**2))
             * (1 - gamma) ** m * alpha ** (2 * m) / math.sqrt(math.factorial(2 * m))
@@ -61,7 +61,7 @@ class TestKrausApply:
         spec = CodeSpec(2, 2, 3.0)
         params = ChannelParams(0.85)
         norms = [
-            kraus_apply(codeword_fock(spec, CodewordId(sector, 0)), params, k).norm()
+            kraus_apply(codeword_fock(spec, sector, 0), params, k).norm()
             for sector in (0, 1)
         ]
         assert abs(norms[0] - norms[1]) < 1e-12
@@ -138,12 +138,12 @@ class TestClassProbabilities:
 
     def test_sectioned_series_against_direct_sum(self):
         # the root-of-unity filter behind p matches brute-force summation
-        from catloss.series import sectioned_exp_real
+        from catloss.series import sectioned_exp
 
         for x in (0.04, 0.5, 2.7, 10.8):
             for m, j in ((4, 0), (6, 3), (8, 5), (12, 11)):
                 direct = sectioned_sum_direct(x, m, j)
-                assert abs(sectioned_exp_real(x, m, j) - direct) < 1e-10
+                assert abs(sectioned_exp(x, m, j) - direct) < 1e-10
 
     def test_nonnegative(self):
         p = class_probabilities(CodeSpec(4, 2, 7.0), ChannelParams(0.999))
@@ -214,6 +214,13 @@ class TestLogicalMixture:
         expected = [np.exp(2j * np.pi * j / 6) for j in range(6)]
         assert np.max(np.abs(np.array(labels) - expected)) < 1e-12
 
+    @pytest.mark.parametrize("L,d,alpha,gamma", [(1, 2, 2.0, 0.9), (2, 3, 3.0, 0.5),
+                                                 (4, 2, 7.0, 0.99), (3, 2, 6.0, 1.0)])
+    def test_components_share_code_truncation(self, L, d, alpha, gamma):
+        spec = CodeSpec(L, d, alpha)
+        comps = logical_mixture(spec, LogicalCoeffs.balanced(d), ChannelParams(gamma))
+        assert [c.state.n_max for c in comps] == [spec.n_max()] * spec.cycle
+
     def test_qutrit_component_count(self):
         comps = logical_mixture(
             CodeSpec(1, 3, 2.0), LogicalCoeffs.balanced(3), ChannelParams(0.9)
@@ -229,8 +236,8 @@ class TestLogicalMixture:
         comps = logical_mixture(spec, BALANCED, ChannelParams(gamma))
         damped = np.sqrt(gamma) * alpha
         n_max = comps[1].state.n_max
-        w0 = codeword_fock(spec, CodewordId(0, 1), damped, n_max)
-        w1 = codeword_fock(spec, CodewordId(1, 1), damped, n_max)
+        w0 = codeword_fock(spec, 0, 1, damped, n_max)
+        w1 = codeword_fock(spec, 1, 1, damped, n_max)
         expected = ((1 / np.sqrt(2)) * w0 + (1j / np.sqrt(2)) * w1).normalized()
         assert np.max(np.abs(comps[1].state.coeffs - expected.coeffs)) < 1e-12
 

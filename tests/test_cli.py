@@ -241,11 +241,13 @@ class TestExitCodes:
     def test_invalid_spec_is_one(self, capsys):
         assert main(["weights", "--L", "-1", "--alpha", "2"]) == 1
 
-    def test_invalid_gamma_grid_is_one(self, capsys):
-        assert main(
-            ["weights", "--L", "1", "--alpha", "2", "--gamma-min", "0",
-             "--gamma-max", "1"]
-        ) == 1
+    def test_invalid_gamma_grid_is_one(self, tmp_path, capsys):
+        # exit 1 and nothing written; an empty grid is not a header-only dataset
+        out = str(tmp_path / "data.csv")
+        for cmd in ("weights", "fidelity"):
+            for grid in (["--gamma-min", "0", "--gamma-max", "1"], ["--gamma-steps", "0"]):
+                assert main([cmd, "--L", "1", "--alpha", "2", *grid, "--out", out]) == 1
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize(
         "argv",
@@ -279,6 +281,7 @@ class TestExitCodes:
             ["repeater", "--L", "4", "--alpha", "30", "--total-km", "1"],
             ["sweep", "--L", "4", "--alpha", "7", "--total-km", "1",
              "--axis", "alpha", "--values", "30"],
+            ["repeater", "--L", "2", "--alpha", "40", "--total-km", "1"],
         ],
     )
     def test_numerical_failure_is_two(self, argv, tmp_path, capsys):

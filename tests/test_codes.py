@@ -8,7 +8,6 @@ import pytest
 from catloss import fock
 from catloss.codes import (
     CodeSpec,
-    CodewordId,
     LogicalCoeffs,
     _cmul,
     codeword_coherent,
@@ -67,16 +66,27 @@ class TestSpecValidation:
     def test_id_range_checked(self):
         spec = CodeSpec(1, 2, 2.0)
         with pytest.raises(ValueError):
-            codeword_fock(spec, CodewordId(2, 0))
+            codeword_fock(spec, 2, 0)
         with pytest.raises(ValueError):
-            codeword_fock(spec, CodewordId(0, 2))
+            codeword_fock(spec, 0, 2)
 
 
 class TestFockSeries:
+    @pytest.mark.parametrize("L,d,alpha", [(1, 2, 2.0), (2, 3, 3.0), (4, 2, 7.0), (6, 4, 8.0)])
+    def test_damped_words_share_code_truncation(self, L, d, alpha):
+        # CodeSpec.n_max() is the one cutoff: every amplitude a <= alpha,
+        # the damped amplitudes of the channel among them, builds on it
+        spec = CodeSpec(L, d, alpha)
+        for gamma in (1.0, 0.9, 0.5, 0.01):
+            a = math.sqrt(gamma) * alpha
+            for k in range(d):
+                for q in range(L + 1):
+                    assert codeword_fock(spec, k, q, a).n_max == spec.n_max()
+
     def test_one_loss_code_space_series(self):
         # even series alpha^(2n)/sqrt((2n)!) normalized by sqrt(cosh(alpha^2))
         alpha = 2.0
-        word = codeword_fock(CodeSpec(1, 2, alpha), CodewordId(0, 0), n_max=64)
+        word = codeword_fock(CodeSpec(1, 2, alpha), 0, 0, n_max=64)
         norm = math.sqrt(math.cosh(alpha**2))
         for n in range(0, 30, 2):
             expected = alpha**n / math.sqrt(math.factorial(n)) / norm
@@ -86,7 +96,7 @@ class TestFockSeries:
     def test_two_loss_alternating_series(self):
         # support on multiples of three with coefficients (-alpha)^(3k)
         alpha = 3.0
-        word = codeword_fock(CodeSpec(2, 2, alpha), CodewordId(1, 0), n_max=80)
+        word = codeword_fock(CodeSpec(2, 2, alpha), 1, 0, n_max=80)
         raw = np.zeros(81)
         for k in range(27):
             raw[3 * k] = (-alpha) ** (3 * k) / math.sqrt(float(math.factorial(3 * k)))
@@ -96,7 +106,7 @@ class TestFockSeries:
     def test_support_classes_exact(self):
         spec = CodeSpec(3, 2, 2.5)
         for q in range(4):
-            word = codeword_fock(spec, CodewordId(1, q))
+            word = codeword_fock(spec, 1, q)
             n = np.arange(word.n_max + 1)
             off_class = (n % 4) != ((-q) % 4)
             assert np.all(word.coeffs[off_class] == 0.0)
@@ -106,14 +116,14 @@ class TestFockSeries:
         spec = CodeSpec(1, 3, 2.0)
         for k in range(3):
             for q in range(2):
-                word = codeword_fock(spec, CodewordId(k, q))
+                word = codeword_fock(spec, k, q)
                 n = np.arange(word.n_max + 1)
                 assert np.all(word.coeffs[(n % 2) != ((-q) % 2)] == 0.0)
 
     def test_odd_space_leading_phase(self):
         # sector 1 of the odd space leads with +i, fixed by the eigenvalue
         # equations rather than any cosmetic phase convention
-        word = codeword_fock(CodeSpec(1, 2, 2.0), CodewordId(1, 1))
+        word = codeword_fock(CodeSpec(1, 2, 2.0), 1, 1)
         lead = word.coeffs[1] / abs(word.coeffs[1])
         assert abs(lead - 1.0j) < 1e-12
 
@@ -121,14 +131,14 @@ class TestFockSeries:
 class TestCoherentForm:
     def test_zero_loss_code_is_coherent_state(self):
         spec = CodeSpec(0, 2, 1.5)
-        word = codeword_coherent(spec, CodewordId(0, 0))
+        word = codeword_coherent(spec, 0, 0)
         target = fock.coherent_state(1.5, word.n_max)
         assert np.max(np.abs(word.coeffs - target.coeffs)) < 1e-12
 
     def test_one_loss_sector_one_is_rotated_cat(self):
         alpha = 2.0
         spec = CodeSpec(1, 2, alpha)
-        word = codeword_coherent(spec, CodewordId(1, 0))
+        word = codeword_coherent(spec, 1, 0)
         cat = (
             fock.coherent_state(1j * alpha, word.n_max)
             + fock.coherent_state(-1j * alpha, word.n_max)
@@ -137,9 +147,8 @@ class TestCoherentForm:
 
     def test_matches_fock_series_for_two_loss_error_space(self):
         spec = CodeSpec(2, 2, 3.0)
-        ident = CodewordId(0, 1)
-        a = codeword_coherent(spec, ident)
-        b = codeword_fock(spec, ident)
+        a = codeword_coherent(spec, 0, 1)
+        b = codeword_fock(spec, 0, 1)
         assert np.max(np.abs(a.coeffs - b.coeffs)) < 1e-10
 
     def test_equivalence_randomized(self, rng):
@@ -152,8 +161,8 @@ class TestCoherentForm:
             k = int(rng.integers(0, d))
             alpha = float(rng.uniform(0.5, 6.0))
             spec = CodeSpec(L, d, alpha)
-            u = codeword_coherent(spec, CodewordId(k, q))
-            v = codeword_fock(spec, CodewordId(k, q))
+            u = codeword_coherent(spec, k, q)
+            v = codeword_fock(spec, k, q)
             assert abs(1.0 - abs(fock.inner(u, v))) < 1e-10
             assert np.max(np.abs(u.coeffs - v.coeffs)) < 1e-8
 
@@ -193,8 +202,8 @@ class TestOverlaps:
         spec = CodeSpec(L, d, alpha)
         closed = gram_matrix(spec, q)[k1, k2]
         direct = fock.inner(
-            codeword_fock(spec, CodewordId(k1, q)),
-            codeword_fock(spec, CodewordId(k2, q)),
+            codeword_fock(spec, k1, q),
+            codeword_fock(spec, k2, q),
         )
         assert abs(closed - direct) < 1e-12
 
@@ -220,8 +229,8 @@ class TestOverlaps:
         for q1 in range(3):
             for q2 in range(q1 + 1, 3):
                 v = fock.inner(
-                    codeword_fock(spec, CodewordId(0, q1)),
-                    codeword_fock(spec, CodewordId(1, q2)),
+                    codeword_fock(spec, 0, q1),
+                    codeword_fock(spec, 1, q2),
                 )
                 assert abs(v) < 1e-12
 
@@ -274,16 +283,22 @@ class TestGramKernel:
             with pytest.raises(ValueError, match="finite and positive"):
                 gram_matrix(spec, 0, bad)
 
+    def test_overflowed_trig_form_is_arithmetic_error(self):
+        # exp(alpha^2) overflows in both terms of the two-loss form: a
+        # numerical failure (CLI exit 2), not a NaN overlap
+        with pytest.raises(ArithmeticError, match="overlap of space 0"):
+            gram_matrix(CodeSpec(2, 2, 40.0), 0)
+
     def test_codeword_fock_validates_amplitude(self):
         spec = CodeSpec(2, 3, 2.0)
         for bad in (0.0, -1.0, math.nan, math.inf):
             with pytest.raises(ValueError, match="finite and positive"):
-                codeword_fock(spec, CodewordId(1, 0), bad)
+                codeword_fock(spec, 1, 0, bad)
 
 
 class TestCodeEquations:
     def test_one_loss_code_space(self):
-        res = verify_code_equations(CodeSpec(1, 2, 2.0), CodewordId(0, 0))
+        res = verify_code_equations(CodeSpec(1, 2, 2.0), 0, 0)
         assert res.parity < 1e-9
         assert res.lowering < 1e-9
 
@@ -291,11 +306,11 @@ class TestCodeEquations:
         # two losses from support 0 mod 3 leave support 1 mod 3, so the
         # q = 2 space carries parity eigenvalue exp(-4 pi i/3) = exp(2 pi i/3)
         spec = CodeSpec(2, 2, 3.0)
-        word = codeword_fock(spec, CodewordId(1, 2))
+        word = codeword_fock(spec, 1, 2)
         rotated = fock.parity_phase_apply(word, 3)
         eig = fock.inner(word, rotated)
         assert abs(eig - np.exp(-4j * np.pi / 3)) < 1e-12
-        res = verify_code_equations(spec, CodewordId(1, 2))
+        res = verify_code_equations(spec, 1, 2)
         assert res.parity < 1e-9
         assert res.lowering < 1e-9
 
@@ -303,14 +318,14 @@ class TestCodeEquations:
         spec = CodeSpec(2, 2, 3.0)
         eigs = []
         for q in range(3):
-            word = codeword_fock(spec, CodewordId(0, q))
+            word = codeword_fock(spec, 0, q)
             eigs.append(fock.inner(word, fock.parity_phase_apply(word, 3)))
         for i in range(3):
             for j in range(i + 1, 3):
                 assert abs(eigs[i] - eigs[j]) > 1.0
 
     def test_zero_loss_parity_trivial(self):
-        res = verify_code_equations(CodeSpec(0, 2, 1.0), CodewordId(1, 0))
+        res = verify_code_equations(CodeSpec(0, 2, 1.0), 1, 0)
         assert res.parity == 0.0
         assert res.lowering < 1e-9
 
@@ -321,7 +336,7 @@ class TestCodeEquations:
         spec = CodeSpec(L, d, alpha)
         for k in range(d):
             for q in range(L + 1):
-                res = verify_code_equations(spec, CodewordId(k, q))
+                res = verify_code_equations(spec, k, q)
                 assert res.parity < 1e-9, (k, q)
                 assert res.lowering < 1e-9, (k, q)
 
@@ -330,6 +345,8 @@ class TestLogicalCoeffs:
     def test_normalization_enforced(self):
         with pytest.raises(ValueError):
             LogicalCoeffs((1.0, 1.0))
+        with pytest.raises(ValueError, match="finite"):
+            LogicalCoeffs((math.nan, 1.0))
 
     def test_of_normalizes(self):
         c = LogicalCoeffs.of(1.0, 1.0)

@@ -1,6 +1,7 @@
 """Chain simulation: composition, schemes, sweeps, reference rows."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -195,8 +196,12 @@ class TestSweep:
         assert sweep(config(), "spacing", []) == []
 
     def test_rows_in_input_order(self):
-        rows = sweep(config(total=100.0), "spacing", [0.5, 0.1, 1.0])
-        assert [r.value for r in rows] == [0.5, 0.1, 1.0]
+        cfg = config(total=100.0)
+        values = [0.5, 0.1, 1.0]
+        rows = sweep(cfg, "spacing", values)
+        assert rows == [
+            simulate_chain(replace(cfg, spacing_km=v), with_trace=False) for v in values
+        ]
 
     @pytest.mark.filterwarnings("ignore:alpha=.*collinear")
     def test_success_has_interior_maximum_in_spacing(self):

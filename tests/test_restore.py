@@ -39,8 +39,10 @@ class TestFilterParams:
         assert abs(abs(fp.phi) - math.pi / 2) < 1e-12
 
     def test_collinear_rejected(self):
-        with pytest.raises(ValueError):
-            filter_params(1.0)
+        for fn in (filter_params, filter_success):
+            for s in (1.0, math.nan):
+                with pytest.raises(ValueError, match="collinear"):
+                    fn(s)
 
     @pytest.mark.parametrize("mag", [0.0, 0.1, 0.5, 0.9, 0.99])
     @pytest.mark.parametrize("phase", [0.0, 0.7, math.pi / 2, 2.5])
@@ -68,18 +70,26 @@ class TestFilterSuccess:
 
     def test_matches_filtered_norm(self):
         # P = ||A_s w||^2 for either codeword written in the filter basis
-        fp = filter_params(0.3 - 0.4j)
+        s = 0.3 - 0.4j
+        fp = filter_params(s)
         a_s, _ = filter_operators(fp)
         w0 = np.array([fp.b0, fp.b1])
         w1 = np.exp(1j * fp.phi) * np.array([fp.b0, -fp.b1])
         for w in (w0, w1):
-            assert np.linalg.norm(a_s @ w) ** 2 == pytest.approx(filter_success(fp.s))
+            assert np.linalg.norm(a_s @ w) ** 2 == pytest.approx(filter_success(s))
 
 
 class TestTeleportSuccess:
     def test_orthogonal_limit(self):
         c = LogicalCoeffs.of(1.0, 1.0j)
         assert teleport_success_from_overlaps(0.0, 0.0, c) == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("s_tilde,s_bar", [(math.nan, 0.1), (0.1, math.nan), (math.inf, 0.1)])
+    def test_non_finite_overlap_rejected(self, s_tilde, s_bar):
+        c = LogicalCoeffs.balanced()
+        with pytest.raises(ValueError, match="finite"):
+            teleport_success_from_overlaps(s_tilde, s_bar, c)
+        assert teleport_success_from_overlaps(1.0, 0.1, c) == 0.0  # saturated limit
 
     def test_near_orthogonal_code(self):
         # alpha = 6 overlaps are ~1e-15, success is essentially certain
