@@ -216,18 +216,23 @@ def _chain_config(args) -> repeater.RepeaterConfig:
 
 
 def cmd_repeater(args) -> int:
-    config = _chain_config(args)
-    result = repeater.simulate_chain(config, with_trace=args.trace)
+    result = repeater.simulate_chain(_chain_config(args))
     if args.trace:
+        # station i repeats period row (i - 1) mod ar_every: format each row
+        # once (only the rows a chain shorter than its period reaches)
         columns = ["station", "amplitude_in", "f_factor", "p_factor"]
-        rows = [list(map(float, r)) for r in result.per_station_trace]
+        period = result.period[: result.n_stations].tolist()
+        cells = [[_fmt(v) for v in row] for row in period]
+        rows = (
+            [str(i)] + cells[(i - 1) % len(cells)] for i in range(1, result.n_stations + 1)
+        )
     else:
         columns = ["fidelity", "success_prob", "n_stations", "amplitude_collapsed"]
         rows = [
             [
                 result.fidelity,
                 result.success_prob,
-                config.n_stations,
+                result.n_stations,
                 int(result.amplitude_collapsed),
             ]
         ]
@@ -275,7 +280,7 @@ def cmd_tables(args) -> int:
                     coeffs=codes.LogicalCoeffs.balanced(sign=sign),
                     ar_every=SCHEME_AR_EVERY[scheme],
                 )
-                results[sign] = repeater.simulate_chain(config, with_trace=False)
+                results[sign] = repeater.simulate_chain(config)
             f_min = min(results[1].fidelity, results[-1].fidelity)
             p_plus, p_minus = results[1].success_prob, results[-1].success_prob
             f_dev = "" if f_ref is None else _fmt(f_min - f_ref)
@@ -501,7 +506,7 @@ def main(argv: list[str] | None = None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except ArithmeticError as exc:

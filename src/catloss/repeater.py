@@ -21,7 +21,7 @@ handful of closed-form evaluations plus an array product.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -85,66 +85,58 @@ class RepeaterConfig:
 
 @dataclass(frozen=True)
 class ChainResult:
-    """Chain totals plus the per-station factor trace.
+    """Chain totals plus the factor rows of one restoration period.
 
-    ``per_station_trace`` columns: station index (1-based), input amplitude,
-    fidelity factor, probability factor.  The totals are the products of the
-    factor columns.  ``amplitude_collapsed`` flags chains whose effective
-    amplitude fell below the useful range.
+    ``period`` is an ``(ar_every, 3)`` array of (amplitude_in, f_factor,
+    p_factor): row t holds the factors of every station i (1-based) with
+    (i - 1) mod ar_every = t, so the chain of ``n_stations`` stations is
+    that period repeated, the last repetition possibly cut.  The totals are
+    the products of the expanded factor columns.  ``amplitude_collapsed``
+    flags chains whose effective amplitude fell below the useful range.
     """
 
     fidelity: float
     success_prob: float
-    per_station_trace: np.ndarray | None
+    n_stations: int
+    # left out of ==, since arrays have no single truth value
+    period: np.ndarray = field(compare=False)
     amplitude_collapsed: bool = False
 
 
-def simulate_chain(config: RepeaterConfig, with_trace: bool = True) -> ChainResult:
-    """Run the chain and return total fidelity and success probability."""
+def simulate_chain(config: RepeaterConfig) -> ChainResult:
+    """Run the chain and return its totals and its period of factor rows."""
     gamma = segment_gamma(config.spacing_km, config.attenuation_km)
     params = ChannelParams(gamma)
     n = config.n_stations
-    period = config.ar_every
+    ar_every = config.ar_every
     alpha = config.spec.alpha
 
-    # Station j (1-based) has type t = (j-1) mod period: its segment input
-    # amplitude is alpha damped t times, and it restores when t = period-1.
-    f_type = np.empty(period)
-    p_type = np.ones(period)
-    amp_type = np.empty(period)
-    for t in range(period):
+    # Period row t: the segment input amplitude is alpha damped t times,
+    # and the station restores when t = ar_every - 1.
+    period = np.ones((ar_every, 3))
+    for t in range(ar_every):
         amp_in = alpha * gamma ** (t / 2.0)
-        amp_type[t] = amp_in
-        local = replace(config.spec, alpha=amp_in)
-        f_type[t] = fidelity_state(local, config.coeffs, params)
-        if t == period - 1:
+        period[t, 0] = amp_in
+        period[t, 1] = fidelity_state(replace(config.spec, alpha=amp_in), config.coeffs, params)
+        if t == ar_every - 1:
             # the whole interval since the last restoration, composed
-            p_type[t] = restoration_factor(
-                config.spec, config.coeffs, ChannelParams(gamma**period)
+            period[t, 2] = restoration_factor(
+                config.spec, config.coeffs, ChannelParams(gamma**ar_every)
             )
 
-    types = np.arange(n) % period
-    f_factors = f_type[types]
-    p_factors = p_type[types]
-    fidelity = float(np.prod(f_factors))
-    success = float(np.prod(p_factors))
-    collapsed = bool(np.min(amp_type[: min(period, n)]) * np.sqrt(gamma) < COLLAPSE_ALPHA)
-
-    trace = None
-    if with_trace:
-        trace = np.column_stack(
-            [np.arange(1, n + 1, dtype=float), amp_type[types], f_factors, p_factors]
-        )
+    station_rows = np.arange(n) % ar_every
+    collapsed = bool(np.min(period[: min(ar_every, n), 0]) * np.sqrt(gamma) < COLLAPSE_ALPHA)
     return ChainResult(
-        fidelity=fidelity,
-        success_prob=success,
-        per_station_trace=trace,
+        fidelity=float(np.prod(period[station_rows, 1])),
+        success_prob=float(np.prod(period[station_rows, 2])),
+        n_stations=n,
+        period=period,
         amplitude_collapsed=collapsed,
     )
 
 
 def sweep(config: RepeaterConfig, axis: str, values: list[float]) -> list[ChainResult]:
-    """One chain per value of the swept axis, in input order, without traces.
+    """One chain per value of the swept axis, in input order.
 
     axis 'spacing' varies the station spacing in km, 'alpha' the coherent
     amplitude, and 'gamma' the per-segment transmission (realized by setting
@@ -164,5 +156,5 @@ def sweep(config: RepeaterConfig, axis: str, values: list[float]) -> list[ChainR
             cfg = replace(config, spacing_km=-config.attenuation_km * np.log(v))
         else:
             raise ValueError(f"axis must be spacing|alpha|gamma, got {axis!r}")
-        rows.append(simulate_chain(cfg, with_trace=False))
+        rows.append(simulate_chain(cfg))
     return rows

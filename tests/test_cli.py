@@ -2,13 +2,16 @@
 
 import hashlib
 import json
+import warnings
 
+import numpy as np
 import pytest
 
 from catloss.channel import ChannelParams
-from catloss.cli import main
+from catloss.cli import _chain_config, _fmt, build_parser, main
 from catloss.codes import CodeSpec
 from catloss.qec import fidelity_bound
+from catloss.repeater import simulate_chain
 
 
 def run(args, capsys):
@@ -131,6 +134,35 @@ class TestRepeaterCommands:
         assert code == 0
         _, rows = parse_csv(out)
         assert len(rows) == 2
+
+    def test_trace_rows_repeat_the_period(self, tmp_path):
+        # 7 stations restoring every second one: the last period is cut short
+        argv = ["repeater", "--L", "1", "--alpha", "2", "--total-km", "3.5",
+                "--spacing-km", "0.5", "--ar-every", "2", "--trace"]
+        csv_path, json_path = tmp_path / "t.csv", tmp_path / "t.json"
+        assert main(argv + ["--out", str(csv_path)]) == 0
+        assert main(argv + ["--format", "json", "--out", str(json_path)]) == 0
+        header, rows = parse_csv(csv_path.read_text())
+        payload = json.loads(json_path.read_text())
+        assert payload["columns"] == header
+        assert payload["rows"] == rows
+        assert [row[0] for row in rows] == [str(i) for i in range(1, 8)]
+
+        result = simulate_chain(_chain_config(build_parser().parse_args(argv)))
+        assert result.n_stations == 7
+        for i, row in enumerate(rows, start=1):
+            assert row[1:] == [_fmt(v) for v in result.period[(i - 1) % 2].tolist()]
+        stations = np.arange(result.n_stations) % 2
+        assert result.fidelity == np.prod(result.period[stations, 1])
+        assert result.success_prob == np.prod(result.period[stations, 2])
+
+    def test_non_integral_spacing_warns_once(self, capsys):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["repeater", "--L", "1", "--alpha", "2", "--total-km", "1",
+                         "--spacing-km", "0.3"]) == 0
+        rounding = [w for w in caught if "not integral" in str(w.message)]
+        assert [w.category for w in rounding] == [UserWarning]
 
     def test_sweep(self, capsys):
         code, out = run(
@@ -293,6 +325,22 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err.startswith("numerical failure:")
         assert captured.err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
+    def test_memory_error_is_one(self, monkeypatch, tmp_path, capsys):
+        # a chain too long to allocate exits 1 with one line and writes
+        # nothing; the failure is simulated, never provoked by allocating
+        def exhausted(*args, **kwargs):
+            raise MemoryError("Unable to allocate 745. GiB")
+
+        monkeypatch.setattr("catloss.repeater.simulate_chain", exhausted)
+        out = tmp_path / "data.csv"
+        code = main(["repeater", "--L", "1", "--alpha", "2", "--total-km", "1",
+                     "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == "error: Unable to allocate 745. GiB\n"
         assert list(tmp_path.iterdir()) == []
 
     def test_verify_passes_on_clean_build(self, capsys):

@@ -30,6 +30,11 @@ def config(L=4, alpha=7.0, total=1000.0, spacing=0.1, ar_every=2, sign=1):
     )
 
 
+def expanded(result, column):
+    """Per-station column of a chain: station i takes period row (i-1) mod ar_every."""
+    return result.period[np.arange(result.n_stations) % len(result.period), column]
+
+
 class TestSegmentGamma:
     def test_short_limit(self):
         assert segment_gamma(1e-9) == pytest.approx(1.0)
@@ -71,10 +76,12 @@ class TestConfig:
 class TestSimulateChain:
     def test_products_match_trace(self):
         result = simulate_chain(config(total=10.0, spacing=0.5))
-        trace = result.per_station_trace
-        assert trace.shape == (20, 4)
-        assert result.fidelity == pytest.approx(float(np.prod(trace[:, 2])), abs=1e-12)
-        assert result.success_prob == pytest.approx(float(np.prod(trace[:, 3])), abs=1e-12)
+        assert result.n_stations == 20
+        assert result.period.shape == (2, 3)
+        assert result.fidelity == pytest.approx(float(np.prod(expanded(result, 1))), abs=1e-12)
+        assert result.success_prob == pytest.approx(
+            float(np.prod(expanded(result, 2))), abs=1e-12
+        )
 
     def test_single_hop_reduces_to_direct_composition(self):
         cfg = config(L=1, alpha=2.0, total=0.5, spacing=0.5, ar_every=1)
@@ -90,7 +97,7 @@ class TestSimulateChain:
 
     def test_new_scheme_alternates_amplitudes(self):
         result = simulate_chain(config(total=1.0, spacing=0.1, ar_every=2))
-        amps = result.per_station_trace[:, 1]
+        amps = expanded(result, 0)
         gamma = segment_gamma(0.1)
         assert amps[0] == pytest.approx(7.0)
         assert amps[1] == pytest.approx(7.0 * math.sqrt(gamma))
@@ -98,12 +105,12 @@ class TestSimulateChain:
 
     def test_old_scheme_restores_every_station(self):
         result = simulate_chain(config(total=1.0, spacing=0.1, ar_every=1))
-        p_factors = result.per_station_trace[:, 3]
+        p_factors = expanded(result, 2)
         assert np.all(p_factors < 1.0)
 
     def test_new_scheme_ar_only_every_second(self):
         result = simulate_chain(config(total=1.0, spacing=0.1, ar_every=2))
-        p_factors = result.per_station_trace[:, 3]
+        p_factors = expanded(result, 2)
         assert np.all(p_factors[0::2] == 1.0)
         assert np.all(p_factors[1::2] < 1.0)
 
@@ -115,22 +122,17 @@ class TestSimulateChain:
     def test_exponent_law(self):
         # seven restoring stations multiply seven equal restoration factors
         cfg = config(L=2, alpha=3.0, total=1.4, spacing=0.2, ar_every=1)
-        result = simulate_chain(cfg, with_trace=False)
+        result = simulate_chain(cfg)
         factor = restoration_factor(cfg.spec, BALANCED, ChannelParams(segment_gamma(0.2)))
-        assert cfg.n_stations == 7
+        assert result.n_stations == 7
         assert result.success_prob == pytest.approx(factor**7)
 
     def test_long_haul_regime(self):
         # 1000 km, restoration every 0.2 km, five-loss protection at alpha=7
         cfg = config(L=4, alpha=7.0, total=1000.0, spacing=0.2, ar_every=1)
-        result = simulate_chain(cfg, with_trace=False)
-        assert cfg.n_stations == 5000
+        result = simulate_chain(cfg)
+        assert result.n_stations == 5000
         assert 0.35 < result.success_prob < 0.55
-
-    def test_trace_skippable(self):
-        result = simulate_chain(config(total=10.0, spacing=0.5), with_trace=False)
-        assert result.per_station_trace is None
-        assert 0.0 <= result.success_prob <= 1.0
 
 
 REFERENCE_ROWS = [
@@ -146,14 +148,14 @@ class TestReferenceRows:
     def test_old_scheme_fidelity_reproduces_reference(self, L, alpha, f_new, p_new, f_old, p_old):
         # the published old-scheme fidelities match the per-station
         # composition at the balanced input to all printed digits
-        result = simulate_chain(config(L=L, alpha=alpha, ar_every=1), with_trace=False)
+        result = simulate_chain(config(L=L, alpha=alpha, ar_every=1))
         assert result.fidelity == pytest.approx(f_old, abs=5e-6)
 
     @pytest.mark.parametrize("L,alpha,f_new,p_new,f_old,p_old", REFERENCE_ROWS)
     def test_new_beats_old_per_sign(self, L, alpha, f_new, p_new, f_old, p_old):
         for sign in (1, -1):
-            new = simulate_chain(config(L=L, alpha=alpha, ar_every=2, sign=sign), with_trace=False)
-            old = simulate_chain(config(L=L, alpha=alpha, ar_every=1, sign=sign), with_trace=False)
+            new = simulate_chain(config(L=L, alpha=alpha, ar_every=2, sign=sign))
+            old = simulate_chain(config(L=L, alpha=alpha, ar_every=1, sign=sign))
             assert new.success_prob >= old.success_prob
             assert new.fidelity >= old.fidelity - 1e-9
 
@@ -182,11 +184,9 @@ class TestReferenceRows:
             for alpha, spacing, *_ in block["rows"]:
                 new = simulate_chain(
                     config(L=block["L"], alpha=alpha, spacing=spacing, ar_every=2),
-                    with_trace=False,
                 )
                 old = simulate_chain(
                     config(L=block["L"], alpha=alpha, spacing=spacing, ar_every=1),
-                    with_trace=False,
                 )
                 assert new.success_prob >= old.success_prob, (which, alpha, spacing)
 
@@ -199,9 +199,9 @@ class TestSweep:
         cfg = config(total=100.0)
         values = [0.5, 0.1, 1.0]
         rows = sweep(cfg, "spacing", values)
-        assert rows == [
-            simulate_chain(replace(cfg, spacing_km=v), with_trace=False) for v in values
-        ]
+        direct = [simulate_chain(replace(cfg, spacing_km=v)) for v in values]
+        assert rows == direct
+        assert all(np.array_equal(r.period, d.period) for r, d in zip(rows, direct))
 
     @pytest.mark.filterwarnings("ignore:alpha=.*collinear")
     def test_success_has_interior_maximum_in_spacing(self):
@@ -225,9 +225,7 @@ class TestSweep:
     def test_gamma_axis_maps_to_spacing(self):
         gamma = math.exp(-0.1)  # spacing 2.2 km, dividing the total exactly
         rows = sweep(config(total=22.0), "gamma", [gamma])
-        direct = simulate_chain(
-            config(total=22.0, spacing=2.2), with_trace=False
-        )
+        direct = simulate_chain(config(total=22.0, spacing=2.2))
         assert rows[0].fidelity == pytest.approx(direct.fidelity)
 
     def test_rejects_unknown_axis(self):
