@@ -16,8 +16,12 @@ import argparse
 import hashlib
 import json
 import math
+import os
 import sys
+from collections.abc import Callable, Iterable
+from dataclasses import dataclass
 from datetime import datetime, timezone
+from itertools import chain, islice
 
 import numpy as np
 
@@ -99,33 +103,68 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def render_csv(columns: list[str], rows: list[list]) -> str:
-    lines = [",".join(columns)]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-    return "\n".join(lines) + "\n"
+@dataclass(frozen=True)
+class _Layout:
+    """A dataset is ``head(columns)``, the rows joined by ``row_sep``, then
+    ``foot``; a row is ``row_open``, cells joined by ``cell_sep``, then ``row_close``."""
+
+    cell: Callable[[object], str]
+    head: Callable[[list[str]], str]
+    row_open: str = ""
+    cell_sep: str = ","
+    row_close: str = ""
+    row_sep: str = "\n"
+    foot: str = "\n"
+
+    def row(self, values) -> str:
+        return self.row_open + self.cell_sep.join(map(self.cell, values)) + self.row_close
 
 
-def render_json(columns: list[str], rows: list[list]) -> str:
-    payload = {
-        "columns": columns,
-        "rows": [[_fmt(v) if isinstance(v, float) else v for v in row] for row in rows],
-    }
-    return json.dumps(payload, indent=2) + "\n"
+def _json_cell(value) -> str:
+    # the bytes of json.dumps, with floats as 17-digit strings
+    if isinstance(value, (float, str)):
+        return json.encoder.encode_basestring_ascii(_fmt(value))
+    return json.dumps(value)
 
 
-def write_output(text: str, args, extra_params: dict) -> None:
-    """Print or save the dataset; saving also writes the run manifest."""
+LAYOUTS = {
+    "csv": _Layout(cell=_fmt, head=lambda columns: ",".join(columns) + "\n"),
+    "json": _Layout(
+        cell=_json_cell,
+        # json.dumps of the columns and no rows, cut after the rows' "["
+        head=lambda columns: json.dumps({"columns": columns, "rows": []}, indent=2)[:-3] + "\n",
+        row_open="    [\n      ", cell_sep=",\n      ", row_close="\n    ]",
+        row_sep=",\n", foot="\n  ]\n}\n",
+    ),
+}
+
+
+def write_output(layout: _Layout, columns: list[str], rows: Iterable[str], args,
+                 extra_params: dict) -> None:
+    """Stream rendered rows to stdout, or to ``--out`` hashed as written plus a manifest."""
+    # rows go out in batches: few writes, and a 10^5-row trace is never one string
+    rows = iter(rows)
+    batches = iter(lambda: layout.row_sep.join(islice(rows, 4096)), "")
+    chunks = chain([layout.head(columns), next(batches, "")],
+                   (layout.row_sep + batch for batch in batches), [layout.foot])
     if args.out is None:
-        sys.stdout.write(text)
+        try:
+            sys.stdout.writelines(chunks)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # the reader left (``| head``): stop quietly, devnull takes the exit flush
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return
-    data = text.encode()
+    digest = hashlib.sha256()
     with open(args.out, "wb") as fh:
-        fh.write(data)
+        for data in map(str.encode, chunks):
+            digest.update(data)
+            fh.write(data)
     manifest = {
         "subcommand": args.subcommand,
         "params": extra_params,
         "version": __version__,
-        "output_sha256": hashlib.sha256(data).hexdigest(),
+        "output_sha256": digest.hexdigest(),
         "created_utc": datetime.now(timezone.utc).isoformat(),
     }
     with open(str(args.out) + ".manifest.json", "w") as fh:
@@ -134,8 +173,9 @@ def write_output(text: str, args, extra_params: dict) -> None:
 
 
 def _emit(columns, rows, args, params):
-    text = render_json(columns, rows) if args.format == "json" else render_csv(columns, rows)
-    write_output(text, args, params)
+    # every row is rendered, and checked finite, before the first byte goes out
+    layout = LAYOUTS[args.format]
+    write_output(layout, columns, [layout.row(row) for row in rows], args, params)
 
 
 def _gamma_grid(args) -> np.ndarray:
@@ -217,16 +257,7 @@ def _chain_config(args) -> repeater.RepeaterConfig:
 
 def cmd_repeater(args) -> int:
     result = repeater.simulate_chain(_chain_config(args))
-    if args.trace:
-        # station i repeats period row (i - 1) mod ar_every: format each row
-        # once (only the rows a chain shorter than its period reaches)
-        columns = ["station", "amplitude_in", "f_factor", "p_factor"]
-        period = result.period[: result.n_stations].tolist()
-        cells = [[_fmt(v) for v in row] for row in period]
-        rows = (
-            [str(i)] + cells[(i - 1) % len(cells)] for i in range(1, result.n_stations + 1)
-        )
-    else:
+    if not args.trace:
         columns = ["fidelity", "success_prob", "n_stations", "amplitude_collapsed"]
         rows = [
             [
@@ -236,7 +267,16 @@ def cmd_repeater(args) -> int:
                 int(result.amplitude_collapsed),
             ]
         ]
-    _emit(columns, rows, args, _params(args))
+        _emit(columns, rows, args, _params(args))
+        return 0
+    # station i repeats period row (i - 1) mod len(period): render each row's cells once
+    layout = LAYOUTS[args.format]
+    tails = [layout.cell_sep + layout.cell_sep.join(map(layout.cell, row)) + layout.row_close
+             for row in result.period.tolist()]
+    rows = (layout.row_open + layout.cell(str(i)) + tails[(i - 1) % len(tails)]
+            for i in range(1, result.n_stations + 1))
+    columns = ["station", "amplitude_in", "f_factor", "p_factor"]
+    write_output(layout, columns, rows, args, _params(args))
     return 0
 
 

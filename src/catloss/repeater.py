@@ -87,12 +87,12 @@ class RepeaterConfig:
 class ChainResult:
     """Chain totals plus the factor rows of one restoration period.
 
-    ``period`` is an ``(ar_every, 3)`` array of (amplitude_in, f_factor,
-    p_factor): row t holds the factors of every station i (1-based) with
-    (i - 1) mod ar_every = t, so the chain of ``n_stations`` stations is
-    that period repeated, the last repetition possibly cut.  The totals are
-    the products of the expanded factor columns.  ``amplitude_collapsed``
-    flags chains whose effective amplitude fell below the useful range.
+    ``period`` holds the (amplitude_in, f_factor, p_factor) rows of stations
+    1 .. min(ar_every, n_stations); station i (1-based) repeats row
+    (i - 1) mod ar_every, the last repetition possibly cut.  A chain shorter
+    than its period never restores.  The totals are the products of the
+    expanded factor columns.  ``amplitude_collapsed`` flags chains whose
+    effective amplitude fell below the useful range.
     """
 
     fidelity: float
@@ -113,8 +113,8 @@ def simulate_chain(config: RepeaterConfig) -> ChainResult:
 
     # Period row t: the segment input amplitude is alpha damped t times,
     # and the station restores when t = ar_every - 1.
-    period = np.ones((ar_every, 3))
-    for t in range(ar_every):
+    period = np.ones((min(ar_every, n), 3))
+    for t in range(len(period)):
         amp_in = alpha * gamma ** (t / 2.0)
         period[t, 0] = amp_in
         period[t, 1] = fidelity_state(replace(config.spec, alpha=amp_in), config.coeffs, params)
@@ -125,7 +125,7 @@ def simulate_chain(config: RepeaterConfig) -> ChainResult:
             )
 
     station_rows = np.arange(n) % ar_every
-    collapsed = bool(np.min(period[: min(ar_every, n), 0]) * np.sqrt(gamma) < COLLAPSE_ALPHA)
+    collapsed = bool(np.min(period[:, 0]) * np.sqrt(gamma) < COLLAPSE_ALPHA)
     return ChainResult(
         fidelity=float(np.prod(period[station_rows, 1])),
         success_prob=float(np.prod(period[station_rows, 2])),

@@ -2,11 +2,19 @@
 
 import hashlib
 import json
+import math
+import os
+import subprocess
+import sys
 import warnings
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import catloss
+from catloss import channel
 from catloss.channel import ChannelParams
 from catloss.cli import _chain_config, _fmt, build_parser, main
 from catloss.codes import CodeSpec
@@ -25,6 +33,21 @@ def parse_csv(text):
     header = lines[0].split(",")
     rows = [ln.split(",") for ln in lines[1:]]
     return header, rows
+
+
+# one small dataset per subcommand that writes one
+DATASETS = {
+    "weights": ["weights", "--L", "1", "--alpha", "2", "--gamma-steps", "3"],
+    "fidelity": ["fidelity", "--L", "1", "--alpha", "2", "--gamma-steps", "3"],
+    "kl-report": ["kl-report", "--L", "1", "--alphas", "2,3"],
+    "repeater": ["repeater", "--L", "1", "--alpha", "2", "--total-km", "1",
+                 "--spacing-km", "0.5"],
+    "repeater-trace": ["repeater", "--L", "1", "--alpha", "2", "--total-km", "3.5",
+                       "--spacing-km", "0.5", "--ar-every", "2", "--trace"],
+    "sweep": ["sweep", "--L", "1", "--alpha", "2", "--total-km", "1",
+              "--axis", "spacing", "--values", "0.1,0.5"],
+    "tables": ["tables", "--which", "I", "--total-km", "1"],
+}
 
 
 class TestWeights:
@@ -218,6 +241,22 @@ class TestOutputsAndManifest:
         assert payload["columns"] == header
         assert payload["rows"][0] == rows[0]
 
+    @pytest.mark.parametrize("argv", DATASETS.values(), ids=DATASETS.keys())
+    def test_layouts_match_json_module_and_each_other(self, argv, tmp_path, capsys):
+        csv_path, json_path = tmp_path / "d.csv", tmp_path / "d.json"
+        assert main(argv + ["--out", str(csv_path)]) == 0
+        assert main(argv + ["--format", "json", "--out", str(json_path)]) == 0
+        assert main(argv + ["--format", "json"]) == 0
+        text = json_path.read_text()
+        assert capsys.readouterr().out == text
+        payload = json.loads(text)
+        assert text == json.dumps(payload, indent=2) + "\n"
+        csv_text = csv_path.read_text()
+        header, rows = parse_csv(csv_text)
+        assert csv_text == "\n".join(",".join(r) for r in [header] + rows) + "\n"
+        assert payload["columns"] == header
+        assert [[str(cell) for cell in row] for row in payload["rows"]] == rows
+
     def test_full_precision_roundtrip(self, capsys):
         _, out = run(
             ["weights", "--L", "1", "--alpha", "2",
@@ -326,6 +365,45 @@ class TestExitCodes:
         assert captured.err.startswith("numerical failure:")
         assert captured.err.count("\n") == 1
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("dataset", ["weights", "repeater-trace"])
+    @pytest.mark.parametrize("to_file", [False, True])
+    def test_non_finite_last_row_writes_nothing(self, dataset, to_file, monkeypatch,
+                                                tmp_path, capsys):
+        # NaN in the last gamma row / the last period row: every row is
+        # rendered before the first byte goes out
+        real_weights = channel.mixture_weights
+
+        def nan_at_gamma_max(spec, coeffs, params):
+            w = real_weights(spec, coeffs, params)
+            return replace(w, ptilde=w.ptilde * math.nan) if params.gamma == 1.0 else w
+
+        monkeypatch.setattr("catloss.channel.mixture_weights", nan_at_gamma_max)
+        monkeypatch.setattr("catloss.repeater.restoration_factor", lambda *a: math.nan)
+        out = ["--out", str(tmp_path / "data")] if to_file else []
+        code = main(DATASETS[dataset] + out)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("numerical failure:")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_closed_stdout_pipe_is_zero(self):
+        # `catloss repeater --trace | head`: the reader leaves after 100 bytes
+        # of a 10^4-row trace, far more than a pipe buffers
+        env = {**os.environ, "PYTHONPATH": str(Path(catloss.__file__).parents[1])}
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "catloss.cli", "repeater", "--L", "1", "--alpha", "2",
+             "--total-km", "100", "--spacing-km", "0.01", "--trace"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        head = proc.stdout.read(100)
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 0
+        assert head.startswith(b"station,amplitude_in,f_factor,p_factor\n1,")
+        assert stderr == b""
 
     def test_memory_error_is_one(self, monkeypatch, tmp_path, capsys):
         # a chain too long to allocate exits 1 with one line and writes

@@ -83,6 +83,28 @@ class TestSimulateChain:
             float(np.prod(expanded(result, 2))), abs=1e-12
         )
 
+    def test_chain_shorter_than_period_evaluates_only_its_stations(self, monkeypatch):
+        # one station at ar_every 50: one fidelity row and no restoration
+        calls = []
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls.append(name)
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr("catloss.repeater.fidelity_state",
+                            counted("fidelity", fidelity_state))
+        monkeypatch.setattr("catloss.repeater.restoration_factor",
+                            counted("restore", restoration_factor))
+        result = simulate_chain(config(L=1, alpha=2.0, total=0.5, spacing=0.5, ar_every=50))
+        assert calls == ["fidelity"]
+        assert result.period.shape == (1, 3)
+        assert result.success_prob == 1.0
+        assert result.fidelity == fidelity_state(
+            CodeSpec(1, 2, 2.0), BALANCED, ChannelParams(segment_gamma(0.5))
+        )
+
     def test_single_hop_reduces_to_direct_composition(self):
         cfg = config(L=1, alpha=2.0, total=0.5, spacing=0.5, ar_every=1)
         result = simulate_chain(cfg)
