@@ -61,6 +61,7 @@ from .repeater import (
     RepeaterConfig,
     segment_gamma,
     simulate_chain,
+    simulate_chains,
     sweep,
 )
 
@@ -78,5 +79,5 @@ __all__ = [
     "FilterParams", "filter_operators", "filter_params", "filter_success",
     "restoration_factor", "teleport_success", "teleport_success_assembled",
     "ChainResult", "RepeaterConfig", "segment_gamma",
-    "simulate_chain", "sweep",
+    "simulate_chain", "simulate_chains", "sweep",
 ]

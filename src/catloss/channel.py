@@ -20,6 +20,10 @@ built from sectioned exponentials S and sectioned codeword norms Nq, and the
 N_j / N ratio renormalizes for the input-dependent codeword overlaps.  The
 two routes agree to machine precision; the oracle-equivalence tests enforce
 agreement to 1e-8 in trace distance.
+
+The closed forms take batches: ``CodeSpec.alpha``, ``ChannelParams.gamma``
+and the logical coefficients may carry batch shapes, and the results lead
+with their broadcast shape; a single point is the batch of shape ().
 """
 
 from __future__ import annotations
@@ -38,12 +42,14 @@ KRAUS_RESIDUAL = 1e-12
 
 @dataclass(frozen=True)
 class ChannelParams:
-    """Transmission gamma in (0, 1]; the per-photon loss probability is 1-gamma."""
+    """Transmission gamma in (0, 1], or an array of them for a batch; the
+    per-photon loss probability is 1-gamma."""
 
     gamma: float
 
     def __post_init__(self):
-        if not 0.0 < self.gamma <= 1.0:
+        gamma = np.asarray(self.gamma)
+        if not np.all((gamma > 0.0) & (gamma <= 1.0)):
             raise ValueError(f"gamma must be in (0, 1], got {self.gamma}")
 
 
@@ -65,19 +71,20 @@ class MixtureComponent:
 
 @dataclass(frozen=True)
 class LossClassWeights:
-    """Codeword loss-class probabilities p, input-dependent weights ptilde,
-    and the Gram matrices both are built from.
+    """Codeword loss-class probabilities p, input-dependent weights ptilde
+    (both ending in the d(L+1) classes), and the Gram matrices both are
+    built from, each behind the batch shape of its inputs.
 
     ``gram`` holds the code-space overlaps at the input amplitude (its
-    [0, 1] entry is the s_bar of amplitude restoration); ``damped_grams[q]``
-    those of space q at the damped amplitude sqrt(gamma) * alpha (its
-    [0, 1] entry is s_tilde_q).
+    [..., 0, 1] entry is the s_bar of amplitude restoration);
+    ``damped_grams[..., q, :, :]`` those of space q at the damped amplitude
+    sqrt(gamma) * alpha (its [..., q, 0, 1] entry is s_tilde_q).
     """
 
     p: np.ndarray
     ptilde: np.ndarray
     gram: np.ndarray
-    damped_grams: list[np.ndarray]
+    damped_grams: np.ndarray
 
 
 def _kraus_factors(n_max: int, gamma: float, k: int, log_fact: np.ndarray) -> np.ndarray:
@@ -137,16 +144,15 @@ def class_probabilities(spec: CodeSpec, params: ChannelParams) -> np.ndarray:
     not depend on it), and reduces to the cos/cosh and sin/sinh forms for
     the one-loss qubit code.
     """
-    gamma = params.gamma
-    y = spec.alpha**2
-    x = (1.0 - gamma) * y
+    alpha = np.asarray(spec.alpha, dtype=float)
+    gamma = np.asarray(params.gamma, dtype=float)
+    # the square as libm pow rounds it, like a float's ** 2
+    x = (1.0 - gamma) * np.float_power(alpha, 2.0)
     norm0 = codeword_norm_sq(spec, 0)
-    damped_amp = np.sqrt(gamma) * spec.alpha
-    damped = [codeword_norm_sq(spec, q, damped_amp) for q in range(spec.spaces)]
-    p = np.empty(spec.cycle)
-    for j in range(spec.cycle):
-        p[j] = sectioned_exp(x, spec.cycle, j) * damped[j % spec.spaces] / norm0
-    return p
+    damped = codeword_norm_sq(spec, range(spec.spaces), np.sqrt(gamma) * alpha)
+    classes = np.arange(spec.cycle)
+    sections = sectioned_exp(x, spec.cycle, classes)
+    return sections * damped[..., classes % spec.spaces] / norm0[..., None]
 
 
 def class_probabilities_kraus(spec: CodeSpec, params: ChannelParams) -> np.ndarray:
@@ -163,8 +169,11 @@ def _sector_phases(spec: CodeSpec, j: int) -> np.ndarray:
     return np.exp(2j * np.pi * j * np.arange(spec.d) / spec.cycle)
 
 
-def _weighted_norm_sq(coeffs: np.ndarray, gram: np.ndarray) -> float:
-    return float(np.real(coeffs.conj() @ gram @ coeffs))
+def _weighted_norm_sq(coeffs: np.ndarray, gram: np.ndarray) -> np.ndarray:
+    """Re(c^dagger G c) over the leading batch axes of c (..., d) and G
+    (..., d, d): stacked matmuls make the same small BLAS calls as one point."""
+    row = np.matmul(coeffs.conj()[..., None, :], gram)
+    return np.matmul(row, coeffs[..., :, None])[..., 0, 0].real
 
 
 def mixture_weights(
@@ -182,14 +191,15 @@ def mixture_weights(
         raise ValueError(f"coefficient count {coeffs.d} != logical dimension {spec.d}")
     p = class_probabilities(spec, params)
     c = coeffs.as_array()
-    damped_amp = np.sqrt(params.gamma) * spec.alpha
+    damped_amp = np.sqrt(params.gamma) * np.asarray(spec.alpha, dtype=float)
     gram = gram_matrix(spec, 0)
     input_norm = _weighted_norm_sq(c, gram)
-    grams = [gram_matrix(spec, q, damped_amp) for q in range(spec.spaces)]
-    ptilde = np.empty(spec.cycle)
-    for j in range(spec.cycle):
-        branch = c * _sector_phases(spec, j)
-        ptilde[j] = p[j] * _weighted_norm_sq(branch, grams[j % spec.spaces]) / input_norm
+    grams = np.stack([gram_matrix(spec, q, damped_amp) for q in range(spec.spaces)], axis=-3)
+    branch_norms = [
+        _weighted_norm_sq(c * _sector_phases(spec, j), grams[..., j % spec.spaces, :, :])
+        for j in range(spec.cycle)
+    ]
+    ptilde = p * np.stack(branch_norms, axis=-1) / input_norm[..., None]
     return LossClassWeights(p=p, ptilde=ptilde, gram=gram, damped_grams=grams)
 
 

@@ -202,20 +202,16 @@ def cmd_weights(args) -> int:
     coeffs = _coeffs(args, spec.d)
     grid = _gamma_grid(args)
     columns = ["gamma"] + [f"ptilde_{j}" for j in range(spec.cycle)]
-    rows = []
-    for g in grid:
-        w = channel.mixture_weights(spec, coeffs, channel.ChannelParams(float(g)))
-        rows.append([float(g)] + [float(v) for v in w.ptilde])
-    _emit(columns, rows, args, _params(args))
+    w = channel.mixture_weights(spec, coeffs, channel.ChannelParams(grid))
+    _emit(columns, np.column_stack([grid, w.ptilde]).tolist(), args, _params(args))
     return 0
 
 
 def cmd_fidelity(args) -> int:
     spec = codes.CodeSpec(args.L, 2, args.alpha)
-    rows = []
-    for g in _gamma_grid(args):
-        bound = qec.fidelity_bound(spec, channel.ChannelParams(float(g)))
-        rows.append([float(g), bound.F_of_ab, bound.F_minus, bound.F_bound])
+    grid = _gamma_grid(args)
+    bound = qec.fidelity_bound(spec, channel.ChannelParams(grid))
+    rows = np.column_stack([grid, bound.F_of_ab, bound.F_minus, bound.F_bound]).tolist()
     _emit(["gamma", "F_plus", "F_minus", "F_bound"], rows, args, _params(args))
     return 0
 
@@ -306,21 +302,19 @@ def cmd_tables(args) -> int:
         "F_old", "F_old_ref", "F_old_dev",
         "P_old_plus", "P_old_minus", "P_old_ref", "P_old_dev",
     ]
+    # every chain of the table in one batch, ordered (row, scheme, sign)
+    chains = iter(repeater.simulate_chains([
+        repeater.RepeaterConfig(
+            total_km=args.total_km, spacing_km=spacing, spec=codes.CodeSpec(L, 2, alpha),
+            coeffs=codes.LogicalCoeffs.balanced(sign=sign), ar_every=SCHEME_AR_EVERY[scheme],
+        )
+        for alpha, spacing, *_ in block["rows"] for scheme in ("new", "old") for sign in (1, -1)
+    ]))
     rows = []
     for alpha, spacing, f_new_ref, p_new_ref, f_old_ref, p_old_ref in block["rows"]:
         row = [alpha, spacing]
-        for scheme, f_ref, p_ref in (("new", f_new_ref, p_new_ref), ("old", f_old_ref, p_old_ref)):
-            results = {}
-            for sign in (1, -1):
-                spec = codes.CodeSpec(L, 2, alpha)
-                config = repeater.RepeaterConfig(
-                    total_km=args.total_km,
-                    spacing_km=spacing,
-                    spec=spec,
-                    coeffs=codes.LogicalCoeffs.balanced(sign=sign),
-                    ar_every=SCHEME_AR_EVERY[scheme],
-                )
-                results[sign] = repeater.simulate_chain(config)
+        for f_ref, p_ref in ((f_new_ref, p_new_ref), (f_old_ref, p_old_ref)):
+            results = {sign: next(chains) for sign in (1, -1)}
             f_min = min(results[1].fidelity, results[-1].fidelity)
             p_plus, p_minus = results[1].success_prob, results[-1].success_prob
             f_dev = "" if f_ref is None else _fmt(f_min - f_ref)

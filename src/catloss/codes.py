@@ -21,8 +21,6 @@ downstream.
 
 from __future__ import annotations
 
-import cmath
-import math
 import warnings
 from dataclasses import dataclass
 
@@ -34,10 +32,17 @@ from .series import log_factorials, sectioned_exp
 # Below this amplitude the codewords are nearly collinear.
 SMALL_ALPHA = 0.1
 
+# Points per pass of the coherent Gram kernel, which bounds its temporaries.
+_GRAM_CHUNK = 8
+
 
 @dataclass(frozen=True)
 class CodeSpec:
-    """Code parameters: loss order L, logical dimension d, amplitude alpha."""
+    """Code parameters: loss order L, logical dimension d, amplitude alpha.
+
+    ``alpha`` may be an array: a batch of codes sharing (L, d), evaluated by
+    the closed forms in one call.  The Fock oracles take one amplitude.
+    """
 
     L: int
     d: int
@@ -48,12 +53,15 @@ class CodeSpec:
             raise ValueError(f"loss order must be >= 0, got {self.L}")
         if self.d < 2:
             raise ValueError(f"logical dimension must be >= 2, got {self.d}")
-        if not (np.isfinite(self.alpha) and self.alpha > 0):
+        alpha = np.asarray(self.alpha)
+        if not np.all(np.isfinite(alpha) & (alpha > 0)):
             raise ValueError(f"alpha must be finite and positive, got {self.alpha}")
-        if self.alpha < SMALL_ALPHA:
+        small = np.count_nonzero(alpha < SMALL_ALPHA)
+        if small:  # once per batch, at the caller of the generated __init__
             warnings.warn(
-                f"alpha={self.alpha} < {SMALL_ALPHA}: codewords nearly collinear",
-                stacklevel=2,
+                f"alpha={float(alpha.min())} < {SMALL_ALPHA} at {small} of {alpha.size} "
+                "amplitudes: codewords nearly collinear",
+                stacklevel=3,
             )
 
     @property
@@ -70,37 +78,43 @@ class CodeSpec:
         return fock.default_n_max(max(self.alpha, amplitude or 0.0))
 
 
-def _codeword_amplitude(spec: CodeSpec, k: int, q: int, amplitude: float | None) -> float:
+def _codeword_amplitude(spec: CodeSpec, k: int, q: int, amplitude):
     """Check logical index k in [0, d), space index q in [0, L] and the
-    amplitude of codeword (k, q), alpha by default; return the amplitude."""
+    amplitudes of codeword (k, q), alpha by default; return the amplitudes."""
     if not 0 <= k < spec.d:
         raise ValueError(f"logical index k={k} outside [0, {spec.d})")
     if not 0 <= q <= spec.L:
         raise ValueError(f"space index q={q} outside [0, {spec.L}]")
     amp = spec.alpha if amplitude is None else amplitude
-    if not (math.isfinite(amp) and amp > 0):
+    if not np.all(np.isfinite(amp) & (np.asarray(amp) > 0)):
         raise ValueError(f"amplitude must be finite and positive, got {amp}")
     return amp
 
 
 def _check_finite(amps) -> None:
-    if not all(cmath.isfinite(a) for a in amps):
-        raise ValueError(f"logical amplitudes must be finite, got {list(map(complex, amps))}")
+    if not all(np.all(np.isfinite(a)) for a in amps):
+        raise ValueError(f"logical amplitudes must be finite, got {amps}")
 
 
 @dataclass(frozen=True)
 class LogicalCoeffs:
-    """Logical amplitudes (a, b, ...) with sum |.|^2 = 1."""
+    """Logical amplitudes (a, b, ...) with sum |.|^2 = 1; for a batch of
+    states, each amplitude is an array of them (one per point)."""
 
     amplitudes: tuple
 
     def __post_init__(self):
-        amps = tuple(complex(a) for a in self.amplitudes)
+        amps = tuple(np.asarray(a, complex) if np.ndim(a) else complex(a) for a in self.amplitudes)
         _check_finite(amps)
         total = sum(abs(a) ** 2 for a in amps)
-        if abs(total - 1.0) > 1e-12:
+        if np.any(abs(total - 1.0) > 1e-12):
             raise ValueError(f"coefficients not normalized: sum |.|^2 = {total}")
         object.__setattr__(self, "amplitudes", amps)
+
+    @classmethod
+    def stack(cls, states) -> "LogicalCoeffs":
+        """One batch of the given logical states, in order."""
+        return cls(tuple(np.array([s.amplitudes for s in states], dtype=complex).T))
 
     @classmethod
     def of(cls, *amplitudes) -> "LogicalCoeffs":
@@ -124,7 +138,8 @@ class LogicalCoeffs:
         return len(self.amplitudes)
 
     def as_array(self) -> np.ndarray:
-        return np.asarray(self.amplitudes, dtype=complex)
+        """The amplitudes along a last axis of length d."""
+        return np.stack(np.broadcast_arrays(*self.amplitudes), axis=-1)
 
 
 def sector_amplitude(spec: CodeSpec, k: int, amplitude: float | None = None) -> complex:
@@ -138,11 +153,12 @@ def support_residue(spec: CodeSpec, q: int) -> int:
     return (-q) % spec.spaces
 
 
-def codeword_norm_sq(spec: CodeSpec, q: int, amplitude: float | None = None) -> float:
+def codeword_norm_sq(spec: CodeSpec, q, amplitude=None):
     """Squared norm of the unnormalized codeword series, sum over its class
-    of |amp|^(2n)/n!; independent of the logical index k."""
-    amp = spec.alpha if amplitude is None else amplitude
-    return sectioned_exp(amp * amp, spec.spaces, support_residue(spec, q))
+    of |amp|^(2n)/n!; independent of the logical index k.  ``q`` is a space
+    or a sequence of spaces, which adds a last axis."""
+    amp = np.asarray(spec.alpha if amplitude is None else amplitude, dtype=float)
+    return sectioned_exp(amp * amp, spec.spaces, (-np.asarray(q)) % spec.spaces)
 
 
 def codeword_fock(
@@ -194,72 +210,89 @@ def _cmul(ar, ai, br, bi):
     return ar * br - ai * bi, ar * bi + ai * br
 
 
-def _coherent_gram(spec: CodeSpec, q: int, amp: float) -> np.ndarray:
-    """All overlaps <w_{k1,q}|w_{k2,q}> from the Gram matrix of the coherent
-    components, using <u|v> = exp(-|u|^2/2 - |v|^2/2 + conj(u) v).
-
-    One array pass over (k1, k2, ja, jb).  Every rounding step matches the
-    scalar double loop it replaces (kept as the oracle in the tests): the
-    components and half-squares are scalar, products go through ``_cmul``
-    and each block is summed in (ja, jb) order from 0.
+def _coherent_gram(spec: CodeSpec, q: int, amps: np.ndarray) -> np.ndarray:
+    """All overlaps <w_{k1,q}|w_{k2,q}> at each of the 1-D ``amps``, shape
+    (n, d, d), from the Gram matrix of the coherent components, using
+    <u|v> = exp(-|u|^2/2 - |v|^2/2 + conj(u) v): one array pass over
+    (point, k1, k2, ja, jb) per chunk of points.  Every value rounds as the
+    scalar loop (the test oracle) does: products through ``_cmul``,
+    half-squares as hypot and libm pow, blocks summed in (ja, jb) order.
     """
     d, m = spec.d, spec.spaces
-    comps = np.array([
-        [sector_amplitude(spec, k, amp) * np.exp(2j * np.pi * j / m) for j in range(m)]
-        for k in range(d)
-    ])
-    half_sq = np.array([[abs(u) ** 2 / 2 for u in row] for row in comps])
+    sector = np.array([np.exp(2j * np.pi * k / spec.cycle) for k in range(d)])[:, None]
+    rot = np.array([np.exp(2j * np.pi * j / m) for j in range(m)])
     # phase of the (ja, jb) term depends on jb - ja only
     phases = np.array([np.exp(2j * np.pi * q * lag / m) for lag in range(1 - m, m)])
     ph = phases[np.arange(m)[None, :] - np.arange(m)[:, None] + (m - 1)]
-    u = comps[:, None, :, None]
-    v = comps[None, :, None, :]
-    cr, ci = _cmul(u.real, -u.imag, v.real, v.imag)
-    arg = np.empty((d, d, m, m), dtype=complex)
-    arg.real = -half_sq[:, None, :, None] - half_sq[None, :, None, :] + cr
-    arg.imag = 0.0 + ci  # float + complex promotion: -0.0 becomes 0.0
-    e = np.exp(arg)
-    tr, ti = _cmul(ph.real, ph.imag, e.real, e.imag)
-    sums = np.empty((d, d), dtype=complex)
-    for part, out in ((tr, sums.real), (ti, sums.imag)):
-        terms = np.zeros((d, d, m * m + 1))
-        terms[..., 1:] = part.reshape(d, d, m * m)
-        out[...] = np.add.accumulate(terms, axis=-1)[..., -1]
-    g = np.eye(d, dtype=complex)
-    for k1 in range(d):
-        for k2 in range(k1 + 1, d):
-            g[k1, k2] = sums[k1, k2] / np.sqrt(sums[k1, k1].real * sums[k2, k2].real)
-            g[k2, k1] = np.conj(g[k1, k2])
+    g = np.empty((len(amps), d, d), dtype=complex)
+    for lo in range(0, len(amps), _GRAM_CHUNK):
+        amp = amps[lo : lo + _GRAM_CHUNK, None, None]
+        # components beta_k e^{2 pi i j/m}, shape (n, d, m)
+        ur, ui = _cmul(amp * sector.real, amp * sector.imag, rot.real, rot.imag)
+        half_sq = np.float_power(np.hypot(ur, ui), 2.0) / 2
+        u, v = np.s_[:, :, None, :, None], np.s_[:, None, :, None, :]
+        cr, ci = _cmul(ur[u], -ui[u], ur[v], ui[v])
+        e = np.empty(cr.shape, dtype=complex)
+        np.subtract(-half_sq[u], half_sq[v], out=e.real)
+        e.real += cr
+        e.imag = 0.0 + ci  # float + complex promotion: -0.0 becomes 0.0
+        del cr, ci  # in place from here: few (n, d, d, m, m) arrays live
+        np.exp(e, out=e)
+        tr, ti = _cmul(ph.real, ph.imag, e.real, e.imag)
+        del e
+        sums = np.empty(tr.shape[:3], dtype=complex)
+        for part, out in ((tr, sums.real), (ti, sums.imag)):
+            # in (ja, jb) order; the scalar loop starts from +0.0
+            terms = part.reshape(tr.shape[:3] + (m * m,))
+            out[...] = 0.0 + np.add.accumulate(terms, axis=-1, out=terms)[..., -1]
+        diag = sums.real[:, range(d), range(d)]
+        g[lo : lo + _GRAM_CHUNK] = sums / np.sqrt(diag[:, :, None] * diag[:, None, :])
+    k1, k2 = np.triu_indices(d, 1)
+    g[:, k2, k1] = np.conj(g[:, k1, k2])
+    g[:, range(d), range(d)] = 1.0
     return g
 
 
-def gram_matrix(spec: CodeSpec, q: int, amplitude: float | None = None) -> np.ndarray:
-    """d x d matrix of codeword overlaps <w_{k1,q}|w_{k2,q}> within space q.
+def _pair_gram(s) -> np.ndarray:
+    """[[1, s], [conj(s), 1]] for each overlap s: shape(s) + (2, 2)."""
+    s = np.asarray(s, dtype=complex)
+    g = np.ones(s.shape + (2, 2), dtype=complex)
+    g[..., 0, 1] = s
+    g[..., 1, 0] = np.conj(s)
+    return g
 
-    This is the only overlap routine: entry [k1, k2] is the overlap of
-    sectors k1 and k2 at ``amplitude`` (the nominal alpha by default).  The
-    qubit one-loss spaces and the two-loss code space use their explicit
-    trigonometric forms; every other case is the coherent-component Gram
-    matrix, which is exact to machine precision.
+
+def gram_matrix(spec: CodeSpec, q: int, amplitude=None) -> np.ndarray:
+    """d x d matrices of codeword overlaps <w_{k1,q}|w_{k2,q}> within space q,
+    with the shape of ``amplitude`` (the nominal alpha by default) leading.
+
+    This is the only overlap routine: entry [..., k1, k2] is the overlap of
+    sectors k1 and k2 at that amplitude.  The qubit one-loss spaces and the
+    two-loss code space use their explicit trigonometric forms; every other
+    case is the coherent-component Gram matrix, which is exact to machine
+    precision.
     """
-    amp = _codeword_amplitude(spec, 0, q, amplitude)
+    amp = np.asarray(_codeword_amplitude(spec, 0, q, amplitude), dtype=float)
     a2 = amp * amp
     s = None
     if spec.d == 2:
         if spec.L == 1 and q == 0:
-            s = complex(np.cos(a2) / np.cosh(a2))
+            s = (np.cos(a2) / np.cosh(a2)).astype(complex)
         elif spec.L == 1 and q == 1:
-            s = complex(1j * np.sin(a2) / np.sinh(a2))
+            # divided as reals, as Python divides a complex by a float
+            s = 1j * (np.sin(a2) / np.sinh(a2))
         elif spec.L == 2 and q == 0:
             root3 = np.sqrt(3.0)
             num = np.exp(-a2) + 2 * np.exp(a2 / 2) * np.cos(root3 * a2 / 2)
             den = np.exp(a2) + 2 * np.exp(-a2 / 2) * np.cos(root3 * a2 / 2)
-            s = complex(num / den)
+            s = (num / den).astype(complex)
     if s is None:
-        return _coherent_gram(spec, q, amp)
-    if not cmath.isfinite(s):  # the two-loss form overflows to inf/inf
-        raise ArithmeticError(f"overlap of space {q} at amplitude {amp} is {s}")
-    return np.array([[1.0, s], [np.conj(s), 1.0]], dtype=complex)
+        return _coherent_gram(spec, q, amp.reshape(-1)).reshape(amp.shape + (spec.d,) * 2)
+    s = np.asarray(s)
+    if not np.all(np.isfinite(s)):  # the two-loss form overflows to inf/inf
+        bad = ~np.isfinite(s)
+        raise ArithmeticError(f"overlap of space {q} at amplitude {amp[bad][0]} is {s[bad][0]}")
+    return _pair_gram(s)
 
 
 @dataclass(frozen=True)

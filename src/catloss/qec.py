@@ -43,7 +43,7 @@ class FidelityResult:
     """Worst-case bound over balanced qubit inputs.
 
     F_of_ab is the correctable weight for the (1, 1)/sqrt(2) input, F_minus
-    the one for (1, -1)/sqrt(2); F_bound is the minimum of the two.
+    the one for (1, -1)/sqrt(2); F_bound is the minimum of the two, per point.
     """
 
     F_of_ab: float
@@ -96,11 +96,11 @@ def fidelity_state(
     spec: CodeSpec,
     coeffs: LogicalCoeffs,
     params: ChannelParams,
-) -> float:
+) -> np.ndarray:
     """Input-dependent fidelity: total weight of the L+1 correctable branches
-    (those reached without a cycle phase error)."""
+    (those reached without a cycle phase error), one per batch point."""
     weights = mixture_weights(spec, coeffs, params)
-    return float(np.sum(weights.ptilde[: spec.spaces]))
+    return np.sum(weights.ptilde[..., : spec.spaces], axis=-1)[()]
 
 
 def fidelity_bound(spec: CodeSpec, params: ChannelParams) -> FidelityResult:
@@ -114,4 +114,4 @@ def fidelity_bound(spec: CodeSpec, params: ChannelParams) -> FidelityResult:
         raise ValueError("the worst-case bound is defined for qubit codes only")
     f_plus = fidelity_state(spec, LogicalCoeffs.balanced(sign=1), params)
     f_minus = fidelity_state(spec, LogicalCoeffs.balanced(sign=-1), params)
-    return FidelityResult(F_of_ab=f_plus, F_minus=f_minus, F_bound=min(f_plus, f_minus))
+    return FidelityResult(F_of_ab=f_plus, F_minus=f_minus, F_bound=np.minimum(f_plus, f_minus))

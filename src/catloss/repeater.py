@@ -14,8 +14,8 @@ the whole interval since the previous restoration composed into one loss
 channel: the intermediate syndrome reads refine the phase bookkeeping (hence
 the per-station fidelity factors) but do not re-bin the loss classes that
 weight the filter branches.  Within a period of ``ar_every`` stations only
-``ar_every`` distinct factor pairs occur, so chains of 10^5 stations cost a
-handful of closed-form evaluations plus an array product.
+``ar_every`` distinct factor pairs occur, so chains of 10^5 stations cost
+one batch per chain set plus an array product per chain.
 """
 
 from __future__ import annotations
@@ -105,34 +105,53 @@ class ChainResult:
 
 def simulate_chain(config: RepeaterConfig) -> ChainResult:
     """Run the chain and return its totals and its period of factor rows."""
-    gamma = segment_gamma(config.spacing_km, config.attenuation_km)
-    params = ChannelParams(gamma)
-    n = config.n_stations
-    ar_every = config.ar_every
-    alpha = config.spec.alpha
+    return simulate_chains([config])[0]
 
-    # Period row t: the segment input amplitude is alpha damped t times,
-    # and the station restores when t = ar_every - 1.
-    period = np.ones((min(ar_every, n), 3))
-    for t in range(len(period)):
-        amp_in = alpha * gamma ** (t / 2.0)
-        period[t, 0] = amp_in
-        period[t, 1] = fidelity_state(replace(config.spec, alpha=amp_in), config.coeffs, params)
-        if t == ar_every - 1:
-            # the whole interval since the last restoration, composed
-            period[t, 2] = restoration_factor(
-                config.spec, config.coeffs, ChannelParams(gamma**ar_every)
-            )
 
-    station_rows = np.arange(n) % ar_every
-    collapsed = bool(np.min(period[:, 0]) * np.sqrt(gamma) < COLLAPSE_ALPHA)
-    return ChainResult(
-        fidelity=float(np.prod(period[station_rows, 1])),
-        success_prob=float(np.prod(period[station_rows, 2])),
-        n_stations=n,
-        period=period,
-        amplitude_collapsed=collapsed,
+def simulate_chains(configs: list[RepeaterConfig]) -> list[ChainResult]:
+    """Run chains whose codes share (L, d), in input order: the period rows
+    of all chains are one ``fidelity_state`` batch, the restoring rows one
+    ``restoration_factor`` batch.  Row t of a period takes alpha damped t
+    times; it restores when t = ar_every - 1, over the whole interval since
+    the last restoration, composed."""
+    if not configs:
+        return []
+    L, d = configs[0].spec.L, configs[0].spec.d
+    if any((c.spec.L, c.spec.d) != (L, d) for c in configs):
+        raise ValueError("chains evaluated together must share the code's (L, d)")
+    gammas = [segment_gamma(c.spacing_km, c.attenuation_km) for c in configs]
+    stations = [c.n_stations for c in configs]
+    rows = [min(c.ar_every, n) for c, n in zip(configs, stations)]
+    starts = np.cumsum([0] + rows[:-1])
+    owner = np.repeat(np.arange(len(configs)), rows)
+    # every period row of every chain: (amplitude_in, f_factor, p_factor)
+    table = np.ones((len(owner), 3))
+    table[:, 0] = [c.spec.alpha * g ** (t / 2.0)
+                   for c, g, r in zip(configs, gammas, rows) for t in range(r)]
+    table[:, 1] = fidelity_state(
+        CodeSpec(L, d, table[:, 0].copy()),
+        LogicalCoeffs.stack([configs[i].coeffs for i in owner]),
+        ChannelParams(np.array(gammas)[owner]),
     )
+    restoring = [i for i, c in enumerate(configs) if c.ar_every <= stations[i]]
+    if restoring:
+        table[[starts[i] + configs[i].ar_every - 1 for i in restoring], 2] = restoration_factor(
+            CodeSpec(L, d, np.array([configs[i].spec.alpha for i in restoring])),
+            LogicalCoeffs.stack([configs[i].coeffs for i in restoring]),
+            ChannelParams(np.array([gammas[i] ** configs[i].ar_every for i in restoring])),
+        )
+    results = []
+    for c, n, gamma, period in zip(configs, stations, gammas, np.split(table, starts[1:])):
+        station_rows = np.arange(n) % c.ar_every
+        results.append(ChainResult(
+            fidelity=float(np.prod(period[station_rows, 1])),
+            success_prob=float(np.prod(period[station_rows, 2])),
+            n_stations=n,
+            period=period,
+            amplitude_collapsed=bool(np.min(period[:, 0]) * np.sqrt(gamma) < COLLAPSE_ALPHA),
+        ))
+        del station_rows  # one chain's 10^5-entry index at a time
+    return results
 
 
 def sweep(config: RepeaterConfig, axis: str, values: list[float]) -> list[ChainResult]:
@@ -142,19 +161,19 @@ def sweep(config: RepeaterConfig, axis: str, values: list[float]) -> list[ChainR
     amplitude, and 'gamma' the per-segment transmission (realized by setting
     the spacing to -attenuation * ln(gamma)).
     """
-    rows = []
+    configs = []
     for v in values:
         if v <= 0:
             raise ValueError(f"sweep values must be positive, got {v}")
         if axis == "spacing":
             cfg = replace(config, spacing_km=v)
         elif axis == "alpha":
-            cfg = replace(config, spec=replace(config.spec, alpha=v))
+            cfg = replace(config, spec=CodeSpec(config.spec.L, config.spec.d, v))
         elif axis == "gamma":
             if v >= 1.0:
                 raise ValueError("gamma sweep values must lie in (0, 1)")
             cfg = replace(config, spacing_km=-config.attenuation_km * np.log(v))
         else:
             raise ValueError(f"axis must be spacing|alpha|gamma, got {axis!r}")
-        rows.append(simulate_chain(cfg))
-    return rows
+        configs.append(cfg)
+    return simulate_chains(configs)

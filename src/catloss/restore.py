@@ -18,14 +18,13 @@ s_tilde and the code-space overlap s_bar.
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import fock
-from .codes import CodeSpec, LogicalCoeffs, codeword_fock, gram_matrix
-from .channel import ChannelParams, mixture_weights
+from .codes import CodeSpec, LogicalCoeffs, _cmul, _pair_gram, codeword_fock, gram_matrix
+from .channel import ChannelParams, _weighted_norm_sq, mixture_weights
 
 
 @dataclass(frozen=True)
@@ -67,17 +66,7 @@ def filter_success(s: complex) -> float:
     return 1.0 - _filter_magnitude(s)
 
 
-def _pair_norm_sq(v: np.ndarray, s: complex) -> float:
-    """Squared norm of v0 w0 + v1 w1 for unit words with overlap s = <w0|w1>."""
-    gram = np.array([[1.0, s], [np.conj(s), 1.0]])
-    return float(np.real(v.conj() @ gram @ v))
-
-
-def teleport_success_from_overlaps(
-    s_tilde: complex,
-    s_bar: complex,
-    c: LogicalCoeffs,
-) -> float:
+def teleport_success_from_overlaps(s_tilde, s_bar, c: LogicalCoeffs):
     """Success probability of filter plus Bell measurement.
 
     P = (1-|s_tilde|)^2 / (4 N_omega N_phi_hat)
@@ -92,26 +81,30 @@ def teleport_success_from_overlaps(
     Saturated overlaps (|s_tilde| -> 1, e.g. a collapsed amplitude) give a
     vanishing filter success, so the limit value 0 is returned rather than
     an error; a non-finite overlap is an error.
+
+    Overlaps and coefficients may carry a batch shape; each value rounds as
+    Python's complex scalars do (real-arithmetic products, hypot, libm pow).
     """
-    if not (cmath.isfinite(s_tilde) and cmath.isfinite(s_bar)):
+    s_tilde = np.asarray(s_tilde, dtype=complex)
+    s_bar = np.asarray(s_bar, dtype=complex)
+    if not np.all(np.isfinite(s_tilde) & np.isfinite(s_bar)):
         raise ValueError(f"overlaps must be finite, got s_tilde={s_tilde}, s_bar={s_bar}")
-    if 1.0 - abs(s_tilde) <= 1e-12:
-        return 0.0
-    c0, c1 = c.amplitudes
-    chi = [
-        _pair_norm_sq(np.array(v), s_bar)
-        for v in [(c0, c1), (c0, -c1), (c1, c0), (-c1, c0)]
-    ]
-    bell = [
-        1.0 + float(np.real(s_tilde**2)),
-        1.0 - float(np.real(s_tilde**2)),
-        1.0 + abs(s_tilde) ** 2,
-        1.0 - abs(s_tilde) ** 2,
-    ]
-    n_phi_hat = 1.0 + float(np.real(s_tilde * s_bar))
-    n_omega = _pair_norm_sq(np.array([c0, c1]), s_tilde)
-    branch_sum = chi[0] * bell[0] + chi[1] * bell[1] + chi[2] * bell[2] + chi[3] * bell[3]
-    return (1.0 - abs(s_tilde)) ** 2 / (4.0 * n_omega * n_phi_hat) * branch_sum
+    c0, c1 = np.broadcast_arrays(*c.amplitudes)
+    patterns = [np.stack(v, axis=-1) for v in [(c0, c1), (c0, -c1), (c1, c0), (-c1, c0)]]
+    chi = _weighted_norm_sq(np.stack(patterns, axis=-2), _pair_gram(s_bar)[..., None, :, :])
+    tr, ti = s_tilde.real, s_tilde.imag
+    mag = np.hypot(tr, ti)
+    re_sq = tr * tr - ti * ti
+    mag_sq = np.float_power(mag, 2.0)
+    bell = (1.0 + re_sq, 1.0 - re_sq, 1.0 + mag_sq, 1.0 - mag_sq)
+    n_phi_hat = 1.0 + (tr * s_bar.real - ti * s_bar.imag)
+    n_omega = _weighted_norm_sq(np.stack([c0, c1], axis=-1), _pair_gram(s_tilde))
+    branch_sum = (chi[..., 0] * bell[0] + chi[..., 1] * bell[1]
+                  + chi[..., 2] * bell[2] + chi[..., 3] * bell[3])
+    saturated = 1.0 - mag <= 1e-12
+    with np.errstate(divide="ignore", invalid="ignore"):
+        p = np.float_power(1.0 - mag, 2.0) / (4.0 * n_omega * n_phi_hat) * branch_sum
+    return np.where(saturated, 0.0, p)[()]
 
 
 def teleport_success(
@@ -129,8 +122,8 @@ def teleport_success(
     """
     if spec.d != 2:
         raise ValueError("teleportation restore is defined for qubit codes only")
-    s_tilde = complex(gram_matrix(spec, q, np.sqrt(params.gamma) * spec.alpha)[0, 1])
-    s_bar = complex(gram_matrix(spec, 0)[0, 1])
+    s_tilde = gram_matrix(spec, q, np.sqrt(params.gamma) * np.asarray(spec.alpha))[..., 0, 1]
+    s_bar = gram_matrix(spec, 0)[..., 0, 1]
     return teleport_success_from_overlaps(s_tilde, s_bar, c)
 
 
@@ -195,16 +188,20 @@ def restoration_factor(
     exp(2 pi i j / (2(L+1))) on its second logical sector.  The overlaps
     are read off the Gram matrices the mixture weights are built from:
     s_bar from the code-space ``gram`` at the nominal amplitude, s_tilde
-    of branch j from ``damped_grams[j mod (L+1)]``.
+    of branch j from ``damped_grams[..., j mod (L+1), :, :]``.  One value
+    per batch point.
     """
     if spec.d != 2:
         raise ValueError("restoration is defined for qubit codes only")
     weights = mixture_weights(spec, coeffs, params)
-    s_bar = complex(weights.gram[0, 1])
+    s_bar = weights.gram[..., 0, 1]
     a, b = coeffs.amplitudes
     total = 0.0
     for j in range(spec.cycle):
-        s_tilde = complex(weights.damped_grams[j % spec.spaces][0, 1])
-        branch = LogicalCoeffs((a, b * np.exp(2j * np.pi * j / spec.cycle)))
-        total += weights.ptilde[j] * teleport_success_from_overlaps(s_tilde, s_bar, branch)
+        s_tilde = weights.damped_grams[..., j % spec.spaces, 0, 1]
+        phase = np.exp(2j * np.pi * j / spec.cycle)
+        # b * phase as the scalar complex product rounds it
+        re, im = _cmul(np.real(b), np.imag(b), phase.real, phase.imag)
+        p_j = teleport_success_from_overlaps(s_tilde, s_bar, LogicalCoeffs((a, re + 1j * im)))
+        total = total + weights.ptilde[..., j] * p_j
     return total

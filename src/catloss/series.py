@@ -28,28 +28,32 @@ def log_factorials(n_max: int) -> np.ndarray:
     return out
 
 
-def sectioned_exp(x: float, modulus: int, residue: int) -> float:
-    """S_{m,j}(x): sum of x^n/n! over photon numbers n = j (mod m), for a
-    real x >= 0; tiny negative roundoff is clamped to 0."""
-    if x < 0:
-        raise ValueError(f"expected nonnegative argument, got {x}")
+def sectioned_exp(x, modulus: int, residue):
+    """S_{m,j}(x): sum of x^n/n! over photon numbers n = j (mod m), shape
+    ``shape(x) + shape(residue)`` for real x >= 0 and an int residue or a
+    sequence of them; tiny negative roundoff is clamped to 0.  exp(w^r x) is
+    formed once for all residues, and every value rounds as the one-point
+    filter does (elementwise exp and products, then a last-axis sum).
+    """
+    x = np.asarray(x, dtype=float)
+    if np.any(x < 0):
+        raise ValueError(f"expected nonnegative argument, got {x[x < 0].flat[0]}")
     m = int(modulus)
     if m < 1:
         raise ValueError(f"modulus must be >= 1, got {modulus}")
+    js = [int(j) % m for j in np.ravel(residue)]
     if m == 1:
-        v = float(np.exp(x))
+        v = np.repeat(np.exp(x)[..., None], len(js), axis=-1)
     else:
-        j = int(residue) % m
-        if x == 0:
-            return 1.0 if j == 0 else 0.0
         r = np.arange(m)
-        roots = np.exp(2j * np.pi * r / m)
-        v = complex(np.sum(np.exp(roots * x) * np.exp(-2j * np.pi * j * r / m)) / m).real
-    if v < 0.0:
-        if v < -CLAMP_TOL:
-            raise ArithmeticError(
-                f"sectioned exponential ({x}, {modulus}, {residue}) "
-                f"returned {v}, beyond the roundoff clamp"
-            )
-        v = 0.0
-    return v
+        e = np.exp(np.exp(2j * np.pi * r / m) * x[..., None])
+        sums = [np.sum(e * np.exp(-2j * np.pi * j * r / m), axis=-1) for j in js]
+        v = (np.stack(sums, axis=-1) / m).real
+        v = np.where(x[..., None] == 0, [float(j == 0) for j in js], v)
+    if np.any(v < -CLAMP_TOL):
+        raise ArithmeticError(
+            f"sectioned exponential of modulus {modulus} returned {v.min()}, "
+            "beyond the roundoff clamp"
+        )
+    v = np.where(v < 0.0, 0.0, v)
+    return v.reshape(x.shape + np.shape(residue))[()]

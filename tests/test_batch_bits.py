@@ -1,0 +1,265 @@
+"""Batched closed forms equal the frozen one-point forms bit for bit.
+
+Chain totals multiply up to 5x10^4 copies of one factor, so the datasets
+keep their bytes only if every batched value equals, by ``==``, the value
+the one-point code computed (``scalar_reference``).  Each test draws a
+batch over the CLI domain (L 0-7, d 2-4, alpha in [0.1, 9], gamma in
+(0, 1], random logical coefficients) and checks two things: the batch
+against the frozen scalars, and a batch of N against N batches of one.
+Gram batches straddle the kernel's chunk size.
+"""
+
+import math
+import random
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import scalar_reference as ref
+from catloss.channel import ChannelParams, class_probabilities, mixture_weights
+from catloss.codes import _GRAM_CHUNK, CodeSpec, LogicalCoeffs, gram_matrix
+from catloss.qec import fidelity_bound, fidelity_state
+from catloss.repeater import RepeaterConfig, simulate_chains
+from catloss.restore import restoration_factor, teleport_success_from_overlaps
+from catloss.series import sectioned_exp
+
+CHUNK_EDGES = [1, _GRAM_CHUNK - 1, _GRAM_CHUNK, _GRAM_CHUNK + 1, 3 * _GRAM_CHUNK + 5]
+
+alphas = st.floats(0.1, 9.0)
+gammas = st.floats(0.0, 1.0, exclude_min=True)
+# hypothesis picks the first points (edges such as gamma = 1 included); a
+# seeded generator fills the rest of the batch
+drawn_points = st.lists(st.tuples(alphas, gammas), min_size=1, max_size=6)
+seeds = st.integers(0, 2**32 - 1)
+bits_settings = settings(max_examples=25, deadline=None, derandomize=True)
+
+
+def _points(drawn, n, seed):
+    rng = random.Random(seed)
+    pts = list(drawn[:n])
+    while len(pts) < n:
+        pts.append((rng.uniform(0.1, 9.0), 1.0 - rng.random()))
+    return [a for a, _ in pts], [g for _, g in pts]
+
+
+def _coeffs(d, n, seed):
+    rng = random.Random(seed + 1)
+    return [
+        LogicalCoeffs.of(*(complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(d)))
+        for _ in range(n)
+    ]
+
+
+def _batch(L, d, amps, gams, coeffs):
+    return (CodeSpec(L, d, np.array(amps)), LogicalCoeffs.stack(coeffs),
+            ChannelParams(np.array(gams)))
+
+
+def _same(a, b):
+    # NaN where both forms give NaN (0/0 at underflowed amplitudes) agrees
+    assert np.shape(a) == np.shape(b)
+    assert np.array_equal(a, b, equal_nan=True), np.flatnonzero(np.asarray(a) != np.asarray(b))[:5]
+
+
+def _agree(batched, one_point, points):
+    """``batched()`` equals ``one_point(*p)`` for every p in ``points``, by
+    ``==``; where a point raises, the batch raises an error of the same kind
+    (a numerical failure, or invalid input) instead.  Returns the batched
+    value, or None when it raised."""
+    want, errors = [], set()
+    for p in points:
+        try:
+            want.append(one_point(*p))
+        except ArithmeticError:  # ZeroDivisionError in Python's complex division
+            errors.add(ArithmeticError)
+        except ValueError:
+            errors.add(ValueError)
+    if errors:
+        with pytest.raises(tuple(errors)):
+            batched()
+        return None
+    got = batched()
+    _same(got, want)
+    return got
+
+
+@given(m=st.integers(1, 32), xs=st.lists(st.floats(0.0, 81.0), min_size=1, max_size=70))
+@bits_settings
+def test_sectioned_exp(m, xs):
+    residues = list(range(m))
+    batched = lambda: sectioned_exp(np.array(xs), m, residues)
+    for one_point in (ref.sectioned_exp, sectioned_exp):
+        _agree(batched, lambda x: [one_point(x, m, j) for j in residues], [(x,) for x in xs])
+
+
+@given(L=st.integers(0, 7), d=st.integers(2, 4), n=st.sampled_from(CHUNK_EDGES),
+       drawn=drawn_points, seed=seeds, data=st.data())
+@bits_settings
+def test_gram_matrix(L, d, n, drawn, seed, data):
+    q = data.draw(st.integers(0, L))
+    amps, _ = _points(drawn, n, seed)
+    spec = CodeSpec(L, d, 1.0)
+    batched = lambda: gram_matrix(spec, q, np.array(amps))
+    _agree(batched, lambda a: ref.gram_matrix(L, d, q, a), [(a,) for a in amps])
+    got = _agree(batched, lambda a: gram_matrix(spec, q, a), [(a,) for a in amps])
+    assert got.shape == (n, d, d)
+
+
+@given(L=st.integers(0, 7), d=st.integers(2, 4), n=st.integers(1, 9),
+       drawn=drawn_points, seed=seeds)
+@bits_settings
+def test_class_probabilities(L, d, n, drawn, seed):
+    amps, gams = _points(drawn, n, seed)
+    batched = lambda: class_probabilities(
+        CodeSpec(L, d, np.array(amps)), ChannelParams(np.array(gams)))
+    _agree(batched, lambda a, g: ref.class_probabilities(L, d, a, g), zip(amps, gams))
+    _agree(batched, lambda a, g: class_probabilities(CodeSpec(L, d, a), ChannelParams(g)),
+           zip(amps, gams))
+
+
+@given(L=st.integers(0, 7), d=st.integers(2, 4), n=st.integers(1, 9),
+       drawn=drawn_points, seed=seeds)
+@bits_settings
+def test_mixture_weights_and_fidelity(L, d, n, drawn, seed):
+    amps, gams = _points(drawn, n, seed)
+    coeffs = _coeffs(d, n, seed)
+    points = list(zip(amps, gams, coeffs))
+
+    def batched():
+        w = mixture_weights(*_batch(L, d, amps, gams, coeffs))
+        return [w.p, w.ptilde, w.gram, w.damped_grams]
+
+    def frozen(a, g, c):
+        p, ptilde, gram, damped = ref.mixture_weights(L, d, a, g, c.amplitudes)
+        return [p, ptilde, gram, np.array(damped)]
+
+    def one(a, g, c):
+        w = mixture_weights(CodeSpec(L, d, a), c, ChannelParams(g))
+        return [w.p, w.ptilde, w.gram, w.damped_grams]
+
+    for one_point in (frozen, one):
+        for field in range(4):
+            _agree(lambda: batched()[field], lambda *p: one_point(*p)[field], points)
+
+    batched_fid = lambda: fidelity_state(*_batch(L, d, amps, gams, coeffs))
+    _agree(batched_fid, lambda a, g, c: ref.fidelity_state(L, d, a, g, c.amplitudes), points)
+    _agree(batched_fid, lambda a, g, c: fidelity_state(CodeSpec(L, d, a), c, ChannelParams(g)),
+           points)
+
+
+@given(L=st.integers(0, 7), alpha=alphas, n=st.integers(1, 9), drawn=drawn_points, seed=seeds)
+@bits_settings
+def test_fidelity_bound_over_a_grid(L, alpha, n, drawn, seed):
+    _, gams = _points(drawn, n, seed)
+    points = [(g,) for g in gams]
+    bound = lambda: fidelity_bound(CodeSpec(L, 2, alpha), ChannelParams(np.array(gams)))
+    plus, minus = (LogicalCoeffs.balanced(sign=s).amplitudes for s in (1, -1))
+    _agree(lambda: bound().F_of_ab, lambda g: ref.fidelity_state(L, 2, alpha, g, plus), points)
+    _agree(lambda: bound().F_minus, lambda g: ref.fidelity_state(L, 2, alpha, g, minus), points)
+    _agree(lambda: bound().F_bound,
+           lambda g: min(ref.fidelity_state(L, 2, alpha, g, c) for c in (plus, minus)), points)
+
+
+@given(n=st.integers(1, 40), seed=seeds)
+@bits_settings
+def test_teleport_success_from_overlaps(n, seed):
+    rng = np.random.default_rng(seed)
+    s_tilde = rng.uniform(0, 1, n) ** 0.25 * np.exp(2j * np.pi * rng.uniform(size=n))
+    s_tilde[rng.uniform(size=n) < 0.1] = 1.0  # saturated branches return 0
+    s_bar = rng.uniform(0, 1, n) * np.exp(2j * np.pi * rng.uniform(size=n))
+    coeffs = _coeffs(2, n, seed)
+    got = teleport_success_from_overlaps(s_tilde, s_bar, LogicalCoeffs.stack(coeffs))
+    _same(got, [ref.teleport_success_from_overlaps(complex(t), complex(b), c.amplitudes)
+                for t, b, c in zip(s_tilde, s_bar, coeffs)])
+    _same(got, [teleport_success_from_overlaps(complex(t), complex(b), c)
+                for t, b, c in zip(s_tilde, s_bar, coeffs)])
+
+
+@given(L=st.integers(0, 7), n=st.integers(1, 9), drawn=drawn_points, seed=seeds)
+@bits_settings
+def test_restoration_factor(L, n, drawn, seed):
+    amps, gams = _points(drawn, n, seed)
+    coeffs = _coeffs(2, n, seed)
+    points = list(zip(amps, gams, coeffs))
+    batched = lambda: restoration_factor(*_batch(L, 2, amps, gams, coeffs))
+    _agree(batched, lambda a, g, c: ref.restoration_factor(L, a, g, c.amplitudes), points)
+    _agree(batched, lambda a, g, c: restoration_factor(CodeSpec(L, 2, a), c, ChannelParams(g)),
+           points)
+
+
+chains = st.lists(
+    st.tuples(st.floats(2.0, 9.0), st.sampled_from([0.01, 0.1, 0.5, 1.0, 3.0]),
+              st.integers(1, 12), st.integers(1, 3)),
+    min_size=1, max_size=8,
+)
+
+
+@pytest.mark.filterwarnings("ignore:alpha=.*collinear")
+@given(L=st.integers(0, 7), chain_set=chains, seed=seeds)
+@bits_settings
+def test_simulate_chains(L, chain_set, seed):
+    coeffs = _coeffs(2, len(chain_set), seed)
+    configs = [
+        RepeaterConfig(total_km=spacing * stations, spacing_km=spacing,
+                       spec=CodeSpec(L, 2, alpha), coeffs=c, ar_every=ar_every)
+        for (alpha, spacing, stations, ar_every), c in zip(chain_set, coeffs)
+    ]
+    results = simulate_chains(configs)
+    for cfg, got in zip(configs, results):
+        fid, succ, period, collapsed = ref.simulate_chain(
+            L, cfg.spec.alpha, cfg.coeffs.amplitudes, cfg.n_stations,
+            float(np.exp(-cfg.spacing_km / cfg.attenuation_km)), cfg.ar_every,
+        )
+        assert (got.fidelity, got.success_prob, got.amplitude_collapsed) == (fid, succ, collapsed)
+        _same(got.period, period)
+    assert results == [simulate_chains([cfg])[0] for cfg in configs]
+
+
+def test_chain_set_must_share_the_code_family():
+    base = dict(total_km=1.0, spacing_km=0.5, coeffs=LogicalCoeffs.balanced())
+    with pytest.raises(ValueError, match=r"\(L, d\)"):
+        simulate_chains([RepeaterConfig(spec=CodeSpec(1, 2, 2.0), **base),
+                         RepeaterConfig(spec=CodeSpec(2, 2, 2.0), **base)])
+    assert simulate_chains([]) == []
+
+
+def test_point_shapes_are_the_batch_shapes():
+    # a single point is the batch of shape (): no leading axis
+    spec, c = CodeSpec(2, 3, 3.0), LogicalCoeffs.balanced(3)
+    one = mixture_weights(spec, c, ChannelParams(0.9))
+    assert one.ptilde.shape == (9,) and one.gram.shape == (3, 3)
+    assert one.damped_grams.shape == (3, 3, 3)
+    grid = mixture_weights(spec, c, ChannelParams(np.full((2, 5), 0.9)))
+    assert grid.ptilde.shape == (2, 5, 9) and grid.damped_grams.shape == (2, 5, 3, 3, 3)
+    assert np.all(grid.ptilde == one.ptilde)
+    assert math.isfinite(fidelity_state(spec, c, ChannelParams(0.9)))
+
+
+def _pow_sensitive(rng, x):
+    """The entries of x whose libm square pow(x, 2) differs from x * x (about
+    1 of 1,100 doubles here), where a swapped square changes the bits."""
+    return x[np.float_power(x, 2.0) != np.square(x)]
+
+
+def test_squares_round_as_libm_pow():
+    rng = np.random.default_rng(8)
+    amps = _pow_sensitive(rng, rng.uniform(0.1, 9.0, 300_000))
+    gams = 1.0 - rng.random(len(amps))
+    got = class_probabilities(CodeSpec(0, 2, amps), ChannelParams(gams))
+    _same(got, [ref.class_probabilities(0, 2, a, g) for a, g in zip(amps.tolist(), gams.tolist())])
+    # the k = 0, j = 0 coherent component has |u| = amplitude exactly
+    got = gram_matrix(CodeSpec(3, 2, 1.0), 1, amps)
+    _same(got, [ref.gram_matrix(3, 2, 1, a) for a in amps.tolist()])
+
+    # |s_tilde| and 1 - |s_tilde| squared: real overlaps, whose hypot is exact
+    mags = np.concatenate([
+        _pow_sensitive(rng, rng.uniform(0.0, 1.0, 300_000)),
+        1.0 - _pow_sensitive(rng, rng.uniform(0.0, 1.0, 300_000)),
+    ])
+    s_bar = rng.uniform(0, 1, len(mags)) * np.exp(2j * np.pi * rng.uniform(size=len(mags)))
+    coeffs = LogicalCoeffs.of(0.3, 0.8 - 0.2j)
+    got = teleport_success_from_overlaps(mags, s_bar, coeffs)
+    _same(got, [ref.teleport_success_from_overlaps(complex(t), b, coeffs.amplitudes)
+                for t, b in zip(mags.tolist(), s_bar.tolist())])

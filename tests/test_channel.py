@@ -1,6 +1,7 @@
 """Loss channel: Kraus oracle vs closed-form mixture, weights, probabilities."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -201,6 +202,22 @@ class TestMixtureWeights:
         w = mixture_weights(CodeSpec(2, 2, 3.0), BALANCED, ChannelParams(1.0))
         assert abs(w.ptilde[0] - 1.0) < 1e-12
         assert np.max(np.abs(w.ptilde[1:])) < 1e-12
+
+    def test_large_gamma_grid_memory_is_bounded(self):
+        # the coherent Gram kernel runs in fixed-size chunks: a 2,000-point
+        # qudit grid peaks at 7.3 MiB (numpy reports its buffers to
+        # tracemalloc, mostly the damped Gram matrices here); one kernel pass
+        # over all points at once peaks at 65 MiB
+        spec = CodeSpec(6, 4, 8.0)
+        coeffs = LogicalCoeffs.of(1.0, 1j, -1.0, 0.5)
+        tracemalloc.start()
+        try:
+            w = mixture_weights(spec, coeffs, ChannelParams(np.linspace(0.5, 1.0, 2000)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert w.ptilde.shape == (2000, spec.cycle)
+        assert peak < 16 * 2**20
 
 
 class TestLogicalMixture:

@@ -375,11 +375,16 @@ class TestExitCodes:
         real_weights = channel.mixture_weights
 
         def nan_at_gamma_max(spec, coeffs, params):
+            # one call per grid: NaN in the rows of gamma = 1 only
             w = real_weights(spec, coeffs, params)
-            return replace(w, ptilde=w.ptilde * math.nan) if params.gamma == 1.0 else w
+            at_max = np.asarray(params.gamma)[..., None] == 1.0
+            return replace(w, ptilde=np.where(at_max, math.nan, w.ptilde))
+
+        def nan_factors(spec, coeffs, params):
+            return np.full(np.shape(params.gamma), math.nan)
 
         monkeypatch.setattr("catloss.channel.mixture_weights", nan_at_gamma_max)
-        monkeypatch.setattr("catloss.repeater.restoration_factor", lambda *a: math.nan)
+        monkeypatch.setattr("catloss.repeater.restoration_factor", nan_factors)
         out = ["--out", str(tmp_path / "data")] if to_file else []
         code = main(DATASETS[dataset] + out)
         captured = capsys.readouterr()
@@ -387,6 +392,21 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err.startswith("numerical failure:")
         assert list(tmp_path.iterdir()) == []
+
+    def test_damped_period_warns_once(self):
+        # 13 of the 200 period rows fall below the collinear amplitude: one
+        # warning for the batch, located in the library, not in the
+        # dataclass-generated __init__ ("<string>")
+        env = {**os.environ, "PYTHONPATH": str(Path(catloss.__file__).parents[1])}
+        proc = subprocess.run(
+            [sys.executable, "-m", "catloss.cli", "repeater", "--L", "4", "--alpha", "7",
+             "--spacing-km", "1", "--ar-every", "200"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0
+        lines = [line for line in proc.stderr.splitlines() if "collinear" in line]
+        assert len(lines) == 1 and "at 13 of 200 amplitudes" in lines[0]
+        assert "<string>" not in proc.stderr
 
     def test_closed_stdout_pipe_is_zero(self):
         # `catloss repeater --trace | head`: the reader leaves after 100 bytes

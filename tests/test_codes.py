@@ -63,6 +63,13 @@ class TestSpecValidation:
         with pytest.warns(UserWarning, match="collinear"):
             CodeSpec(1, 2, 0.05)
 
+    def test_small_alpha_batch_warns_once_at_the_caller(self):
+        with pytest.warns(UserWarning, match="collinear") as record:
+            CodeSpec(1, 2, np.array([2.0, 0.08, 0.05, 0.09]))
+        assert len(record) == 1
+        assert record[0].filename == __file__
+        assert str(record[0].message).startswith("alpha=0.05 < 0.1 at 3 of 4 amplitudes")
+
     def test_id_range_checked(self):
         spec = CodeSpec(1, 2, 2.0)
         with pytest.raises(ValueError):
