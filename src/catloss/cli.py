@@ -18,6 +18,7 @@ import json
 import math
 import os
 import sys
+import warnings
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -234,12 +235,6 @@ def cmd_klreport(args) -> int:
     return 0
 
 
-def _ar_every(args) -> int:
-    if args.ar_every is not None:
-        return args.ar_every
-    return SCHEME_AR_EVERY[args.scheme]
-
-
 def _chain_config(args) -> repeater.RepeaterConfig:
     return repeater.RepeaterConfig(
         total_km=args.total_km,
@@ -247,7 +242,7 @@ def _chain_config(args) -> repeater.RepeaterConfig:
         spec=codes.CodeSpec(args.L, 2, args.alpha),
         coeffs=codes.LogicalCoeffs.of(args.a, args.b),
         attenuation_km=args.attenuation_km,
-        ar_every=_ar_every(args),
+        ar_every=SCHEME_AR_EVERY[args.scheme] if args.ar_every is None else args.ar_every,
     )
 
 
@@ -255,14 +250,8 @@ def cmd_repeater(args) -> int:
     result = repeater.simulate_chain(_chain_config(args))
     if not args.trace:
         columns = ["fidelity", "success_prob", "n_stations", "amplitude_collapsed"]
-        rows = [
-            [
-                result.fidelity,
-                result.success_prob,
-                result.n_stations,
-                int(result.amplitude_collapsed),
-            ]
-        ]
+        rows = [[result.fidelity, result.success_prob, result.n_stations,
+                 int(result.amplitude_collapsed)]]
         _emit(columns, rows, args, _params(args))
         return 0
     # station i repeats period row (i - 1) mod len(period): render each row's cells once
@@ -283,12 +272,8 @@ def cmd_sweep(args) -> int:
         [v, r.fidelity, r.success_prob, int(r.amplitude_collapsed)]
         for v, r in zip(values, repeater.sweep(config, args.axis, values))
     ]
-    _emit(
-        [args.axis, "fidelity", "success_prob", "amplitude_collapsed"],
-        rows,
-        args,
-        _params(args),
-    )
+    _emit([args.axis, "fidelity", "success_prob", "amplitude_collapsed"], rows, args,
+          _params(args))
     return 0
 
 
@@ -536,11 +521,18 @@ def main(argv: list[str] | None = None) -> int:
         if config_path is not None:
             argv = _apply_config_file(config_path, argv)
         args = parser.parse_args(argv)
-        return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError, MemoryError) as exc:
+        # warnings (numpy's floating-point ones too) wait for the command to return,
+        # so a failure prints one line; catch_warnings would reset their registries
+        caught, show = [], warnings.showwarning
+        warnings.showwarning = lambda *warning: caught.append(warning)
+        try:
+            code = args.func(args)
+        finally:
+            warnings.showwarning = show
+        for warning in caught:
+            show(*warning)
+        return code
+    except (CliError, ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except ArithmeticError as exc:

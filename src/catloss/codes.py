@@ -32,8 +32,9 @@ from .series import log_factorials, sectioned_exp
 # Below this amplitude the codewords are nearly collinear.
 SMALL_ALPHA = 0.1
 
-# Points per pass of the coherent Gram kernel, which bounds its temporaries.
-_GRAM_CHUNK = 8
+# Elements of the (point, k1, k2, ja, jb) block per pass of the coherent Gram
+# kernel, which bounds its temporaries.
+_GRAM_TERMS = 2**13
 
 
 @dataclass(frozen=True)
@@ -214,9 +215,10 @@ def _coherent_gram(spec: CodeSpec, q: int, amps: np.ndarray) -> np.ndarray:
     """All overlaps <w_{k1,q}|w_{k2,q}> at each of the 1-D ``amps``, shape
     (n, d, d), from the Gram matrix of the coherent components, using
     <u|v> = exp(-|u|^2/2 - |v|^2/2 + conj(u) v): one array pass over
-    (point, k1, k2, ja, jb) per chunk of points.  Every value rounds as the
-    scalar loop (the test oracle) does: products through ``_cmul``,
-    half-squares as hypot and libm pow, blocks summed in (ja, jb) order.
+    (point, k1, k2, ja, jb) per chunk of about ``_GRAM_TERMS`` elements (at
+    least one point).  Every value rounds as the scalar loop (the test
+    oracle) does: products through ``_cmul``, half-squares as hypot and libm
+    pow, blocks summed in (ja, jb) order.
     """
     d, m = spec.d, spec.spaces
     sector = np.array([np.exp(2j * np.pi * k / spec.cycle) for k in range(d)])[:, None]
@@ -225,8 +227,9 @@ def _coherent_gram(spec: CodeSpec, q: int, amps: np.ndarray) -> np.ndarray:
     phases = np.array([np.exp(2j * np.pi * q * lag / m) for lag in range(1 - m, m)])
     ph = phases[np.arange(m)[None, :] - np.arange(m)[:, None] + (m - 1)]
     g = np.empty((len(amps), d, d), dtype=complex)
-    for lo in range(0, len(amps), _GRAM_CHUNK):
-        amp = amps[lo : lo + _GRAM_CHUNK, None, None]
+    chunk = max(1, _GRAM_TERMS // (d * d * m * m))
+    for lo in range(0, len(amps), chunk):
+        amp = amps[lo : lo + chunk, None, None]
         # components beta_k e^{2 pi i j/m}, shape (n, d, m)
         ur, ui = _cmul(amp * sector.real, amp * sector.imag, rot.real, rot.imag)
         half_sq = np.float_power(np.hypot(ur, ui), 2.0) / 2
@@ -246,7 +249,7 @@ def _coherent_gram(spec: CodeSpec, q: int, amps: np.ndarray) -> np.ndarray:
             terms = part.reshape(tr.shape[:3] + (m * m,))
             out[...] = 0.0 + np.add.accumulate(terms, axis=-1, out=terms)[..., -1]
         diag = sums.real[:, range(d), range(d)]
-        g[lo : lo + _GRAM_CHUNK] = sums / np.sqrt(diag[:, :, None] * diag[:, None, :])
+        g[lo : lo + chunk] = sums / np.sqrt(diag[:, :, None] * diag[:, None, :])
     k1, k2 = np.triu_indices(d, 1)
     g[:, k2, k1] = np.conj(g[:, k1, k2])
     g[:, range(d), range(d)] = 1.0
@@ -279,8 +282,9 @@ def gram_matrix(spec: CodeSpec, q: int, amplitude=None) -> np.ndarray:
         if spec.L == 1 and q == 0:
             s = (np.cos(a2) / np.cosh(a2)).astype(complex)
         elif spec.L == 1 and q == 1:
-            # divided as reals, as Python divides a complex by a float
-            s = 1j * (np.sin(a2) / np.sinh(a2))
+            # divided as reals, as Python divides a complex by a float; the
+            # limit 1 where the amplitude squares to 0
+            s = 1j * np.divide(np.sin(a2), np.sinh(a2), out=np.ones_like(a2), where=a2 != 0)
         elif spec.L == 2 and q == 0:
             root3 = np.sqrt(3.0)
             num = np.exp(-a2) + 2 * np.exp(a2 / 2) * np.cos(root3 * a2 / 2)

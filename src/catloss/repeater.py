@@ -15,11 +15,12 @@ channel: the intermediate syndrome reads refine the phase bookkeeping (hence
 the per-station fidelity factors) but do not re-bin the loss classes that
 weight the filter branches.  Within a period of ``ar_every`` stations only
 ``ar_every`` distinct factor pairs occur, so chains of 10^5 stations cost
-one batch per chain set plus an array product per chain.
+one batch per chain set plus, per chain, one power of each period row.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field, replace
 
@@ -90,9 +91,10 @@ class ChainResult:
     ``period`` holds the (amplitude_in, f_factor, p_factor) rows of stations
     1 .. min(ar_every, n_stations); station i (1-based) repeats row
     (i - 1) mod ar_every, the last repetition possibly cut.  A chain shorter
-    than its period never restores.  The totals are the products of the
-    expanded factor columns.  ``amplitude_collapsed`` flags chains whose
-    effective amplitude fell below the useful range.
+    than its period never restores.  Each total is the product over the
+    period rows of factor ** (the number of stations repeating the row).
+    ``amplitude_collapsed`` flags chains whose effective amplitude fell below
+    the useful range.
     """
 
     fidelity: float
@@ -142,15 +144,17 @@ def simulate_chains(configs: list[RepeaterConfig]) -> list[ChainResult]:
         )
     results = []
     for c, n, gamma, period in zip(configs, stations, gammas, np.split(table, starts[1:])):
-        station_rows = np.arange(n) % c.ar_every
+        # row t repeats at n // ar_every stations, one more in a cut last period
+        counts = [n // c.ar_every + (t < n % c.ar_every) for t in range(len(period))]
+        f, p = (math.prod(x ** k for x, k in zip(column, counts))
+                for column in period[:, 1:].T.tolist())
         results.append(ChainResult(
-            fidelity=float(np.prod(period[station_rows, 1])),
-            success_prob=float(np.prod(period[station_rows, 2])),
+            fidelity=f,
+            success_prob=p,
             n_stations=n,
             period=period,
             amplitude_collapsed=bool(np.min(period[:, 0]) * np.sqrt(gamma) < COLLAPSE_ALPHA),
         ))
-        del station_rows  # one chain's 10^5-entry index at a time
     return results
 
 

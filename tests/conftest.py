@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -28,6 +29,20 @@ def sectioned_sum_direct(x: float, modulus: int, residue: int, terms: int = 2000
         if n % modulus == residue % modulus:
             total += math.exp(log_term)
     return total
+
+
+def assert_chain_totals(result, ar_every: int) -> None:
+    """The chain totals lie within 4 eps len(period) relative of the exact
+    product over the period rows of row ** (stations repeating the row),
+    taken in mpmath from the period's own doubles; the absolute slack of one
+    subnormal step per row covers totals that underflow."""
+    rows = len(result.period)
+    counts = np.bincount(np.arange(result.n_stations) % ar_every, minlength=rows).tolist()
+    with mpmath.workprec(256):
+        for got, column in zip((result.fidelity, result.success_prob), result.period[:, 1:].T):
+            exact = mpmath.fprod(mpmath.mpf(x) ** k for x, k in zip(column.tolist(), counts))
+            slack = 4 * np.finfo(float).eps * rows * abs(exact) + rows * 2.0**-1074
+            assert abs(mpmath.mpf(got) - exact) <= slack, (got, exact, counts)
 
 
 def central_difference(f, x: float, h: float = 1e-5) -> float:

@@ -1,12 +1,13 @@
 """Batched closed forms equal the frozen one-point forms bit for bit.
 
-Chain totals multiply up to 5x10^4 copies of one factor, so the datasets
-keep their bytes only if every batched value equals, by ``==``, the value
-the one-point code computed (``scalar_reference``).  Each test draws a
-batch over the CLI domain (L 0-7, d 2-4, alpha in [0.1, 9], gamma in
+Chain totals raise period factors to powers of up to 5x10^4, so the
+datasets keep their bytes only if every batched value equals, by ``==``,
+the value the one-point code computed (``scalar_reference``).  Each test
+draws a batch over the CLI domain (L 0-7, d 2-4, alpha in [0.1, 9], gamma in
 (0, 1], random logical coefficients) and checks two things: the batch
 against the frozen scalars, and a batch of N against N batches of one.
-Gram batches straddle the kernel's chunk size.
+Gram batches straddle the kernel's chunk of points for their (L, d).  Chain
+totals are checked against exact products instead (``assert_chain_totals``).
 """
 
 import math
@@ -19,13 +20,19 @@ from hypothesis import strategies as st
 
 import scalar_reference as ref
 from catloss.channel import ChannelParams, class_probabilities, mixture_weights
-from catloss.codes import _GRAM_CHUNK, CodeSpec, LogicalCoeffs, gram_matrix
+from catloss.codes import _GRAM_TERMS, CodeSpec, LogicalCoeffs, gram_matrix
 from catloss.qec import fidelity_bound, fidelity_state
 from catloss.repeater import RepeaterConfig, simulate_chains
 from catloss.restore import restoration_factor, teleport_success_from_overlaps
 from catloss.series import sectioned_exp
+from conftest import assert_chain_totals
 
-CHUNK_EDGES = [1, _GRAM_CHUNK - 1, _GRAM_CHUNK, _GRAM_CHUNK + 1, 3 * _GRAM_CHUNK + 5]
+
+def chunk_edges(L, d):
+    """Batch sizes at and around the Gram kernel's chunk of points."""
+    edge = max(1, _GRAM_TERMS // (d * (L + 1)) ** 2)
+    return [1, edge - 1, edge, edge + 1, 3 * edge + 5]
+
 
 alphas = st.floats(0.1, 9.0)
 gammas = st.floats(0.0, 1.0, exclude_min=True)
@@ -94,11 +101,12 @@ def test_sectioned_exp(m, xs):
         _agree(batched, lambda x: [one_point(x, m, j) for j in residues], [(x,) for x in xs])
 
 
-@given(L=st.integers(0, 7), d=st.integers(2, 4), n=st.sampled_from(CHUNK_EDGES),
-       drawn=drawn_points, seed=seeds, data=st.data())
+@given(L=st.integers(0, 7), d=st.integers(2, 4), drawn=drawn_points, seed=seeds,
+       data=st.data())
 @bits_settings
-def test_gram_matrix(L, d, n, drawn, seed, data):
+def test_gram_matrix(L, d, drawn, seed, data):
     q = data.draw(st.integers(0, L))
+    n = data.draw(st.sampled_from(chunk_edges(L, d)))
     amps, _ = _points(drawn, n, seed)
     spec = CodeSpec(L, d, 1.0)
     batched = lambda: gram_matrix(spec, q, np.array(amps))
@@ -208,13 +216,38 @@ def test_simulate_chains(L, chain_set, seed):
     ]
     results = simulate_chains(configs)
     for cfg, got in zip(configs, results):
-        fid, succ, period, collapsed = ref.simulate_chain(
+        # the frozen totals are sequential products over the expanded columns
+        _, _, period, collapsed = ref.simulate_chain(
             L, cfg.spec.alpha, cfg.coeffs.amplitudes, cfg.n_stations,
             float(np.exp(-cfg.spacing_km / cfg.attenuation_km)), cfg.ar_every,
         )
-        assert (got.fidelity, got.success_prob, got.amplitude_collapsed) == (fid, succ, collapsed)
+        assert got.amplitude_collapsed == collapsed
         _same(got.period, period)
+        assert_chain_totals(got, cfg.ar_every)
     assert results == [simulate_chains([cfg])[0] for cfg in configs]
+
+
+long_chains = st.lists(
+    st.tuples(st.floats(2.0, 9.0), st.sampled_from([0.01, 0.02, 0.1, 1.0, 5.0]),
+              st.integers(1, 10**5), st.integers(1, 4)),
+    min_size=1, max_size=4,
+)
+
+
+@pytest.mark.filterwarnings("ignore:alpha=.*collinear")
+@given(L=st.integers(0, 4), chain_set=long_chains, seed=seeds)
+@bits_settings
+def test_chain_totals_are_exact_products(L, chain_set, seed):
+    # a sequential product over the stations was 8 ulps off at 519 stations
+    coeffs = _coeffs(2, len(chain_set), seed)
+    configs = [
+        RepeaterConfig(total_km=spacing * stations, spacing_km=spacing,
+                       spec=CodeSpec(L, 2, alpha), coeffs=c, ar_every=ar_every)
+        for (alpha, spacing, stations, ar_every), c in zip(chain_set, coeffs)
+    ]
+    for cfg, got in zip(configs, simulate_chains(configs)):
+        assert got.n_stations == round(cfg.total_km / cfg.spacing_km)
+        assert_chain_totals(got, cfg.ar_every)
 
 
 def test_chain_set_must_share_the_code_family():

@@ -20,6 +20,7 @@ from catloss.cli import _chain_config, _fmt, build_parser, main
 from catloss.codes import CodeSpec
 from catloss.qec import fidelity_bound
 from catloss.repeater import simulate_chain
+from conftest import assert_chain_totals
 
 
 def run(args, capsys):
@@ -175,9 +176,7 @@ class TestRepeaterCommands:
         assert result.n_stations == 7
         for i, row in enumerate(rows, start=1):
             assert row[1:] == [_fmt(v) for v in result.period[(i - 1) % 2].tolist()]
-        stations = np.arange(result.n_stations) % 2
-        assert result.fidelity == np.prod(result.period[stations, 1])
-        assert result.success_prob == np.prod(result.period[stations, 2])
+        assert_chain_totals(result, 2)
 
     def test_non_integral_spacing_warns_once(self, capsys):
         with warnings.catch_warnings(record=True) as caught:
@@ -365,6 +364,15 @@ class TestExitCodes:
         assert captured.err.startswith("numerical failure:")
         assert captured.err.count("\n") == 1
         assert list(tmp_path.iterdir()) == []
+
+    def test_underflowed_one_loss_amplitude_writes_data(self, capsys):
+        # the damped amplitude squares to 0, where the one-loss overlap
+        # sin(a^2)/sinh(a^2) takes its limit 1
+        code, out = run(["weights", "--L", "1", "--alpha", "0.5", "--gamma-min", "5e-324",
+                         "--gamma-max", "5e-324", "--gamma-steps", "1"], capsys)
+        assert code == 0
+        _, rows = parse_csv(out)
+        assert len(rows) == 1 and all(math.isfinite(float(v)) for v in rows[0])
 
     @pytest.mark.parametrize("dataset", ["weights", "repeater-trace"])
     @pytest.mark.parametrize("to_file", [False, True])
