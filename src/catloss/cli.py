@@ -417,7 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="catloss",
         description=__doc__,
         epilog="A key=value file passed as --config PATH supplies flag "
-        "defaults; explicit flags always win.",
+        "defaults (a bare key sets a switch); explicit flags always win.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
@@ -494,8 +494,9 @@ def _split_config(argv: list[str]) -> tuple[str | None, list[str]]:
 
 
 def _apply_config_file(path: str, argv: list[str]) -> list[str]:
-    """Insert file-supplied defaults right after the subcommand token, so
-    explicitly passed flags still win under argparse's last-one-wins rule."""
+    """Insert file-supplied defaults (``key=value``, or a bare ``key`` for a
+    switch) right after the subcommand token, so explicitly passed flags
+    still win under argparse's last-one-wins rule."""
     defaults: list[str] = []
     with open(path) as fh:
         for line in fh:
@@ -503,11 +504,9 @@ def _apply_config_file(path: str, argv: list[str]) -> list[str]:
             if not line or line.startswith("#"):
                 continue
             key, sep, value = line.partition("=")
-            if not sep:
-                raise CliError(f"malformed config line: {line!r}")
             flag = "--" + key.strip().replace("_", "-")
             if flag not in argv:
-                defaults += [flag, value.strip()]
+                defaults += [flag, value.strip()] if sep else [flag]  # a bare key is a switch
     if not argv:
         return defaults
     return argv[:1] + defaults + argv[1:]

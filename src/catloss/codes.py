@@ -235,21 +235,14 @@ def _coherent_gram(spec: CodeSpec, q: int, amps: np.ndarray) -> np.ndarray:
         half_sq = np.float_power(np.hypot(ur, ui), 2.0) / 2
         u, v = np.s_[:, :, None, :, None], np.s_[:, None, :, None, :]
         cr, ci = _cmul(ur[u], -ui[u], ur[v], ui[v])
-        e = np.empty(cr.shape, dtype=complex)
-        np.subtract(-half_sq[u], half_sq[v], out=e.real)
-        e.real += cr
-        e.imag = 0.0 + ci  # float + complex promotion: -0.0 becomes 0.0
-        del cr, ci  # in place from here: few (n, d, d, m, m) arrays live
-        np.exp(e, out=e)
+        # 1j * ci adds +0.0 to ci, as the scalar complex sum does: -0.0 becomes 0.0
+        e = np.exp(-half_sq[u] - half_sq[v] + cr + 1j * ci)
         tr, ti = _cmul(ph.real, ph.imag, e.real, e.imag)
-        del e
-        sums = np.empty(tr.shape[:3], dtype=complex)
-        for part, out in ((tr, sums.real), (ti, sums.imag)):
-            # in (ja, jb) order; the scalar loop starts from +0.0
-            terms = part.reshape(tr.shape[:3] + (m * m,))
-            out[...] = 0.0 + np.add.accumulate(terms, axis=-1, out=terms)[..., -1]
-        diag = sums.real[:, range(d), range(d)]
-        g[lo : lo + chunk] = sums / np.sqrt(diag[:, :, None] * diag[:, None, :])
+        # in (ja, jb) order; the scalar loop starts from +0.0
+        blocks = tr.shape[:3] + (m * m,)
+        sr, si = (0.0 + np.add.accumulate(t.reshape(blocks), axis=-1)[..., -1] for t in (tr, ti))
+        diag = sr[:, range(d), range(d)]
+        g[lo : lo + chunk] = (sr + 1j * si) / np.sqrt(diag[:, :, None] * diag[:, None, :])
     k1, k2 = np.triu_indices(d, 1)
     g[:, k2, k1] = np.conj(g[:, k1, k2])
     g[:, range(d), range(d)] = 1.0

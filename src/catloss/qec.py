@@ -108,10 +108,12 @@ def fidelity_bound(spec: CodeSpec, params: ChannelParams) -> FidelityResult:
 
     Restricted to real logical coefficients the state-dependent fidelity is
     extremal at the balanced inputs, so the bound is the minimum over the
-    two sign choices (1, +-1)/sqrt(2).
+    two sign choices (1, +-1)/sqrt(2), both evaluated in one call.
     """
     if spec.d != 2:
         raise ValueError("the worst-case bound is defined for qubit codes only")
-    f_plus = fidelity_state(spec, LogicalCoeffs.balanced(sign=1), params)
-    f_minus = fidelity_state(spec, LogicalCoeffs.balanced(sign=-1), params)
+    inputs = LogicalCoeffs.stack([LogicalCoeffs.balanced(sign=s) for s in (1, -1)])
+    shape = (2,) + (1,) * np.broadcast(spec.alpha, params.gamma).ndim  # ahead of the points
+    f_plus, f_minus = fidelity_state(
+        spec, LogicalCoeffs(tuple(a.reshape(shape) for a in inputs.amplitudes)), params)
     return FidelityResult(F_of_ab=f_plus, F_minus=f_minus, F_bound=np.minimum(f_plus, f_minus))

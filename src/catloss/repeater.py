@@ -71,6 +71,9 @@ class RepeaterConfig:
             raise ValueError("attenuation_km must be positive")
         if self.ar_every < 1:
             raise ValueError(f"ar_every must be >= 1, got {self.ar_every}")
+        ratio = self.total_km / self.spacing_km
+        if not np.isfinite(ratio):
+            raise ValueError(f"total_km/spacing_km = {ratio} must be finite")
 
     @property
     def n_stations(self) -> int:
@@ -142,6 +145,8 @@ def simulate_chains(configs: list[RepeaterConfig]) -> list[ChainResult]:
             LogicalCoeffs.stack([configs[i].coeffs for i in restoring]),
             ChannelParams(np.array([gammas[i] ** configs[i].ar_every for i in restoring])),
         )
+    # roundoff lifts some factors a few ulps above 1, which a power of 10^5 amplifies
+    table[:, 1:] = np.minimum(table[:, 1:], 1.0)
     results = []
     for c, n, gamma, period in zip(configs, stations, gammas, np.split(table, starts[1:])):
         # row t repeats at n // ar_every stations, one more in a cut last period

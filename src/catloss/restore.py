@@ -189,19 +189,18 @@ def restoration_factor(
     are read off the Gram matrices the mixture weights are built from:
     s_bar from the code-space ``gram`` at the nominal amplitude, s_tilde
     of branch j from ``damped_grams[..., j mod (L+1), :, :]``.  One value
-    per batch point.
+    per batch point; the branches are a last batch axis of one call.
     """
     if spec.d != 2:
         raise ValueError("restoration is defined for qubit codes only")
     weights = mixture_weights(spec, coeffs, params)
-    s_bar = weights.gram[..., 0, 1]
-    a, b = coeffs.amplitudes
-    total = 0.0
-    for j in range(spec.cycle):
-        s_tilde = weights.damped_grams[..., j % spec.spaces, 0, 1]
-        phase = np.exp(2j * np.pi * j / spec.cycle)
-        # b * phase as the scalar complex product rounds it
-        re, im = _cmul(np.real(b), np.imag(b), phase.real, phase.imag)
-        p_j = teleport_success_from_overlaps(s_tilde, s_bar, LogicalCoeffs((a, re + 1j * im)))
-        total = total + weights.ptilde[..., j] * p_j
-    return total
+    s_tilde = weights.damped_grams[..., np.arange(spec.cycle) % spec.spaces, 0, 1]
+    # Python-int k: a numpy k rounds some phases (k = 5 of cycle 6) differently
+    phase = np.array([np.exp(2j * np.pi * k / spec.cycle) for k in range(spec.cycle)])
+    a, b = (np.asarray(x)[..., None] for x in coeffs.amplitudes)
+    # b * phase as the scalar complex product rounds it
+    re, im = _cmul(b.real, b.imag, phase.real, phase.imag)
+    p = teleport_success_from_overlaps(
+        s_tilde, weights.gram[..., None, 0, 1], LogicalCoeffs((a, re + 1j * im)))
+    # summed over the branches in order, from +0.0
+    return 0.0 + np.add.accumulate(weights.ptilde * p, axis=-1)[..., -1]

@@ -5,6 +5,19 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import settings
+
+
+def pytest_addoption(parser):
+    parser.addoption("--bits-examples", type=int, default=25,
+                     help="examples per derandomized bit test (tests/test_batch_bits.py)")
+
+
+def pytest_configure(config):
+    # the bit tests read this profile; rounding that depends on the batch
+    # layout shows only at some draws, so CI also runs them at ten times the default
+    settings.register_profile("bits", max_examples=config.getoption("--bits-examples"),
+                              deadline=None, derandomize=True)
 
 
 def series_coherent_overlap(alpha: complex, beta: complex, terms: int = 400) -> complex:

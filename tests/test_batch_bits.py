@@ -40,7 +40,7 @@ gammas = st.floats(0.0, 1.0, exclude_min=True)
 # seeded generator fills the rest of the batch
 drawn_points = st.lists(st.tuples(alphas, gammas), min_size=1, max_size=6)
 seeds = st.integers(0, 2**32 - 1)
-bits_settings = settings(max_examples=25, deadline=None, derandomize=True)
+bits_settings = settings.get_profile("bits")  # registered in conftest.py
 
 
 def _points(drawn, n, seed):
@@ -70,15 +70,18 @@ def _same(a, b):
     assert np.array_equal(a, b, equal_nan=True), np.flatnonzero(np.asarray(a) != np.asarray(b))[:5]
 
 
-def _agree(batched, one_point, points):
+def _agree(batched, one_point, points, undefined=lambda *p: False):
     """``batched()`` equals ``one_point(*p)`` for every p in ``points``, by
     ``==``; where a point raises, the batch raises an error of the same kind
-    (a numerical failure, or invalid input) instead.  Returns the batched
-    value, or None when it raised."""
+    (a numerical failure, or invalid input) instead.  Points where
+    ``undefined(*p)`` holds have no one-point value and are left out.
+    Returns the batched value, or None when it raised."""
+    points = list(points)
+    kept = [i for i, p in enumerate(points) if not undefined(*p)]
     want, errors = [], set()
-    for p in points:
+    for i in kept:
         try:
-            want.append(one_point(*p))
+            want.append(one_point(*points[i]))
         except ArithmeticError:  # ZeroDivisionError in Python's complex division
             errors.add(ArithmeticError)
         except ValueError:
@@ -88,8 +91,18 @@ def _agree(batched, one_point, points):
             batched()
         return None
     got = batched()
-    _same(got, want)
+    if kept:
+        _same(np.asarray(got)[kept], want)
     return got
+
+
+def _squares_to_zero(L, alpha, gamma, *_):
+    """No frozen value: at L = 1 the frozen one-loss overlap sin(a^2)/sinh(a^2)
+    is 0/0 (it raises) where the damped amplitude squares to 0, and the
+    library takes its limit 1 there.  The batch-of-one comparisons cover
+    such points."""
+    amp = np.sqrt(gamma) * alpha
+    return L == 1 and amp * amp == 0.0
 
 
 @given(m=st.integers(1, 32), xs=st.lists(st.floats(0.0, 81.0), min_size=1, max_size=70))
@@ -147,12 +160,14 @@ def test_mixture_weights_and_fidelity(L, d, n, drawn, seed):
         w = mixture_weights(CodeSpec(L, d, a), c, ChannelParams(g))
         return [w.p, w.ptilde, w.gram, w.damped_grams]
 
-    for one_point in (frozen, one):
+    no_frozen = lambda *p: _squares_to_zero(L, *p)
+    for one_point, undefined in ((frozen, no_frozen), (one, lambda *p: False)):
         for field in range(4):
-            _agree(lambda: batched()[field], lambda *p: one_point(*p)[field], points)
+            _agree(lambda: batched()[field], lambda *p: one_point(*p)[field], points, undefined)
 
     batched_fid = lambda: fidelity_state(*_batch(L, d, amps, gams, coeffs))
-    _agree(batched_fid, lambda a, g, c: ref.fidelity_state(L, d, a, g, c.amplitudes), points)
+    _agree(batched_fid, lambda a, g, c: ref.fidelity_state(L, d, a, g, c.amplitudes), points,
+           no_frozen)
     _agree(batched_fid, lambda a, g, c: fidelity_state(CodeSpec(L, d, a), c, ChannelParams(g)),
            points)
 
@@ -164,10 +179,16 @@ def test_fidelity_bound_over_a_grid(L, alpha, n, drawn, seed):
     points = [(g,) for g in gams]
     bound = lambda: fidelity_bound(CodeSpec(L, 2, alpha), ChannelParams(np.array(gams)))
     plus, minus = (LogicalCoeffs.balanced(sign=s).amplitudes for s in (1, -1))
-    _agree(lambda: bound().F_of_ab, lambda g: ref.fidelity_state(L, 2, alpha, g, plus), points)
-    _agree(lambda: bound().F_minus, lambda g: ref.fidelity_state(L, 2, alpha, g, minus), points)
+    no_frozen = lambda g: _squares_to_zero(L, alpha, g)
+    _agree(lambda: bound().F_of_ab, lambda g: ref.fidelity_state(L, 2, alpha, g, plus), points,
+           no_frozen)
+    _agree(lambda: bound().F_minus, lambda g: ref.fidelity_state(L, 2, alpha, g, minus), points,
+           no_frozen)
     _agree(lambda: bound().F_bound,
-           lambda g: min(ref.fidelity_state(L, 2, alpha, g, c) for c in (plus, minus)), points)
+           lambda g: min(ref.fidelity_state(L, 2, alpha, g, c) for c in (plus, minus)), points,
+           no_frozen)
+    _agree(lambda: bound().F_bound,
+           lambda g: fidelity_bound(CodeSpec(L, 2, alpha), ChannelParams(g)).F_bound, points)
 
 
 @given(n=st.integers(1, 40), seed=seeds)
@@ -192,7 +213,8 @@ def test_restoration_factor(L, n, drawn, seed):
     coeffs = _coeffs(2, n, seed)
     points = list(zip(amps, gams, coeffs))
     batched = lambda: restoration_factor(*_batch(L, 2, amps, gams, coeffs))
-    _agree(batched, lambda a, g, c: ref.restoration_factor(L, a, g, c.amplitudes), points)
+    _agree(batched, lambda a, g, c: ref.restoration_factor(L, a, g, c.amplitudes), points,
+           lambda *p: _squares_to_zero(L, *p))
     _agree(batched, lambda a, g, c: restoration_factor(CodeSpec(L, 2, a), c, ChannelParams(g)),
            points)
 
@@ -222,6 +244,7 @@ def test_simulate_chains(L, chain_set, seed):
             float(np.exp(-cfg.spacing_km / cfg.attenuation_km)), cfg.ar_every,
         )
         assert got.amplitude_collapsed == collapsed
+        period[:, 1:] = np.minimum(period[:, 1:], 1.0)  # probabilities, capped at 1
         _same(got.period, period)
         assert_chain_totals(got, cfg.ar_every)
     assert results == [simulate_chains([cfg])[0] for cfg in configs]

@@ -159,6 +159,14 @@ class TestRepeaterCommands:
         _, rows = parse_csv(out)
         assert len(rows) == 2
 
+    def test_probabilities_never_exceed_one(self, capsys):
+        # a restoration factor 9 ulps above 1, raised to 10^5 stations
+        code, out = run(["repeater", "--L", "1", "--alpha", "6", "--spacing-km", "0.01",
+                         "--scheme", "old"], capsys)
+        assert code == 0
+        _, rows = parse_csv(out)
+        assert 0.0 <= float(rows[0][0]) <= 1.0 and 0.0 <= float(rows[0][1]) <= 1.0
+
     def test_trace_rows_repeat_the_period(self, tmp_path):
         # 7 stations restoring every second one: the last period is cut short
         argv = ["repeater", "--L", "1", "--alpha", "2", "--total-km", "3.5",
@@ -292,6 +300,15 @@ class TestConfigFile:
         _, rows = parse_csv(out)
         assert float(rows[0][0]) == 1.0
 
+    def test_bare_key_sets_a_switch(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("L=1\nalpha=2\ntotal-km=3.5\nspacing-km=0.5\nar-every=2\ntrace\n")
+        code, out = run(["repeater", "--config", str(cfg)], capsys)
+        assert code == 0
+        header, rows = parse_csv(out)
+        assert header[0] == "station" and len(rows) == 7
+        assert run(DATASETS["repeater-trace"], capsys) == (0, out)
+
     def test_missing_config_is_error(self, capsys):
         code = main(["weights", "--L", "1", "--alpha", "2", "--config", "/nope.cfg"])
         assert code == 1
@@ -333,6 +350,8 @@ class TestExitCodes:
             ["tables", "--which", "I", "--total-km", "inf"],
             ["sweep", "--L", "1", "--alpha", "2", "--total-km", "1",
              "--axis", "alpha", "--values", "nan"],
+            ["repeater", "--L", "4", "--alpha", "7", "--total-km", "1e300",
+             "--spacing-km", "1e-300"],
         ],
     )
     def test_non_finite_input_is_one(self, argv, capsys):

@@ -209,6 +209,25 @@ class TestFidelityBound:
         assert res.F_minus == pytest.approx(f_minus)
         assert res.F_bound <= res.F_of_ab + 1e-12
 
+    def test_both_inputs_are_one_mixture_call(self, monkeypatch):
+        # the two balanced inputs are a batch axis ahead of the points
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return mixture_weights(*args)
+
+        monkeypatch.setattr("catloss.qec.mixture_weights", counted)
+        alphas, gammas = np.array([[2.0], [3.0]]), np.array([0.5, 0.9, 1.0])
+        res = fidelity_bound(CodeSpec(2, 2, alphas), ChannelParams(gammas))
+        assert len(calls) == 1
+        assert res.F_bound.shape == (2, 3)
+        monkeypatch.undo()
+        for i, alpha in enumerate(alphas[:, 0]):
+            for j, gamma in enumerate(gammas):
+                one = fidelity_bound(CodeSpec(2, 2, alpha), ChannelParams(gamma))
+                assert (res.F_of_ab[i, j], res.F_minus[i, j]) == (one.F_of_ab, one.F_minus)
+
     def test_balanced_input_is_extremum(self):
         # dF/da = 0 at a = 1/sqrt(2) with b = sqrt(1 - a^2), both codes
         for spec in (CodeSpec(1, 2, 2.0), CodeSpec(2, 2, 3.0)):

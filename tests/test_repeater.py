@@ -5,6 +5,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from catloss.codes import CodeSpec, LogicalCoeffs
 from catloss.channel import ChannelParams
@@ -13,6 +15,7 @@ from catloss.repeater import (
     RepeaterConfig,
     segment_gamma,
     simulate_chain,
+    simulate_chains,
     sweep,
 )
 from catloss.restore import restoration_factor
@@ -63,6 +66,9 @@ class TestConfig:
                     RepeaterConfig(
                         spec=CodeSpec(1, 2, 2.0), coeffs=BALANCED, **{**finite, field: bad}
                     )
+        # finite lengths whose station count is not
+        with pytest.raises(ValueError, match="total_km/spacing_km = inf"):
+            config(total=1e300, spacing=1e-300)
 
     def test_non_integral_spacing_warns_and_floors(self):
         cfg = config(total=1.0, spacing=0.3)
@@ -155,6 +161,25 @@ class TestSimulateChain:
         result = simulate_chain(cfg)
         assert result.n_stations == 5000
         assert 0.35 < result.success_prob < 0.55
+
+
+    @pytest.mark.filterwarnings("ignore:alpha=.*collinear")
+    @given(L=st.integers(1, 5), sign=st.sampled_from([1, -1]),
+           chain_set=st.lists(st.tuples(st.floats(2.0, 9.0), st.floats(0.01, 1.0),
+                                        st.integers(1, 10**5), st.integers(1, 2)),
+                              min_size=1, max_size=4))
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    def test_factors_and_totals_are_probabilities(self, L, sign, chain_set):
+        # roundoff lifts some factors a few ulps above 1, and 10^5 stations
+        # would raise that to a total above 1
+        results = simulate_chains([
+            config(L=L, alpha=alpha, total=spacing * n, spacing=spacing, ar_every=ar_every,
+                   sign=sign)
+            for alpha, spacing, n, ar_every in chain_set
+        ])
+        for r in results:
+            assert np.all((r.period[:, 1:] >= 0.0) & (r.period[:, 1:] <= 1.0)), r.period
+            assert 0.0 <= r.fidelity <= 1.0 and 0.0 <= r.success_prob <= 1.0
 
 
 REFERENCE_ROWS = [

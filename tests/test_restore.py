@@ -170,6 +170,21 @@ class TestOneWaySuccess:
         monkeypatch.setattr("catloss.restore.gram_matrix", forbidden)
         assert restoration_factor(spec, LogicalCoeffs.balanced(), params) == expected
 
+    def test_branches_are_one_teleportation_call(self, monkeypatch):
+        # the d(L+1) branches are a batch axis: one call per factor, not one per branch
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return teleport_success_from_overlaps(*args)
+
+        monkeypatch.setattr("catloss.restore.teleport_success_from_overlaps", counted)
+        spec = CodeSpec(3, 2, np.array([3.0, 5.0, 7.0]))
+        coeffs = LogicalCoeffs.stack([LogicalCoeffs.of(0.6, 0.8j)] * 3)
+        factor = restoration_factor(spec, coeffs, ChannelParams(np.array([0.9, 0.5, 1.0])))
+        assert len(calls) == 1
+        assert factor.shape == (3,) and np.shape(calls[0][0]) == (3, 8)
+
     def test_restoration_factor_weighted_by_branches(self):
         # factor lies between the extreme per-branch success values
         spec = CodeSpec(1, 2, 2.0)
