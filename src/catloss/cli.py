@@ -5,9 +5,10 @@ significant digits, no timestamps inside the data).  When an output path is
 given, a manifest JSON with the resolved parameters, library version and a
 checksum of the data bytes is written alongside it.
 
-Exit codes: 0 success, 1 usage or validation error, 2 numerical failure:
-a failed ``verify`` check, an arithmetic failure (overflow, a tripped clamp)
-or a non-finite value in the output, in which case nothing is written.
+Exit codes: 0 success, 1 usage or validation error (any ``ValueError``, an
+unreadable file, exhausted memory), 2 numerical failure: a failed ``verify``
+check, an arithmetic failure (overflow, a tripped clamp) or a non-finite value
+in the output, in which case nothing is written.
 """
 
 from __future__ import annotations
@@ -86,10 +87,6 @@ LONG_HAUL_REFERENCE = {
 }
 
 
-class CliError(Exception):
-    """Validation failure that should exit with status 1."""
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -140,9 +137,10 @@ LAYOUTS = {
 }
 
 
-def write_output(layout: _Layout, columns: list[str], rows: Iterable[str], args,
-                 extra_params: dict) -> None:
-    """Stream rendered rows to stdout, or to ``--out`` hashed as written plus a manifest."""
+def write_output(columns: list[str], rows: Iterable[str], args) -> None:
+    """Stream rows rendered in ``LAYOUTS[args.format]`` to stdout, or to ``--out``
+    hashed as written plus a manifest whose params are the parsed ``args``."""
+    layout = LAYOUTS[args.format]
     # rows go out in batches: few writes, and a 10^5-row trace is never one string
     rows = iter(rows)
     batches = iter(lambda: layout.row_sep.join(islice(rows, 4096)), "")
@@ -163,7 +161,7 @@ def write_output(layout: _Layout, columns: list[str], rows: Iterable[str], args,
             fh.write(data)
     manifest = {
         "subcommand": args.subcommand,
-        "params": extra_params,
+        "params": {k: v for k, v in vars(args).items() if k != "func"},
         "version": __version__,
         "output_sha256": digest.hexdigest(),
         "created_utc": datetime.now(timezone.utc).isoformat(),
@@ -173,17 +171,16 @@ def write_output(layout: _Layout, columns: list[str], rows: Iterable[str], args,
         fh.write("\n")
 
 
-def _emit(columns, rows, args, params):
+def _emit(columns, rows, args):
     # every row is rendered, and checked finite, before the first byte goes out
-    layout = LAYOUTS[args.format]
-    write_output(layout, columns, [layout.row(row) for row in rows], args, params)
+    write_output(columns, list(map(LAYOUTS[args.format].row, rows)), args)
 
 
 def _gamma_grid(args) -> np.ndarray:
     if not 0.0 < args.gamma_min <= args.gamma_max <= 1.0:
-        raise CliError("need 0 < gamma-min <= gamma-max <= 1")
+        raise ValueError("need 0 < gamma-min <= gamma-max <= 1")
     if args.gamma_steps < 1:
-        raise CliError(f"need gamma-steps >= 1, got {args.gamma_steps}")
+        raise ValueError(f"need gamma-steps >= 1, got {args.gamma_steps}")
     return np.linspace(args.gamma_min, args.gamma_max, args.gamma_steps)
 
 
@@ -191,7 +188,7 @@ def _coeffs(args, d: int) -> codes.LogicalCoeffs:
     if getattr(args, "coeffs", None):
         raw = [complex(tok) for tok in args.coeffs.split(",")]
         if len(raw) != d:
-            raise CliError(f"--coeffs needs {d} entries, got {len(raw)}")
+            raise ValueError(f"--coeffs needs {d} entries, got {len(raw)}")
         return codes.LogicalCoeffs.of(*raw)
     if d != 2:
         return codes.LogicalCoeffs.balanced(d)
@@ -204,7 +201,7 @@ def cmd_weights(args) -> int:
     grid = _gamma_grid(args)
     columns = ["gamma"] + [f"ptilde_{j}" for j in range(spec.cycle)]
     w = channel.mixture_weights(spec, coeffs, channel.ChannelParams(grid))
-    _emit(columns, np.column_stack([grid, w.ptilde]).tolist(), args, _params(args))
+    _emit(columns, np.column_stack([grid, w.ptilde]).tolist(), args)
     return 0
 
 
@@ -213,7 +210,7 @@ def cmd_fidelity(args) -> int:
     grid = _gamma_grid(args)
     bound = qec.fidelity_bound(spec, channel.ChannelParams(grid))
     rows = np.column_stack([grid, bound.F_of_ab, bound.F_minus, bound.F_bound]).tolist()
-    _emit(["gamma", "F_plus", "F_minus", "F_bound"], rows, args, _params(args))
+    _emit(["gamma", "F_plus", "F_minus", "F_bound"], rows, args)
     return 0
 
 
@@ -231,7 +228,7 @@ def cmd_klreport(args) -> int:
             report = qec.kl_check(spec, args.basis, i, i)
             row += [report.ortho_violation, report.deform_violation]
         rows.append(row)
-    _emit(columns, rows, args, _params(args))
+    _emit(columns, rows, args)
     return 0
 
 
@@ -240,7 +237,7 @@ def _chain_config(args) -> repeater.RepeaterConfig:
         total_km=args.total_km,
         spacing_km=args.spacing_km,
         spec=codes.CodeSpec(args.L, 2, args.alpha),
-        coeffs=codes.LogicalCoeffs.of(args.a, args.b),
+        coeffs=_coeffs(args, 2),
         attenuation_km=args.attenuation_km,
         ar_every=SCHEME_AR_EVERY[args.scheme] if args.ar_every is None else args.ar_every,
     )
@@ -252,7 +249,7 @@ def cmd_repeater(args) -> int:
         columns = ["fidelity", "success_prob", "n_stations", "amplitude_collapsed"]
         rows = [[result.fidelity, result.success_prob, result.n_stations,
                  int(result.amplitude_collapsed)]]
-        _emit(columns, rows, args, _params(args))
+        _emit(columns, rows, args)
         return 0
     # station i repeats period row (i - 1) mod len(period): render each row's cells once
     layout = LAYOUTS[args.format]
@@ -261,7 +258,7 @@ def cmd_repeater(args) -> int:
     rows = (layout.row_open + layout.cell(str(i)) + tails[(i - 1) % len(tails)]
             for i in range(1, result.n_stations + 1))
     columns = ["station", "amplitude_in", "f_factor", "p_factor"]
-    write_output(layout, columns, rows, args, _params(args))
+    write_output(columns, rows, args)
     return 0
 
 
@@ -272,8 +269,7 @@ def cmd_sweep(args) -> int:
         [v, r.fidelity, r.success_prob, int(r.amplitude_collapsed)]
         for v, r in zip(values, repeater.sweep(config, args.axis, values))
     ]
-    _emit([args.axis, "fidelity", "success_prob", "amplitude_collapsed"], rows, args,
-          _params(args))
+    _emit([args.axis, "fidelity", "success_prob", "amplitude_collapsed"], rows, args)
     return 0
 
 
@@ -311,7 +307,7 @@ def cmd_tables(args) -> int:
             row += [f_min, "" if f_ref is None else f_ref, f_dev,
                     p_plus, p_minus, "" if p_ref is None else p_ref, p_dev]
         rows.append(row)
-    _emit(columns, rows, args, _params(args))
+    _emit(columns, rows, args)
     return 0
 
 
@@ -377,11 +373,6 @@ def cmd_verify(args) -> int:
         with open(args.out, "w") as fh:
             fh.write(text)
     return 0 if ok else 2
-
-
-def _params(args) -> dict:
-    skip = {"func"}
-    return {k: v for k, v in sorted(vars(args).items()) if k not in skip}
 
 
 def _add_common(p):
@@ -472,53 +463,29 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _split_config(argv: list[str]) -> tuple[str | None, list[str]]:
-    """Pull --config PATH out of the argument list."""
-    path = None
-    cleaned: list[str] = []
-    i = 0
-    while i < len(argv):
-        tok = argv[i]
-        if tok == "--config":
-            if i + 1 >= len(argv):
-                raise CliError("--config needs a path")
-            path = argv[i + 1]
-            i += 2
-        elif tok.startswith("--config="):
-            path = tok.split("=", 1)[1]
-            i += 1
-        else:
-            cleaned.append(tok)
-            i += 1
-    return path, cleaned
-
-
-def _apply_config_file(path: str, argv: list[str]) -> list[str]:
-    """Insert file-supplied defaults (``key=value``, or a bare ``key`` for a
-    switch) right after the subcommand token, so explicitly passed flags
-    still win under argparse's last-one-wins rule."""
-    defaults: list[str] = []
+def _config_tokens(path: str) -> list[str]:
+    """One flag token per line of a config file: ``--key=value`` for a
+    ``key=value`` line, so a value may start with ``-``, and ``--key`` for a
+    bare ``key`` line, which sets a switch."""
+    tokens = []
     with open(path) as fh:
         for line in fh:
             line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, sep, value = line.partition("=")
-            flag = "--" + key.strip().replace("_", "-")
-            if flag not in argv:
-                defaults += [flag, value.strip()] if sep else [flag]  # a bare key is a switch
-    if not argv:
-        return defaults
-    return argv[:1] + defaults + argv[1:]
+            if line and not line.startswith("#"):
+                key, sep, value = line.partition("=")
+                tokens.append("--" + key.strip().replace("_", "-") + sep + value.strip())
+    return tokens
 
 
 def main(argv: list[str] | None = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
+    config = _Parser(prog="catloss", add_help=False, allow_abbrev=False)
+    config.add_argument("--config", metavar="PATH")
     try:
-        config_path, argv = _split_config(argv)
-        if config_path is not None:
-            argv = _apply_config_file(config_path, argv)
+        known, argv = config.parse_known_args(argv)
+        if known.config is not None:
+            # right after the subcommand: explicit flags win, as argparse keeps the last
+            argv = argv[:1] + _config_tokens(known.config) + argv[1:]
         args = parser.parse_args(argv)
         # warnings (numpy's floating-point ones too) wait for the command to return,
         # so a failure prints one line; catch_warnings would reset their registries
@@ -531,7 +498,7 @@ def main(argv: list[str] | None = None) -> int:
         for warning in caught:
             show(*warning)
         return code
-    except (CliError, ValueError, OSError, MemoryError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except ArithmeticError as exc:

@@ -71,9 +71,10 @@ class RepeaterConfig:
             raise ValueError("attenuation_km must be positive")
         if self.ar_every < 1:
             raise ValueError(f"ar_every must be >= 1, got {self.ar_every}")
+        # above 2**53 a float ratio no longer rounds to an exact station count
         ratio = self.total_km / self.spacing_km
-        if not np.isfinite(ratio):
-            raise ValueError(f"total_km/spacing_km = {ratio} must be finite")
+        if not ratio <= 2**53:
+            raise ValueError(f"total_km/spacing_km = {ratio} must be finite and at most 2**53")
 
     @property
     def n_stations(self) -> int:

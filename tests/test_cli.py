@@ -233,8 +233,21 @@ class TestOutputsAndManifest:
         manifest = json.loads((tmp_path / "fid.csv.manifest.json").read_text())
         assert manifest["subcommand"] == "fidelity"
         assert manifest["params"]["alpha"] == 2.0
+        assert manifest["params"] == {
+            "L": 1, "alpha": 2.0, "format": "csv", "gamma_max": 1.0, "gamma_min": 0.5,
+            "gamma_steps": 5, "out": str(out), "subcommand": "fidelity",
+        }
         assert manifest["output_sha256"] == hashlib.sha256(out.read_bytes()).hexdigest()
         assert "version" in manifest
+
+    @pytest.mark.parametrize("argv", DATASETS.values(), ids=DATASETS.keys())
+    def test_manifest_params_are_the_parsed_args(self, argv, tmp_path):
+        argv = argv + ["--out", str(tmp_path / "d.csv")]
+        assert main(argv) == 0
+        manifest = json.loads((tmp_path / "d.csv.manifest.json").read_text())
+        params = vars(build_parser().parse_args(argv))
+        del params["func"]
+        assert manifest["params"] == params
 
     def test_json_format_mirrors_csv(self, tmp_path):
         base = ["weights", "--L", "1", "--alpha", "2",
@@ -287,6 +300,10 @@ class TestConfigFile:
         assert code == 0
         _, rows = parse_csv(out)
         assert float(rows[0][0]) == 1.0
+        # --config=PATH, and --config ahead of the subcommand
+        for argv in (["weights", "--L", "1", f"--config={cfg}"],
+                     ["--config", str(cfg), "weights", "--L", "1"]):
+            assert run(argv, capsys) == (0, out)
 
     def test_flags_override_config(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -312,6 +329,34 @@ class TestConfigFile:
     def test_missing_config_is_error(self, capsys):
         code = main(["weights", "--L", "1", "--alpha", "2", "--config", "/nope.cfg"])
         assert code == 1
+        with pytest.raises(SystemExit) as exc:
+            main(["weights", "--L", "1", "--alpha", "2", "--config"])  # no path
+        assert exc.value.code == 1
+
+    @pytest.mark.parametrize("key, value", [("b", "-1e-3"), ("coeffs", "-0.5+0.1j,1")])
+    def test_values_may_start_with_a_minus(self, key, value, tmp_path):
+        # a config line is one --key=value token, so it parses as that flag does
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key}={value}\n")
+        base = DATASETS["weights"] + ["--out"]
+        assert main(base + [str(tmp_path / "file.csv"), "--config", str(cfg)]) == 0
+        assert main(base + [str(tmp_path / "flag.csv"), f"--{key}={value}"]) == 0
+        assert main(base + [str(tmp_path / "default.csv")]) == 0
+        data = (tmp_path / "file.csv").read_bytes()
+        assert data == (tmp_path / "flag.csv").read_bytes()
+        assert data != (tmp_path / "default.csv").read_bytes()
+
+    def test_value_on_a_switch_is_error(self, tmp_path, capsys):
+        # `trace=1` is not the bare `trace` line: exit 1 naming the switch, nothing written
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("trace=1\n")
+        with pytest.raises(SystemExit) as exc:
+            main(DATASETS["repeater"] + ["--config", str(cfg), "--out", str(tmp_path / "d")])
+        assert exc.value.code == 1
+        errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+        assert errors == ["catloss repeater: error: argument --trace: "
+                          "ignored explicit argument '1'"]
+        assert list(tmp_path.iterdir()) == [cfg]
 
 
 class TestExitCodes:
@@ -352,6 +397,8 @@ class TestExitCodes:
              "--axis", "alpha", "--values", "nan"],
             ["repeater", "--L", "4", "--alpha", "7", "--total-km", "1e300",
              "--spacing-km", "1e-300"],
+            ["repeater", "--L", "4", "--alpha", "7", "--total-km", "1e300",
+             "--spacing-km", "1e-7"],
         ],
     )
     def test_non_finite_input_is_one(self, argv, capsys):

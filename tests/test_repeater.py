@@ -69,6 +69,9 @@ class TestConfig:
         # finite lengths whose station count is not
         with pytest.raises(ValueError, match="total_km/spacing_km = inf"):
             config(total=1e300, spacing=1e-300)
+        # a finite station count above 2**53, where the ratio is no longer an exact integer
+        with pytest.raises(ValueError, match=r"total_km/spacing_km = 1\.0000000000000001e\+307"):
+            config(total=1e300, spacing=1e-7)
 
     def test_non_integral_spacing_warns_and_floors(self):
         cfg = config(total=1.0, spacing=0.3)
