@@ -190,7 +190,7 @@ def mixture_weights(
     if coeffs.d != spec.d:
         raise ValueError(f"coefficient count {coeffs.d} != logical dimension {spec.d}")
     p = class_probabilities(spec, params)
-    c = coeffs.as_array()
+    c = coeffs.values
     damped_amp = np.sqrt(params.gamma) * np.asarray(spec.alpha, dtype=float)
     gram = gram_matrix(spec, 0)
     input_norm = _weighted_norm_sq(c, gram)
@@ -211,7 +211,7 @@ def logical_mixture(
     """The d(L+1)-component output mixture of an encoded logical state."""
     weights = mixture_weights(spec, coeffs, params)
     damped_amp = np.sqrt(params.gamma) * spec.alpha
-    c = coeffs.as_array()
+    c = coeffs.values
     words = [
         [codeword_fock(spec, k, q, damped_amp) for k in range(spec.d)]
         for q in range(spec.spaces)
@@ -239,7 +239,7 @@ def encode(spec: CodeSpec, coeffs: LogicalCoeffs) -> fock.FockVector:
     """Normalized logical state sum_k c_k |w_{k,0}> in the code space."""
     if coeffs.d != spec.d:
         raise ValueError(f"coefficient count {coeffs.d} != logical dimension {spec.d}")
-    c = coeffs.as_array()
+    c = coeffs.values
     vec = codeword_fock(spec, 0, 0) * c[0]
     for k in range(1, spec.d):
         vec = vec + codeword_fock(spec, k, 0) * c[k]

@@ -1,14 +1,14 @@
 """Command-line front end.
 
-Each subcommand emits one deterministic dataset (CSV or JSON; floats at 17
-significant digits, no timestamps inside the data).  When an output path is
-given, a manifest JSON with the resolved parameters, library version and a
-checksum of the data bytes is written alongside it.
+Each subcommand emits one deterministic dataset through one writer: CSV or
+JSON (floats at 17 significant digits, no timestamps), or ``verify``'s text
+report, plus with ``--out`` a manifest JSON of the resolved parameters, library
+version and data sha256.  A negative value may be a separate token (``-1e-3``).
 
 Exit codes: 0 success, 1 usage or validation error (any ``ValueError``, an
-unreadable file, exhausted memory), 2 numerical failure: a failed ``verify``
-check, an arithmetic failure (overflow, a tripped clamp) or a non-finite value
-in the output, in which case nothing is written.
+unreadable file, exhausted memory, a chain transmission that underflows to 0),
+2 a failed ``verify`` check, or a numerical failure that writes nothing: an
+arithmetic failure (overflow, a tripped clamp) or a non-finite output value.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import sys
 import warnings
 from collections.abc import Callable, Iterable
@@ -88,6 +89,10 @@ LONG_HAUL_REFERENCE = {
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\.?\d")  # -1e-3 and -0.5+0.1j too
+
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
@@ -134,6 +139,7 @@ LAYOUTS = {
         row_open="    [\n      ", cell_sep=",\n      ", row_close="\n    ]",
         row_sep=",\n", foot="\n  ]\n}\n",
     ),
+    "text": _Layout(cell=str, head=lambda columns: ""),  # verify's report; not a --format
 }
 
 
@@ -366,12 +372,8 @@ def cmd_verify(args) -> int:
     assembled = restore.teleport_success_assembled(spec_t, 1, channel.ChannelParams(0.95), ct)
     ok &= _check("teleport success vs assembled state", abs(closed - assembled), 1e-9, lines)
 
-    text = "\n".join(lines) + "\n" + ("all checks passed\n" if ok else "FAILURES present\n")
-    if args.out is None:
-        sys.stdout.write(text)
-    else:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+    lines.append("all checks passed" if ok else "FAILURES present")
+    write_output([], lines, args)
     return 0 if ok else 2
 
 
@@ -457,8 +459,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_tables)
 
     p = sub.add_parser("verify", help="closed forms vs brute-force oracles")
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_verify)
+    p.add_argument("--out", default=None, help="output path (stdout if omitted)")
+    p.set_defaults(func=cmd_verify, format="text")
 
     return parser
 

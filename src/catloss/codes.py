@@ -92,55 +92,45 @@ def _codeword_amplitude(spec: CodeSpec, k: int, q: int, amplitude):
     return amp
 
 
-def _check_finite(amps) -> None:
-    if not all(np.all(np.isfinite(a)) for a in amps):
-        raise ValueError(f"logical amplitudes must be finite, got {amps}")
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LogicalCoeffs:
-    """Logical amplitudes (a, b, ...) with sum |.|^2 = 1; for a batch of
-    states, each amplitude is an array of them (one per point)."""
+    """Logical amplitudes c_k along the last axis of ``values`` (length d),
+    with sum |c_k|^2 = 1; any leading axes are a batch of states."""
 
-    amplitudes: tuple
+    values: np.ndarray
 
     def __post_init__(self):
-        amps = tuple(np.asarray(a, complex) if np.ndim(a) else complex(a) for a in self.amplitudes)
-        _check_finite(amps)
-        total = sum(abs(a) ** 2 for a in amps)
+        values = np.asarray(self.values, dtype=complex)
+        if not np.all(np.isfinite(values)):
+            raise ValueError(f"logical amplitudes must be finite, got {values}")
+        total = np.sum(abs(values) ** 2, axis=-1)
         if np.any(abs(total - 1.0) > 1e-12):
             raise ValueError(f"coefficients not normalized: sum |.|^2 = {total}")
-        object.__setattr__(self, "amplitudes", amps)
+        object.__setattr__(self, "values", values)
 
     @classmethod
     def stack(cls, states) -> "LogicalCoeffs":
         """One batch of the given logical states, in order."""
-        return cls(tuple(np.array([s.amplitudes for s in states], dtype=complex).T))
+        return cls(np.stack([s.values for s in states]))
 
     @classmethod
     def of(cls, *amplitudes) -> "LogicalCoeffs":
         """Normalize raw amplitudes."""
-        _check_finite(amplitudes)  # before dividing, which would warn on NaN
         amps = np.asarray(amplitudes, dtype=complex)
         n = np.linalg.norm(amps)
         if n == 0:
             raise ValueError("all-zero logical coefficients")
-        return cls(tuple(amps / n))
+        with np.errstate(invalid="ignore"):  # inf / inf: the NaN is rejected as not finite
+            return cls(amps / n)
 
     @classmethod
     def balanced(cls, d: int = 2, sign: int = 1) -> "LogicalCoeffs":
         """Equal-weight qubit (1, sign)/sqrt(2), or uniform qudit for d > 2."""
-        if d == 2:
-            return cls.of(1.0, float(sign))
-        return cls.of(*([1.0] * d))
+        return cls.of(1.0, float(sign)) if d == 2 else cls.of(*([1.0] * d))
 
     @property
     def d(self) -> int:
-        return len(self.amplitudes)
-
-    def as_array(self) -> np.ndarray:
-        """The amplitudes along a last axis of length d."""
-        return np.stack(np.broadcast_arrays(*self.amplitudes), axis=-1)
+        return self.values.shape[-1]
 
 
 def sector_amplitude(spec: CodeSpec, k: int, amplitude: float | None = None) -> complex:

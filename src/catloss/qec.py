@@ -113,7 +113,6 @@ def fidelity_bound(spec: CodeSpec, params: ChannelParams) -> FidelityResult:
     if spec.d != 2:
         raise ValueError("the worst-case bound is defined for qubit codes only")
     inputs = LogicalCoeffs.stack([LogicalCoeffs.balanced(sign=s) for s in (1, -1)])
-    shape = (2,) + (1,) * np.broadcast(spec.alpha, params.gamma).ndim  # ahead of the points
-    f_plus, f_minus = fidelity_state(
-        spec, LogicalCoeffs(tuple(a.reshape(shape) for a in inputs.amplitudes)), params)
+    shape = (2,) + (1,) * np.broadcast(spec.alpha, params.gamma).ndim + (2,)  # inputs, points, d
+    f_plus, f_minus = fidelity_state(spec, LogicalCoeffs(inputs.values.reshape(shape)), params)
     return FidelityResult(F_of_ab=f_plus, F_minus=f_minus, F_bound=np.minimum(f_plus, f_minus))

@@ -134,17 +134,25 @@ def simulate_chains(configs: list[RepeaterConfig]) -> list[ChainResult]:
     table = np.ones((len(owner), 3))
     table[:, 0] = [c.spec.alpha * g ** (t / 2.0)
                    for c, g, r in zip(configs, gammas, rows) for t in range(r)]
+    restoring = [i for i, c in enumerate(configs) if c.ar_every <= stations[i]]
+    interval = np.array([gammas[i] ** configs[i].ar_every for i in restoring])
+    # damped row amplitudes (as fidelity_state forms them) and restoring intervals must be > 0
+    live = np.logical_and.reduceat(np.sqrt(np.array(gammas)[owner]) * table[:, 0] > 0, starts)
+    live[restoring] &= interval > 0
+    if not live.all():
+        c = configs[live.argmin()]
+        raise ValueError(f"transmission underflows to 0 at spacing_km={c.spacing_km}, "
+                         f"attenuation_km={c.attenuation_km}, ar_every={c.ar_every}")
     table[:, 1] = fidelity_state(
         CodeSpec(L, d, table[:, 0].copy()),
         LogicalCoeffs.stack([configs[i].coeffs for i in owner]),
         ChannelParams(np.array(gammas)[owner]),
     )
-    restoring = [i for i, c in enumerate(configs) if c.ar_every <= stations[i]]
     if restoring:
         table[[starts[i] + configs[i].ar_every - 1 for i in restoring], 2] = restoration_factor(
             CodeSpec(L, d, np.array([configs[i].spec.alpha for i in restoring])),
             LogicalCoeffs.stack([configs[i].coeffs for i in restoring]),
-            ChannelParams(np.array([gammas[i] ** configs[i].ar_every for i in restoring])),
+            ChannelParams(interval),
         )
     # roundoff lifts some factors a few ulps above 1, which a power of 10^5 amplifies
     table[:, 1:] = np.minimum(table[:, 1:], 1.0)

@@ -89,7 +89,7 @@ def teleport_success_from_overlaps(s_tilde, s_bar, c: LogicalCoeffs):
     s_bar = np.asarray(s_bar, dtype=complex)
     if not np.all(np.isfinite(s_tilde) & np.isfinite(s_bar)):
         raise ValueError(f"overlaps must be finite, got s_tilde={s_tilde}, s_bar={s_bar}")
-    c0, c1 = np.broadcast_arrays(*c.amplitudes)
+    c0, c1 = c.values[..., 0], c.values[..., 1]
     patterns = [np.stack(v, axis=-1) for v in [(c0, c1), (c0, -c1), (c1, c0), (-c1, c0)]]
     chi = _weighted_norm_sq(np.stack(patterns, axis=-2), _pair_gram(s_bar)[..., None, :, :])
     tr, ti = s_tilde.real, s_tilde.imag
@@ -98,7 +98,7 @@ def teleport_success_from_overlaps(s_tilde, s_bar, c: LogicalCoeffs):
     mag_sq = np.float_power(mag, 2.0)
     bell = (1.0 + re_sq, 1.0 - re_sq, 1.0 + mag_sq, 1.0 - mag_sq)
     n_phi_hat = 1.0 + (tr * s_bar.real - ti * s_bar.imag)
-    n_omega = _weighted_norm_sq(np.stack([c0, c1], axis=-1), _pair_gram(s_tilde))
+    n_omega = _weighted_norm_sq(c.values, _pair_gram(s_tilde))
     branch_sum = (chi[..., 0] * bell[0] + chi[..., 1] * bell[1]
                   + chi[..., 2] * bell[2] + chi[..., 3] * bell[3])
     saturated = 1.0 - mag <= 1e-12
@@ -151,7 +151,7 @@ def teleport_success_assembled(
     s_tilde = fock.inner(w0t, w1t)
     s_bar = fock.inner(w0b, w1b)
     b1 = filter_params(s_tilde).b1
-    c0, c1 = c.amplitudes
+    c0, c1 = map(complex, c.values)
 
     n_omega = (c0 * w0t + c1 * w1t).norm() ** 2
     n_phi_hat = 1.0 + np.real(s_tilde * s_bar)
@@ -197,10 +197,10 @@ def restoration_factor(
     s_tilde = weights.damped_grams[..., np.arange(spec.cycle) % spec.spaces, 0, 1]
     # Python-int k: a numpy k rounds some phases (k = 5 of cycle 6) differently
     phase = np.array([np.exp(2j * np.pi * k / spec.cycle) for k in range(spec.cycle)])
-    a, b = (np.asarray(x)[..., None] for x in coeffs.amplitudes)
+    a, b = coeffs.values[..., None, 0], coeffs.values[..., None, 1]
     # b * phase as the scalar complex product rounds it
     re, im = _cmul(b.real, b.imag, phase.real, phase.imag)
-    p = teleport_success_from_overlaps(
-        s_tilde, weights.gram[..., None, 0, 1], LogicalCoeffs((a, re + 1j * im)))
+    phased = LogicalCoeffs(np.stack(np.broadcast_arrays(a, re + 1j * im), axis=-1))
+    p = teleport_success_from_overlaps(s_tilde, weights.gram[..., None, 0, 1], phased)
     # summed over the branches in order, from +0.0
     return 0.0 + np.add.accumulate(weights.ptilde * p, axis=-1)[..., -1]

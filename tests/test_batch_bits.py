@@ -153,7 +153,7 @@ def test_mixture_weights_and_fidelity(L, d, n, drawn, seed):
         return [w.p, w.ptilde, w.gram, w.damped_grams]
 
     def frozen(a, g, c):
-        p, ptilde, gram, damped = ref.mixture_weights(L, d, a, g, c.amplitudes)
+        p, ptilde, gram, damped = ref.mixture_weights(L, d, a, g, c.values)
         return [p, ptilde, gram, np.array(damped)]
 
     def one(a, g, c):
@@ -166,7 +166,7 @@ def test_mixture_weights_and_fidelity(L, d, n, drawn, seed):
             _agree(lambda: batched()[field], lambda *p: one_point(*p)[field], points, undefined)
 
     batched_fid = lambda: fidelity_state(*_batch(L, d, amps, gams, coeffs))
-    _agree(batched_fid, lambda a, g, c: ref.fidelity_state(L, d, a, g, c.amplitudes), points,
+    _agree(batched_fid, lambda a, g, c: ref.fidelity_state(L, d, a, g, c.values), points,
            no_frozen)
     _agree(batched_fid, lambda a, g, c: fidelity_state(CodeSpec(L, d, a), c, ChannelParams(g)),
            points)
@@ -178,7 +178,7 @@ def test_fidelity_bound_over_a_grid(L, alpha, n, drawn, seed):
     _, gams = _points(drawn, n, seed)
     points = [(g,) for g in gams]
     bound = lambda: fidelity_bound(CodeSpec(L, 2, alpha), ChannelParams(np.array(gams)))
-    plus, minus = (LogicalCoeffs.balanced(sign=s).amplitudes for s in (1, -1))
+    plus, minus = (LogicalCoeffs.balanced(sign=s).values for s in (1, -1))
     no_frozen = lambda g: _squares_to_zero(L, alpha, g)
     _agree(lambda: bound().F_of_ab, lambda g: ref.fidelity_state(L, 2, alpha, g, plus), points,
            no_frozen)
@@ -200,7 +200,7 @@ def test_teleport_success_from_overlaps(n, seed):
     s_bar = rng.uniform(0, 1, n) * np.exp(2j * np.pi * rng.uniform(size=n))
     coeffs = _coeffs(2, n, seed)
     got = teleport_success_from_overlaps(s_tilde, s_bar, LogicalCoeffs.stack(coeffs))
-    _same(got, [ref.teleport_success_from_overlaps(complex(t), complex(b), c.amplitudes)
+    _same(got, [ref.teleport_success_from_overlaps(complex(t), complex(b), c.values)
                 for t, b, c in zip(s_tilde, s_bar, coeffs)])
     _same(got, [teleport_success_from_overlaps(complex(t), complex(b), c)
                 for t, b, c in zip(s_tilde, s_bar, coeffs)])
@@ -213,7 +213,7 @@ def test_restoration_factor(L, n, drawn, seed):
     coeffs = _coeffs(2, n, seed)
     points = list(zip(amps, gams, coeffs))
     batched = lambda: restoration_factor(*_batch(L, 2, amps, gams, coeffs))
-    _agree(batched, lambda a, g, c: ref.restoration_factor(L, a, g, c.amplitudes), points,
+    _agree(batched, lambda a, g, c: ref.restoration_factor(L, a, g, c.values), points,
            lambda *p: _squares_to_zero(L, *p))
     _agree(batched, lambda a, g, c: restoration_factor(CodeSpec(L, 2, a), c, ChannelParams(g)),
            points)
@@ -240,7 +240,7 @@ def test_simulate_chains(L, chain_set, seed):
     for cfg, got in zip(configs, results):
         # the frozen totals are sequential products over the expanded columns
         _, _, period, collapsed = ref.simulate_chain(
-            L, cfg.spec.alpha, cfg.coeffs.amplitudes, cfg.n_stations,
+            L, cfg.spec.alpha, cfg.coeffs.values, cfg.n_stations,
             float(np.exp(-cfg.spacing_km / cfg.attenuation_km)), cfg.ar_every,
         )
         assert got.amplitude_collapsed == collapsed
@@ -317,5 +317,5 @@ def test_squares_round_as_libm_pow():
     s_bar = rng.uniform(0, 1, len(mags)) * np.exp(2j * np.pi * rng.uniform(size=len(mags)))
     coeffs = LogicalCoeffs.of(0.3, 0.8 - 0.2j)
     got = teleport_success_from_overlaps(mags, s_bar, coeffs)
-    _same(got, [ref.teleport_success_from_overlaps(complex(t), b, coeffs.amplitudes)
+    _same(got, [ref.teleport_success_from_overlaps(complex(t), b, coeffs.values)
                 for t, b in zip(mags.tolist(), s_bar.tolist())])

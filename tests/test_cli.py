@@ -240,6 +240,15 @@ class TestOutputsAndManifest:
         assert manifest["output_sha256"] == hashlib.sha256(out.read_bytes()).hexdigest()
         assert "version" in manifest
 
+    def test_verify_writes_text_and_manifest(self, tmp_path, capsys):
+        # verify goes through the one writer: its stdout report, plus a manifest
+        out = tmp_path / "verify.txt"
+        assert main(["verify", "--out", str(out)]) == 0
+        manifest = json.loads((tmp_path / "verify.txt.manifest.json").read_text())
+        assert manifest["params"] == {"format": "text", "out": str(out), "subcommand": "verify"}
+        assert manifest["output_sha256"] == hashlib.sha256(out.read_bytes()).hexdigest()
+        assert run(["verify"], capsys) == (0, out.read_text())
+
     @pytest.mark.parametrize("argv", DATASETS.values(), ids=DATASETS.keys())
     def test_manifest_params_are_the_parsed_args(self, argv, tmp_path):
         argv = argv + ["--out", str(tmp_path / "d.csv")]
@@ -341,9 +350,11 @@ class TestConfigFile:
         base = DATASETS["weights"] + ["--out"]
         assert main(base + [str(tmp_path / "file.csv"), "--config", str(cfg)]) == 0
         assert main(base + [str(tmp_path / "flag.csv"), f"--{key}={value}"]) == 0
+        assert main(base + [str(tmp_path / "token.csv"), f"--{key}", value]) == 0
         assert main(base + [str(tmp_path / "default.csv")]) == 0
         data = (tmp_path / "file.csv").read_bytes()
         assert data == (tmp_path / "flag.csv").read_bytes()
+        assert data == (tmp_path / "token.csv").read_bytes()
         assert data != (tmp_path / "default.csv").read_bytes()
 
     def test_value_on_a_switch_is_error(self, tmp_path, capsys):
@@ -430,6 +441,41 @@ class TestExitCodes:
         assert captured.err.startswith("numerical failure:")
         assert captured.err.count("\n") == 1
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # the segment transmission underflows
+            ["repeater", "--L", "1", "--alpha", "2", "--total-km", "20000",
+             "--spacing-km", "20000"],
+            ["repeater", "--L", "1", "--alpha", "2", "--attenuation-km", "1e-300"],
+            ["sweep", "--L", "4", "--alpha", "7", "--total-km", "40000",
+             "--axis", "spacing", "--values", "0.1,20000"],
+            # only the transmission over the restoration interval of two segments
+            ["repeater", "--L", "1", "--alpha", "2", "--total-km", "30000",
+             "--spacing-km", "15000"],
+            # only the amplitude after the third segment of a chain that never restores
+            ["repeater", "--L", "1", "--alpha", "1", "--total-km", "45591",
+             "--spacing-km", "15197", "--ar-every", "4"],
+        ],
+    )
+    def test_underflowed_transmission_is_one(self, argv, tmp_path, capsys):
+        # exit 1 with one line naming the chain's inputs, not an internal gamma or alpha
+        code = main(argv + ["--out", str(tmp_path / "data.csv")])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith("error: transmission underflows to 0")
+        assert captured.err.count("\n") == 1
+        for name in ("spacing_km", "attenuation_km", "ar_every"):
+            assert f"{name}=" in captured.err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_chain_that_never_restores_needs_no_interval(self, capsys):
+        # one segment of 15000 km transmits; its interval of two would underflow
+        code, out = run(["repeater", "--L", "1", "--alpha", "2", "--total-km", "15000",
+                         "--spacing-km", "15000"], capsys)
+        assert code == 0
+        assert parse_csv(out)[1] == [["1", "1", "1", "1"]]
 
     def test_underflowed_one_loss_amplitude_writes_data(self, capsys):
         # the damped amplitude squares to 0, where the one-loss overlap

@@ -357,9 +357,24 @@ class TestLogicalCoeffs:
 
     def test_of_normalizes(self):
         c = LogicalCoeffs.of(1.0, 1.0)
-        assert abs(abs(c.amplitudes[0]) - 1 / math.sqrt(2)) < 1e-14
+        assert abs(abs(c.values[0]) - 1 / math.sqrt(2)) < 1e-14
 
     def test_balanced_qutrit(self):
         c = LogicalCoeffs.balanced(3)
         assert c.d == 3
-        assert abs(sum(abs(a) ** 2 for a in c.amplitudes) - 1.0) < 1e-14
+        assert abs(sum(abs(a) ** 2 for a in c.values) - 1.0) < 1e-14
+
+    def test_array_rows_are_states(self):
+        # a (3, 2) array is three qubit states; stacking them gives the array back
+        rows = np.array([[1, 0], [0.6, 0.8j], [-0.8, 0.6]], dtype=complex)
+        states = [LogicalCoeffs(row) for row in rows]
+        assert [s.d for s in states] == [2, 2, 2]
+        assert np.array_equal(LogicalCoeffs.stack(states).values, rows)
+        assert LogicalCoeffs(rows).d == 2
+
+    def test_each_row_is_normalized(self):
+        rows = np.array([[1, 0], [0.6, 0.8j], [-0.8, 0.6]], dtype=complex)
+        assert LogicalCoeffs(rows).values.shape == (3, 2)
+        rows[1] *= 1 + 1e-9
+        with pytest.raises(ValueError, match="not normalized"):
+            LogicalCoeffs(rows)

@@ -154,6 +154,14 @@ class TestFidelityState:
         w = mixture_weights(spec, coeffs, params)
         assert abs(fidelity_state(spec, coeffs, params) - w.ptilde[:2].sum()) < 1e-14
 
+    def test_batch_of_states_equals_one_state_calls(self):
+        spec = CodeSpec(2, 2, 3.0)
+        params = ChannelParams(0.9)
+        rows = np.array([[1, 0], [0.6, 0.8j], [-0.8, 0.6]], dtype=complex)
+        batched = fidelity_state(spec, LogicalCoeffs(rows), params)
+        assert batched.shape == (3,)
+        assert batched.tolist() == [fidelity_state(spec, LogicalCoeffs(r), params) for r in rows]
+
     def test_syndrome_decomposition_cross_check(self):
         # conditioning on each syndrome and keeping the phase-intact branch
         # reassembles the correctable weight sum

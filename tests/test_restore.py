@@ -194,7 +194,7 @@ class TestOneWaySuccess:
         branch_vals = []
         for j in range(4):
             c = LogicalCoeffs(
-                (coeffs.amplitudes[0], coeffs.amplitudes[1] * np.exp(2j * np.pi * j / 4))
+                (coeffs.values[0], coeffs.values[1] * np.exp(2j * np.pi * j / 4))
             )
             branch_vals.append(teleport_success(spec, j % 2, params, c))
         assert min(branch_vals) - 1e-12 <= factor <= max(branch_vals) + 1e-12
