@@ -8,16 +8,13 @@ closed form backed by a truncated Fock-space brute-force oracle.
 __version__ = "0.1.0"
 
 from .fock import (
-    DensityMatrix,
-    FockVector,
     TruncationError,
     annihilate,
     basis_state,
     coherent_state,
     default_n_max,
-    inner,
     mix,
-    outer,
+    normalized,
     parity_phase_apply,
     trace_distance,
 )
@@ -66,9 +63,8 @@ from .repeater import (
 )
 
 __all__ = [
-    "DensityMatrix", "FockVector", "TruncationError", "annihilate",
-    "basis_state", "coherent_state", "default_n_max", "inner", "mix",
-    "outer", "parity_phase_apply", "trace_distance",
+    "TruncationError", "annihilate", "basis_state", "coherent_state",
+    "default_n_max", "mix", "normalized", "parity_phase_apply", "trace_distance",
     "CodeSpec", "LogicalCoeffs", "codeword_coherent",
     "codeword_fock", "verify_code_equations",
     "ChannelParams", "LossClassWeights", "MixtureComponent",

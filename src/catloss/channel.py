@@ -63,7 +63,7 @@ class MixtureComponent:
     """
 
     weight: float
-    state: fock.FockVector
+    state: np.ndarray
     space_q: int
     cycle_j: int
     phase_label: complex
@@ -100,31 +100,32 @@ def _kraus_factors(n_max: int, gamma: float, k: int, log_fact: np.ndarray) -> np
     return np.exp(log_f)
 
 
-def kraus_apply(state: fock.FockVector, params: ChannelParams, k: int) -> fock.FockVector:
+def kraus_apply(state: np.ndarray, params: ChannelParams, k: int) -> np.ndarray:
     """Unnormalized A_k |psi>; its squared norm is the k-photon loss probability."""
-    if k < 0 or k > state.n_max:
-        raise ValueError(f"k={k} outside 0..{state.n_max}")
-    f = _kraus_factors(state.n_max, params.gamma, k, log_factorials(state.n_max))
-    out = np.zeros(state.n_max + 1, dtype=complex)
-    out[: state.n_max + 1 - k] = f * state.coeffs[k:]
-    return fock.FockVector(out, state.n_max)
+    n_max = len(state) - 1
+    if k < 0 or k > n_max:
+        raise ValueError(f"k={k} outside 0..{n_max}")
+    out = np.zeros(n_max + 1, dtype=complex)
+    f = _kraus_factors(n_max, params.gamma, k, log_factorials(n_max))
+    out[: n_max + 1 - k] = f * state[k:]
+    return out
 
 
-def channel_apply_exact(rho: fock.DensityMatrix, params: ChannelParams) -> fock.DensityMatrix:
+def channel_apply_exact(rho: np.ndarray, params: ChannelParams) -> np.ndarray:
     """sum_k A_k rho A_k^dagger, summed until the residual probability
     drops below 1e-12 (hard cap at n_max)."""
-    trace_in = rho.trace()
+    trace_in = float(np.trace(rho).real)
     if abs(trace_in - 1.0) > 1e-10:
         raise ValueError(f"input must have unit trace, got {trace_in}")
-    n_max = rho.n_max
+    n_max = len(rho) - 1
     log_fact = log_factorials(n_max)
-    out = np.zeros_like(rho.entries)
+    out = np.zeros((n_max + 1, n_max + 1), dtype=complex)
     captured = 0.0
     # The k <= n_max operators are complete on the truncated space, so the
     # captured probability reaches trace_in up to roundoff.
     for k in range(n_max + 1):
         f = _kraus_factors(n_max, params.gamma, k, log_fact)
-        block = np.outer(f, f) * rho.entries[k:, k:]
+        block = np.outer(f, f) * rho[k:, k:]
         out[: n_max + 1 - k, : n_max + 1 - k] += block
         captured += float(np.trace(block).real)
         if captured > trace_in - KRAUS_RESIDUAL:
@@ -133,7 +134,7 @@ def channel_apply_exact(rho: fock.DensityMatrix, params: ChannelParams) -> fock.
         raise fock.TruncationError(
             f"only {captured} of the probability captured by k <= {n_max}"
         )
-    return fock.DensityMatrix(out, n_max)
+    return out
 
 
 def class_probabilities(spec: CodeSpec, params: ChannelParams) -> np.ndarray:
@@ -160,8 +161,8 @@ def class_probabilities_kraus(spec: CodeSpec, params: ChannelParams) -> np.ndarr
     ||A_k w||^2 of a codeword grouped by k modulo the cycle."""
     word = codeword_fock(spec, 0, 0)
     p = np.zeros(spec.cycle)
-    for k in range(word.n_max + 1):
-        p[k % spec.cycle] += kraus_apply(word, params, k).norm() ** 2
+    for k in range(len(word)):
+        p[k % spec.cycle] += float(np.linalg.norm(kraus_apply(word, params, k))) ** 2
     return p
 
 
@@ -226,7 +227,7 @@ def logical_mixture(
         components.append(
             MixtureComponent(
                 weight=float(weights.ptilde[j]),
-                state=vec.normalized(),
+                state=fock.normalized(vec),
                 space_q=q,
                 cycle_j=j // spec.spaces,
                 phase_label=complex(np.exp(2j * np.pi * j / spec.cycle)),
@@ -235,7 +236,7 @@ def logical_mixture(
     return components
 
 
-def encode(spec: CodeSpec, coeffs: LogicalCoeffs) -> fock.FockVector:
+def encode(spec: CodeSpec, coeffs: LogicalCoeffs) -> np.ndarray:
     """Normalized logical state sum_k c_k |w_{k,0}> in the code space."""
     if coeffs.d != spec.d:
         raise ValueError(f"coefficient count {coeffs.d} != logical dimension {spec.d}")
@@ -243,4 +244,4 @@ def encode(spec: CodeSpec, coeffs: LogicalCoeffs) -> fock.FockVector:
     vec = codeword_fock(spec, 0, 0) * c[0]
     for k in range(1, spec.d):
         vec = vec + codeword_fock(spec, k, 0) * c[k]
-    return vec.normalized()
+    return fock.normalized(vec)

@@ -330,11 +330,11 @@ def cmd_verify(args) -> int:
 
     a, b = 1.0, 1.0j
     expected = np.exp(-abs(a) ** 2 / 2 - abs(b) ** 2 / 2 + np.conj(a) * b)
-    got = fock.inner(fock.coherent_state(a), fock.coherent_state(b))
+    got = np.vdot(fock.coherent_state(a), fock.coherent_state(b))
     ok &= _check("coherent-overlap closed form", abs(got - expected), 1e-12, lines)
 
     spec = codes.CodeSpec(2, 2, 3.0)
-    diff = (codes.codeword_fock(spec, 1, 1) - codes.codeword_coherent(spec, 1, 1)).norm()
+    diff = np.linalg.norm(codes.codeword_fock(spec, 1, 1) - codes.codeword_coherent(spec, 1, 1))
     ok &= _check("fock/coherent codeword equivalence", diff, 1e-10, lines)
 
     res = codes.verify_code_equations(spec, 1, 1)
@@ -349,7 +349,8 @@ def cmd_verify(args) -> int:
     for L, d, alpha in ((1, 2, 2.0), (2, 2, 3.0), (1, 3, 2.0)):
         spec_i = codes.CodeSpec(L, d, alpha)
         coeffs = codes.LogicalCoeffs.balanced(d)
-        rho_in = fock.outer(channel.encode(spec_i, coeffs))
+        psi = channel.encode(spec_i, coeffs)
+        rho_in = np.outer(psi, psi.conj())
         exact = channel.channel_apply_exact(rho_in, params)
         mixed = fock.mix(
             [(c.weight, c.state) for c in channel.logical_mixture(spec_i, coeffs, params)]

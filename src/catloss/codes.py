@@ -76,6 +76,10 @@ class CodeSpec:
         return self.d * (self.L + 1)
 
     def n_max(self, amplitude: float | None = None) -> int:
+        """Fock cutoff covering alpha and ``amplitude``, both single values."""
+        for amp in (self.alpha, amplitude):
+            if np.ndim(amp):
+                raise ValueError(f"the Fock oracles take one amplitude, got shape {np.shape(amp)}")
         return fock.default_n_max(max(self.alpha, amplitude or 0.0))
 
 
@@ -115,12 +119,19 @@ class LogicalCoeffs:
 
     @classmethod
     def of(cls, *amplitudes) -> "LogicalCoeffs":
-        """Normalize raw amplitudes."""
+        """Normalize raw amplitudes of any finite size."""
         amps = np.asarray(amplitudes, dtype=complex)
-        n = np.linalg.norm(amps)
-        if n == 0:
-            raise ValueError("all-zero logical coefficients")
-        with np.errstate(invalid="ignore"):  # inf / inf: the NaN is rejected as not finite
+        # an overflowed norm is rescaled below; inf / inf gives NaN, rejected as not finite
+        with np.errstate(over="ignore", invalid="ignore"):
+            n = np.linalg.norm(amps)
+            if not 0 < n < np.inf:  # the squares under- or overflowed: scale the largest part to 1
+                parts = amps.view(float)
+                big = np.max(abs(parts))
+                if big == 0:
+                    raise ValueError("all-zero logical coefficients")
+                if big < np.inf:  # real and imaginary parts divided as reals, correctly rounded
+                    amps = (parts / big).view(complex)
+                    n = np.linalg.norm(amps)
             return cls(amps / n)
 
     @classmethod
@@ -158,14 +169,14 @@ def codeword_fock(
     q: int,
     amplitude: float | None = None,
     n_max: int | None = None,
-) -> fock.FockVector:
+) -> np.ndarray:
     """Codeword w_{k,q} as its sectioned Fock series, normalized within
     truncation.  The cutoff defaults to ``spec.n_max(amplitude)``, which is
     ``spec.n_max()`` for every amplitude up to alpha, so damped words share
     the code's truncation."""
     amp = _codeword_amplitude(spec, k, q, amplitude)
-    if n_max is None:
-        n_max = spec.n_max(amp)
+    cutoff = spec.n_max(amp)  # also when n_max is given: it rejects a batch of amplitudes
+    n_max = cutoff if n_max is None else n_max
     beta = sector_amplitude(spec, k, amp)
     n = np.arange(n_max + 1)
     mask = (n % spec.spaces) == support_residue(spec, q)
@@ -174,10 +185,10 @@ def codeword_fock(
     log_mag -= log_mag.max()
     coeffs = np.exp(log_mag) * np.exp(1j * n * np.angle(beta))
     coeffs[~mask] = 0.0
-    return fock.FockVector(coeffs, n_max).normalized()
+    return fock.normalized(coeffs)
 
 
-def codeword_coherent(spec: CodeSpec, k: int, q: int) -> fock.FockVector:
+def codeword_coherent(spec: CodeSpec, k: int, q: int) -> np.ndarray:
     """Same codeword built as a phased sum of L+1 coherent states.
 
     Serves as the independent construction route: the coherent sum collapses
@@ -191,8 +202,8 @@ def codeword_coherent(spec: CodeSpec, k: int, q: int) -> fock.FockVector:
     for j in range(m):
         phase = np.exp(2j * np.pi * q * j / m)
         component = fock.coherent_state(beta * np.exp(2j * np.pi * j / m), n_max)
-        total += phase * component.coeffs
-    return fock.FockVector(total, n_max).normalized()
+        total += phase * component
+    return fock.normalized(total)
 
 
 def _cmul(ar, ai, br, bi):
@@ -309,7 +320,8 @@ def verify_code_equations(spec: CodeSpec, k: int, q: int) -> CodeResiduals:
     w = codeword_fock(spec, k, q, n_max=spec.n_max() + 4 * spec.spaces + 16)
     m = spec.spaces
     parity_eig = np.exp(2j * np.pi * support_residue(spec, q) / m)
-    parity_res = (fock.parity_phase_apply(w, m) - parity_eig * w).norm()
+    # the state on the left of each scalar product: swapped operands round differently
+    parity_res = float(np.linalg.norm(fock.parity_phase_apply(w, m) - w * parity_eig))
     lower_eig = np.exp(2j * np.pi * k / spec.d) * spec.alpha**m
-    lower_res = (fock.annihilate(w, m) - lower_eig * w).norm() / spec.alpha**m
+    lower_res = float(np.linalg.norm(fock.annihilate(w, m) - w * lower_eig)) / spec.alpha**m
     return CodeResiduals(parity=parity_res, lowering=lower_res)

@@ -1,10 +1,10 @@
 """Truncated single-oscillator Fock-space algebra.
 
-States are complex coefficient vectors indexed by photon number n = 0..n_max,
-density matrices are dense complex arrays over the same index.  Everything
-here is a pure function on immutable values (coefficient arrays are copied on
-construction and marked read-only), so states can be shared between threads
-and parameter sweeps need no synchronization.
+A state is a 1-D complex numpy array of coefficients indexed by photon number
+n = 0..n_max (length n_max + 1); a density matrix is a 2-D complex array over
+the same index.  Scalar products and projectors are numpy's own: <u|v> is
+``np.vdot(u, v)`` and |u><u| is ``np.outer(u, u.conj())``.  Every function
+here returns a new array and leaves its arguments unchanged.
 
 The truncation bound follows a fixed policy, ``default_n_max``: for coherent
 amplitude alpha the support is Poisson with mean alpha**2, and the bound
@@ -13,8 +13,6 @@ reject inputs whose truncated tail is not negligible.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,85 +33,29 @@ def default_n_max(alpha: complex | float) -> int:
     return max(int(np.ceil(a * a + 8.0 * a + 25.0)), 64)
 
 
-@dataclass(frozen=True, eq=False)
-class FockVector:
-    """State vector over photon numbers 0..n_max (not necessarily unit norm)."""
-
-    coeffs: np.ndarray
-    n_max: int
-
-    def __post_init__(self):
-        arr = np.asarray(self.coeffs, dtype=complex)
-        if arr.ndim != 1 or arr.size != self.n_max + 1:
-            raise ValueError(
-                f"expected {self.n_max + 1} coefficients, got shape {arr.shape}"
-            )
-        arr = arr.copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "coeffs", arr)
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.coeffs))
-
-    def normalized(self) -> "FockVector":
-        n = self.norm()
-        if n == 0.0:
-            raise ValueError("cannot normalize the zero vector")
-        return FockVector(self.coeffs / n, self.n_max)
-
-    def tail_mass(self, slots: int = TAIL_SLOTS) -> float:
-        """Squared-magnitude mass sitting in the top ``slots`` indices."""
-        return float(np.sum(np.abs(self.coeffs[-slots:]) ** 2))
-
-    def __add__(self, other: "FockVector") -> "FockVector":
-        _check_match(self, other)
-        return FockVector(self.coeffs + other.coeffs, self.n_max)
-
-    def __sub__(self, other: "FockVector") -> "FockVector":
-        _check_match(self, other)
-        return FockVector(self.coeffs - other.coeffs, self.n_max)
-
-    def __mul__(self, scalar) -> "FockVector":
-        return FockVector(self.coeffs * complex(scalar), self.n_max)
-
-    __rmul__ = __mul__
+def normalized(state: np.ndarray) -> np.ndarray:
+    """``state`` divided by its norm."""
+    n = np.linalg.norm(state)
+    if n == 0.0:
+        raise ValueError("cannot normalize the zero vector")
+    return state / n
 
 
-@dataclass(frozen=True, eq=False)
-class DensityMatrix:
-    """Dense operator over Fock indices 0..n_max."""
-
-    entries: np.ndarray
-    n_max: int
-
-    def __post_init__(self):
-        arr = np.asarray(self.entries, dtype=complex)
-        dim = self.n_max + 1
-        if arr.shape != (dim, dim):
-            raise ValueError(f"expected shape {(dim, dim)}, got {arr.shape}")
-        arr = arr.copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "entries", arr)
-
-    def trace(self) -> float:
-        return float(np.trace(self.entries).real)
+def tail_mass(state: np.ndarray) -> float:
+    """Squared-magnitude mass sitting in the top ``TAIL_SLOTS`` indices."""
+    return float(np.sum(np.abs(state[-TAIL_SLOTS:]) ** 2))
 
 
-def _check_match(u, v):
-    if u.n_max != v.n_max:
-        raise ValueError(f"n_max mismatch: {u.n_max} vs {v.n_max}")
-
-
-def basis_state(n: int, n_max: int) -> FockVector:
+def basis_state(n: int, n_max: int) -> np.ndarray:
     """Number state |n>."""
     if not 0 <= n <= n_max:
         raise ValueError(f"n={n} outside 0..{n_max}")
     c = np.zeros(n_max + 1, dtype=complex)
     c[n] = 1.0
-    return FockVector(c, n_max)
+    return c
 
 
-def coherent_state(alpha: complex, n_max: int | None = None) -> FockVector:
+def coherent_state(alpha: complex, n_max: int | None = None) -> np.ndarray:
     """Coherent state with coeffs[n] = exp(-|alpha|^2/2) alpha^n / sqrt(n!).
 
     Coefficients are assembled as exp(log-magnitude) * phase so that
@@ -126,78 +68,63 @@ def coherent_state(alpha: complex, n_max: int | None = None) -> FockVector:
     if a == 0.0:
         return basis_state(0, n_max)
     log_mag = n * np.log(a) - 0.5 * a * a - 0.5 * log_factorials(n_max)
-    phase = np.exp(1j * n * np.angle(alpha))
-    state = FockVector(np.exp(log_mag) * phase, n_max)
-    if state.tail_mass() >= TAIL_TOL:
+    state = np.exp(log_mag) * np.exp(1j * n * np.angle(alpha))
+    if tail_mass(state) >= TAIL_TOL:
         raise TruncationError(
             f"n_max={n_max} too small for |alpha|={a:.3f}: "
-            f"tail mass {state.tail_mass():.2e} >= {TAIL_TOL}"
+            f"tail mass {tail_mass(state):.2e} >= {TAIL_TOL}"
         )
     return state
 
 
-def annihilate(state: FockVector, k: int = 1) -> FockVector:
+def annihilate(state: np.ndarray, k: int = 1) -> np.ndarray:
     """Unnormalized a^k |psi>: coeffs'[n] = sqrt((n+k)!/n!) coeffs[n+k].
 
     Applied as k single lowering steps; each factor is at most sqrt(n_max),
     so no intermediate overflows regardless of k.
     """
+    n_max = len(state) - 1
     if k < 0:
         raise ValueError(f"k must be nonnegative, got {k}")
-    if k > state.n_max:
-        raise ValueError(f"k={k} exceeds n_max={state.n_max}")
-    c = np.array(state.coeffs)
-    root_n = np.sqrt(np.arange(1, state.n_max + 1))
+    if k > n_max:
+        raise ValueError(f"k={k} exceeds n_max={n_max}")
+    c = np.array(state, dtype=complex)
+    root_n = np.sqrt(np.arange(1, n_max + 1))
     for _ in range(k):
         c[:-1] = root_n * c[1:]
         c[-1] = 0.0
-    return FockVector(c, state.n_max)
+    return c
 
 
-def parity_phase_apply(state: FockVector, modulus: int) -> FockVector:
+def parity_phase_apply(state: np.ndarray, modulus: int) -> np.ndarray:
     """Generalized parity gate: coeffs'[n] = exp(2 pi i n / modulus) coeffs[n]."""
     if modulus < 1:
         raise ValueError(f"modulus must be >= 1, got {modulus}")
     if modulus == 1:
-        return state
-    n = np.arange(state.n_max + 1)
-    return FockVector(np.exp(2j * np.pi * n / modulus) * state.coeffs, state.n_max)
+        return np.array(state, dtype=complex)
+    return np.exp(2j * np.pi * np.arange(len(state)) / modulus) * state
 
 
-def inner(u: FockVector, v: FockVector) -> complex:
-    """<u|v>, conjugate-linear in the first argument."""
-    _check_match(u, v)
-    return complex(np.vdot(u.coeffs, v.coeffs))
-
-
-def outer(u: FockVector, v: FockVector | None = None) -> DensityMatrix:
-    """|u><v| (defaults to |u><u|); no normalization applied."""
-    if v is None:
-        v = u
-    _check_match(u, v)
-    return DensityMatrix(np.outer(u.coeffs, v.coeffs.conj()), u.n_max)
-
-
-def mix(components: list[tuple[float, FockVector]]) -> DensityMatrix:
+def mix(components: list[tuple[float, np.ndarray]]) -> np.ndarray:
     """Statistical mixture sum_i w_i |psi_i><psi_i| with each psi_i normalized."""
     if not components:
         raise ValueError("empty mixture")
-    n_max = components[0][1].n_max
-    rho = np.zeros((n_max + 1, n_max + 1), dtype=complex)
+    dim = len(components[0][1])
+    rho = np.zeros((dim, dim), dtype=complex)
     for weight, state in components:
         if weight < 0:
             raise ValueError(f"negative weight {weight}")
-        if state.n_max != n_max:
-            raise ValueError("mixture components must share n_max")
-        psi = state.coeffs / np.linalg.norm(state.coeffs)
+        if len(state) != dim:
+            raise ValueError(f"mixture components differ in length: {len(state)} vs {dim}")
+        psi = state / np.linalg.norm(state)
         rho += weight * np.outer(psi, psi.conj())
-    return DensityMatrix(rho, n_max)
+    return rho
 
 
-def trace_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:
+def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
     """(1/2) ||rho - sigma||_1 via the spectrum of the Hermitian difference."""
-    if rho.n_max != sigma.n_max:
-        raise ValueError("n_max mismatch")
-    diff = rho.entries - sigma.entries
+    if np.shape(rho) != np.shape(sigma):
+        raise ValueError(f"shape mismatch: {np.shape(rho)} vs {np.shape(sigma)}")
+    diff = rho - sigma
     diff = 0.5 * (diff + diff.conj().T)
     return float(0.5 * np.sum(np.abs(np.linalg.eigvalsh(diff))))

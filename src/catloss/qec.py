@@ -58,10 +58,7 @@ def _code_basis(spec: CodeSpec, basis: str):
     if basis == "X":
         if spec.d != 2:
             raise ValueError("X basis is defined for qubit codes only")
-        return [
-            (words[0] + words[1]).normalized(),
-            (words[0] - words[1]).normalized(),
-        ]
+        return [fock.normalized(words[0] + words[1]), fock.normalized(words[0] - words[1])]
     raise ValueError(f"basis must be 'Z' or 'X', got {basis!r}")
 
 
@@ -80,7 +77,7 @@ def kl_check(spec: CodeSpec, basis: str, error_i: int, error_j: int) -> KLReport
     gram = np.empty((d, d), dtype=complex)
     for k in range(d):
         for l in range(d):
-            gram[k, l] = fock.inner(corrupted_i[k], corrupted_j[l])
+            gram[k, l] = np.vdot(corrupted_i[k], corrupted_j[l])
     off = abs(gram - np.diag(np.diag(gram)))
     diag = gram.diagonal().real
     scale = float(np.max(np.abs(diag)))

@@ -27,14 +27,11 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .channel import ChannelParams
-from .codes import CodeSpec, LogicalCoeffs
+from .codes import SMALL_ALPHA, CodeSpec, LogicalCoeffs
 from .qec import fidelity_state
 from .restore import restoration_factor
 
 DEFAULT_ATTENUATION_KM = 22.0
-
-# Below this effective amplitude the encoding is effectively gone.
-COLLAPSE_ALPHA = 0.1
 
 
 def segment_gamma(length_km: float, attenuation_km: float = DEFAULT_ATTENUATION_KM) -> float:
@@ -98,7 +95,7 @@ class ChainResult:
     than its period never restores.  Each total is the product over the
     period rows of factor ** (the number of stations repeating the row).
     ``amplitude_collapsed`` flags chains whose effective amplitude fell below
-    the useful range.
+    ``codes.SMALL_ALPHA``, where the codewords can no longer be told apart.
     """
 
     fidelity: float
@@ -167,7 +164,7 @@ def simulate_chains(configs: list[RepeaterConfig]) -> list[ChainResult]:
             success_prob=p,
             n_stations=n,
             period=period,
-            amplitude_collapsed=bool(np.min(period[:, 0]) * np.sqrt(gamma) < COLLAPSE_ALPHA),
+            amplitude_collapsed=bool(np.min(period[:, 0]) * np.sqrt(gamma) < SMALL_ALPHA),
         ))
     return results
 

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import fock
 from .codes import CodeSpec, LogicalCoeffs, _cmul, _pair_gram, codeword_fock, gram_matrix
 from .channel import ChannelParams, _weighted_norm_sq, mixture_weights
 
@@ -148,12 +147,13 @@ def teleport_success_assembled(
     w1t = codeword_fock(spec, 1, q, damped)
     w0b = codeword_fock(spec, 0, 0)
     w1b = codeword_fock(spec, 1, 0)
-    s_tilde = fock.inner(w0t, w1t)
-    s_bar = fock.inner(w0b, w1b)
+    s_tilde = complex(np.vdot(w0t, w1t))
+    s_bar = complex(np.vdot(w0b, w1b))
     b1 = filter_params(s_tilde).b1
     c0, c1 = map(complex, c.values)
 
-    n_omega = (c0 * w0t + c1 * w1t).norm() ** 2
+    # the states on the left of each scalar product: swapped operands round differently
+    n_omega = float(np.linalg.norm(w0t * c0 + w1t * c1)) ** 2
     n_phi_hat = 1.0 + np.real(s_tilde * s_bar)
     bell = [
         1.0 + np.real(s_tilde**2),
@@ -162,14 +162,14 @@ def teleport_success_assembled(
         1.0 - abs(s_tilde) ** 2,
     ]
     outputs = [
-        c0 * w0b + c1 * w1b,
-        c0 * w0b - c1 * w1b,
-        c1 * w0b + c0 * w1b,
-        (-c1) * w0b + c0 * w1b,
+        w0b * c0 + w1b * c1,
+        w0b * c0 - w1b * c1,
+        w0b * c1 + w1b * c0,
+        w0b * -c1 + w1b * c0,
     ]
     stacked = np.concatenate(
         [
-            b1**2 * np.sqrt(bell[i]) / np.sqrt(n_omega * n_phi_hat) * outputs[i].coeffs
+            b1**2 * np.sqrt(bell[i]) / np.sqrt(n_omega * n_phi_hat) * outputs[i]
             for i in range(4)
         ]
     )

@@ -32,6 +32,11 @@ def series_coherent_overlap(alpha: complex, beta: complex, terms: int = 400) -> 
     return prefactor * total
 
 
+def projector(psi: np.ndarray) -> np.ndarray:
+    """|psi><psi| as a dense matrix, without normalization."""
+    return np.outer(psi, psi.conj())
+
+
 def sectioned_sum_direct(x: float, modulus: int, residue: int, terms: int = 2000) -> float:
     """sum of x^n/n! over n = residue (mod modulus), summed term by term."""
     total = 0.0

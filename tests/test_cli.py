@@ -51,6 +51,9 @@ DATASETS = {
 }
 
 
+WEIGHTS = ["weights", "--L", "1", "--alpha", "2", "--gamma-steps", "3"]
+
+
 class TestWeights:
     def test_no_loss_row(self, capsys):
         code, out = run(
@@ -74,6 +77,19 @@ class TestWeights:
         _, rows = parse_csv(out)
         for row in rows:
             assert abs(sum(float(v) for v in row[1:]) - 1.0) < 1e-10
+
+    @pytest.mark.parametrize("base,scaled,unit", [
+        (WEIGHTS, ["--a", "1e200", "--b", "1e200"], ["--a", "1", "--b", "1"]),
+        (WEIGHTS, ["--a", "1e-200", "--b", "1e-200"], ["--a", "1", "--b", "1"]),
+        (WEIGHTS, ["--coeffs", "1e-170,1e-170j"], ["--coeffs", "1,1j"]),
+        (["repeater", "--L", "4", "--alpha", "7", "--total-km", "1", "--spacing-km", "1"],
+         ["--a", "1e300", "--b=-1e300"], ["--a", "1", "--b=-1"]),
+    ])
+    def test_amplitudes_of_any_finite_size(self, base, scaled, unit, capsys):
+        # squares that overflow or underflow still normalize, to the same bytes
+        code, out = run(base + scaled, capsys)
+        assert code == 0
+        assert out == run(base + unit, capsys)[1]
 
     def test_qutrit_weights(self, capsys):
         code, out = run(

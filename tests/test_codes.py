@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from catloss import fock
+from catloss.channel import ChannelParams, class_probabilities_kraus, encode, logical_mixture
 from catloss.codes import (
     CodeSpec,
     LogicalCoeffs,
@@ -16,6 +17,20 @@ from catloss.codes import (
     sector_amplitude,
     verify_code_equations,
 )
+from catloss.qec import kl_check
+from catloss.restore import teleport_success_assembled
+
+# every Fock-space oracle, called on a code and its balanced qubit input
+FOCK_ORACLES = {
+    "codeword_fock": lambda spec, c, p: codeword_fock(spec, 0, 0),
+    "codeword_coherent": lambda spec, c, p: codeword_coherent(spec, 0, 0),
+    "verify_code_equations": lambda spec, c, p: verify_code_equations(spec, 0, 0),
+    "encode": lambda spec, c, p: encode(spec, c),
+    "class_probabilities_kraus": lambda spec, c, p: class_probabilities_kraus(spec, p),
+    "logical_mixture": lambda spec, c, p: logical_mixture(spec, c, p),
+    "kl_check": lambda spec, c, p: kl_check(spec, "Z", 1, 1),
+    "teleport_success_assembled": lambda spec, c, p: teleport_success_assembled(spec, 1, p, c),
+}
 
 
 def scalar_gram_overlap(spec, q, k1, k2, amp):
@@ -88,7 +103,7 @@ class TestFockSeries:
             a = math.sqrt(gamma) * alpha
             for k in range(d):
                 for q in range(L + 1):
-                    assert codeword_fock(spec, k, q, a).n_max == spec.n_max()
+                    assert len(codeword_fock(spec, k, q, a)) - 1 == spec.n_max()
 
     def test_one_loss_code_space_series(self):
         # even series alpha^(2n)/sqrt((2n)!) normalized by sqrt(cosh(alpha^2))
@@ -97,8 +112,8 @@ class TestFockSeries:
         norm = math.sqrt(math.cosh(alpha**2))
         for n in range(0, 30, 2):
             expected = alpha**n / math.sqrt(math.factorial(n)) / norm
-            assert abs(word.coeffs[n] - expected) < 1e-12
-        assert np.all(word.coeffs[1::2] == 0.0)
+            assert abs(word[n] - expected) < 1e-12
+        assert np.all(word[1::2] == 0.0)
 
     def test_two_loss_alternating_series(self):
         # support on multiples of three with coefficients (-alpha)^(3k)
@@ -108,55 +123,70 @@ class TestFockSeries:
         for k in range(27):
             raw[3 * k] = (-alpha) ** (3 * k) / math.sqrt(float(math.factorial(3 * k)))
         raw /= np.linalg.norm(raw)
-        assert np.max(np.abs(word.coeffs - raw)) < 1e-10
+        assert np.max(np.abs(word - raw)) < 1e-10
 
     def test_support_classes_exact(self):
         spec = CodeSpec(3, 2, 2.5)
         for q in range(4):
             word = codeword_fock(spec, 1, q)
-            n = np.arange(word.n_max + 1)
+            n = np.arange(len(word))
             off_class = (n % 4) != ((-q) % 4)
-            assert np.all(word.coeffs[off_class] == 0.0)
-            assert np.any(word.coeffs[~off_class] != 0.0)
+            assert np.all(word[off_class] == 0.0)
+            assert np.any(word[~off_class] != 0.0)
 
     def test_qudit_support_classes(self):
         spec = CodeSpec(1, 3, 2.0)
         for k in range(3):
             for q in range(2):
                 word = codeword_fock(spec, k, q)
-                n = np.arange(word.n_max + 1)
-                assert np.all(word.coeffs[(n % 2) != ((-q) % 2)] == 0.0)
+                n = np.arange(len(word))
+                assert np.all(word[(n % 2) != ((-q) % 2)] == 0.0)
 
     def test_odd_space_leading_phase(self):
         # sector 1 of the odd space leads with +i, fixed by the eigenvalue
         # equations rather than any cosmetic phase convention
         word = codeword_fock(CodeSpec(1, 2, 2.0), 1, 1)
-        lead = word.coeffs[1] / abs(word.coeffs[1])
+        lead = word[1] / abs(word[1])
         assert abs(lead - 1.0j) < 1e-12
+
+
+class TestFockOraclesTakeOneAmplitude:
+    @pytest.mark.parametrize("alpha", [[2.0, 3.0], [2.0]])
+    @pytest.mark.parametrize("oracle", sorted(FOCK_ORACLES))
+    def test_batch_spec_rejected(self, oracle, alpha):
+        spec = CodeSpec(1, 2, np.array(alpha))
+        with pytest.raises(ValueError, match=rf"one amplitude, got shape \({len(alpha)},\)"):
+            FOCK_ORACLES[oracle](spec, LogicalCoeffs.balanced(), ChannelParams(0.9))
+
+    def test_batch_amplitude_rejected(self):
+        with pytest.raises(ValueError, match="one amplitude"):
+            codeword_fock(CodeSpec(1, 2, 2.0), 0, 0, np.array([1.0, 1.5]))
+        with pytest.raises(ValueError, match="one amplitude"):
+            codeword_fock(CodeSpec(1, 2, np.array([2.0])), 0, 0, 2.0, n_max=70)
 
 
 class TestCoherentForm:
     def test_zero_loss_code_is_coherent_state(self):
         spec = CodeSpec(0, 2, 1.5)
         word = codeword_coherent(spec, 0, 0)
-        target = fock.coherent_state(1.5, word.n_max)
-        assert np.max(np.abs(word.coeffs - target.coeffs)) < 1e-12
+        target = fock.coherent_state(1.5, len(word) - 1)
+        assert np.max(np.abs(word - target)) < 1e-12
 
     def test_one_loss_sector_one_is_rotated_cat(self):
         alpha = 2.0
         spec = CodeSpec(1, 2, alpha)
         word = codeword_coherent(spec, 1, 0)
-        cat = (
-            fock.coherent_state(1j * alpha, word.n_max)
-            + fock.coherent_state(-1j * alpha, word.n_max)
-        ).normalized()
-        assert np.max(np.abs(word.coeffs - cat.coeffs)) < 1e-12
+        cat = fock.normalized(
+            fock.coherent_state(1j * alpha, len(word) - 1)
+            + fock.coherent_state(-1j * alpha, len(word) - 1)
+        )
+        assert np.max(np.abs(word - cat)) < 1e-12
 
     def test_matches_fock_series_for_two_loss_error_space(self):
         spec = CodeSpec(2, 2, 3.0)
         a = codeword_coherent(spec, 0, 1)
         b = codeword_fock(spec, 0, 1)
-        assert np.max(np.abs(a.coeffs - b.coeffs)) < 1e-10
+        assert np.max(np.abs(a - b)) < 1e-10
 
     def test_equivalence_randomized(self, rng):
         # twenty random (L, d, q, k, alpha) instances, both routes agree
@@ -170,8 +200,8 @@ class TestCoherentForm:
             spec = CodeSpec(L, d, alpha)
             u = codeword_coherent(spec, k, q)
             v = codeword_fock(spec, k, q)
-            assert abs(1.0 - abs(fock.inner(u, v))) < 1e-10
-            assert np.max(np.abs(u.coeffs - v.coeffs)) < 1e-8
+            assert abs(1.0 - abs(np.vdot(u, v))) < 1e-10
+            assert np.max(np.abs(u - v)) < 1e-8
 
 
 class TestOverlaps:
@@ -208,7 +238,7 @@ class TestOverlaps:
     def test_closed_forms_match_vector_inner_products(self, L, d, q, k1, k2, alpha):
         spec = CodeSpec(L, d, alpha)
         closed = gram_matrix(spec, q)[k1, k2]
-        direct = fock.inner(
+        direct = np.vdot(
             codeword_fock(spec, k1, q),
             codeword_fock(spec, k2, q),
         )
@@ -235,7 +265,7 @@ class TestOverlaps:
         spec = CodeSpec(2, 2, 3.0)
         for q1 in range(3):
             for q2 in range(q1 + 1, 3):
-                v = fock.inner(
+                v = np.vdot(
                     codeword_fock(spec, 0, q1),
                     codeword_fock(spec, 1, q2),
                 )
@@ -315,7 +345,7 @@ class TestCodeEquations:
         spec = CodeSpec(2, 2, 3.0)
         word = codeword_fock(spec, 1, 2)
         rotated = fock.parity_phase_apply(word, 3)
-        eig = fock.inner(word, rotated)
+        eig = np.vdot(word, rotated)
         assert abs(eig - np.exp(-4j * np.pi / 3)) < 1e-12
         res = verify_code_equations(spec, 1, 2)
         assert res.parity < 1e-9
@@ -326,7 +356,7 @@ class TestCodeEquations:
         eigs = []
         for q in range(3):
             word = codeword_fock(spec, 0, q)
-            eigs.append(fock.inner(word, fock.parity_phase_apply(word, 3)))
+            eigs.append(np.vdot(word, fock.parity_phase_apply(word, 3)))
         for i in range(3):
             for j in range(i + 1, 3):
                 assert abs(eigs[i] - eigs[j]) > 1.0
@@ -358,6 +388,21 @@ class TestLogicalCoeffs:
     def test_of_normalizes(self):
         c = LogicalCoeffs.of(1.0, 1.0)
         assert abs(abs(c.values[0]) - 1 / math.sqrt(2)) < 1e-14
+        # amplitudes whose squares overflow or underflow normalize to the
+        # bits of the same direction at unit size
+        for raw, unit in [
+            ((1e200, 1e200), (1.0, 1.0)),
+            ((1e-200, 1e-200), (1.0, 1.0)),
+            ((1e-170, 1e-170j), (1.0, 1j)),
+            ((1e300, -1e300), (1.0, -1.0)),
+            ((1e308 + 1e308j, 1e308), (1.0 + 1.0j, 1.0)),
+        ]:
+            assert np.array_equal(LogicalCoeffs.of(*raw).values, LogicalCoeffs.of(*unit).values)
+        with pytest.raises(ValueError, match="all-zero"):
+            LogicalCoeffs.of(0.0, 0.0)
+        for raw in ((math.inf, 1.0), (math.nan, 1.0), (1e300, math.inf)):
+            with pytest.raises(ValueError, match="finite"):
+                LogicalCoeffs.of(*raw)
 
     def test_balanced_qutrit(self):
         c = LogicalCoeffs.balanced(3)
