@@ -28,7 +28,6 @@ from .codes import (
 from .channel import (
     ChannelParams,
     LossClassWeights,
-    MixtureComponent,
     channel_apply_exact,
     class_probabilities,
     class_probabilities_kraus,
@@ -67,7 +66,7 @@ __all__ = [
     "default_n_max", "mix", "normalized", "parity_phase_apply", "trace_distance",
     "CodeSpec", "LogicalCoeffs", "codeword_coherent",
     "codeword_fock", "verify_code_equations",
-    "ChannelParams", "LossClassWeights", "MixtureComponent",
+    "ChannelParams", "LossClassWeights",
     "channel_apply_exact", "class_probabilities", "class_probabilities_kraus",
     "encode", "kraus_apply", "logical_mixture", "mixture_weights",
     "FidelityResult", "KLReport", "fidelity_bound", "fidelity_state",

@@ -29,6 +29,8 @@ with their broadcast shape; a single point is the batch of shape ().
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import add, mul
 
 import numpy as np
 
@@ -51,22 +53,6 @@ class ChannelParams:
         gamma = np.asarray(self.gamma)
         if not np.all((gamma > 0.0) & (gamma <= 1.0)):
             raise ValueError(f"gamma must be in (0, 1], got {self.gamma}")
-
-
-@dataclass(frozen=True)
-class MixtureComponent:
-    """One branch of the channel output.
-
-    ``cycle_j`` counts full space cycles (for qubits: 0 for the phase-intact
-    branches, 1 for the phase-flipped ones); ``phase_label`` is the fixed
-    gate applied to logical sector 1, sector k carrying phase_label**k.
-    """
-
-    weight: float
-    state: np.ndarray
-    space_q: int
-    cycle_j: int
-    phase_label: complex
 
 
 @dataclass(frozen=True)
@@ -105,10 +91,8 @@ def kraus_apply(state: np.ndarray, params: ChannelParams, k: int) -> np.ndarray:
     n_max = len(state) - 1
     if k < 0 or k > n_max:
         raise ValueError(f"k={k} outside 0..{n_max}")
-    out = np.zeros(n_max + 1, dtype=complex)
     f = _kraus_factors(n_max, params.gamma, k, log_factorials(n_max))
-    out[: n_max + 1 - k] = f * state[k:]
-    return out
+    return np.concatenate([f * state[k:], np.zeros(k, dtype=complex)])
 
 
 def channel_apply_exact(rho: np.ndarray, params: ChannelParams) -> np.ndarray:
@@ -204,44 +188,34 @@ def mixture_weights(
     return LossClassWeights(p=p, ptilde=ptilde, gram=gram, damped_grams=grams)
 
 
+def _superpose(words, coeffs) -> np.ndarray:
+    """Normalized sum_k words[k] * coeffs[k], the terms added in k order."""
+    return fock.normalized(reduce(add, map(mul, words, coeffs)))
+
+
 def logical_mixture(
     spec: CodeSpec,
     coeffs: LogicalCoeffs,
     params: ChannelParams,
-) -> list[MixtureComponent]:
-    """The d(L+1)-component output mixture of an encoded logical state."""
-    weights = mixture_weights(spec, coeffs, params)
-    damped_amp = np.sqrt(params.gamma) * spec.alpha
-    c = coeffs.values
-    words = [
-        [codeword_fock(spec, k, q, damped_amp) for k in range(spec.d)]
-        for q in range(spec.spaces)
+) -> list[tuple[float, np.ndarray]]:
+    """The d(L+1)-component output mixture of an encoded logical state, as the
+    (weight, state) pairs of ``fock.mix`` in loss-class order: entry j lives
+    in space j mod (L+1) at the damped amplitude, has run through j // (L+1)
+    full space cycles (for qubits: 0 on the phase-intact branches, 1 on the
+    phase-flipped ones) and carries the phase exp(2 pi i j k / (d(L+1))) on
+    logical sector k."""
+    ptilde = mixture_weights(spec, coeffs, params).ptilde
+    amp = np.sqrt(params.gamma) * spec.alpha
+    words = [[codeword_fock(spec, k, q, amp) for k in range(spec.d)] for q in range(spec.spaces)]
+    # c_k * phase_k as scalar products: the vectorized complex multiply may round differently
+    return [
+        (w, _superpose(words[j % spec.spaces], map(mul, coeffs.values, _sector_phases(spec, j))))
+        for j, w in enumerate(ptilde.tolist())
     ]
-    components = []
-    for j in range(spec.cycle):
-        q = j % spec.spaces
-        phases = _sector_phases(spec, j)
-        vec = words[q][0] * (c[0] * phases[0])
-        for k in range(1, spec.d):
-            vec = vec + words[q][k] * (c[k] * phases[k])
-        components.append(
-            MixtureComponent(
-                weight=float(weights.ptilde[j]),
-                state=fock.normalized(vec),
-                space_q=q,
-                cycle_j=j // spec.spaces,
-                phase_label=complex(np.exp(2j * np.pi * j / spec.cycle)),
-            )
-        )
-    return components
 
 
 def encode(spec: CodeSpec, coeffs: LogicalCoeffs) -> np.ndarray:
     """Normalized logical state sum_k c_k |w_{k,0}> in the code space."""
     if coeffs.d != spec.d:
         raise ValueError(f"coefficient count {coeffs.d} != logical dimension {spec.d}")
-    c = coeffs.values
-    vec = codeword_fock(spec, 0, 0) * c[0]
-    for k in range(1, spec.d):
-        vec = vec + codeword_fock(spec, k, 0) * c[k]
-    return fock.normalized(vec)
+    return _superpose([codeword_fock(spec, k, 0) for k in range(spec.d)], coeffs.values)

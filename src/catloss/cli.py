@@ -352,9 +352,7 @@ def cmd_verify(args) -> int:
         psi = channel.encode(spec_i, coeffs)
         rho_in = np.outer(psi, psi.conj())
         exact = channel.channel_apply_exact(rho_in, params)
-        mixed = fock.mix(
-            [(c.weight, c.state) for c in channel.logical_mixture(spec_i, coeffs, params)]
-        )
+        mixed = fock.mix(channel.logical_mixture(spec_i, coeffs, params))
         ok &= _check(f"mixture vs exact channel (L={L}, d={d})",
                      fock.trace_distance(exact, mixed), 1e-8, lines)
         w = channel.mixture_weights(spec_i, coeffs, params)

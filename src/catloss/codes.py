@@ -32,6 +32,9 @@ from .series import log_factorials, sectioned_exp
 # Below this amplitude the codewords are nearly collinear.
 SMALL_ALPHA = 0.1
 
+# Smallest norm of raw logical amplitudes whose square is a normal float.
+_MIN_NORM = np.sqrt(np.finfo(float).tiny)
+
 # Elements of the (point, k1, k2, ja, jb) block per pass of the coherent Gram
 # kernel, which bounds its temporaries.
 _GRAM_TERMS = 2**13
@@ -124,7 +127,7 @@ class LogicalCoeffs:
         # an overflowed norm is rescaled below; inf / inf gives NaN, rejected as not finite
         with np.errstate(over="ignore", invalid="ignore"):
             n = np.linalg.norm(amps)
-            if not 0 < n < np.inf:  # the squares under- or overflowed: scale the largest part to 1
+            if not _MIN_NORM <= n < np.inf:  # squares out of the normal range: largest part to 1
                 parts = amps.view(float)
                 big = np.max(abs(parts))
                 if big == 0:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fock
-from .codes import CodeSpec, LogicalCoeffs, codeword_fock
+from .codes import SMALL_ALPHA, CodeSpec, LogicalCoeffs, codeword_fock
 from .channel import ChannelParams, mixture_weights
 
 
@@ -58,7 +58,11 @@ def _code_basis(spec: CodeSpec, basis: str):
     if basis == "X":
         if spec.d != 2:
             raise ValueError("X basis is defined for qubit codes only")
-        return [fock.normalized(words[0] + words[1]), fock.normalized(words[0] - words[1])]
+        minus = words[0] - words[1]
+        if np.linalg.norm(minus) == 0.0:
+            raise ValueError(f"X basis at alpha={spec.alpha}: the two codewords are collinear"
+                             f" (alpha far below SMALL_ALPHA={SMALL_ALPHA})")
+        return [fock.normalized(words[0] + words[1]), fock.normalized(minus)]
     raise ValueError(f"basis must be 'Z' or 'X', got {basis!r}")
 
 
@@ -67,17 +71,9 @@ def kl_check(spec: CodeSpec, basis: str, error_i: int, error_j: int) -> KLReport
     if error_i < 0 or error_j < 0:
         raise ValueError("loss counts must be nonnegative")
     words = _code_basis(spec, basis)
-    corrupted_i = [fock.annihilate(w, error_i) for w in words]
-    corrupted_j = (
-        corrupted_i
-        if error_j == error_i
-        else [fock.annihilate(w, error_j) for w in words]
-    )
-    d = len(words)
-    gram = np.empty((d, d), dtype=complex)
-    for k in range(d):
-        for l in range(d):
-            gram[k, l] = np.vdot(corrupted_i[k], corrupted_j[l])
+    left = [fock.annihilate(w, error_i) for w in words]
+    right = left if error_j == error_i else [fock.annihilate(w, error_j) for w in words]
+    gram = np.array([[np.vdot(u, v) for v in right] for u in left])
     off = abs(gram - np.diag(np.diag(gram)))
     diag = gram.diagonal().real
     scale = float(np.max(np.abs(diag)))

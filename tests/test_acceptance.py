@@ -57,7 +57,7 @@ def test_01_oracle_equivalence():
             rho = projector(encode(spec, coeffs))
             exact = channel_apply_exact(rho, ChannelParams(gamma))
             comps = logical_mixture(spec, coeffs, ChannelParams(gamma))
-            rebuilt = fock.mix([(c.weight, c.state) for c in comps])
+            rebuilt = fock.mix(comps)
             dist = fock.trace_distance(exact, rebuilt)
             assert dist < 1e-8, (L, d, alpha, gamma, dist)
         elapsed = time.perf_counter() - start

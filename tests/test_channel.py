@@ -222,28 +222,39 @@ class TestMixtureWeights:
 
 class TestLogicalMixture:
     def test_component_count_and_labels(self):
-        spec = CodeSpec(2, 2, 3.0)
-        comps = logical_mixture(spec, BALANCED, ChannelParams(0.9))
-        assert len(comps) == 6
-        assert [c.space_q for c in comps] == [0, 1, 2, 0, 1, 2]
-        assert [c.cycle_j for c in comps] == [0, 0, 0, 1, 1, 1]
-        labels = [c.phase_label for c in comps]
-        expected = [np.exp(2j * np.pi * j / 6) for j in range(6)]
-        assert np.max(np.abs(np.array(labels) - expected)) < 1e-12
+        # entry j is the normalized sum_k c_k e^{2 pi i j k / (d(L+1))} w_{k, j mod (L+1)}
+        # at the damped amplitude, with the weight ptilde_j
+        params = ChannelParams(0.9)
+        damped = np.sqrt(0.9) * 2.5
+        for L, d, raw in [(2, 2, (0.6, 0.8j)), (1, 3, (0.5, 0.5j, -0.7))]:
+            spec, c = CodeSpec(L, d, 2.5), LogicalCoeffs.of(*raw)
+            comps = logical_mixture(spec, c, params)
+            assert len(comps) == spec.cycle == d * (L + 1)
+            assert [w for w, _ in comps] == mixture_weights(spec, c, params).ptilde.tolist()
+            for j, (_, state) in enumerate(comps):
+                expected = fock.normalized(sum(
+                    c.values[k] * np.exp(2j * np.pi * j * k / spec.cycle)
+                    * codeword_fock(spec, k, j % (L + 1), damped)
+                    for k in range(d)
+                ))
+                assert np.max(np.abs(state - expected)) < 1e-12
 
     @pytest.mark.parametrize("L,d,alpha,gamma", [(1, 2, 2.0, 0.9), (2, 3, 3.0, 0.5),
                                                  (4, 2, 7.0, 0.99), (3, 2, 6.0, 1.0)])
     def test_components_share_code_truncation(self, L, d, alpha, gamma):
         spec = CodeSpec(L, d, alpha)
         comps = logical_mixture(spec, LogicalCoeffs.balanced(d), ChannelParams(gamma))
-        assert [len(c.state) - 1 for c in comps] == [spec.n_max()] * spec.cycle
+        assert [len(state) - 1 for _, state in comps] == [spec.n_max()] * spec.cycle
 
     def test_qutrit_component_count(self):
         comps = logical_mixture(
             CodeSpec(1, 3, 2.0), LogicalCoeffs.balanced(3), ChannelParams(0.9)
         )
         assert len(comps) == 6
-        assert [c.space_q for c in comps] == [0, 1, 0, 1, 0, 1]
+        # entry j lives in space j mod 2: support n = -j (mod 2)
+        for j, (_, state) in enumerate(comps):
+            n = np.arange(len(state))
+            assert np.max(np.abs(state[(n + j) % 2 != 0])) < 1e-14
 
     def test_one_loss_branch_carries_fixed_i_gate(self):
         # after one loss the balanced qubit becomes a w0 + i b w1 in the
@@ -252,18 +263,19 @@ class TestLogicalMixture:
         spec = CodeSpec(1, 2, alpha)
         comps = logical_mixture(spec, BALANCED, ChannelParams(gamma))
         damped = np.sqrt(gamma) * alpha
-        n_max = len(comps[1].state) - 1
+        n_max = len(comps[1][1]) - 1
         w0 = codeword_fock(spec, 0, 1, damped, n_max)
         w1 = codeword_fock(spec, 1, 1, damped, n_max)
         expected = fock.normalized((1 / np.sqrt(2)) * w0 + (1j / np.sqrt(2)) * w1)
-        assert np.max(np.abs(comps[1].state - expected)) < 1e-12
+        assert np.max(np.abs(comps[1][1] - expected)) < 1e-12
 
     def test_branch_states_live_on_single_support_class(self):
         spec = CodeSpec(2, 2, 3.0)
-        for comp in logical_mixture(spec, BALANCED, ChannelParams(0.9)):
-            n = np.arange(len(comp.state))
-            off = (n % 3) != ((-comp.space_q) % 3)
-            assert np.max(np.abs(comp.state[off])) < 1e-14
+        # entry j lives in space j mod 3
+        for j, (_, state) in enumerate(logical_mixture(spec, BALANCED, ChannelParams(0.9))):
+            n = np.arange(len(state))
+            off = (n % 3) != ((-j) % 3)
+            assert np.max(np.abs(state[off])) < 1e-14
 
     @pytest.mark.parametrize("L,d,alpha,gamma", [
         (0, 2, 2.0, 0.9),
@@ -277,7 +289,7 @@ class TestLogicalMixture:
         rho = projector(encode(spec, coeffs))
         exact = channel_apply_exact(rho, ChannelParams(gamma))
         comps = logical_mixture(spec, coeffs, ChannelParams(gamma))
-        assembled = fock.mix([(c.weight, c.state) for c in comps])
+        assembled = fock.mix(comps)
         assert fock.trace_distance(exact, assembled) < 1e-8
 
     def test_qutrit_two_loss_mixture_with_complex_coefficients(self):
@@ -288,7 +300,7 @@ class TestLogicalMixture:
         exact = channel_apply_exact(rho, ChannelParams(0.85))
         comps = logical_mixture(spec, coeffs, ChannelParams(0.85))
         assert len(comps) == 9
-        assembled = fock.mix([(c.weight, c.state) for c in comps])
+        assembled = fock.mix(comps)
         assert fock.trace_distance(exact, assembled) < 1e-8
 
     def test_mixture_with_complex_coefficients(self):
@@ -297,5 +309,5 @@ class TestLogicalMixture:
         rho = projector(encode(spec, coeffs))
         exact = channel_apply_exact(rho, ChannelParams(0.85))
         comps = logical_mixture(spec, coeffs, ChannelParams(0.85))
-        assembled = fock.mix([(c.weight, c.state) for c in comps])
+        assembled = fock.mix(comps)
         assert fock.trace_distance(exact, assembled) < 1e-8

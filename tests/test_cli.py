@@ -84,6 +84,7 @@ class TestWeights:
         (WEIGHTS, ["--coeffs", "1e-170,1e-170j"], ["--coeffs", "1,1j"]),
         (["repeater", "--L", "4", "--alpha", "7", "--total-km", "1", "--spacing-km", "1"],
          ["--a", "1e300", "--b=-1e300"], ["--a", "1", "--b=-1"]),
+        (WEIGHTS, ["--a", "1e-160", "--b", "1e-160"], ["--a", "1", "--b", "1"]),
     ])
     def test_amplitudes_of_any_finite_size(self, base, scaled, unit, capsys):
         # squares that overflow or underflow still normalize, to the same bytes
@@ -151,6 +152,15 @@ class TestKlReport:
         assert ortho0[-1] < ortho0[1] < ortho0[0]
         deform = [float(r[header.index("deform_1")]) for r in rows]
         assert max(deform) < 1e-12
+
+    def test_collinear_x_basis_is_one(self, capsys):
+        # at alpha = 1e-300 the two codewords are equal, so w0 - w1 is zero
+        code = main(["kl-report", "--L", "1", "--alphas", "1e-300", "--basis", "X"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+        assert "1e-300" in captured.err and "collinear" in captured.err
 
 
 class TestRepeaterCommands:

@@ -393,6 +393,7 @@ class TestLogicalCoeffs:
         for raw, unit in [
             ((1e200, 1e200), (1.0, 1.0)),
             ((1e-200, 1e-200), (1.0, 1.0)),
+            ((1e-160, 1e-160), (1.0, 1.0)),
             ((1e-170, 1e-170j), (1.0, 1j)),
             ((1e300, -1e300), (1.0, -1.0)),
             ((1e308 + 1e308j, 1e308), (1.0 + 1.0j, 1.0)),

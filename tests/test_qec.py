@@ -82,11 +82,11 @@ class TestKlCheckX:
             kl_check(CodeSpec(1, 3, 2.0), "X", 0, 0)
 
 
-def _syndrome(mixture, q):
-    """Components of the output mixture that carry syndrome q, with their
-    total weight (the syndrome probability)."""
-    selected = [c for c in mixture if c.space_q == q]
-    return selected, sum(c.weight for c in selected)
+def _syndrome(spec, mixture, q):
+    """Components of the output mixture that carry syndrome q (entries j with
+    j mod (L+1) = q), with their total weight (the syndrome probability)."""
+    selected = [comp for j, comp in enumerate(mixture) if j % spec.spaces == q]
+    return selected, sum(w for w, _ in selected)
 
 
 class TestParityProject:
@@ -95,9 +95,9 @@ class TestParityProject:
     def test_no_loss_even_syndrome_is_pure_input(self):
         spec = CodeSpec(1, 2, 2.0)
         mixture = logical_mixture(spec, BALANCED, ChannelParams(1.0))
-        selected, prob = _syndrome(mixture, 0)
+        selected, prob = _syndrome(spec, mixture, 0)
         assert abs(prob - 1.0) < 1e-12
-        rho = fock.mix([(c.weight / prob, c.state) for c in selected])
+        rho = fock.mix([(w / prob, state) for w, state in selected])
         psi = encode(spec, BALANCED)
         overlap = np.real(np.vdot(psi, rho @ psi))
         assert abs(overlap - 1.0) < 1e-10
@@ -105,7 +105,7 @@ class TestParityProject:
     def test_zero_probability_syndrome_flagged(self):
         spec = CodeSpec(1, 2, 2.0)
         mixture = logical_mixture(spec, BALANCED, ChannelParams(1.0))
-        selected, prob = _syndrome(mixture, 1)
+        selected, prob = _syndrome(spec, mixture, 1)
         assert selected
         assert prob == 0.0
 
@@ -113,8 +113,8 @@ class TestParityProject:
         spec = CodeSpec(1, 2, 2.0)
         params = ChannelParams(0.9)
         mixture = logical_mixture(spec, BALANCED, params)
-        selected, prob = _syndrome(mixture, 1)
-        rho = fock.mix([(c.weight / prob, c.state) for c in selected])
+        selected, prob = _syndrome(spec, mixture, 1)
+        rho = fock.mix([(w / prob, state) for w, state in selected])
         w = mixture_weights(spec, BALANCED, params)
         assert abs(prob - (w.ptilde[1] + w.ptilde[3])) < 1e-12
         assert abs(np.trace(rho).real - 1.0) < 1e-10
@@ -126,7 +126,7 @@ class TestParityProject:
     def test_syndrome_probabilities_complete(self):
         spec = CodeSpec(2, 2, 3.0)
         mixture = logical_mixture(spec, BALANCED, ChannelParams(0.8))
-        total = sum(_syndrome(mixture, q)[1] for q in range(3))
+        total = sum(_syndrome(spec, mixture, q)[1] for q in range(3))
         assert abs(total - 1.0) < 1e-10
 
 
@@ -171,7 +171,7 @@ class TestFidelityState:
         w = mixture_weights(spec, BALANCED, params)
         total = 0.0
         for q in range(2):
-            _, prob = _syndrome(mixture, q)
+            _, prob = _syndrome(spec, mixture, q)
             branch_weights = [w.ptilde[j] for j in range(4) if j % 2 == q]
             total += prob * (branch_weights[0] / sum(branch_weights))
         assert abs(total - fidelity_state(spec, BALANCED, params)) < 1e-10
