@@ -24,7 +24,7 @@ import warnings
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from itertools import chain, islice
+from itertools import chain, cycle, islice
 
 import numpy as np
 
@@ -143,15 +143,14 @@ LAYOUTS = {
 }
 
 
-def write_output(columns: list[str], rows: Iterable[str], args) -> None:
-    """Stream rows rendered in ``LAYOUTS[args.format]`` to stdout, or to ``--out``
-    hashed as written plus a manifest whose params are the parsed ``args``."""
+def write_output(columns: list[str], blocks: Iterable[str], args) -> None:
+    """Stream ``head``, the blocks (each one or more rows joined by ``row_sep``) with
+    ``row_sep`` between them, then ``foot`` of ``LAYOUTS[args.format]`` to stdout, or to
+    ``--out`` hashed as written plus a manifest whose params are the parsed ``args``."""
     layout = LAYOUTS[args.format]
-    # rows go out in batches: few writes, and a 10^5-row trace is never one string
-    rows = iter(rows)
-    batches = iter(lambda: layout.row_sep.join(islice(rows, 4096)), "")
-    chunks = chain([layout.head(columns), next(batches, "")],
-                   (layout.row_sep + batch for batch in batches), [layout.foot])
+    blocks = iter(blocks)
+    chunks = chain([layout.head(columns), next(blocks, "")],
+                   (layout.row_sep + block for block in blocks), [layout.foot])
     if args.out is None:
         try:
             sys.stdout.writelines(chunks)
@@ -179,7 +178,8 @@ def write_output(columns: list[str], rows: Iterable[str], args) -> None:
 
 def _emit(columns, rows, args):
     # every row is rendered, and checked finite, before the first byte goes out
-    write_output(columns, list(map(LAYOUTS[args.format].row, rows)), args)
+    layout = LAYOUTS[args.format]
+    write_output(columns, [layout.row_sep.join(map(layout.row, rows))], args)
 
 
 def _gamma_grid(args) -> np.ndarray:
@@ -253,18 +253,18 @@ def cmd_repeater(args) -> int:
     result = repeater.simulate_chain(_chain_config(args))
     if not args.trace:
         columns = ["fidelity", "success_prob", "n_stations", "amplitude_collapsed"]
-        rows = [[result.fidelity, result.success_prob, result.n_stations,
-                 int(result.amplitude_collapsed)]]
-        _emit(columns, rows, args)
+        _emit(columns, [[result.fidelity, result.success_prob, result.n_stations,
+                         int(result.amplitude_collapsed)]], args)
         return 0
-    # station i repeats period row (i - 1) mod len(period): render each row's cells once
+    # station i repeats period row (i - 1) mod P: each row is rendered, and checked finite,
+    # into a template whose one % (floats hold none) is the station; a block is one %-format
     layout = LAYOUTS[args.format]
-    tails = [layout.cell_sep + layout.cell_sep.join(map(layout.cell, row)) + layout.row_close
-             for row in result.period.tolist()]
-    rows = (layout.row_open + layout.cell(str(i)) + tails[(i - 1) % len(tails)]
-            for i in range(1, result.n_stations + 1))
+    templates = [layout.row(["%d", *row]) for row in result.period.tolist()]
+    n, step = result.n_stations, len(templates) * max(1, 4096 // len(templates))
+    blocks = (layout.row_sep.join(islice(cycle(templates), min(step, n + 1 - lo)))
+              % tuple(range(lo, min(lo + step, n + 1))) for lo in range(1, n + 1, step))
     columns = ["station", "amplitude_in", "f_factor", "p_factor"]
-    write_output(columns, rows, args)
+    write_output(columns, blocks, args)
     return 0
 
 
@@ -372,7 +372,7 @@ def cmd_verify(args) -> int:
     ok &= _check("teleport success vs assembled state", abs(closed - assembled), 1e-9, lines)
 
     lines.append("all checks passed" if ok else "FAILURES present")
-    write_output([], lines, args)
+    write_output([], ["\n".join(lines)], args)
     return 0 if ok else 2
 
 

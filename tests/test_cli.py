@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -16,7 +17,7 @@ import pytest
 import catloss
 from catloss import channel
 from catloss.channel import ChannelParams
-from catloss.cli import _chain_config, _fmt, build_parser, main
+from catloss.cli import LAYOUTS, _chain_config, _fmt, build_parser, main
 from catloss.codes import CodeSpec
 from catloss.qec import fidelity_bound
 from catloss.repeater import simulate_chain
@@ -193,24 +194,58 @@ class TestRepeaterCommands:
         _, rows = parse_csv(out)
         assert 0.0 <= float(rows[0][0]) <= 1.0 and 0.0 <= float(rows[0][1]) <= 1.0
 
-    def test_trace_rows_repeat_the_period(self, tmp_path):
-        # 7 stations restoring every second one: the last period is cut short
-        argv = ["repeater", "--L", "1", "--alpha", "2", "--total-km", "3.5",
-                "--spacing-km", "0.5", "--ar-every", "2", "--trace"]
-        csv_path, json_path = tmp_path / "t.csv", tmp_path / "t.json"
-        assert main(argv + ["--out", str(csv_path)]) == 0
-        assert main(argv + ["--format", "json", "--out", str(json_path)]) == 0
-        header, rows = parse_csv(csv_path.read_text())
-        payload = json.loads(json_path.read_text())
-        assert payload["columns"] == header
-        assert payload["rows"] == rows
-        assert [row[0] for row in rows] == [str(i) for i in range(1, 8)]
+    def test_trace_rows_repeat_the_period(self, tmp_path, capsys):
+        # station i repeats period row (i - 1) mod P, P = min(ar_every, n); the trace
+        # goes out in blocks of P * (4096 // P) stations (4095 for P = 3), so the
+        # counts straddle a block edge, and n = ar_every - 1 is a chain shorter
+        # than its ar_every, whose period has only n rows
+        for ar_every in (1, 2, 3):
+            step = ar_every * (4096 // ar_every)
+            for n in sorted({max(1, ar_every - 1), step - 1, step, step + 1, 2 * step + 1}):
+                argv = ["repeater", "--L", "1", "--alpha", "2", "--spacing-km", "1",
+                        "--total-km", str(n), "--ar-every", str(ar_every), "--trace"]
+                result = simulate_chain(_chain_config(build_parser().parse_args(argv)))
+                period = result.period.tolist()
+                assert result.n_stations == n and len(period) == min(ar_every, n)
+                assert_chain_totals(result, ar_every)
+                traces = {}
+                for fmt in ("csv", "json"):
+                    # the reference renders each station's row on its own
+                    layout = LAYOUTS[fmt]
+                    rows = (layout.row([str(i), *period[(i - 1) % len(period)]])
+                            for i in range(1, n + 1))
+                    expected = (layout.head(["station", "amplitude_in", "f_factor", "p_factor"])
+                                + layout.row_sep.join(rows) + layout.foot)
+                    path = tmp_path / f"t.{fmt}"
+                    assert main(argv + ["--format", fmt]) == 0
+                    assert main(argv + ["--format", fmt, "--out", str(path)]) == 0
+                    for got in (capsys.readouterr().out, path.read_text()):
+                        # a bare == would have pytest diff two long strings
+                        same = got == expected
+                        assert same, (ar_every, n, fmt, len(os.path.commonprefix([got, expected])))
+                    traces[fmt] = expected
+                header, rows = parse_csv(traces["csv"])
+                payload = json.loads(traces["json"])
+                assert payload["columns"] == header
+                assert payload["rows"] == rows
+                assert [row[0] for row in rows] == [str(i) for i in range(1, n + 1)]
+                for i, row in enumerate(rows, start=1):
+                    assert row[1:] == [_fmt(v) for v in period[(i - 1) % len(period)]]
 
-        result = simulate_chain(_chain_config(build_parser().parse_args(argv)))
-        assert result.n_stations == 7
-        for i, row in enumerate(rows, start=1):
-            assert row[1:] == [_fmt(v) for v in result.period[(i - 1) % 2].tolist()]
-        assert_chain_totals(result, 2)
+    def test_trace_streams(self, tmp_path):
+        # the 10^5-row JSON trace is 9.5 MB but goes out in blocks of 4096 rows:
+        # the write peaks at about 2.3 MiB
+        path = tmp_path / "trace.json"
+        tracemalloc.start()
+        try:
+            code = main(["repeater", "--L", "4", "--alpha", "7", "--spacing-km", "0.01",
+                         "--trace", "--format", "json", "--out", str(path)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert path.stat().st_size > 9 * 10**6
+        assert peak < 4 * 2**20
 
     def test_non_integral_spacing_warns_once(self, capsys):
         with warnings.catch_warnings(record=True) as caught:
