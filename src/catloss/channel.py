@@ -179,7 +179,7 @@ def mixture_weights(
     damped_amp = np.sqrt(params.gamma) * np.asarray(spec.alpha, dtype=float)
     gram = gram_matrix(spec, 0)
     input_norm = _weighted_norm_sq(c, gram)
-    grams = np.stack([gram_matrix(spec, q, damped_amp) for q in range(spec.spaces)], axis=-3)
+    grams = gram_matrix(spec, range(spec.spaces), damped_amp)
     branch_norms = [
         _weighted_norm_sq(c * _sector_phases(spec, j), grams[..., j % spec.spaces, :, :])
         for j in range(spec.cycle)

@@ -215,41 +215,40 @@ def _cmul(ar, ai, br, bi):
     return ar * br - ai * bi, ar * bi + ai * br
 
 
-def _coherent_gram(spec: CodeSpec, q: int, amps: np.ndarray) -> np.ndarray:
-    """All overlaps <w_{k1,q}|w_{k2,q}> at each of the 1-D ``amps``, shape
-    (n, d, d), from the Gram matrix of the coherent components, using
-    <u|v> = exp(-|u|^2/2 - |v|^2/2 + conj(u) v): one array pass over
-    (point, k1, k2, ja, jb) per chunk of about ``_GRAM_TERMS`` elements (at
-    least one point).  Every value rounds as the scalar loop (the test
-    oracle) does: products through ``_cmul``, half-squares as hypot and libm
-    pow, blocks summed in (ja, jb) order.
-    """
+def _coherent_gram(spec: CodeSpec, qs, amps: np.ndarray) -> np.ndarray:
+    """Overlaps <w_{k1,q}|w_{k2,q}> of each space q in ``qs`` at the 1-D ``amps``,
+    shape (n, len(qs), d, d), from <u|v> = exp(-|u|^2/2 - |v|^2/2 + conj(u) v)
+    of the coherent components.  Per chunk of about ``_GRAM_TERMS`` elements of
+    the (point, k1 <= k2, ja, jb) block (at least one point) the exponentials
+    are formed once for all spaces.  Every value rounds as the scalar loop (the
+    test oracle) does: products through ``_cmul``, half-squares as hypot and
+    libm pow, sums in (ja, jb) order."""
     d, m = spec.d, spec.spaces
     sector = np.array([np.exp(2j * np.pi * k / spec.cycle) for k in range(d)])[:, None]
     rot = np.array([np.exp(2j * np.pi * j / m) for j in range(m)])
     # phase of the (ja, jb) term depends on jb - ja only
-    phases = np.array([np.exp(2j * np.pi * q * lag / m) for lag in range(1 - m, m)])
-    ph = phases[np.arange(m)[None, :] - np.arange(m)[:, None] + (m - 1)]
-    g = np.empty((len(amps), d, d), dtype=complex)
-    chunk = max(1, _GRAM_TERMS // (d * d * m * m))
+    lags = (np.arange(m)[None, :] - np.arange(m)[:, None] + (m - 1)).ravel()
+    ph = [np.array([np.exp(2j * np.pi * q * lag / m) for lag in range(1 - m, m)])[lags] for q in qs]
+    k1, k2 = np.triu_indices(d)
+    g = np.empty((len(amps), len(qs), d, d), dtype=complex)
+    chunk = max(1, _GRAM_TERMS // (len(k1) * m * m))
     for lo in range(0, len(amps), chunk):
         amp = amps[lo : lo + chunk, None, None]
         # components beta_k e^{2 pi i j/m}, shape (n, d, m)
         ur, ui = _cmul(amp * sector.real, amp * sector.imag, rot.real, rot.imag)
         half_sq = np.float_power(np.hypot(ur, ui), 2.0) / 2
-        u, v = np.s_[:, :, None, :, None], np.s_[:, None, :, None, :]
+        u, v = np.s_[:, k1, :, None], np.s_[:, k2, None, :]
         cr, ci = _cmul(ur[u], -ui[u], ur[v], ui[v])
         # 1j * ci adds +0.0 to ci, as the scalar complex sum does: -0.0 becomes 0.0
-        e = np.exp(-half_sq[u] - half_sq[v] + cr + 1j * ci)
-        tr, ti = _cmul(ph.real, ph.imag, e.real, e.imag)
-        # in (ja, jb) order; the scalar loop starts from +0.0
-        blocks = tr.shape[:3] + (m * m,)
-        sr, si = (0.0 + np.add.accumulate(t.reshape(blocks), axis=-1)[..., -1] for t in (tr, ti))
-        diag = sr[:, range(d), range(d)]
-        g[lo : lo + chunk] = (sr + 1j * si) / np.sqrt(diag[:, :, None] * diag[:, None, :])
-    k1, k2 = np.triu_indices(d, 1)
-    g[:, k2, k1] = np.conj(g[:, k1, k2])
-    g[:, range(d), range(d)] = 1.0
+        e = np.exp(-half_sq[u] - half_sq[v] + cr + 1j * ci).reshape(len(amp), len(k1), m * m)
+        for i, p in enumerate(ph):
+            tr, ti = _cmul(p.real, p.imag, e.real, e.imag)
+            # in (ja, jb) order; the scalar loop starts from +0.0
+            sr, si = (0.0 + np.add.accumulate(t, axis=-1)[..., -1] for t in (tr, ti))
+            diag = sr[:, k1 == k2]
+            g[lo : lo + chunk, i, k1, k2] = (sr + 1j * si) / np.sqrt(diag[:, k1] * diag[:, k2])
+        g[lo : lo + chunk, :, k2, k1] = np.conj(g[lo : lo + chunk, :, k1, k2])
+        g[lo : lo + chunk, :, range(d), range(d)] = 1.0
     return g
 
 
@@ -262,38 +261,43 @@ def _pair_gram(s) -> np.ndarray:
     return g
 
 
-def gram_matrix(spec: CodeSpec, q: int, amplitude=None) -> np.ndarray:
+def gram_matrix(spec: CodeSpec, q, amplitude=None) -> np.ndarray:
     """d x d matrices of codeword overlaps <w_{k1,q}|w_{k2,q}> within space q,
-    with the shape of ``amplitude`` (the nominal alpha by default) leading.
+    with the shape of ``amplitude`` (the nominal alpha by default) leading; a
+    sequence of spaces ``q`` adds a spaces axis before the (d, d) axes.
 
     This is the only overlap routine: entry [..., k1, k2] is the overlap of
     sectors k1 and k2 at that amplitude.  The qubit one-loss spaces and the
     two-loss code space use their explicit trigonometric forms; every other
-    case is the coherent-component Gram matrix, which is exact to machine
-    precision.
-    """
-    amp = np.asarray(_codeword_amplitude(spec, 0, q, amplitude), dtype=float)
+    space is the coherent-component Gram matrix, exact to machine precision,
+    all such spaces in one kernel pass."""
+    spaces = np.ravel(q).tolist()
+    amp = np.asarray([_codeword_amplitude(spec, 0, x, amplitude) for x in spaces][0], dtype=float)
     a2 = amp * amp
-    s = None
-    if spec.d == 2:
-        if spec.L == 1 and q == 0:
+    trig = {}
+    for x in (x for x in spaces if spec.d == 2 and (spec.L, x) in ((1, 0), (1, 1), (2, 0))):
+        if spec.L == 1 and x == 0:
             s = (np.cos(a2) / np.cosh(a2)).astype(complex)
-        elif spec.L == 1 and q == 1:
+        elif spec.L == 1:
             # divided as reals, as Python divides a complex by a float; the
             # limit 1 where the amplitude squares to 0
             s = 1j * np.divide(np.sin(a2), np.sinh(a2), out=np.ones_like(a2), where=a2 != 0)
-        elif spec.L == 2 and q == 0:
-            root3 = np.sqrt(3.0)
-            num = np.exp(-a2) + 2 * np.exp(a2 / 2) * np.cos(root3 * a2 / 2)
-            den = np.exp(a2) + 2 * np.exp(-a2 / 2) * np.cos(root3 * a2 / 2)
-            s = (num / den).astype(complex)
-    if s is None:
-        return _coherent_gram(spec, q, amp.reshape(-1)).reshape(amp.shape + (spec.d,) * 2)
-    s = np.asarray(s)
-    if not np.all(np.isfinite(s)):  # the two-loss form overflows to inf/inf
-        bad = ~np.isfinite(s)
-        raise ArithmeticError(f"overlap of space {q} at amplitude {amp[bad][0]} is {s[bad][0]}")
-    return _pair_gram(s)
+        else:
+            cos3 = np.cos(np.sqrt(3.0) * a2 / 2)
+            num = np.exp(-a2) + 2 * np.exp(a2 / 2) * cos3
+            s = (num / (np.exp(a2) + 2 * np.exp(-a2 / 2) * cos3)).astype(complex)
+        if not np.all(np.isfinite(s)):  # the two-loss form overflows to inf/inf
+            bad = ~np.isfinite(s)
+            raise ArithmeticError(f"overlap of space {x} at amplitude {amp[bad][0]} is {s[bad][0]}")
+        trig[x] = _pair_gram(s)
+    coherent = [x for x in spaces if x not in trig]
+    if coherent:
+        g = _coherent_gram(spec, coherent, amp.reshape(-1))
+        g = g.reshape(amp.shape + g.shape[1:])
+    if trig:  # the spaces in the order asked, the coherent ones taken from g
+        rest = iter(np.moveaxis(g, -3, 0) if coherent else ())
+        g = np.stack([trig[x] if x in trig else next(rest) for x in spaces], axis=-3)
+    return g if np.ndim(q) else g[..., 0, :, :]
 
 
 @dataclass(frozen=True)

@@ -79,15 +79,15 @@ def teleport_success_from_overlaps(s_tilde, s_bar, c: LogicalCoeffs):
 
     Saturated overlaps (|s_tilde| -> 1, e.g. a collapsed amplitude) give a
     vanishing filter success, so the limit value 0 is returned rather than
-    an error; a non-finite overlap is an error.
+    an error; a non-finite overlap is a numerical failure (ArithmeticError).
 
     Overlaps and coefficients may carry a batch shape; each value rounds as
     Python's complex scalars do (real-arithmetic products, hypot, libm pow).
     """
-    s_tilde = np.asarray(s_tilde, dtype=complex)
-    s_bar = np.asarray(s_bar, dtype=complex)
-    if not np.all(np.isfinite(s_tilde) & np.isfinite(s_bar)):
-        raise ValueError(f"overlaps must be finite, got s_tilde={s_tilde}, s_bar={s_bar}")
+    s_tilde, s_bar = (np.asarray(s, dtype=complex) for s in (s_tilde, s_bar))
+    for name, s in (("s_tilde", s_tilde), ("s_bar", s_bar)):
+        if not np.all(np.isfinite(s)):
+            raise ArithmeticError(f"non-finite overlap {name} = {s[~np.isfinite(s)][0]}")
     c0, c1 = c.values[..., 0], c.values[..., 1]
     patterns = [np.stack(v, axis=-1) for v in [(c0, c1), (c0, -c1), (c1, c0), (-c1, c0)]]
     chi = _weighted_norm_sq(np.stack(patterns, axis=-2), _pair_gram(s_bar)[..., None, :, :])

@@ -143,7 +143,7 @@ def _pair_norm_sq(v, s):
 
 def teleport_success_from_overlaps(s_tilde: complex, s_bar: complex, c) -> float:
     if not (cmath.isfinite(s_tilde) and cmath.isfinite(s_bar)):
-        raise ValueError(f"overlaps must be finite, got s_tilde={s_tilde}, s_bar={s_bar}")
+        raise ArithmeticError(f"overlaps must be finite, got s_tilde={s_tilde}, s_bar={s_bar}")
     if 1.0 - abs(s_tilde) <= 1e-12:
         return 0.0
     c0, c1 = (complex(a) for a in c)

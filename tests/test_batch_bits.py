@@ -29,8 +29,9 @@ from conftest import assert_chain_totals
 
 
 def chunk_edges(L, d):
-    """Batch sizes at and around the Gram kernel's chunk of points."""
-    edge = max(1, _GRAM_TERMS // (d * (L + 1)) ** 2)
+    """Batch sizes at and around the Gram kernel's chunk of points: its
+    block holds the d(d+1)/2 pairs k1 <= k2 and (L+1)^2 terms per point."""
+    edge = max(1, _GRAM_TERMS // (d * (d + 1) // 2 * (L + 1) ** 2))
     return [1, edge - 1, edge, edge + 1, 3 * edge + 5]
 
 
@@ -126,6 +127,10 @@ def test_gram_matrix(L, d, drawn, seed, data):
     _agree(batched, lambda a: ref.gram_matrix(L, d, q, a), [(a,) for a in amps])
     got = _agree(batched, lambda a: gram_matrix(spec, q, a), [(a,) for a in amps])
     assert got.shape == (n, d, d)
+    # every space in one call: the same values as the frozen and one-space forms
+    every = lambda: gram_matrix(spec, range(L + 1), np.array(amps))[:, q]
+    _agree(every, lambda a: ref.gram_matrix(L, d, q, a), [(a,) for a in amps])
+    _same(every(), got)
 
 
 @given(L=st.integers(0, 7), d=st.integers(2, 4), n=st.integers(1, 9),

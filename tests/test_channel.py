@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from catloss import fock
+from catloss import codes, fock
 from catloss.codes import CodeSpec, LogicalCoeffs, codeword_fock, gram_matrix
 from catloss.channel import (
     ChannelParams,
@@ -198,6 +198,24 @@ class TestMixtureWeights:
         for q, g in enumerate(w.damped_grams):
             assert np.all(g == gram_matrix(spec, q, math.sqrt(gamma) * alpha))
 
+    @pytest.mark.parametrize("L,d", [(1, 2), (2, 2), (3, 2), (6, 4)])
+    def test_one_kernel_pass_for_all_damped_spaces(self, L, d, monkeypatch):
+        # at most one coherent Gram pass for the code space at the nominal
+        # amplitude and one for every damped space together
+        calls = []
+        kernel = codes._coherent_gram
+
+        def counted(spec, qs, amps):
+            calls.append(list(qs))
+            return kernel(spec, qs, amps)
+
+        monkeypatch.setattr(codes, "_coherent_gram", counted)
+        mixture_weights(CodeSpec(L, d, 3.0), LogicalCoeffs.balanced(d),
+                        ChannelParams(np.linspace(0.5, 1.0, 7)))
+        coherent = [q for q in range(L + 1) if not (d == 2 and (L, q) in ((1, 0), (1, 1), (2, 0)))]
+        assert len(calls) <= 2
+        assert calls[-1:] == ([coherent] if coherent else [])
+
     def test_no_loss_gives_unit_first_weight(self):
         w = mixture_weights(CodeSpec(2, 2, 3.0), BALANCED, ChannelParams(1.0))
         assert abs(w.ptilde[0] - 1.0) < 1e-12
@@ -205,7 +223,7 @@ class TestMixtureWeights:
 
     def test_large_gamma_grid_memory_is_bounded(self):
         # the coherent Gram kernel runs in fixed-size chunks: a 2,000-point
-        # qudit grid peaks at 7.3 MiB (numpy reports its buffers to
+        # qudit grid peaks at 5.6 MiB (numpy reports its buffers to
         # tracemalloc, mostly the damped Gram matrices here); one kernel pass
         # over all points at once peaks at 65 MiB
         spec = CodeSpec(6, 4, 8.0)

@@ -490,6 +490,9 @@ class TestExitCodes:
             ["sweep", "--L", "4", "--alpha", "7", "--total-km", "1",
              "--axis", "alpha", "--values", "30"],
             ["repeater", "--L", "2", "--alpha", "40", "--total-km", "1"],
+            # a damped Gram entry overflows to inf
+            ["repeater", "--L", "10", "--alpha", "0.185", "--spacing-km", "0.05",
+             "--total-km", "100", "--ar-every", "1"],
         ],
     )
     def test_numerical_failure_is_two(self, argv, tmp_path, capsys):

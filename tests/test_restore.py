@@ -87,7 +87,7 @@ class TestTeleportSuccess:
     @pytest.mark.parametrize("s_tilde,s_bar", [(math.nan, 0.1), (0.1, math.nan), (math.inf, 0.1)])
     def test_non_finite_overlap_rejected(self, s_tilde, s_bar):
         c = LogicalCoeffs.balanced()
-        with pytest.raises(ValueError, match="finite"):
+        with pytest.raises(ArithmeticError, match="finite"):
             teleport_success_from_overlaps(s_tilde, s_bar, c)
         assert teleport_success_from_overlaps(1.0, 0.1, c) == 0.0  # saturated limit
 
