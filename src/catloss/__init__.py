@@ -49,7 +49,6 @@ from .restore import (
     filter_params,
     filter_success,
     restoration_factor,
-    teleport_success,
     teleport_success_assembled,
 )
 from .repeater import (
@@ -72,7 +71,7 @@ __all__ = [
     "FidelityResult", "KLReport", "fidelity_bound", "fidelity_state",
     "kl_check",
     "FilterParams", "filter_operators", "filter_params", "filter_success",
-    "restoration_factor", "teleport_success", "teleport_success_assembled",
+    "restoration_factor", "teleport_success_assembled",
     "ChainResult", "RepeaterConfig", "segment_gamma",
     "simulate_chain", "simulate_chains", "sweep",
 ]

@@ -28,7 +28,7 @@ with their broadcast shape; a single point is the batch of shape ().
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import reduce
 from operator import add, mul
 
@@ -71,6 +71,10 @@ class LossClassWeights:
     ptilde: np.ndarray
     gram: np.ndarray
     damped_grams: np.ndarray
+
+    def __getitem__(self, index) -> "LossClassWeights":
+        """The weights of the batch points that ``index`` selects."""
+        return LossClassWeights(*(getattr(self, f.name)[index] for f in fields(self)))
 
 
 def _kraus_factors(n_max: int, gamma: float, k: int, log_fact: np.ndarray) -> np.ndarray:

@@ -270,7 +270,7 @@ def gram_matrix(spec: CodeSpec, q, amplitude=None) -> np.ndarray:
     sectors k1 and k2 at that amplitude.  The qubit one-loss spaces and the
     two-loss code space use their explicit trigonometric forms; every other
     space is the coherent-component Gram matrix, exact to machine precision,
-    all such spaces in one kernel pass."""
+    all such spaces in one kernel pass over the distinct amplitudes."""
     spaces = np.ravel(q).tolist()
     amp = np.asarray([_codeword_amplitude(spec, 0, x, amplitude) for x in spaces][0], dtype=float)
     a2 = amp * amp
@@ -291,8 +291,9 @@ def gram_matrix(spec: CodeSpec, q, amplitude=None) -> np.ndarray:
             raise ArithmeticError(f"overlap of space {x} at amplitude {amp[bad][0]} is {s[bad][0]}")
         trig[x] = _pair_gram(s)
     coherent = [x for x in spaces if x not in trig]
-    if coherent:
-        g = _coherent_gram(spec, coherent, amp.reshape(-1))
+    if coherent:  # each distinct amplitude once, gathered back to every point
+        distinct, at = np.unique(amp.reshape(-1), return_inverse=True)
+        g = _coherent_gram(spec, coherent, distinct)[at]
         g = g.reshape(amp.shape + g.shape[1:])
     if trig:  # the spaces in the order asked, the coherent ones taken from g
         rest = iter(np.moveaxis(g, -3, 0) if coherent else ())

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import fock
 from .codes import SMALL_ALPHA, CodeSpec, LogicalCoeffs, codeword_fock
-from .channel import ChannelParams, mixture_weights
+from .channel import ChannelParams, LossClassWeights, mixture_weights
 
 
 @dataclass(frozen=True)
@@ -92,7 +92,11 @@ def fidelity_state(
 ) -> np.ndarray:
     """Input-dependent fidelity: total weight of the L+1 correctable branches
     (those reached without a cycle phase error), one per batch point."""
-    weights = mixture_weights(spec, coeffs, params)
+    return fidelity_from_weights(spec, mixture_weights(spec, coeffs, params))
+
+
+def fidelity_from_weights(spec: CodeSpec, weights: LossClassWeights) -> np.ndarray:
+    """``fidelity_state`` from the mixture weights; ``spec`` supplies (L, d)."""
     return np.sum(weights.ptilde[..., : spec.spaces], axis=-1)[()]
 
 

@@ -14,8 +14,8 @@ the whole interval since the previous restoration composed into one loss
 channel: the intermediate syndrome reads refine the phase bookkeeping (hence
 the per-station fidelity factors) but do not re-bin the loss classes that
 weight the filter branches.  Within a period of ``ar_every`` stations only
-``ar_every`` distinct factor pairs occur, so chains of 10^5 stations cost
-one batch per chain set plus, per chain, one power of each period row.
+``ar_every`` distinct factor pairs occur, so chains of 10^5 stations cost one
+mixture batch per chain set plus, per chain, one power of each period row.
 """
 
 from __future__ import annotations
@@ -26,10 +26,10 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .channel import ChannelParams
+from .channel import ChannelParams, mixture_weights
 from .codes import SMALL_ALPHA, CodeSpec, LogicalCoeffs
-from .qec import fidelity_state
-from .restore import restoration_factor
+from .qec import fidelity_from_weights
+from .restore import restoration_from_weights
 
 DEFAULT_ATTENUATION_KM = 22.0
 
@@ -112,11 +112,11 @@ def simulate_chain(config: RepeaterConfig) -> ChainResult:
 
 
 def simulate_chains(configs: list[RepeaterConfig]) -> list[ChainResult]:
-    """Run chains whose codes share (L, d), in input order: the period rows
-    of all chains are one ``fidelity_state`` batch, the restoring rows one
-    ``restoration_factor`` batch.  Row t of a period takes alpha damped t
-    times; it restores when t = ar_every - 1, over the whole interval since
-    the last restoration, composed."""
+    """Run chains whose codes share (L, d), in input order, as one
+    ``mixture_weights`` batch: the period rows of all chains give the fidelity
+    factors, the restoring rows after them the restoration factors.  Row t of
+    a period takes alpha damped t times; it restores when t = ar_every - 1,
+    over the whole interval since the last restoration, composed."""
     if not configs:
         return []
     L, d = configs[0].spec.L, configs[0].spec.d
@@ -133,24 +133,23 @@ def simulate_chains(configs: list[RepeaterConfig]) -> list[ChainResult]:
                    for c, g, r in zip(configs, gammas, rows) for t in range(r)]
     restoring = [i for i, c in enumerate(configs) if c.ar_every <= stations[i]]
     interval = np.array([gammas[i] ** configs[i].ar_every for i in restoring])
-    # damped row amplitudes (as fidelity_state forms them) and restoring intervals must be > 0
+    # damped row amplitudes (as mixture_weights forms them) and restoring intervals must be > 0
     live = np.logical_and.reduceat(np.sqrt(np.array(gammas)[owner]) * table[:, 0] > 0, starts)
     live[restoring] &= interval > 0
     if not live.all():
         c = configs[live.argmin()]
         raise ValueError(f"transmission underflows to 0 at spacing_km={c.spacing_km}, "
                          f"attenuation_km={c.attenuation_km}, ar_every={c.ar_every}")
-    table[:, 1] = fidelity_state(
-        CodeSpec(L, d, table[:, 0].copy()),
-        LogicalCoeffs.stack([configs[i].coeffs for i in owner]),
-        ChannelParams(np.array(gammas)[owner]),
-    )
+    # the period rows, then the restoring rows: nominal alpha over the whole interval
+    spec = CodeSpec(L, d, np.append(table[:, 0], [configs[i].spec.alpha for i in restoring]))
+    coeffs = LogicalCoeffs.stack([configs[i].coeffs for i in [*owner, *restoring]])
+    row_gammas = np.append(np.array(gammas)[owner], interval)
+    weights = mixture_weights(spec, coeffs, ChannelParams(row_gammas))
+    table[:, 1] = fidelity_from_weights(spec, weights[: len(owner)])
     if restoring:
-        table[[starts[i] + configs[i].ar_every - 1 for i in restoring], 2] = restoration_factor(
-            CodeSpec(L, d, np.array([configs[i].spec.alpha for i in restoring])),
-            LogicalCoeffs.stack([configs[i].coeffs for i in restoring]),
-            ChannelParams(interval),
-        )
+        rest = np.s_[len(owner):]
+        table[[starts[i] + configs[i].ar_every - 1 for i in restoring], 2] = (
+            restoration_from_weights(spec, LogicalCoeffs(coeffs.values[rest]), weights[rest]))
     # roundoff lifts some factors a few ulps above 1, which a power of 10^5 amplifies
     table[:, 1:] = np.minimum(table[:, 1:], 1.0)
     results = []
@@ -183,7 +182,9 @@ def sweep(config: RepeaterConfig, axis: str, values: list[float]) -> list[ChainR
         if axis == "spacing":
             cfg = replace(config, spacing_km=v)
         elif axis == "alpha":
-            cfg = replace(config, spec=CodeSpec(config.spec.L, config.spec.d, v))
+            with warnings.catch_warnings():  # the chain set's batch warns once for all values
+                warnings.simplefilter("ignore", UserWarning)
+                cfg = replace(config, spec=CodeSpec(config.spec.L, config.spec.d, v))
         elif axis == "gamma":
             if v >= 1.0:
                 raise ValueError("gamma sweep values must lie in (0, 1)")

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codes import CodeSpec, LogicalCoeffs, _cmul, _pair_gram, codeword_fock, gram_matrix
-from .channel import ChannelParams, _weighted_norm_sq, mixture_weights
+from .codes import CodeSpec, LogicalCoeffs, _cmul, _pair_gram, codeword_fock
+from .channel import ChannelParams, LossClassWeights, _weighted_norm_sq, mixture_weights
 
 
 @dataclass(frozen=True)
@@ -106,34 +106,18 @@ def teleport_success_from_overlaps(s_tilde, s_bar, c: LogicalCoeffs):
     return np.where(saturated, 0.0, p)[()]
 
 
-def teleport_success(
-    spec: CodeSpec,
-    q: int,
-    params: ChannelParams,
-    c: LogicalCoeffs,
-) -> float:
-    """Success probability of restoring a qubit sitting in space q.
-
-    The qubit entered the channel at the nominal alpha and now lives at
-    sqrt(gamma) * alpha with coefficients c, branch phase gates included;
-    the target is the code space at the nominal amplitude.  s_tilde and
-    s_bar are the Gram entries ``restoration_factor`` reads.
-    """
-    if spec.d != 2:
-        raise ValueError("teleportation restore is defined for qubit codes only")
-    s_tilde = gram_matrix(spec, q, np.sqrt(params.gamma) * np.asarray(spec.alpha))[..., 0, 1]
-    s_bar = gram_matrix(spec, 0)[..., 0, 1]
-    return teleport_success_from_overlaps(s_tilde, s_bar, c)
-
-
 def teleport_success_assembled(
     spec: CodeSpec,
     q: int,
     params: ChannelParams,
     c: LogicalCoeffs,
 ) -> float:
-    """Brute-force route for ``teleport_success``: assemble the four-branch
-    post-filter state from explicit Fock vectors and take its squared norm.
+    """Success probability of restoring a qubit sitting in space q, by brute
+    force: assemble the four-branch post-filter state from explicit Fock
+    vectors and take its squared norm.  The qubit entered the channel at the
+    nominal alpha and now lives at sqrt(gamma) * alpha with coefficients c,
+    branch phase gates included; the target is the code space at the nominal
+    amplitude.  ``teleport_success_from_overlaps`` is the closed form.
 
     Every norm entering the branch coefficients is computed from vector inner
     products (two-mode norms via the tensor-product identity), none from the
@@ -188,12 +172,17 @@ def restoration_factor(
     exp(2 pi i j / (2(L+1))) on its second logical sector.  The overlaps
     are read off the Gram matrices the mixture weights are built from:
     s_bar from the code-space ``gram`` at the nominal amplitude, s_tilde
-    of branch j from ``damped_grams[..., j mod (L+1), :, :]``.  One value
-    per batch point; the branches are a last batch axis of one call.
+    of branch j from ``damped_grams[..., j mod (L+1), :, :]``, so a batch of
+    mixture weights (``restoration_from_weights``) holds every input.  One
+    value per batch point; the branches are a last batch axis of one call.
     """
+    return restoration_from_weights(spec, coeffs, mixture_weights(spec, coeffs, params))
+
+
+def restoration_from_weights(spec: CodeSpec, coeffs: LogicalCoeffs, weights: LossClassWeights):
+    """``restoration_factor`` from the mixture weights; ``spec`` supplies (L, d)."""
     if spec.d != 2:
         raise ValueError("restoration is defined for qubit codes only")
-    weights = mixture_weights(spec, coeffs, params)
     s_tilde = weights.damped_grams[..., np.arange(spec.cycle) % spec.spaces, 0, 1]
     # Python-int k: a numpy k rounds some phases (k = 5 of cycle 6) differently
     phase = np.array([np.exp(2j * np.pi * k / spec.cycle) for k in range(spec.cycle)])

@@ -29,8 +29,8 @@ from catloss.restore import (
     filter_operators,
     filter_params,
     filter_success,
-    teleport_success,
     teleport_success_assembled,
+    teleport_success_from_overlaps,
 )
 
 from conftest import central_difference, projector
@@ -193,7 +193,8 @@ def test_07_teleport_oracle():
             q = int(rng.integers(0, L + 1))
             c = LogicalCoeffs.of(*(rng.normal(size=2) + 1j * rng.normal(size=2)))
             spec = CodeSpec(L, 2, alpha)
-            closed = teleport_success(spec, q, ChannelParams(gamma), c)
+            w = mixture_weights(spec, c, ChannelParams(gamma))
+            closed = teleport_success_from_overlaps(w.damped_grams[q, 0, 1], w.gram[0, 1], c)
             assembled = teleport_success_assembled(spec, q, ChannelParams(gamma), c)
             assert abs(closed - assembled) < 1e-9, (L, alpha, gamma, q)
 

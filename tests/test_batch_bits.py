@@ -12,6 +12,7 @@ totals are checked against exact products instead (``assert_chain_totals``).
 
 import math
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -131,6 +132,11 @@ def test_gram_matrix(L, d, drawn, seed, data):
     every = lambda: gram_matrix(spec, range(L + 1), np.array(amps))[:, q]
     _agree(every, lambda a: ref.gram_matrix(L, d, q, a), [(a,) for a in amps])
     _same(every(), got)
+    # repeated and reordered amplitudes: each distinct one is evaluated once
+    # and gathered back to every point it stands at
+    repeated = amps + amps[::-1]
+    _agree(lambda: gram_matrix(spec, q, np.array(repeated)),
+           lambda a: ref.gram_matrix(L, d, q, a), [(a,) for a in repeated])
 
 
 @given(L=st.integers(0, 7), d=st.integers(2, 4), n=st.integers(1, 9),
@@ -232,15 +238,21 @@ chains = st.lists(
 
 
 @pytest.mark.filterwarnings("ignore:alpha=.*collinear")
-@given(L=st.integers(0, 7), chain_set=chains, seed=seeds)
+@given(L=st.integers(0, 7), chain_set=chains, seed=seeds, table_shape=st.booleans())
 @bits_settings
-def test_simulate_chains(L, chain_set, seed):
+def test_simulate_chains(L, chain_set, seed, table_shape):
     coeffs = _coeffs(2, len(chain_set), seed)
     configs = [
         RepeaterConfig(total_km=spacing * stations, spacing_km=spacing,
                        spec=CodeSpec(L, 2, alpha), coeffs=c, ar_every=ar_every)
         for (alpha, spacing, stations, ar_every), c in zip(chain_set, coeffs)
     ]
+    if table_shape:
+        # as ``tables`` runs them: every (alpha, spacing) row under both schemes
+        # and both input signs, so amplitudes repeat across chains and, at
+        # ar_every 1, between a period row and its restoring row
+        configs = [replace(cfg, ar_every=ar_every, coeffs=LogicalCoeffs.balanced(sign=sign))
+                   for cfg in configs for ar_every in (2, 1) for sign in (1, -1)]
     results = simulate_chains(configs)
     for cfg, got in zip(configs, results):
         # the frozen totals are sequential products over the expanded columns

@@ -554,8 +554,9 @@ class TestExitCodes:
     @pytest.mark.parametrize("to_file", [False, True])
     def test_non_finite_last_row_writes_nothing(self, dataset, to_file, monkeypatch,
                                                 tmp_path, capsys):
-        # NaN in the last gamma row / the last period row: every row is
-        # rendered before the first byte goes out
+        # NaN in the last gamma row / the last period row (the chain's restoring
+        # row, last in its one mixture batch): every row is rendered before
+        # the first byte goes out
         real_weights = channel.mixture_weights
 
         def nan_at_gamma_max(spec, coeffs, params):
@@ -564,11 +565,13 @@ class TestExitCodes:
             at_max = np.asarray(params.gamma)[..., None] == 1.0
             return replace(w, ptilde=np.where(at_max, math.nan, w.ptilde))
 
-        def nan_factors(spec, coeffs, params):
-            return np.full(np.shape(params.gamma), math.nan)
+        def nan_in_last_row(spec, coeffs, params):
+            w = real_weights(spec, coeffs, params)
+            last = np.arange(len(w.ptilde))[:, None] == len(w.ptilde) - 1
+            return replace(w, ptilde=np.where(last, math.nan, w.ptilde))
 
         monkeypatch.setattr("catloss.channel.mixture_weights", nan_at_gamma_max)
-        monkeypatch.setattr("catloss.repeater.restoration_factor", nan_factors)
+        monkeypatch.setattr("catloss.repeater.mixture_weights", nan_in_last_row)
         out = ["--out", str(tmp_path / "data")] if to_file else []
         code = main(DATASETS[dataset] + out)
         captured = capsys.readouterr()
@@ -578,19 +581,26 @@ class TestExitCodes:
         assert list(tmp_path.iterdir()) == []
 
     def test_damped_period_warns_once(self):
-        # 13 of the 200 period rows fall below the collinear amplitude: one
-        # warning for the batch, located in the library, not in the
-        # dataclass-generated __init__ ("<string>")
+        # one warning for a chain set's batch, located in the library, not in
+        # the dataclass-generated __init__ ("<string>")
         env = {**os.environ, "PYTHONPATH": str(Path(catloss.__file__).parents[1])}
-        proc = subprocess.run(
-            [sys.executable, "-m", "catloss.cli", "repeater", "--L", "4", "--alpha", "7",
-             "--spacing-km", "1", "--ar-every", "200"],
-            capture_output=True, text=True, env=env, timeout=120,
-        )
-        assert proc.returncode == 0
-        lines = [line for line in proc.stderr.splitlines() if "collinear" in line]
-        assert len(lines) == 1 and "at 13 of 200 amplitudes" in lines[0]
-        assert "<string>" not in proc.stderr
+        cases = [
+            # 13 of the 200 period rows fall below the collinear amplitude; the
+            # restoring row at the nominal alpha is the batch's 201st amplitude
+            (["repeater", "--L", "4", "--alpha", "7", "--spacing-km", "1", "--ar-every", "200"],
+             "at 13 of 201 amplitudes"),
+            # every swept value is below it, and no value warns on its own: two
+            # chains of two period rows and one restoring row each
+            (["sweep", "--L", "1", "--alpha", "2", "--axis", "alpha", "--values", "0.01,0.02"],
+             "at 6 of 6 amplitudes"),
+        ]
+        for argv, count in cases:
+            proc = subprocess.run([sys.executable, "-m", "catloss.cli", *argv],
+                                  capture_output=True, text=True, env=env, timeout=120)
+            assert proc.returncode == 0
+            lines = [line for line in proc.stderr.splitlines() if "collinear" in line]
+            assert len(lines) == 1 and count in lines[0], proc.stderr
+            assert "<string>" not in proc.stderr
 
     def test_closed_stdout_pipe_is_zero(self):
         # `catloss repeater --trace | head`: the reader leaves after 100 bytes

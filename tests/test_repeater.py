@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from catloss import codes
 from catloss.codes import CodeSpec, LogicalCoeffs
-from catloss.channel import ChannelParams
+from catloss.channel import ChannelParams, mixture_weights
 from catloss.qec import fidelity_state
 from catloss.repeater import (
     RepeaterConfig,
@@ -93,26 +94,47 @@ class TestSimulateChain:
         )
 
     def test_chain_shorter_than_period_evaluates_only_its_stations(self, monkeypatch):
-        # one station at ar_every 50: one fidelity row and no restoration
-        calls = []
+        # one station at ar_every 50: one mixture batch of one row, no restoration
+        batches = []
 
-        def counted(name, fn):
-            def wrapper(*args):
-                calls.append(name)
-                return fn(*args)
-            return wrapper
+        def counted(spec, coeffs, params):
+            batches.append(np.shape(spec.alpha))
+            return mixture_weights(spec, coeffs, params)
 
-        monkeypatch.setattr("catloss.repeater.fidelity_state",
-                            counted("fidelity", fidelity_state))
-        monkeypatch.setattr("catloss.repeater.restoration_factor",
-                            counted("restore", restoration_factor))
+        monkeypatch.setattr("catloss.repeater.mixture_weights", counted)
         result = simulate_chain(config(L=1, alpha=2.0, total=0.5, spacing=0.5, ar_every=50))
-        assert calls == ["fidelity"]
+        assert batches == [(1,)]
         assert result.period.shape == (1, 3)
         assert result.success_prob == 1.0
         assert result.fidelity == fidelity_state(
             CodeSpec(1, 2, 2.0), BALANCED, ChannelParams(segment_gamma(0.5))
         )
+
+    def test_chain_set_is_one_batch_of_distinct_amplitudes(self, monkeypatch):
+        # the shape of a table: every (alpha, spacing) row under both schemes
+        # and both input signs, so amplitudes repeat across chains, across
+        # signs and, at ar_every 1, between a period row and its restoring row
+        batches, kernel_amps = [], []
+        kernel = codes._coherent_gram
+
+        def counted_weights(spec, coeffs, params):
+            batches.append(np.size(spec.alpha))
+            return mixture_weights(spec, coeffs, params)
+
+        def counted_kernel(spec, qs, amps):
+            kernel_amps.append(amps)
+            return kernel(spec, qs, amps)
+
+        monkeypatch.setattr("catloss.repeater.mixture_weights", counted_weights)
+        monkeypatch.setattr(codes, "_coherent_gram", counted_kernel)
+        configs = [config(L=3, alpha=alpha, total=10.0, spacing=spacing, ar_every=ar, sign=sign)
+                   for alpha in (4.0, 5.0) for spacing in (0.1, 1.0)
+                   for ar in (2, 1) for sign in (1, -1)]
+        results = simulate_chains(configs)
+        # 16 chains: 8 with two period rows, 8 with one, and every chain restores
+        assert batches == [8 * 2 + 8 + 16]
+        assert kernel_amps and all(len(np.unique(a)) == len(a) for a in kernel_amps)
+        assert results == [simulate_chain(c) for c in configs]
 
     def test_single_hop_reduces_to_direct_composition(self):
         cfg = config(L=1, alpha=2.0, total=0.5, spacing=0.5, ar_every=1)

@@ -6,16 +6,23 @@ import numpy as np
 import pytest
 
 from catloss.codes import CodeSpec, LogicalCoeffs, gram_matrix
-from catloss.channel import ChannelParams
+from catloss import channel
+from catloss.channel import ChannelParams, mixture_weights
 from catloss.restore import (
     filter_operators,
     filter_params,
     filter_success,
     restoration_factor,
-    teleport_success,
     teleport_success_assembled,
     teleport_success_from_overlaps,
 )
+
+
+def teleport_success(spec, q, params, c):
+    """Closed-form success of restoring a qubit in space q: s_tilde and s_bar
+    read off the Gram matrices of one ``mixture_weights`` call."""
+    w = mixture_weights(spec, c, params)
+    return teleport_success_from_overlaps(w.damped_grams[..., q, 0, 1], w.gram[..., 0, 1], c)
 
 
 class TestFilterParams:
@@ -146,8 +153,11 @@ class TestTeleportSuccess:
         assert twice < once
 
     def test_rejects_qudits(self):
-        with pytest.raises(ValueError):
-            teleport_success(CodeSpec(1, 3, 2.0), 0, ChannelParams(0.9), LogicalCoeffs.balanced(3))
+        with pytest.raises(ValueError, match="qubit codes only"):
+            restoration_factor(CodeSpec(1, 3, 2.0), LogicalCoeffs.balanced(3), ChannelParams(0.9))
+        with pytest.raises(ValueError, match="qubit codes only"):
+            teleport_success_assembled(CodeSpec(1, 3, 2.0), 0, ChannelParams(0.9),
+                                       LogicalCoeffs.balanced(3))
 
 
 class TestOneWaySuccess:
@@ -159,16 +169,21 @@ class TestOneWaySuccess:
 
     def test_overlaps_read_from_mixture_grams(self, monkeypatch):
         # s_bar and s_tilde come from the Gram matrices of mixture_weights,
-        # so the factor itself evaluates no overlap
+        # so the factor evaluates no overlap beyond the ones the weights need
         spec = CodeSpec(2, 2, 3.0)
         params = ChannelParams(0.95)
-        expected = restoration_factor(spec, LogicalCoeffs.balanced(), params)
+        calls = []
+        real = channel.gram_matrix
 
-        def forbidden(*args, **kwargs):
-            raise AssertionError("restoration_factor recomputed an overlap")
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
 
-        monkeypatch.setattr("catloss.restore.gram_matrix", forbidden)
-        assert restoration_factor(spec, LogicalCoeffs.balanced(), params) == expected
+        monkeypatch.setattr("catloss.channel.gram_matrix", counted)
+        mixture_weights(spec, LogicalCoeffs.balanced(), params)
+        weights_only = len(calls)
+        restoration_factor(spec, LogicalCoeffs.balanced(), params)
+        assert len(calls) == 2 * weights_only
 
     def test_branches_are_one_teleportation_call(self, monkeypatch):
         # the d(L+1) branches are a batch axis: one call per factor, not one per branch
