@@ -367,8 +367,8 @@ def cmd_verify(args) -> int:
 
     spec_t = codes.CodeSpec(1, 2, 2.0)
     ct = codes.LogicalCoeffs.of(1.0, 1.0j)
-    w = channel.mixture_weights(spec_t, ct, channel.ChannelParams(0.95))
-    closed = restore.teleport_success_from_overlaps(w.damped_grams[1, 0, 1], w.gram[0, 1], ct)
+    closed = restore.teleport_success_from_weights(
+        channel.mixture_weights(spec_t, ct, channel.ChannelParams(0.95)), 1, ct)
     assembled = restore.teleport_success_assembled(spec_t, 1, channel.ChannelParams(0.95), ct)
     ok &= _check("teleport success vs assembled state", abs(closed - assembled), 1e-9, lines)
 

@@ -127,10 +127,8 @@ def teleport_success_assembled(
     if spec.d != 2:
         raise ValueError("teleportation restore is defined for qubit codes only")
     damped = np.sqrt(params.gamma) * spec.alpha
-    w0t = codeword_fock(spec, 0, q, damped)
-    w1t = codeword_fock(spec, 1, q, damped)
-    w0b = codeword_fock(spec, 0, 0)
-    w1b = codeword_fock(spec, 1, 0)
+    w0t, w1t = (codeword_fock(spec, k, q, damped) for k in (0, 1))
+    w0b, w1b = (codeword_fock(spec, k, 0) for k in (0, 1))
     s_tilde = complex(np.vdot(w0t, w1t))
     s_bar = complex(np.vdot(w0b, w1b))
     b1 = filter_params(s_tilde).b1
@@ -139,12 +137,8 @@ def teleport_success_assembled(
     # the states on the left of each scalar product: swapped operands round differently
     n_omega = float(np.linalg.norm(w0t * c0 + w1t * c1)) ** 2
     n_phi_hat = 1.0 + np.real(s_tilde * s_bar)
-    bell = [
-        1.0 + np.real(s_tilde**2),
-        1.0 - np.real(s_tilde**2),
-        1.0 + abs(s_tilde) ** 2,
-        1.0 - abs(s_tilde) ** 2,
-    ]
+    bell = [1.0 + np.real(s_tilde**2), 1.0 - np.real(s_tilde**2),
+            1.0 + abs(s_tilde) ** 2, 1.0 - abs(s_tilde) ** 2]
     outputs = [
         w0b * c0 + w1b * c1,
         w0b * c0 - w1b * c1,
@@ -160,22 +154,27 @@ def teleport_success_assembled(
     return float(np.vdot(stacked, stacked).real)
 
 
+def teleport_success_from_weights(weights: LossClassWeights, q, c: LogicalCoeffs):
+    """``teleport_success_from_overlaps`` of a qubit in space q (an array of
+    spaces is a last batch axis): s_tilde read off ``damped_grams`` at q, s_bar
+    off the code-space ``gram`` at the nominal amplitude."""
+    s_bar = weights.gram[(...,) + (None,) * np.ndim(q) + (0, 1)]
+    return teleport_success_from_overlaps(weights.damped_grams[..., q, 0, 1], s_bar, c)
+
+
 def restoration_factor(
     spec: CodeSpec,
     coeffs: LogicalCoeffs,
     params: ChannelParams,
 ) -> float:
-    """One restoration step: mixture-weighted teleportation success.
-
-    Sums ptilde_j * P_succ over all d(L+1) branches of the incoming mixture;
-    branch j lives in space j mod (L+1) and carries the fixed phase
-    exp(2 pi i j / (2(L+1))) on its second logical sector.  The overlaps
-    are read off the Gram matrices the mixture weights are built from:
-    s_bar from the code-space ``gram`` at the nominal amplitude, s_tilde
-    of branch j from ``damped_grams[..., j mod (L+1), :, :]``, so a batch of
-    mixture weights (``restoration_from_weights``) holds every input.  One
-    value per batch point; the branches are a last batch axis of one call.
-    """
+    """One restoration step: mixture-weighted teleportation success, one value
+    per batch point.  Sums ptilde_j * P_succ over the d(L+1) branches of the
+    incoming mixture, a last batch axis of one call; branch j lives in space
+    j mod (L+1) and carries the phase exp(2 pi i j / (2(L+1))) on its second
+    logical sector.  Both overlaps come from the mixture weights' Gram
+    matrices (``restoration_from_weights``)."""
+    if spec.d != 2:
+        raise ValueError("restoration is defined for qubit codes only")
     return restoration_from_weights(spec, coeffs, mixture_weights(spec, coeffs, params))
 
 
@@ -183,13 +182,12 @@ def restoration_from_weights(spec: CodeSpec, coeffs: LogicalCoeffs, weights: Los
     """``restoration_factor`` from the mixture weights; ``spec`` supplies (L, d)."""
     if spec.d != 2:
         raise ValueError("restoration is defined for qubit codes only")
-    s_tilde = weights.damped_grams[..., np.arange(spec.cycle) % spec.spaces, 0, 1]
     # Python-int k: a numpy k rounds some phases (k = 5 of cycle 6) differently
     phase = np.array([np.exp(2j * np.pi * k / spec.cycle) for k in range(spec.cycle)])
     a, b = coeffs.values[..., None, 0], coeffs.values[..., None, 1]
     # b * phase as the scalar complex product rounds it
     re, im = _cmul(b.real, b.imag, phase.real, phase.imag)
     phased = LogicalCoeffs(np.stack(np.broadcast_arrays(a, re + 1j * im), axis=-1))
-    p = teleport_success_from_overlaps(s_tilde, weights.gram[..., None, 0, 1], phased)
+    p = teleport_success_from_weights(weights, np.arange(spec.cycle) % spec.spaces, phased)
     # summed over the branches in order, from +0.0
     return 0.0 + np.add.accumulate(weights.ptilde * p, axis=-1)[..., -1]

@@ -30,7 +30,7 @@ from catloss.restore import (
     filter_params,
     filter_success,
     teleport_success_assembled,
-    teleport_success_from_overlaps,
+    teleport_success_from_weights,
 )
 
 from conftest import central_difference, projector
@@ -194,7 +194,7 @@ def test_07_teleport_oracle():
             c = LogicalCoeffs.of(*(rng.normal(size=2) + 1j * rng.normal(size=2)))
             spec = CodeSpec(L, 2, alpha)
             w = mixture_weights(spec, c, ChannelParams(gamma))
-            closed = teleport_success_from_overlaps(w.damped_grams[q, 0, 1], w.gram[0, 1], c)
+            closed = teleport_success_from_weights(w, q, c)
             assembled = teleport_success_assembled(spec, q, ChannelParams(gamma), c)
             assert abs(closed - assembled) < 1e-9, (L, alpha, gamma, q)
 

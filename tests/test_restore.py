@@ -6,23 +6,18 @@ import numpy as np
 import pytest
 
 from catloss.codes import CodeSpec, LogicalCoeffs, gram_matrix
-from catloss import channel
+from catloss import codes
 from catloss.channel import ChannelParams, mixture_weights
 from catloss.restore import (
     filter_operators,
     filter_params,
     filter_success,
     restoration_factor,
+    restoration_from_weights,
     teleport_success_assembled,
     teleport_success_from_overlaps,
+    teleport_success_from_weights,
 )
-
-
-def teleport_success(spec, q, params, c):
-    """Closed-form success of restoring a qubit in space q: s_tilde and s_bar
-    read off the Gram matrices of one ``mixture_weights`` call."""
-    w = mixture_weights(spec, c, params)
-    return teleport_success_from_overlaps(w.damped_grams[..., q, 0, 1], w.gram[..., 0, 1], c)
 
 
 class TestFilterParams:
@@ -100,7 +95,9 @@ class TestTeleportSuccess:
 
     def test_near_orthogonal_code(self):
         # alpha = 6 overlaps are ~1e-15, success is essentially certain
-        p = teleport_success(CodeSpec(1, 2, 6.0), 0, ChannelParams(1.0), LogicalCoeffs.balanced())
+        c = LogicalCoeffs.balanced()
+        w = mixture_weights(CodeSpec(1, 2, 6.0), c, ChannelParams(1.0))
+        p = teleport_success_from_weights(w, 0, c)
         assert abs(p - 1.0) < 1e-10
 
     def test_omega_norm_reduction_for_real_inputs(self):
@@ -116,7 +113,7 @@ class TestTeleportSuccess:
         spec = CodeSpec(1, 2, 2.0)
         params = ChannelParams(0.95)
         c = LogicalCoeffs.of(1 / math.sqrt(2), 1j / math.sqrt(2))
-        closed = teleport_success(spec, q, params, c)
+        closed = teleport_success_from_weights(mixture_weights(spec, c, params), q, c)
         assembled = teleport_success_assembled(spec, q, params, c)
         assert abs(closed - assembled) < 1e-9
 
@@ -129,7 +126,8 @@ class TestTeleportSuccess:
             raw = rng.normal(size=2) + 1j * rng.normal(size=2)
             c = LogicalCoeffs.of(*raw)
             spec = CodeSpec(L, 2, alpha)
-            closed = teleport_success(spec, q, ChannelParams(gamma), c)
+            w = mixture_weights(spec, c, ChannelParams(gamma))
+            closed = teleport_success_from_weights(w, q, c)
             assembled = teleport_success_assembled(spec, q, ChannelParams(gamma), c)
             assert abs(closed - assembled) < 1e-9
             assert 0.0 <= closed <= 1.0 + 1e-12
@@ -148,16 +146,24 @@ class TestTeleportSuccess:
         # the qubit at sqrt(0.9) * (sqrt(0.9) * alpha)
         spec = CodeSpec(1, 2, 2.0)
         c = LogicalCoeffs.balanced()
-        once = teleport_success(spec, 0, ChannelParams(0.9), c)
-        twice = teleport_success(spec, 0, ChannelParams(0.81), c)
+        once = teleport_success_from_weights(mixture_weights(spec, c, ChannelParams(0.9)), 0, c)
+        twice = teleport_success_from_weights(mixture_weights(spec, c, ChannelParams(0.81)), 0, c)
         assert twice < once
 
-    def test_rejects_qudits(self):
+    def test_rejects_qudits(self, monkeypatch):
+        spec, c, params = CodeSpec(1, 3, 2.0), LogicalCoeffs.balanced(3), ChannelParams(0.9)
         with pytest.raises(ValueError, match="qubit codes only"):
-            restoration_factor(CodeSpec(1, 3, 2.0), LogicalCoeffs.balanced(3), ChannelParams(0.9))
+            restoration_from_weights(spec, c, mixture_weights(spec, c, params))
         with pytest.raises(ValueError, match="qubit codes only"):
-            teleport_success_assembled(CodeSpec(1, 3, 2.0), 0, ChannelParams(0.9),
-                                       LogicalCoeffs.balanced(3))
+            teleport_success_assembled(spec, 0, params, c)
+
+        def forbidden(*args):
+            raise AssertionError("mixture weights computed for a qudit code")
+
+        # rejected before the qudit mixture is computed
+        monkeypatch.setattr("catloss.restore.mixture_weights", forbidden)
+        with pytest.raises(ValueError, match="qubit codes only"):
+            restoration_factor(spec, c, params)
 
 
 class TestOneWaySuccess:
@@ -168,22 +174,28 @@ class TestOneWaySuccess:
         assert abs(p - 1.0) < 1e-8
 
     def test_overlaps_read_from_mixture_grams(self, monkeypatch):
-        # s_bar and s_tilde come from the Gram matrices of mixture_weights,
-        # so the factor evaluates no overlap beyond the ones the weights need
-        spec = CodeSpec(2, 2, 3.0)
+        # s_bar and s_tilde come from the Gram matrices of mixture_weights, so
+        # the factor runs the coherent Gram kernel exactly as the weights do;
+        # L = 3 has no trigonometric space, so every overlap takes that kernel,
+        # whichever module asks for it
+        spec = CodeSpec(3, 2, 3.0)
         params = ChannelParams(0.95)
+        c = LogicalCoeffs.balanced()
+        expected = restoration_factor(spec, c, params)
         calls = []
-        real = channel.gram_matrix
+        kernel = codes._coherent_gram
 
-        def counted(*args):
-            calls.append(args)
-            return real(*args)
+        def counted(spec, qs, amps):
+            calls.append((list(qs), amps.tolist()))
+            return kernel(spec, qs, amps)
 
-        monkeypatch.setattr("catloss.channel.gram_matrix", counted)
-        mixture_weights(spec, LogicalCoeffs.balanced(), params)
-        weights_only = len(calls)
-        restoration_factor(spec, LogicalCoeffs.balanced(), params)
-        assert len(calls) == 2 * weights_only
+        monkeypatch.setattr(codes, "_coherent_gram", counted)
+        mixture_weights(spec, c, params)
+        weights_calls = calls[:]
+        assert weights_calls
+        calls.clear()
+        assert restoration_factor(spec, c, params) == expected
+        assert calls == weights_calls
 
     def test_branches_are_one_teleportation_call(self, monkeypatch):
         # the d(L+1) branches are a batch axis: one call per factor, not one per branch
@@ -211,5 +223,6 @@ class TestOneWaySuccess:
             c = LogicalCoeffs(
                 (coeffs.values[0], coeffs.values[1] * np.exp(2j * np.pi * j / 4))
             )
-            branch_vals.append(teleport_success(spec, j % 2, params, c))
+            w = mixture_weights(spec, c, params)
+            branch_vals.append(teleport_success_from_weights(w, j % 2, c))
         assert min(branch_vals) - 1e-12 <= factor <= max(branch_vals) + 1e-12
