@@ -239,10 +239,13 @@ def cmd_klreport(args) -> int:
 
 
 def _chain_config(args) -> repeater.RepeaterConfig:
+    with warnings.catch_warnings():  # the chain set's batch warns once for every amplitude it runs
+        warnings.simplefilter("ignore", UserWarning)
+        spec = codes.CodeSpec(args.L, 2, args.alpha)
     return repeater.RepeaterConfig(
         total_km=args.total_km,
         spacing_km=args.spacing_km,
-        spec=codes.CodeSpec(args.L, 2, args.alpha),
+        spec=spec,
         coeffs=_coeffs(args, 2),
         attenuation_km=args.attenuation_km,
         ar_every=SCHEME_AR_EVERY[args.scheme] if args.ar_every is None else args.ar_every,
@@ -405,16 +408,7 @@ def _add_chain(p):
                    help="restore every n-th station (overrides --scheme)")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="catloss",
-        description=__doc__,
-        epilog="A key=value file passed as --config PATH supplies flag "
-        "defaults (a bare key sets a switch); explicit flags always win.",
-    )
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    p = sub.add_parser("weights", help="output-mixture weights over a gamma grid")
+def _weights_flags(p):
     p.add_argument("--L", type=int, required=True)
     p.add_argument("--d", type=int, default=2)
     p.add_argument("--alpha", type=float, required=True)
@@ -425,43 +419,80 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(func=cmd_weights)
 
-    p = sub.add_parser("fidelity", help="worst-case fidelity bound over a gamma grid")
+
+def _fidelity_flags(p):
     p.add_argument("--L", type=int, required=True)
     p.add_argument("--alpha", type=float, required=True)
     _add_gamma_grid(p)
     _add_common(p)
     p.set_defaults(func=cmd_fidelity)
 
-    p = sub.add_parser("kl-report", help="correctability violations per loss count")
+
+def _klreport_flags(p):
     p.add_argument("--L", type=int, required=True)
     p.add_argument("--alphas", default="1,2,3,4,5,6", help="comma list of amplitudes")
     p.add_argument("--basis", choices=["Z", "X"], default="Z")
     _add_common(p)
     p.set_defaults(func=cmd_klreport)
 
-    p = sub.add_parser("repeater", help="simulate one communication chain")
+
+def _repeater_flags(p):
     _add_chain(p)
     p.add_argument("--trace", action="store_true", help="emit per-station factors")
     _add_common(p)
     p.set_defaults(func=cmd_repeater)
 
-    p = sub.add_parser("sweep", help="chain results along one swept axis")
+
+def _sweep_flags(p):
     _add_chain(p)
     p.add_argument("--axis", choices=["spacing", "alpha", "gamma"], required=True)
     p.add_argument("--values", required=True, help="comma list of axis values")
     _add_common(p)
     p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("tables", help="long-haul comparison vs reference values")
+
+def _tables_flags(p):
     p.add_argument("--which", choices=["I", "II", "III"], required=True)
     p.add_argument("--total-km", type=float, default=1000.0)
     _add_common(p)
     p.set_defaults(func=cmd_tables)
 
-    p = sub.add_parser("verify", help="closed forms vs brute-force oracles")
+
+def _verify_flags(p):
     p.add_argument("--out", default=None, help="output path (stdout if omitted)")
     p.set_defaults(func=cmd_verify, format="text")
 
+
+# The one place a subcommand is declared: name -> (help line, flag adder), in usage order.
+SUBCOMMANDS = {
+    "weights": ("output-mixture weights over a gamma grid", _weights_flags),
+    "fidelity": ("worst-case fidelity bound over a gamma grid", _fidelity_flags),
+    "kl-report": ("correctability violations per loss count", _klreport_flags),
+    "repeater": ("simulate one communication chain", _repeater_flags),
+    "sweep": ("chain results along one swept axis", _sweep_flags),
+    "tables": ("long-haul comparison vs reference values", _tables_flags),
+    "verify": ("closed forms vs brute-force oracles", _verify_flags),
+}
+
+
+def build_parser(subcommand: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or given a name in ``SUBCOMMANDS`` one
+    holding only that subcommand's subparser (argparse builds a help formatter
+    per flag, so this saves the other six); either prints the same usage line."""
+    parser = _Parser(
+        prog="catloss",
+        description=__doc__,
+        epilog="A key=value file passed as --config PATH supplies flag "
+        "defaults (a bare key sets a switch); explicit flags always win.",
+    )
+    if subcommand in SUBCOMMANDS:  # the metavar argparse derives from all the choices
+        names, metavar = [subcommand], "{" + ",".join(SUBCOMMANDS) + "}"
+    else:  # no metavar, so argparse's errors name the action "subcommand"
+        names, metavar = list(SUBCOMMANDS), None
+    sub = parser.add_subparsers(dest="subcommand", required=True, metavar=metavar)
+    for name in names:
+        help_line, add_flags = SUBCOMMANDS[name]
+        add_flags(sub.add_parser(name, help=help_line))
     return parser
 
 
@@ -480,7 +511,6 @@ def _config_tokens(path: str) -> list[str]:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     config = _Parser(prog="catloss", add_help=False, allow_abbrev=False)
     config.add_argument("--config", metavar="PATH")
     try:
@@ -488,7 +518,7 @@ def main(argv: list[str] | None = None) -> int:
         if known.config is not None:
             # right after the subcommand: explicit flags win, as argparse keeps the last
             argv = argv[:1] + _config_tokens(known.config) + argv[1:]
-        args = parser.parse_args(argv)
+        args = build_parser(argv[0] if argv else None).parse_args(argv)
         # warnings (numpy's floating-point ones too) wait for the command to return,
         # so a failure prints one line; catch_warnings would reset their registries
         caught, show = [], warnings.showwarning

@@ -1,5 +1,6 @@
 """Command-line interface: outputs, manifests, determinism, exit codes."""
 
+import argparse
 import hashlib
 import json
 import math
@@ -15,9 +16,9 @@ import numpy as np
 import pytest
 
 import catloss
-from catloss import channel
+from catloss import channel, cli
 from catloss.channel import ChannelParams
-from catloss.cli import LAYOUTS, _chain_config, _fmt, build_parser, main
+from catloss.cli import LAYOUTS, SUBCOMMANDS, _chain_config, _fmt, build_parser, main
 from catloss.codes import CodeSpec
 from catloss.qec import fidelity_bound
 from catloss.repeater import simulate_chain
@@ -51,6 +52,8 @@ DATASETS = {
     "tables": ["tables", "--which", "I", "--total-km", "1"],
 }
 
+# one call of every subcommand: the datasets, then verify's report
+CALLS = [*DATASETS.values(), ["verify"]]
 
 WEIGHTS = ["weights", "--L", "1", "--alpha", "2", "--gamma-steps", "3"]
 
@@ -593,6 +596,11 @@ class TestExitCodes:
             # chains of two period rows and one restoring row each
             (["sweep", "--L", "1", "--alpha", "2", "--axis", "alpha", "--values", "0.01,0.02"],
              "at 6 of 6 amplitudes"),
+            # a small nominal alpha warns in the batch alone, not again for --alpha itself
+            (["repeater", "--L", "1", "--alpha", "0.05", "--total-km", "1", "--spacing-km", "0.5"],
+             "at 3 of 3 amplitudes"),
+            (["sweep", "--L", "1", "--alpha", "0.05", "--total-km", "1", "--axis", "spacing",
+              "--values", "0.1,0.5"], "at 6 of 6 amplitudes"),
         ]
         for argv, count in cases:
             proc = subprocess.run([sys.executable, "-m", "catloss.cli", *argv],
@@ -640,3 +648,62 @@ class TestExitCodes:
         assert code == 0
         assert "all checks passed" in out
         assert "FAIL" not in out
+
+
+class TestParserPerSubcommand:
+    """``main`` builds only the named subcommand's parser; what it parses and
+    prints must be what the parser of every subcommand parses and prints."""
+
+    @pytest.mark.parametrize("argv", CALLS + [DATASETS["weights"] + ["--format", "json",
+                                                                     "--out", "d.json"]])
+    def test_parses_as_the_full_parser(self, argv):
+        assert vars(build_parser(argv[0]).parse_args(argv)) == vars(build_parser().parse_args(argv))
+
+    @pytest.mark.parametrize("argv", [
+        [], ["-h"], ["--he"], ["bogus"], ["--", "weights"], ["-h", "weights"],
+        *([name, "-h"] for name in SUBCOMMANDS),
+        ["weights"],  # required flags missing
+        WEIGHTS + ["extra"],
+        WEIGHTS + ["--bogus"],
+        ["tables", "--which", "IV"],
+        ["--config", "{cfg}", "weights"],
+    ])
+    def test_prints_as_the_full_parser(self, argv, monkeypatch, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("L=1\nalpha=2\ngamma-steps=3\n")
+        argv = [token.format(cfg=cfg) for token in argv]
+        monkeypatch.setenv("COLUMNS", "80")
+
+        def outcome():
+            try:
+                code = main(list(argv))
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            return code, captured.out, captured.err
+
+        got = outcome()
+        full = build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda subcommand=None: full())
+        assert got == outcome()
+        assert got[2] or got[1]
+
+    @pytest.mark.parametrize("argv", CALLS, ids=[*DATASETS, "verify"])
+    def test_main_adds_one_subparser(self, argv, monkeypatch, tmp_path, capsys):
+        added = []
+        add_parser = argparse._SubParsersAction.add_parser
+
+        def counted(self, name, **kwargs):
+            added.append(name)
+            return add_parser(self, name, **kwargs)
+
+        monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counted)
+        assert main(argv + ["--out", str(tmp_path / "d")]) == 0
+        assert added == [argv[0]]
+        # with no name, every subcommand, as `catloss -h` lists them
+        added.clear()
+        monkeypatch.setenv("COLUMNS", "80")
+        text = build_parser().format_help()
+        assert added == list(SUBCOMMANDS)
+        for name, (help_line, _) in SUBCOMMANDS.items():
+            assert f"    {name}" in text and help_line in text
