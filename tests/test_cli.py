@@ -53,7 +53,7 @@ DATASETS = {
 }
 
 # one call of every subcommand: the datasets, then verify's report
-CALLS = [*DATASETS.values(), ["verify"]]
+CALLS = {**DATASETS, "verify": ["verify"]}
 
 WEIGHTS = ["weights", "--L", "1", "--alpha", "2", "--gamma-steps", "3"]
 
@@ -654,7 +654,7 @@ class TestParserPerSubcommand:
     """``main`` builds only the named subcommand's parser; what it parses and
     prints must be what the parser of every subcommand parses and prints."""
 
-    @pytest.mark.parametrize("argv", CALLS, ids=[*DATASETS, "verify"])
+    @pytest.mark.parametrize("argv", CALLS.values(), ids=CALLS.keys())
     def test_parses_as_the_full_parser(self, argv):
         assert vars(build_parser(argv[0]).parse_args(argv)) == vars(build_parser().parse_args(argv))
 
@@ -699,7 +699,7 @@ class TestParserPerSubcommand:
         monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counted)
         return added
 
-    @pytest.mark.parametrize("argv", CALLS, ids=[*DATASETS, "verify"])
+    @pytest.mark.parametrize("argv", CALLS.values(), ids=CALLS.keys())
     def test_main_adds_one_subparser(self, argv, monkeypatch, tmp_path):
         added = self.added_subparsers(monkeypatch)
         assert main(argv + ["--out", str(tmp_path / "d")]) == 0
