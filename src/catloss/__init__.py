@@ -40,7 +40,7 @@ from .qec import (
     FidelityResult,
     KLReport,
     fidelity_bound,
-    fidelity_state,
+    fidelity_from_weights,
     kl_check,
 )
 from .restore import (
@@ -48,14 +48,13 @@ from .restore import (
     filter_operators,
     filter_params,
     filter_success,
-    restoration_factor,
+    restoration_from_weights,
     teleport_success_assembled,
 )
 from .repeater import (
     ChainResult,
     RepeaterConfig,
     segment_gamma,
-    simulate_chain,
     simulate_chains,
     sweep,
 )
@@ -68,10 +67,10 @@ __all__ = [
     "ChannelParams", "LossClassWeights",
     "channel_apply_exact", "class_probabilities", "class_probabilities_kraus",
     "encode", "kraus_apply", "logical_mixture", "mixture_weights",
-    "FidelityResult", "KLReport", "fidelity_bound", "fidelity_state",
+    "FidelityResult", "KLReport", "fidelity_bound", "fidelity_from_weights",
     "kl_check",
     "FilterParams", "filter_operators", "filter_params", "filter_success",
-    "restoration_factor", "teleport_success_assembled",
+    "restoration_from_weights", "teleport_success_assembled",
     "ChainResult", "RepeaterConfig", "segment_gamma",
-    "simulate_chain", "simulate_chains", "sweep",
+    "simulate_chains", "sweep",
 ]

@@ -220,16 +220,21 @@ def cmd_fidelity(args) -> int:
     return 0
 
 
+def _qubit_spec(L: int, alpha: float) -> codes.CodeSpec:
+    """A qubit code whose small-amplitude warning is left to the batch that runs it."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        return codes.CodeSpec(L, 2, alpha)
+
+
 def cmd_klreport(args) -> int:
-    spec_alphas = [float(tok) for tok in args.alphas.split(",")]
+    specs = [_qubit_spec(args.L, float(tok)) for tok in args.alphas.split(",")]
+    codes.CodeSpec(args.L, 2, np.array([s.alpha for s in specs]))  # one warning for them all
     max_loss = 2 * args.L + 1
-    columns = ["alpha"]
-    for i in range(max_loss + 1):
-        columns += [f"ortho_{i}", f"deform_{i}"]
+    columns = ["alpha"] + [f"{k}_{i}" for i in range(max_loss + 1) for k in ("ortho", "deform")]
     rows = []
-    for alpha in spec_alphas:
-        spec = codes.CodeSpec(args.L, 2, alpha)
-        row = [alpha]
+    for spec in specs:
+        row = [spec.alpha]
         for i in range(max_loss + 1):
             report = qec.kl_check(spec, args.basis, i, i)
             row += [report.ortho_violation, report.deform_violation]
@@ -239,13 +244,10 @@ def cmd_klreport(args) -> int:
 
 
 def _chain_config(args) -> repeater.RepeaterConfig:
-    with warnings.catch_warnings():  # the chain set's batch warns once for every amplitude it runs
-        warnings.simplefilter("ignore", UserWarning)
-        spec = codes.CodeSpec(args.L, 2, args.alpha)
     return repeater.RepeaterConfig(
         total_km=args.total_km,
         spacing_km=args.spacing_km,
-        spec=spec,
+        spec=_qubit_spec(args.L, args.alpha),  # the chain set's batch warns once
         coeffs=_coeffs(args, 2),
         attenuation_km=args.attenuation_km,
         ar_every=SCHEME_AR_EVERY[args.scheme] if args.ar_every is None else args.ar_every,
@@ -253,7 +255,7 @@ def _chain_config(args) -> repeater.RepeaterConfig:
 
 
 def cmd_repeater(args) -> int:
-    result = repeater.simulate_chain(_chain_config(args))
+    (result,) = repeater.simulate_chains([_chain_config(args)])
     if not args.trace:
         columns = ["fidelity", "success_prob", "n_stations", "amplitude_collapsed"]
         _emit(columns, [[result.fidelity, result.success_prob, result.n_stations,

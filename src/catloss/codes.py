@@ -284,8 +284,9 @@ def gram_matrix(spec: CodeSpec, q, amplitude=None) -> np.ndarray:
             s = 1j * np.divide(np.sin(a2), np.sinh(a2), out=np.ones_like(a2), where=a2 != 0)
         else:
             cos3 = np.cos(np.sqrt(3.0) * a2 / 2)
-            num = np.exp(-a2) + 2 * np.exp(a2 / 2) * cos3
-            s = (num / (np.exp(a2) + 2 * np.exp(-a2 / 2) * cos3)).astype(complex)
+            with np.errstate(over="ignore", invalid="ignore"):  # inf/inf is caught below
+                num = np.exp(-a2) + 2 * np.exp(a2 / 2) * cos3
+                s = (num / (np.exp(a2) + 2 * np.exp(-a2 / 2) * cos3)).astype(complex)
         if not np.all(np.isfinite(s)):  # the two-loss form overflows to inf/inf
             bad = ~np.isfinite(s)
             raise ArithmeticError(f"overlap of space {x} at amplitude {amp[bad][0]} is {s[bad][0]}")

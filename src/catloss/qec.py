@@ -85,19 +85,10 @@ def kl_check(spec: CodeSpec, basis: str, error_i: int, error_j: int) -> KLReport
     )
 
 
-def fidelity_state(
-    spec: CodeSpec,
-    coeffs: LogicalCoeffs,
-    params: ChannelParams,
-) -> np.ndarray:
+def fidelity_from_weights(weights: LossClassWeights) -> np.ndarray:
     """Input-dependent fidelity: total weight of the L+1 correctable branches
     (those reached without a cycle phase error), one per batch point."""
-    return fidelity_from_weights(spec, mixture_weights(spec, coeffs, params))
-
-
-def fidelity_from_weights(spec: CodeSpec, weights: LossClassWeights) -> np.ndarray:
-    """``fidelity_state`` from the mixture weights; ``spec`` supplies (L, d)."""
-    return np.sum(weights.ptilde[..., : spec.spaces], axis=-1)[()]
+    return np.sum(weights.ptilde[..., : weights.damped_grams.shape[-3]], axis=-1)[()]
 
 
 def fidelity_bound(spec: CodeSpec, params: ChannelParams) -> FidelityResult:
@@ -111,5 +102,6 @@ def fidelity_bound(spec: CodeSpec, params: ChannelParams) -> FidelityResult:
         raise ValueError("the worst-case bound is defined for qubit codes only")
     inputs = LogicalCoeffs.stack([LogicalCoeffs.balanced(sign=s) for s in (1, -1)])
     shape = (2,) + (1,) * np.broadcast(spec.alpha, params.gamma).ndim + (2,)  # inputs, points, d
-    f_plus, f_minus = fidelity_state(spec, LogicalCoeffs(inputs.values.reshape(shape)), params)
+    coeffs = LogicalCoeffs(inputs.values.reshape(shape))
+    f_plus, f_minus = fidelity_from_weights(mixture_weights(spec, coeffs, params))
     return FidelityResult(F_of_ab=f_plus, F_minus=f_minus, F_bound=np.minimum(f_plus, f_minus))

@@ -106,11 +106,6 @@ class ChainResult:
     amplitude_collapsed: bool = False
 
 
-def simulate_chain(config: RepeaterConfig) -> ChainResult:
-    """Run the chain and return its totals and its period of factor rows."""
-    return simulate_chains([config])[0]
-
-
 def simulate_chains(configs: list[RepeaterConfig]) -> list[ChainResult]:
     """Run chains whose codes share (L, d), in input order, as one
     ``mixture_weights`` batch: the period rows of all chains give the fidelity
@@ -145,11 +140,11 @@ def simulate_chains(configs: list[RepeaterConfig]) -> list[ChainResult]:
     coeffs = LogicalCoeffs.stack([configs[i].coeffs for i in [*owner, *restoring]])
     row_gammas = np.append(np.array(gammas)[owner], interval)
     weights = mixture_weights(spec, coeffs, ChannelParams(row_gammas))
-    table[:, 1] = fidelity_from_weights(spec, weights[: len(owner)])
+    table[:, 1] = fidelity_from_weights(weights[: len(owner)])
     if restoring:
         rest = np.s_[len(owner):]
         table[[starts[i] + configs[i].ar_every - 1 for i in restoring], 2] = (
-            restoration_from_weights(spec, LogicalCoeffs(coeffs.values[rest]), weights[rest]))
+            restoration_from_weights(LogicalCoeffs(coeffs.values[rest]), weights[rest]))
     # roundoff lifts some factors a few ulps above 1, which a power of 10^5 amplifies
     table[:, 1:] = np.minimum(table[:, 1:], 1.0)
     results = []

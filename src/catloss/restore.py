@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codes import CodeSpec, LogicalCoeffs, _cmul, _pair_gram, codeword_fock
-from .channel import ChannelParams, LossClassWeights, _weighted_norm_sq, mixture_weights
+from .channel import ChannelParams, LossClassWeights, _weighted_norm_sq
 
 
 @dataclass(frozen=True)
@@ -162,32 +162,22 @@ def teleport_success_from_weights(weights: LossClassWeights, q, c: LogicalCoeffs
     return teleport_success_from_overlaps(weights.damped_grams[..., q, 0, 1], s_bar, c)
 
 
-def restoration_factor(
-    spec: CodeSpec,
-    coeffs: LogicalCoeffs,
-    params: ChannelParams,
-) -> float:
+def restoration_from_weights(coeffs: LogicalCoeffs, weights: LossClassWeights):
     """One restoration step: mixture-weighted teleportation success, one value
     per batch point.  Sums ptilde_j * P_succ over the d(L+1) branches of the
     incoming mixture, a last batch axis of one call; branch j lives in space
     j mod (L+1) and carries the phase exp(2 pi i j / (2(L+1))) on its second
     logical sector.  Both overlaps come from the mixture weights' Gram
-    matrices (``restoration_from_weights``)."""
-    if spec.d != 2:
+    matrices (``teleport_success_from_weights``)."""
+    if weights.gram.shape[-1] != 2:
         raise ValueError("restoration is defined for qubit codes only")
-    return restoration_from_weights(spec, coeffs, mixture_weights(spec, coeffs, params))
-
-
-def restoration_from_weights(spec: CodeSpec, coeffs: LogicalCoeffs, weights: LossClassWeights):
-    """``restoration_factor`` from the mixture weights; ``spec`` supplies (L, d)."""
-    if spec.d != 2:
-        raise ValueError("restoration is defined for qubit codes only")
+    cycle, spaces = weights.ptilde.shape[-1], weights.damped_grams.shape[-3]
     # Python-int k: a numpy k rounds some phases (k = 5 of cycle 6) differently
-    phase = np.array([np.exp(2j * np.pi * k / spec.cycle) for k in range(spec.cycle)])
+    phase = np.array([np.exp(2j * np.pi * k / cycle) for k in range(cycle)])
     a, b = coeffs.values[..., None, 0], coeffs.values[..., None, 1]
     # b * phase as the scalar complex product rounds it
     re, im = _cmul(b.real, b.imag, phase.real, phase.imag)
     phased = LogicalCoeffs(np.stack(np.broadcast_arrays(a, re + 1j * im), axis=-1))
-    p = teleport_success_from_weights(weights, np.arange(spec.cycle) % spec.spaces, phased)
+    p = teleport_success_from_weights(weights, np.arange(cycle) % spaces, phased)
     # summed over the branches in order, from +0.0
     return 0.0 + np.add.accumulate(weights.ptilde * p, axis=-1)[..., -1]

@@ -23,8 +23,8 @@ from catloss.channel import (
     logical_mixture,
     mixture_weights,
 )
-from catloss.qec import fidelity_state, kl_check
-from catloss.repeater import RepeaterConfig, simulate_chain, sweep
+from catloss.qec import fidelity_from_weights, kl_check
+from catloss.repeater import RepeaterConfig, simulate_chains, sweep
 from catloss.restore import (
     filter_operators,
     filter_params,
@@ -159,12 +159,13 @@ def test_04_non_deformation():
 def test_05_fidelity_endpoints_and_extremum():
     with criterion(5, "F(gamma=1)=1 and balanced input is stationary"):
         for spec in (CodeSpec(1, 2, 2.0), CodeSpec(2, 2, 3.0)):
-            f1 = fidelity_state(spec, LogicalCoeffs.balanced(), ChannelParams(1.0))
+            w1 = mixture_weights(spec, LogicalCoeffs.balanced(), ChannelParams(1.0))
+            f1 = fidelity_from_weights(w1)
             assert abs(f1 - 1.0) < 1e-12
 
             def f(a, spec=spec):
                 coeffs = LogicalCoeffs.of(a, math.sqrt(1.0 - a * a))
-                return fidelity_state(spec, coeffs, ChannelParams(0.9))
+                return fidelity_from_weights(mixture_weights(spec, coeffs, ChannelParams(0.9)))
 
             slope = central_difference(f, 1.0 / math.sqrt(2.0))
             assert abs(slope) < 1e-6
@@ -220,7 +221,7 @@ def test_08_table_reproduction():
                     coeffs=LogicalCoeffs.balanced(sign=sign),
                     ar_every=2,
                 )
-                results[sign] = simulate_chain(cfg)
+                results[sign] = simulate_chains([cfg])[0]
             f_new = min(results[1].fidelity, results[-1].fidelity)
             assert abs(f_new - f_ref) < 0.02, (which, f_new, f_ref)
             # the published success columns mix the two balanced inputs

@@ -22,9 +22,9 @@ from hypothesis import strategies as st
 import scalar_reference as ref
 from catloss.channel import ChannelParams, class_probabilities, mixture_weights
 from catloss.codes import _GRAM_TERMS, CodeSpec, LogicalCoeffs, gram_matrix
-from catloss.qec import fidelity_bound, fidelity_state
+from catloss.qec import fidelity_bound, fidelity_from_weights
 from catloss.repeater import RepeaterConfig, simulate_chains
-from catloss.restore import restoration_factor, teleport_success_from_overlaps
+from catloss.restore import restoration_from_weights, teleport_success_from_overlaps
 from catloss.series import sectioned_exp
 from conftest import assert_chain_totals
 
@@ -167,8 +167,10 @@ def test_mixture_weights_and_fidelity(L, d, n, drawn, seed):
         p, ptilde, gram, damped = ref.mixture_weights(L, d, a, g, c.values)
         return [p, ptilde, gram, np.array(damped)]
 
+    weights_at = lambda a, g, c: mixture_weights(CodeSpec(L, d, a), c, ChannelParams(g))
+
     def one(a, g, c):
-        w = mixture_weights(CodeSpec(L, d, a), c, ChannelParams(g))
+        w = weights_at(a, g, c)
         return [w.p, w.ptilde, w.gram, w.damped_grams]
 
     no_frozen = lambda *p: _squares_to_zero(L, *p)
@@ -176,11 +178,10 @@ def test_mixture_weights_and_fidelity(L, d, n, drawn, seed):
         for field in range(4):
             _agree(lambda: batched()[field], lambda *p: one_point(*p)[field], points, undefined)
 
-    batched_fid = lambda: fidelity_state(*_batch(L, d, amps, gams, coeffs))
+    batched_fid = lambda: fidelity_from_weights(mixture_weights(*_batch(L, d, amps, gams, coeffs)))
     _agree(batched_fid, lambda a, g, c: ref.fidelity_state(L, d, a, g, c.values), points,
            no_frozen)
-    _agree(batched_fid, lambda a, g, c: fidelity_state(CodeSpec(L, d, a), c, ChannelParams(g)),
-           points)
+    _agree(batched_fid, lambda *p: fidelity_from_weights(weights_at(*p)), points)
 
 
 @given(L=st.integers(0, 7), alpha=alphas, n=st.integers(1, 9), drawn=drawn_points, seed=seeds)
@@ -223,11 +224,15 @@ def test_restoration_factor(L, n, drawn, seed):
     amps, gams = _points(drawn, n, seed)
     coeffs = _coeffs(2, n, seed)
     points = list(zip(amps, gams, coeffs))
-    batched = lambda: restoration_factor(*_batch(L, 2, amps, gams, coeffs))
+
+    def batched():
+        spec, c, params = _batch(L, 2, amps, gams, coeffs)
+        return restoration_from_weights(c, mixture_weights(spec, c, params))
+
     _agree(batched, lambda a, g, c: ref.restoration_factor(L, a, g, c.values), points,
            lambda *p: _squares_to_zero(L, *p))
-    _agree(batched, lambda a, g, c: restoration_factor(CodeSpec(L, 2, a), c, ChannelParams(g)),
-           points)
+    _agree(batched, lambda a, g, c: restoration_from_weights(
+        c, mixture_weights(CodeSpec(L, 2, a), c, ChannelParams(g))), points)
 
 
 chains = st.lists(
@@ -307,7 +312,7 @@ def test_point_shapes_are_the_batch_shapes():
     grid = mixture_weights(spec, c, ChannelParams(np.full((2, 5), 0.9)))
     assert grid.ptilde.shape == (2, 5, 9) and grid.damped_grams.shape == (2, 5, 3, 3, 3)
     assert np.all(grid.ptilde == one.ptilde)
-    assert math.isfinite(fidelity_state(spec, c, ChannelParams(0.9)))
+    assert math.isfinite(fidelity_from_weights(mixture_weights(spec, c, ChannelParams(0.9))))
 
 
 def _pow_sensitive(rng, x):

@@ -21,7 +21,7 @@ from catloss.channel import ChannelParams
 from catloss.cli import LAYOUTS, SUBCOMMANDS, _chain_config, _fmt, build_parser, main
 from catloss.codes import CodeSpec
 from catloss.qec import fidelity_bound
-from catloss.repeater import simulate_chain
+from catloss.repeater import simulate_chains
 from conftest import assert_chain_totals
 
 
@@ -207,7 +207,7 @@ class TestRepeaterCommands:
             for n in sorted({max(1, ar_every - 1), step - 1, step, step + 1, 2 * step + 1}):
                 argv = ["repeater", "--L", "1", "--alpha", "2", "--spacing-km", "1",
                         "--total-km", str(n), "--ar-every", str(ar_every), "--trace"]
-                result = simulate_chain(_chain_config(build_parser().parse_args(argv)))
+                result = simulate_chains([_chain_config(build_parser().parse_args(argv))])[0]
                 period = result.period.tolist()
                 assert result.n_stations == n and len(period) == min(ar_every, n)
                 assert_chain_totals(result, ar_every)
@@ -601,6 +601,8 @@ class TestExitCodes:
              "at 3 of 3 amplitudes"),
             (["sweep", "--L", "1", "--alpha", "0.05", "--total-km", "1", "--axis", "spacing",
               "--values", "0.1,0.5"], "at 6 of 6 amplitudes"),
+            # kl-report checks every amplitude once, not one warning per alpha
+            (["kl-report", "--L", "1", "--alphas", "0.05,0.06,0.07"], "at 3 of 3 amplitudes"),
         ]
         for argv, count in cases:
             proc = subprocess.run([sys.executable, "-m", "catloss.cli", *argv],
@@ -633,7 +635,7 @@ class TestExitCodes:
         def exhausted(*args, **kwargs):
             raise MemoryError("Unable to allocate 745. GiB")
 
-        monkeypatch.setattr("catloss.repeater.simulate_chain", exhausted)
+        monkeypatch.setattr("catloss.repeater.simulate_chains", exhausted)
         out = tmp_path / "data.csv"
         code = main(["repeater", "--L", "1", "--alpha", "2", "--total-km", "1",
                      "--out", str(out)])

@@ -320,9 +320,11 @@ class TestGramKernel:
             with pytest.raises(ValueError, match="finite and positive"):
                 gram_matrix(spec, 0, bad)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowed_trig_form_is_arithmetic_error(self):
         # exp(alpha^2) overflows in both terms of the two-loss form: a
-        # numerical failure (CLI exit 2), not a NaN overlap
+        # numerical failure (CLI exit 2), not a NaN overlap, and no numpy
+        # floating-point warning on the way
         with pytest.raises(ArithmeticError, match="overlap of space 0"):
             gram_matrix(CodeSpec(2, 2, 40.0), 0)
 

@@ -8,7 +8,7 @@ import pytest
 from catloss import fock
 from catloss.codes import CodeSpec, LogicalCoeffs, codeword_fock
 from catloss.channel import ChannelParams, encode, logical_mixture, mixture_weights
-from catloss.qec import fidelity_bound, fidelity_state, kl_check
+from catloss.qec import fidelity_bound, fidelity_from_weights, kl_check
 
 from conftest import central_difference
 
@@ -132,19 +132,19 @@ class TestParityProject:
 
 class TestFidelityState:
     def test_unit_transmission(self):
-        assert abs(fidelity_state(CodeSpec(1, 2, 2.0), BALANCED, ChannelParams(1.0)) - 1.0) < 1e-12
+        w = mixture_weights(CodeSpec(1, 2, 2.0), BALANCED, ChannelParams(1.0))
+        assert abs(fidelity_from_weights(w) - 1.0) < 1e-12
 
     def test_equals_correctable_weight_sum(self):
         spec = CodeSpec(2, 2, 3.0)
         params = ChannelParams(0.9)
         w = mixture_weights(spec, BALANCED, params)
-        assert abs(
-            fidelity_state(spec, BALANCED, params) - float(np.sum(w.ptilde[:3]))
-        ) < 1e-14
+        assert abs(fidelity_from_weights(w) - float(np.sum(w.ptilde[:3]))) < 1e-14
 
     def test_decreases_with_loss(self):
         spec = CodeSpec(1, 2, 2.0)
-        vals = [fidelity_state(spec, BALANCED, ChannelParams(g)) for g in (0.999, 0.9, 0.7)]
+        vals = [fidelity_from_weights(mixture_weights(spec, BALANCED, ChannelParams(g)))
+                for g in (0.999, 0.9, 0.7)]
         assert vals[0] > vals[1] > vals[2]
 
     def test_qutrit_correctable_weight(self):
@@ -152,15 +152,17 @@ class TestFidelityState:
         coeffs = LogicalCoeffs.balanced(3)
         params = ChannelParams(0.9)
         w = mixture_weights(spec, coeffs, params)
-        assert abs(fidelity_state(spec, coeffs, params) - w.ptilde[:2].sum()) < 1e-14
+        assert abs(fidelity_from_weights(w) - w.ptilde[:2].sum()) < 1e-14
 
     def test_batch_of_states_equals_one_state_calls(self):
         spec = CodeSpec(2, 2, 3.0)
         params = ChannelParams(0.9)
         rows = np.array([[1, 0], [0.6, 0.8j], [-0.8, 0.6]], dtype=complex)
-        batched = fidelity_state(spec, LogicalCoeffs(rows), params)
+        batched = fidelity_from_weights(mixture_weights(spec, LogicalCoeffs(rows), params))
         assert batched.shape == (3,)
-        assert batched.tolist() == [fidelity_state(spec, LogicalCoeffs(r), params) for r in rows]
+        assert batched.tolist() == [
+            fidelity_from_weights(mixture_weights(spec, LogicalCoeffs(r), params)) for r in rows
+        ]
 
     def test_syndrome_decomposition_cross_check(self):
         # conditioning on each syndrome and keeping the phase-intact branch
@@ -174,7 +176,7 @@ class TestFidelityState:
             _, prob = _syndrome(spec, mixture, q)
             branch_weights = [w.ptilde[j] for j in range(4) if j % 2 == q]
             total += prob * (branch_weights[0] / sum(branch_weights))
-        assert abs(total - fidelity_state(spec, BALANCED, params)) < 1e-10
+        assert abs(total - fidelity_from_weights(w)) < 1e-10
 
     def test_trace_overlap_upper_bounds_correctable_sum(self):
         # the full restored-reference overlap adds nonnegative phase-flip terms
@@ -196,7 +198,7 @@ class TestFidelityState:
         for j in range(4):
             ref = reference[j % 2]
             total += w.ptilde[j] * abs(np.vdot(ref, restored[j])) ** 2
-        f = fidelity_state(spec, BALANCED, params)
+        f = fidelity_from_weights(w)
         assert total >= f - 1e-12
         assert total == pytest.approx(f, abs=0.2)
 
@@ -210,8 +212,10 @@ class TestFidelityBound:
         spec = CodeSpec(1, 2, 2.0)
         params = ChannelParams(0.9)
         res = fidelity_bound(spec, params)
-        f_plus = fidelity_state(spec, LogicalCoeffs.balanced(sign=1), params)
-        f_minus = fidelity_state(spec, LogicalCoeffs.balanced(sign=-1), params)
+        f_plus, f_minus = (
+            fidelity_from_weights(mixture_weights(spec, LogicalCoeffs.balanced(sign=s), params))
+            for s in (1, -1)
+        )
         assert abs(res.F_bound - min(f_plus, f_minus)) < 1e-14
         assert res.F_of_ab == pytest.approx(f_plus)
         assert res.F_minus == pytest.approx(f_minus)
@@ -243,7 +247,7 @@ class TestFidelityBound:
 
             def f(a):
                 coeffs = LogicalCoeffs.of(a, math.sqrt(1.0 - a * a))
-                return fidelity_state(spec, coeffs, params)
+                return fidelity_from_weights(mixture_weights(spec, coeffs, params))
 
             slope = central_difference(f, 1.0 / math.sqrt(2.0))
             assert abs(slope) < 1e-6
@@ -263,7 +267,7 @@ class TestFidelityBound:
             b_mag = np.sqrt(max(0.0, 1.0 - a * a))
             for phi in np.linspace(0.0, 2.0 * np.pi, 16, endpoint=False):
                 coeffs = LogicalCoeffs((complex(a), b_mag * np.exp(1j * phi)))
-                scanned = min(scanned, fidelity_state(spec, coeffs, params))
+                scanned = min(scanned, fidelity_from_weights(mixture_weights(spec, coeffs, params)))
         # grid resolution keeps the scan near the analytic minimum; a value
         # clearly below it would flag that complex phases matter
         assert scanned == pytest.approx(bound, abs=1e-3)

@@ -11,15 +11,14 @@ from hypothesis import strategies as st
 from catloss import codes
 from catloss.codes import CodeSpec, LogicalCoeffs
 from catloss.channel import ChannelParams, mixture_weights
-from catloss.qec import fidelity_state
+from catloss.qec import fidelity_from_weights
 from catloss.repeater import (
     RepeaterConfig,
     segment_gamma,
-    simulate_chain,
     simulate_chains,
     sweep,
 )
-from catloss.restore import restoration_factor
+from catloss.restore import restoration_from_weights
 
 BALANCED = LogicalCoeffs.balanced()
 
@@ -85,7 +84,7 @@ class TestConfig:
 
 class TestSimulateChain:
     def test_products_match_trace(self):
-        result = simulate_chain(config(total=10.0, spacing=0.5))
+        result = simulate_chains([config(total=10.0, spacing=0.5)])[0]
         assert result.n_stations == 20
         assert result.period.shape == (2, 3)
         assert result.fidelity == pytest.approx(float(np.prod(expanded(result, 1))), abs=1e-12)
@@ -102,12 +101,12 @@ class TestSimulateChain:
             return mixture_weights(spec, coeffs, params)
 
         monkeypatch.setattr("catloss.repeater.mixture_weights", counted)
-        result = simulate_chain(config(L=1, alpha=2.0, total=0.5, spacing=0.5, ar_every=50))
+        result = simulate_chains([config(L=1, alpha=2.0, total=0.5, spacing=0.5, ar_every=50)])[0]
         assert batches == [(1,)]
         assert result.period.shape == (1, 3)
         assert result.success_prob == 1.0
-        assert result.fidelity == fidelity_state(
-            CodeSpec(1, 2, 2.0), BALANCED, ChannelParams(segment_gamma(0.5))
+        assert result.fidelity == fidelity_from_weights(
+            mixture_weights(CodeSpec(1, 2, 2.0), BALANCED, ChannelParams(segment_gamma(0.5)))
         )
 
     def test_chain_set_is_one_batch_of_distinct_amplitudes(self, monkeypatch):
@@ -134,22 +133,18 @@ class TestSimulateChain:
         # 16 chains: 8 with two period rows, 8 with one, and every chain restores
         assert batches == [8 * 2 + 8 + 16]
         assert kernel_amps and all(len(np.unique(a)) == len(a) for a in kernel_amps)
-        assert results == [simulate_chain(c) for c in configs]
+        assert results == [simulate_chains([c])[0] for c in configs]
 
     def test_single_hop_reduces_to_direct_composition(self):
         cfg = config(L=1, alpha=2.0, total=0.5, spacing=0.5, ar_every=1)
-        result = simulate_chain(cfg)
-        gamma = segment_gamma(0.5)
-        assert result.fidelity == pytest.approx(
-            fidelity_state(cfg.spec, BALANCED, ChannelParams(gamma))
-        )
-        assert result.success_prob == pytest.approx(
-            restoration_factor(cfg.spec, BALANCED, ChannelParams(gamma))
-        )
+        result = simulate_chains([cfg])[0]
+        w = mixture_weights(cfg.spec, BALANCED, ChannelParams(segment_gamma(0.5)))
+        assert result.fidelity == pytest.approx(fidelity_from_weights(w))
+        assert result.success_prob == pytest.approx(restoration_from_weights(BALANCED, w))
         assert 0.0 < result.success_prob < 1.0
 
     def test_new_scheme_alternates_amplitudes(self):
-        result = simulate_chain(config(total=1.0, spacing=0.1, ar_every=2))
+        result = simulate_chains([config(total=1.0, spacing=0.1, ar_every=2)])[0]
         amps = expanded(result, 0)
         gamma = segment_gamma(0.1)
         assert amps[0] == pytest.approx(7.0)
@@ -157,33 +152,34 @@ class TestSimulateChain:
         assert amps[2] == pytest.approx(7.0)
 
     def test_old_scheme_restores_every_station(self):
-        result = simulate_chain(config(total=1.0, spacing=0.1, ar_every=1))
+        result = simulate_chains([config(total=1.0, spacing=0.1, ar_every=1)])[0]
         p_factors = expanded(result, 2)
         assert np.all(p_factors < 1.0)
 
     def test_new_scheme_ar_only_every_second(self):
-        result = simulate_chain(config(total=1.0, spacing=0.1, ar_every=2))
+        result = simulate_chains([config(total=1.0, spacing=0.1, ar_every=2)])[0]
         p_factors = expanded(result, 2)
         assert np.all(p_factors[0::2] == 1.0)
         assert np.all(p_factors[1::2] < 1.0)
 
     def test_collapse_flagged_for_long_segments(self):
         cfg = config(L=1, alpha=2.0, total=400.0, spacing=200.0, ar_every=1)
-        result = simulate_chain(cfg)
+        result = simulate_chains([cfg])[0]
         assert result.amplitude_collapsed
 
     def test_exponent_law(self):
         # seven restoring stations multiply seven equal restoration factors
         cfg = config(L=2, alpha=3.0, total=1.4, spacing=0.2, ar_every=1)
-        result = simulate_chain(cfg)
-        factor = restoration_factor(cfg.spec, BALANCED, ChannelParams(segment_gamma(0.2)))
+        result = simulate_chains([cfg])[0]
+        w = mixture_weights(cfg.spec, BALANCED, ChannelParams(segment_gamma(0.2)))
+        factor = restoration_from_weights(BALANCED, w)
         assert result.n_stations == 7
         assert result.success_prob == pytest.approx(factor**7)
 
     def test_long_haul_regime(self):
         # 1000 km, restoration every 0.2 km, five-loss protection at alpha=7
         cfg = config(L=4, alpha=7.0, total=1000.0, spacing=0.2, ar_every=1)
-        result = simulate_chain(cfg)
+        result = simulate_chains([cfg])[0]
         assert result.n_stations == 5000
         assert 0.35 < result.success_prob < 0.55
 
@@ -220,14 +216,14 @@ class TestReferenceRows:
     def test_old_scheme_fidelity_reproduces_reference(self, L, alpha, f_new, p_new, f_old, p_old):
         # the published old-scheme fidelities match the per-station
         # composition at the balanced input to all printed digits
-        result = simulate_chain(config(L=L, alpha=alpha, ar_every=1))
+        result = simulate_chains([config(L=L, alpha=alpha, ar_every=1)])[0]
         assert result.fidelity == pytest.approx(f_old, abs=5e-6)
 
     @pytest.mark.parametrize("L,alpha,f_new,p_new,f_old,p_old", REFERENCE_ROWS)
     def test_new_beats_old_per_sign(self, L, alpha, f_new, p_new, f_old, p_old):
         for sign in (1, -1):
-            new = simulate_chain(config(L=L, alpha=alpha, ar_every=2, sign=sign))
-            old = simulate_chain(config(L=L, alpha=alpha, ar_every=1, sign=sign))
+            new = simulate_chains([config(L=L, alpha=alpha, ar_every=2, sign=sign)])[0]
+            old = simulate_chains([config(L=L, alpha=alpha, ar_every=1, sign=sign)])[0]
             assert new.success_prob >= old.success_prob
             assert new.fidelity >= old.fidelity - 1e-9
 
@@ -237,11 +233,11 @@ class TestReferenceRows:
         # to the single-shot factor at the full-channel transmission, which
         # has collapsed
         cfg = config(L=4, alpha=7.0, total=1000.0, spacing=1000.0, ar_every=1)
-        result = simulate_chain(cfg)
+        result = simulate_chains([cfg])[0]
         assert result.amplitude_collapsed
         assert result.success_prob < 1e-6
-        direct = restoration_factor(
-            cfg.spec, BALANCED, ChannelParams(segment_gamma(1000.0))
+        direct = restoration_from_weights(
+            BALANCED, mixture_weights(cfg.spec, BALANCED, ChannelParams(segment_gamma(1000.0)))
         )
         assert result.success_prob == pytest.approx(direct, abs=1e-15)
 
@@ -254,12 +250,8 @@ class TestReferenceRows:
 
         for which, block in LONG_HAUL_REFERENCE.items():
             for alpha, spacing, *_ in block["rows"]:
-                new = simulate_chain(
-                    config(L=block["L"], alpha=alpha, spacing=spacing, ar_every=2),
-                )
-                old = simulate_chain(
-                    config(L=block["L"], alpha=alpha, spacing=spacing, ar_every=1),
-                )
+                cfgs = [config(L=block["L"], alpha=alpha, spacing=spacing, ar_every=k) for k in (2, 1)]
+                new, old = (simulate_chains([c])[0] for c in cfgs)
                 assert new.success_prob >= old.success_prob, (which, alpha, spacing)
 
 
@@ -271,7 +263,7 @@ class TestSweep:
         cfg = config(total=100.0)
         values = [0.5, 0.1, 1.0]
         rows = sweep(cfg, "spacing", values)
-        direct = [simulate_chain(replace(cfg, spacing_km=v)) for v in values]
+        direct = [simulate_chains([replace(cfg, spacing_km=v)])[0] for v in values]
         assert rows == direct
         assert all(np.array_equal(r.period, d.period) for r, d in zip(rows, direct))
 
@@ -297,7 +289,7 @@ class TestSweep:
     def test_gamma_axis_maps_to_spacing(self):
         gamma = math.exp(-0.1)  # spacing 2.2 km, dividing the total exactly
         rows = sweep(config(total=22.0), "gamma", [gamma])
-        direct = simulate_chain(config(total=22.0, spacing=2.2))
+        direct = simulate_chains([config(total=22.0, spacing=2.2)])[0]
         assert rows[0].fidelity == pytest.approx(direct.fidelity)
 
     def test_rejects_unknown_axis(self):

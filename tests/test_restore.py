@@ -12,7 +12,6 @@ from catloss.restore import (
     filter_operators,
     filter_params,
     filter_success,
-    restoration_factor,
     restoration_from_weights,
     teleport_success_assembled,
     teleport_success_from_overlaps,
@@ -150,27 +149,19 @@ class TestTeleportSuccess:
         twice = teleport_success_from_weights(mixture_weights(spec, c, ChannelParams(0.81)), 0, c)
         assert twice < once
 
-    def test_rejects_qudits(self, monkeypatch):
+    def test_rejects_qudits(self):
         spec, c, params = CodeSpec(1, 3, 2.0), LogicalCoeffs.balanced(3), ChannelParams(0.9)
         with pytest.raises(ValueError, match="qubit codes only"):
-            restoration_from_weights(spec, c, mixture_weights(spec, c, params))
+            restoration_from_weights(c, mixture_weights(spec, c, params))
         with pytest.raises(ValueError, match="qubit codes only"):
             teleport_success_assembled(spec, 0, params, c)
-
-        def forbidden(*args):
-            raise AssertionError("mixture weights computed for a qudit code")
-
-        # rejected before the qudit mixture is computed
-        monkeypatch.setattr("catloss.restore.mixture_weights", forbidden)
-        with pytest.raises(ValueError, match="qubit codes only"):
-            restoration_factor(spec, c, params)
 
 
 class TestOneWaySuccess:
     def test_unit_factor_power(self):
         # with zero loss and near-orthogonal words each step is certain
-        spec = CodeSpec(1, 2, 6.0)
-        p = restoration_factor(spec, LogicalCoeffs.balanced(), ChannelParams(1.0)) ** 40
+        spec, c = CodeSpec(1, 2, 6.0), LogicalCoeffs.balanced()
+        p = restoration_from_weights(c, mixture_weights(spec, c, ChannelParams(1.0))) ** 40
         assert abs(p - 1.0) < 1e-8
 
     def test_overlaps_read_from_mixture_grams(self, monkeypatch):
@@ -181,7 +172,7 @@ class TestOneWaySuccess:
         spec = CodeSpec(3, 2, 3.0)
         params = ChannelParams(0.95)
         c = LogicalCoeffs.balanced()
-        expected = restoration_factor(spec, c, params)
+        expected = restoration_from_weights(c, mixture_weights(spec, c, params))
         calls = []
         kernel = codes._coherent_gram
 
@@ -194,7 +185,7 @@ class TestOneWaySuccess:
         weights_calls = calls[:]
         assert weights_calls
         calls.clear()
-        assert restoration_factor(spec, c, params) == expected
+        assert restoration_from_weights(c, mixture_weights(spec, c, params)) == expected
         assert calls == weights_calls
 
     def test_branches_are_one_teleportation_call(self, monkeypatch):
@@ -208,7 +199,8 @@ class TestOneWaySuccess:
         monkeypatch.setattr("catloss.restore.teleport_success_from_overlaps", counted)
         spec = CodeSpec(3, 2, np.array([3.0, 5.0, 7.0]))
         coeffs = LogicalCoeffs.stack([LogicalCoeffs.of(0.6, 0.8j)] * 3)
-        factor = restoration_factor(spec, coeffs, ChannelParams(np.array([0.9, 0.5, 1.0])))
+        params = ChannelParams(np.array([0.9, 0.5, 1.0]))
+        factor = restoration_from_weights(coeffs, mixture_weights(spec, coeffs, params))
         assert len(calls) == 1
         assert factor.shape == (3,) and np.shape(calls[0][0]) == (3, 8)
 
@@ -217,7 +209,7 @@ class TestOneWaySuccess:
         spec = CodeSpec(1, 2, 2.0)
         coeffs = LogicalCoeffs.balanced()
         params = ChannelParams(0.9)
-        factor = restoration_factor(spec, coeffs, params)
+        factor = restoration_from_weights(coeffs, mixture_weights(spec, coeffs, params))
         branch_vals = []
         for j in range(4):
             c = LogicalCoeffs(
