@@ -9,6 +9,8 @@ Exit codes: 0 success, 1 usage or validation error (any ``ValueError``, an
 unreadable file, exhausted memory, a chain transmission that underflows to 0),
 2 a failed ``verify`` check, or a numerical failure that writes nothing: an
 arithmetic failure (overflow, a tripped clamp) or a non-finite output value.
+A failure while the data streams to ``--out`` (exit 1 or 2) removes the partial
+file, so no truncated data file is left.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import warnings
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from itertools import chain, cycle, islice
+from itertools import chain
 
 import numpy as np
 
@@ -161,16 +163,19 @@ def write_output(columns: list[str], blocks: Iterable[str], args) -> None:
         return
     digest = hashlib.sha256()
     with open(args.out, "wb") as fh:
-        for data in map(str.encode, chunks):
-            digest.update(data)
-            fh.write(data)
-    manifest = {
-        "subcommand": args.subcommand,
-        "params": {k: v for k, v in vars(args).items() if k != "func"},
-        "version": __version__,
-        "output_sha256": digest.hexdigest(),
-        "created_utc": datetime.now(timezone.utc).isoformat(),
-    }
+        try:
+            for data in map(str.encode, chunks):
+                digest.update(data)
+                fh.write(data)
+        except BaseException:
+            fh.close()
+            if os.path.isfile(args.out):  # not a device such as /dev/null
+                os.remove(args.out)
+            raise
+    manifest = {"subcommand": args.subcommand, "version": __version__,
+                "params": {k: v for k, v in vars(args).items() if k != "func"},
+                "output_sha256": digest.hexdigest(),
+                "created_utc": datetime.now(timezone.utc).isoformat()}
     with open(str(args.out) + ".manifest.json", "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -232,24 +237,20 @@ def cmd_klreport(args) -> int:
     codes.CodeSpec(args.L, 2, np.array([s.alpha for s in specs]))  # one warning for them all
     max_loss = 2 * args.L + 1
     columns = ["alpha"] + [f"{k}_{i}" for i in range(max_loss + 1) for k in ("ortho", "deform")]
-    rows = []
-    for spec in specs:
-        row = [spec.alpha]
+    rows = [[spec.alpha] for spec in specs]
+    for spec, row in zip(specs, rows):
         for i in range(max_loss + 1):
             report = qec.kl_check(spec, args.basis, i, i)
             row += [report.ortho_violation, report.deform_violation]
-        rows.append(row)
     _emit(columns, rows, args)
     return 0
 
 
 def _chain_config(args) -> repeater.RepeaterConfig:
     return repeater.RepeaterConfig(
-        total_km=args.total_km,
-        spacing_km=args.spacing_km,
+        total_km=args.total_km, spacing_km=args.spacing_km, attenuation_km=args.attenuation_km,
         spec=_qubit_spec(args.L, args.alpha),  # the chain set's batch warns once
         coeffs=_coeffs(args, 2),
-        attenuation_km=args.attenuation_km,
         ar_every=SCHEME_AR_EVERY[args.scheme] if args.ar_every is None else args.ar_every,
     )
 
@@ -261,16 +262,42 @@ def cmd_repeater(args) -> int:
         _emit(columns, [[result.fidelity, result.success_prob, result.n_stations,
                          int(result.amplitude_collapsed)]], args)
         return 0
-    # station i repeats period row (i - 1) mod P: each row is rendered, and checked finite,
-    # into a template whose one % (floats hold none) is the station; a block is one %-format
-    layout = LAYOUTS[args.format]
-    templates = [layout.row(["%d", *row]) for row in result.period.tolist()]
-    n, step = result.n_stations, len(templates) * max(1, 4096 // len(templates))
-    blocks = (layout.row_sep.join(islice(cycle(templates), min(step, n + 1 - lo)))
-              % tuple(range(lo, min(lo + step, n + 1))) for lo in range(1, n + 1, step))
-    columns = ["station", "amplitude_in", "f_factor", "p_factor"]
-    write_output(columns, blocks, args)
+    layout = LAYOUTS[args.format]  # each period row rendered, and checked finite, once
+    rows = [layout.row(["#", *row]) for row in result.period.tolist()]
+    write_output(["station", "amplitude_in", "f_factor", "p_factor"],
+                 _trace_blocks(rows, layout.row_sep, result.n_stations), args)
     return 0
+
+
+def _trace_blocks(rows: list[str], row_sep: str, n: int):
+    """Stations 1..n, station i being ``rows[(i - 1) % P]`` with its one ``#`` replaced by
+    i, in blocks ending every ``P * max(1, 4096 // P)`` stations and at each power of ten:
+    the period rows rotated to the block's first station, with k placeholder digits,
+    repeated by bytes ``*``, the digits written in place by one numpy column assignment."""
+    P, step = len(rows), len(rows) * max(1, 4096 // len(rows))
+    text = bytearray((row_sep.join(rows) + row_sep).encode()) * 2  # a rotation is a slice
+    cells = np.flatnonzero(np.frombuffer(text, np.uint8) == ord("#"))  # each row's station
+    bounds = np.cumsum([0] + [len(row) + len(row_sep) for row in rows] * 2)  # row starts
+    lo = 1
+    while lo <= n:
+        k = len(str(lo))
+        hi = min(lo - (lo - 1) % step + step, 10**k, n + 1)
+        a, w = (lo - 1) % P, min(hi - lo, P)  # the rotated period: rows a .. a + w - 1
+        (q, r), reps = divmod(hi - lo, w), -(-(hi - lo) // w)
+        buf = text[bounds[a]:bounds[a + w]].replace(b"#", b"0" * k)
+        end = q * len(buf) + bounds[a + r] - bounds[a] + (k - 1) * r - len(row_sep)
+        buf *= reps
+        digits = np.empty((reps * w, k), np.uint8)
+        rest = np.arange(lo, lo + reps * w, dtype=np.int64)  # stations reach 2**53
+        for i in range(k - 1, -1, -1):  # one digit position per pass, the last first
+            rest, digits[:, i] = np.divmod(rest, 10)
+        # a station's digits: k - 1 bytes on for each station before it in the block
+        cols = (cells[a:a + w] - bounds[a] + (k - 1) * np.arange(w))[:, None] + np.arange(k)
+        np.frombuffer(buf, np.uint8).reshape(reps, -1)[:, cols.ravel()] = (
+            digits.reshape(reps, -1) + ord("0"))
+        del buf[end:]
+        yield buf.decode("ascii")
+        lo = hi
 
 
 def cmd_sweep(args) -> int:
@@ -310,11 +337,8 @@ def cmd_tables(args) -> int:
             f_min = min(results[1].fidelity, results[-1].fidelity)
             p_plus, p_minus = results[1].success_prob, results[-1].success_prob
             f_dev = "" if f_ref is None else _fmt(f_min - f_ref)
-            p_dev = (
-                ""
-                if p_ref is None or p_ref == 0
-                else _fmt(min(abs(p - p_ref) / p_ref for p in (p_plus, p_minus)))
-            )
+            p_dev = ("" if p_ref is None or p_ref == 0
+                     else _fmt(min(abs(p - p_ref) / p_ref for p in (p_plus, p_minus))))
             row += [f_min, "" if f_ref is None else f_ref, f_dev,
                     p_plus, p_minus, "" if p_ref is None else p_ref, p_dev]
         rows.append(row)

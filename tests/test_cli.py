@@ -199,41 +199,66 @@ class TestRepeaterCommands:
 
     def test_trace_rows_repeat_the_period(self, tmp_path, capsys):
         # station i repeats period row (i - 1) mod P, P = min(ar_every, n); the trace
-        # goes out in blocks of P * (4096 // P) stations (4095 for P = 3), so the
-        # counts straddle a block edge, and n = ar_every - 1 is a chain shorter
-        # than its ar_every, whose period has only n rows
-        for ar_every in (1, 2, 3):
-            step = ar_every * (4096 // ar_every)
-            for n in sorted({max(1, ar_every - 1), step - 1, step, step + 1, 2 * step + 1}):
-                argv = ["repeater", "--L", "1", "--alpha", "2", "--spacing-km", "1",
-                        "--total-km", str(n), "--ar-every", str(ar_every), "--trace"]
-                result = simulate_chains([_chain_config(build_parser().parse_args(argv))])[0]
-                period = result.period.tolist()
-                assert result.n_stations == n and len(period) == min(ar_every, n)
-                assert_chain_totals(result, ar_every)
-                traces = {}
-                for fmt in ("csv", "json"):
-                    # the reference renders each station's row on its own
-                    layout = LAYOUTS[fmt]
-                    rows = (layout.row([str(i), *period[(i - 1) % len(period)]])
-                            for i in range(1, n + 1))
-                    expected = (layout.head(["station", "amplitude_in", "f_factor", "p_factor"])
-                                + layout.row_sep.join(rows) + layout.foot)
-                    path = tmp_path / f"t.{fmt}"
-                    assert main(argv + ["--format", fmt]) == 0
-                    assert main(argv + ["--format", fmt, "--out", str(path)]) == 0
-                    for got in (capsys.readouterr().out, path.read_text()):
-                        # a bare == would have pytest diff two long strings
-                        same = got == expected
-                        assert same, (ar_every, n, fmt, len(os.path.commonprefix([got, expected])))
-                    traces[fmt] = expected
-                header, rows = parse_csv(traces["csv"])
-                payload = json.loads(traces["json"])
-                assert payload["columns"] == header
-                assert payload["rows"] == rows
-                assert [row[0] for row in rows] == [str(i) for i in range(1, n + 1)]
-                for i, row in enumerate(rows, start=1):
-                    assert row[1:] == [_fmt(v) for v in period[(i - 1) % len(period)]]
+        # goes out in blocks of P * max(1, 4096 // P) stations (4095 for P = 3 and 7),
+        # cut again where the station number gains a digit, so the counts straddle a
+        # block edge and each power of ten up to 10^4, which for P = 3 and 7 falls
+        # mid-period; n = ar_every - 1 is a chain shorter than its ar_every, whose
+        # period has only n rows; a 4100-row period is longer than a 4096-station
+        # block, so each of its blocks is one period, and the last is cut after 3 rows
+        digit_edges = (9, 10, 11, 99, 100, 101, 9999, 10000, 10001)
+        cases = [(ar_every, n) for ar_every in (1, 2, 3, 7)
+                 for step in [ar_every * max(1, 4096 // ar_every)]
+                 for n in sorted({max(1, ar_every - 1), step - 1, step, step + 1, 2 * step + 1,
+                                  *digit_edges})]
+        for ar_every, n in cases + [(4100, 2 * 4100 + 3)]:
+            argv = ["repeater", "--L", "1", "--alpha", "2", "--spacing-km", "1",
+                    "--total-km", str(n), "--ar-every", str(ar_every), "--trace"]
+            result = simulate_chains([_chain_config(build_parser().parse_args(argv))])[0]
+            period = result.period.tolist()
+            assert result.n_stations == n and len(period) == min(ar_every, n)
+            assert_chain_totals(result, ar_every)
+            traces = {}
+            for fmt in ("csv", "json"):
+                # the reference renders each station's row on its own
+                layout = LAYOUTS[fmt]
+                rows = (layout.row([str(i), *period[(i - 1) % len(period)]])
+                        for i in range(1, n + 1))
+                expected = (layout.head(["station", "amplitude_in", "f_factor", "p_factor"])
+                            + layout.row_sep.join(rows) + layout.foot)
+                path = tmp_path / f"t.{fmt}"
+                assert main(argv + ["--format", fmt]) == 0
+                assert main(argv + ["--format", fmt, "--out", str(path)]) == 0
+                for got in (capsys.readouterr().out, path.read_text()):
+                    # a bare == would have pytest diff two long strings
+                    same = got == expected
+                    assert same, (ar_every, n, fmt, len(os.path.commonprefix([got, expected])))
+                traces[fmt] = expected
+            header, rows = parse_csv(traces["csv"])
+            payload = json.loads(traces["json"])
+            assert payload["columns"] == header
+            assert payload["rows"] == rows
+            assert [row[0] for row in rows] == [str(i) for i in range(1, n + 1)]
+            for i, row in enumerate(rows, start=1):
+                assert row[1:] == [_fmt(v) for v in period[(i - 1) % len(period)]]
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("ar_every", [1, 7, 5000])
+    def test_trace_renders_each_period_row_once(self, ar_every, fmt, monkeypatch, tmp_path):
+        # 20001 stations take five digit counts, and each count's rows come from
+        # the one rendering of the period; LAYOUTS binds _fmt at import, so the
+        # count is taken on the rendering of whole rows
+        rendered = []
+        row = cli._Layout.row
+
+        def counted(self, values):
+            rendered.append(values)
+            return row(self, values)
+
+        monkeypatch.setattr(cli._Layout, "row", counted)
+        assert main(["repeater", "--L", "1", "--alpha", "2", "--total-km", "20001",
+                     "--spacing-km", "1", "--ar-every", str(ar_every), "--trace",
+                     "--format", fmt, "--out", str(tmp_path / "trace")]) == 0
+        assert len(rendered) == ar_every
 
     def test_trace_streams(self, tmp_path):
         # the 10^5-row JSON trace is 9.5 MB but goes out in blocks of 4096 rows:
@@ -643,6 +668,38 @@ class TestExitCodes:
         assert code == 1
         assert captured.out == ""
         assert captured.err == "error: Unable to allocate 745. GiB\n"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("exc", [OSError(28, "No space left on device"),
+                                     MemoryError("Unable to allocate 745. GiB")])
+    def test_failed_stream_removes_the_partial_file(self, exc, tmp_path):
+        # the data file is open once the first block is drawn: a failure after
+        # that removes it, and no manifest is written
+        def blocks():
+            yield "1,2"
+            raise exc
+
+        args = argparse.Namespace(format="csv", out=str(tmp_path / "data.csv"),
+                                  subcommand="repeater")
+        with pytest.raises(type(exc)):
+            cli.write_output(["a", "b"], blocks(), args)
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("exc, code", [(OSError(28, "No space left on device"), 1),
+                                           (MemoryError("Unable to allocate"), 1),
+                                           (ArithmeticError("overflow"), 2)])
+    def test_failed_trace_leaves_nothing(self, exc, code, monkeypatch, tmp_path, capsys):
+        # a trace that fails after its first block exits 1 or 2 and leaves no --out file
+        blocks = cli._trace_blocks
+
+        def failing(*args):
+            yield next(blocks(*args))
+            raise exc
+
+        monkeypatch.setattr(cli, "_trace_blocks", failing)
+        assert main(["repeater", "--L", "1", "--alpha", "2", "--spacing-km", "0.01",
+                     "--trace", "--out", str(tmp_path / "trace.csv")]) == code
+        assert capsys.readouterr().out == ""
         assert list(tmp_path.iterdir()) == []
 
     def test_verify_passes_on_clean_build(self, capsys):
