@@ -9,8 +9,8 @@ Exit codes: 0 success, 1 usage or validation error (any ``ValueError``, an
 unreadable file, exhausted memory, a chain transmission that underflows to 0),
 2 a failed ``verify`` check, or a numerical failure that writes nothing: an
 arithmetic failure (overflow, a tripped clamp) or a non-finite output value.
-A failure while the data streams to ``--out`` (exit 1 or 2) removes the partial
-file, so no truncated data file is left.
+A failure while the data or its manifest is written to ``--out`` (exit 1 or 2)
+removes the files written, so no data file is left truncated or without manifest.
 """
 
 from __future__ import annotations
@@ -161,24 +161,26 @@ def write_output(columns: list[str], blocks: Iterable[str], args) -> None:
             # the reader left (``| head``): stop quietly, devnull takes the exit flush
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return
-    digest = hashlib.sha256()
-    with open(args.out, "wb") as fh:
-        try:
+    digest, opened = hashlib.sha256(), []  # the files this call created or truncated
+    try:
+        with open(args.out, "wb") as fh:
+            opened.append(fh.name)
             for data in map(str.encode, chunks):
                 digest.update(data)
                 fh.write(data)
-        except BaseException:
-            fh.close()
-            if os.path.isfile(args.out):  # not a device such as /dev/null
-                os.remove(args.out)
-            raise
-    manifest = {"subcommand": args.subcommand, "version": __version__,
-                "params": {k: v for k, v in vars(args).items() if k != "func"},
-                "output_sha256": digest.hexdigest(),
-                "created_utc": datetime.now(timezone.utc).isoformat()}
-    with open(str(args.out) + ".manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        manifest = {"subcommand": args.subcommand, "version": __version__,
+                    "params": {k: v for k, v in vars(args).items() if k != "func"},
+                    "output_sha256": digest.hexdigest(),
+                    "created_utc": datetime.now(timezone.utc).isoformat()}
+        with open(str(args.out) + ".manifest.json", "w") as fh:
+            opened.append(fh.name)
+            json.dump(manifest, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+    except BaseException:
+        for path in opened:  # a regular file only: never a device (/dev/null) or a link
+            if os.path.isfile(path) and not os.path.islink(path):
+                os.remove(path)
+        raise
 
 
 def _emit(columns, rows, args):
@@ -406,98 +408,53 @@ def cmd_verify(args) -> int:
     return 0 if ok else 2
 
 
-def _add_common(p):
-    p.add_argument("--out", default=None, help="output path (stdout if omitted)")
-    p.add_argument("--format", choices=["csv", "json"], default="csv")
+# Each flag once: its add_argument keywords (argparse's default is None).
+FLAGS = {
+    "--L": dict(type=int, required=True),
+    "--d": dict(type=int, default=2),
+    "--alpha": dict(type=float, required=True),
+    "--a": dict(type=float, default=1 / np.sqrt(2)),
+    "--b": dict(type=float, default=1 / np.sqrt(2)),
+    "--coeffs": dict(help="comma list of complex logical amplitudes (overrides --a/--b)"),
+    "--gamma-min": dict(type=float, default=0.5),
+    "--gamma-max": dict(type=float, default=1.0),
+    "--gamma-steps": dict(type=int, default=101),
+    "--alphas": dict(default="1,2,3,4,5,6", help="comma list of amplitudes"),
+    "--basis": dict(choices=["Z", "X"], default="Z"),
+    "--which": dict(choices=["I", "II", "III"], required=True),
+    "--total-km": dict(type=float, default=1000.0),
+    "--spacing-km": dict(type=float, default=0.1),
+    "--attenuation-km": dict(type=float, default=repeater.DEFAULT_ATTENUATION_KM),
+    "--scheme": dict(choices=list(SCHEME_AR_EVERY), default="new"),
+    "--ar-every": dict(type=int, help="restore every n-th station (overrides --scheme)"),
+    "--trace": dict(action="store_true", help="emit per-station factors"),
+    "--axis": dict(choices=["spacing", "alpha", "gamma"], required=True),
+    "--values": dict(required=True, help="comma list of axis values"),
+    "--out": dict(help="output path (stdout if omitted)"),
+    "--format": dict(choices=["csv", "json"], default="csv"),
+}
 
+_CHAIN = ("--L", "--alpha", "--a", "--b", "--total-km", "--spacing-km", "--attenuation-km",
+          "--scheme", "--ar-every")
 
-def _add_gamma_grid(p):
-    p.add_argument("--gamma-min", type=float, default=0.5)
-    p.add_argument("--gamma-max", type=float, default=1.0)
-    p.add_argument("--gamma-steps", type=int, default=101)
-
-
-def _add_qubit_amplitudes(p):
-    p.add_argument("--a", type=float, default=1 / np.sqrt(2))
-    p.add_argument("--b", type=float, default=1 / np.sqrt(2))
-
-
-def _add_chain(p):
-    p.add_argument("--L", type=int, required=True)
-    p.add_argument("--alpha", type=float, required=True)
-    _add_qubit_amplitudes(p)
-    p.add_argument("--total-km", type=float, default=1000.0)
-    p.add_argument("--spacing-km", type=float, default=0.1)
-    p.add_argument("--attenuation-km", type=float, default=repeater.DEFAULT_ATTENUATION_KM)
-    p.add_argument("--scheme", choices=list(SCHEME_AR_EVERY), default="new")
-    p.add_argument("--ar-every", type=int, default=None,
-                   help="restore every n-th station (overrides --scheme)")
-
-
-def _weights_flags(p):
-    p.add_argument("--L", type=int, required=True)
-    p.add_argument("--d", type=int, default=2)
-    p.add_argument("--alpha", type=float, required=True)
-    _add_qubit_amplitudes(p)
-    p.add_argument("--coeffs", default=None,
-                   help="comma list of complex logical amplitudes (overrides --a/--b)")
-    _add_gamma_grid(p)
-    _add_common(p)
-    p.set_defaults(func=cmd_weights)
-
-
-def _fidelity_flags(p):
-    p.add_argument("--L", type=int, required=True)
-    p.add_argument("--alpha", type=float, required=True)
-    _add_gamma_grid(p)
-    _add_common(p)
-    p.set_defaults(func=cmd_fidelity)
-
-
-def _klreport_flags(p):
-    p.add_argument("--L", type=int, required=True)
-    p.add_argument("--alphas", default="1,2,3,4,5,6", help="comma list of amplitudes")
-    p.add_argument("--basis", choices=["Z", "X"], default="Z")
-    _add_common(p)
-    p.set_defaults(func=cmd_klreport)
-
-
-def _repeater_flags(p):
-    _add_chain(p)
-    p.add_argument("--trace", action="store_true", help="emit per-station factors")
-    _add_common(p)
-    p.set_defaults(func=cmd_repeater)
-
-
-def _sweep_flags(p):
-    _add_chain(p)
-    p.add_argument("--axis", choices=["spacing", "alpha", "gamma"], required=True)
-    p.add_argument("--values", required=True, help="comma list of axis values")
-    _add_common(p)
-    p.set_defaults(func=cmd_sweep)
-
-
-def _tables_flags(p):
-    p.add_argument("--which", choices=["I", "II", "III"], required=True)
-    p.add_argument("--total-km", type=float, default=1000.0)
-    _add_common(p)
-    p.set_defaults(func=cmd_tables)
-
-
-def _verify_flags(p):
-    p.add_argument("--out", default=None, help="output path (stdout if omitted)")
-    p.set_defaults(func=cmd_verify, format="text")
-
-
-# The one place a subcommand is declared: name -> (help line, flag adder), in usage order.
+# The one place a subcommand is declared: name -> (help line, command, its FLAGS
+# in usage order), in usage order.
 SUBCOMMANDS = {
-    "weights": ("output-mixture weights over a gamma grid", _weights_flags),
-    "fidelity": ("worst-case fidelity bound over a gamma grid", _fidelity_flags),
-    "kl-report": ("correctability violations per loss count", _klreport_flags),
-    "repeater": ("simulate one communication chain", _repeater_flags),
-    "sweep": ("chain results along one swept axis", _sweep_flags),
-    "tables": ("long-haul comparison vs reference values", _tables_flags),
-    "verify": ("closed forms vs brute-force oracles", _verify_flags),
+    "weights": ("output-mixture weights over a gamma grid", cmd_weights,
+                ("--L", "--d", "--alpha", "--a", "--b", "--coeffs", "--gamma-min",
+                 "--gamma-max", "--gamma-steps", "--out", "--format")),
+    "fidelity": ("worst-case fidelity bound over a gamma grid", cmd_fidelity,
+                 ("--L", "--alpha", "--gamma-min", "--gamma-max", "--gamma-steps",
+                  "--out", "--format")),
+    "kl-report": ("correctability violations per loss count", cmd_klreport,
+                  ("--L", "--alphas", "--basis", "--out", "--format")),
+    "repeater": ("simulate one communication chain", cmd_repeater,
+                 (*_CHAIN, "--trace", "--out", "--format")),
+    "sweep": ("chain results along one swept axis", cmd_sweep,
+              (*_CHAIN, "--axis", "--values", "--out", "--format")),
+    "tables": ("long-haul comparison vs reference values", cmd_tables,
+               ("--which", "--total-km", "--out", "--format")),
+    "verify": ("closed forms vs brute-force oracles", cmd_verify, ("--out",)),
 }
 
 
@@ -517,8 +474,13 @@ def build_parser(subcommand: str | None = None) -> argparse.ArgumentParser:
         names, metavar = list(SUBCOMMANDS), None
     sub = parser.add_subparsers(dest="subcommand", required=True, metavar=metavar)
     for name in names:
-        help_line, add_flags = SUBCOMMANDS[name]
-        add_flags(sub.add_parser(name, help=help_line))
+        help_line, command, flags = SUBCOMMANDS[name]
+        p = sub.add_parser(name, help=help_line)
+        p.set_defaults(func=command)
+        for flag in flags:
+            p.add_argument(flag, **FLAGS[flag])
+        if "--format" not in flags:  # verify's report
+            p.set_defaults(format="text")
     return parser
 
 

@@ -18,7 +18,8 @@ import pytest
 import catloss
 from catloss import channel, cli
 from catloss.channel import ChannelParams
-from catloss.cli import LAYOUTS, SUBCOMMANDS, _chain_config, _fmt, build_parser, main
+from catloss.cli import (FLAGS, LAYOUTS, SUBCOMMANDS, _chain_config, _fmt, build_parser,
+                         main)
 from catloss.codes import CodeSpec
 from catloss.qec import fidelity_bound
 from catloss.repeater import simulate_chains
@@ -56,6 +57,47 @@ DATASETS = {
 CALLS = {**DATASETS, "verify": ["verify"]}
 
 WEIGHTS = ["weights", "--L", "1", "--alpha", "2", "--gamma-steps", "3"]
+
+# the CLI's interface: each subcommand's flags in usage order, and each flag's (dest,
+# default, required, choices, type, nargs, help), written out apart from cli.FLAGS so
+# that any edit to the table shows here
+_CHAIN = "--L --alpha --a --b --total-km --spacing-km --attenuation-km --scheme --ar-every"
+SUBCOMMAND_FLAGS = {
+    "weights": "--L --d --alpha --a --b --coeffs --gamma-min --gamma-max --gamma-steps"
+               " --out --format",
+    "fidelity": "--L --alpha --gamma-min --gamma-max --gamma-steps --out --format",
+    "kl-report": "--L --alphas --basis --out --format",
+    "repeater": _CHAIN + " --trace --out --format",
+    "sweep": _CHAIN + " --axis --values --out --format",
+    "tables": "--which --total-km --out --format",
+    "verify": "--out",
+}
+FLAG_INTERFACE = {
+    "--L": ("L", None, True, None, int, None, None),
+    "--d": ("d", 2, False, None, int, None, None),
+    "--alpha": ("alpha", None, True, None, float, None, None),
+    "--a": ("a", 0.7071067811865475, False, None, float, None, None),
+    "--b": ("b", 0.7071067811865475, False, None, float, None, None),
+    "--coeffs": ("coeffs", None, False, None, None, None,
+                 "comma list of complex logical amplitudes (overrides --a/--b)"),
+    "--gamma-min": ("gamma_min", 0.5, False, None, float, None, None),
+    "--gamma-max": ("gamma_max", 1.0, False, None, float, None, None),
+    "--gamma-steps": ("gamma_steps", 101, False, None, int, None, None),
+    "--alphas": ("alphas", "1,2,3,4,5,6", False, None, None, None, "comma list of amplitudes"),
+    "--basis": ("basis", "Z", False, ["Z", "X"], None, None, None),
+    "--which": ("which", None, True, ["I", "II", "III"], None, None, None),
+    "--total-km": ("total_km", 1000.0, False, None, float, None, None),
+    "--spacing-km": ("spacing_km", 0.1, False, None, float, None, None),
+    "--attenuation-km": ("attenuation_km", 22.0, False, None, float, None, None),
+    "--scheme": ("scheme", "new", False, ["old", "new"], None, None, None),
+    "--ar-every": ("ar_every", None, False, None, int, None,
+                   "restore every n-th station (overrides --scheme)"),
+    "--trace": ("trace", False, False, None, None, 0, "emit per-station factors"),
+    "--axis": ("axis", None, True, ["spacing", "alpha", "gamma"], None, None, None),
+    "--values": ("values", None, True, None, None, None, "comma list of axis values"),
+    "--out": ("out", None, False, None, None, None, "output path (stdout if omitted)"),
+    "--format": ("format", "csv", False, ["csv", "json"], None, None, None),
+}
 
 
 class TestWeights:
@@ -685,6 +727,32 @@ class TestExitCodes:
             cli.write_output(["a", "b"], blocks(), args)
         assert list(tmp_path.iterdir()) == []
 
+    def test_unwritable_manifest_removes_the_data_file(self, tmp_path, capsys):
+        # a directory in the manifest's place: exit 1, no data file is left
+        # without its manifest, and the directory is kept
+        (tmp_path / "d.csv.manifest.json").mkdir()
+        assert main(WEIGHTS + ["--out", str(tmp_path / "d.csv")]) == 1
+        assert capsys.readouterr().out == ""
+        assert [path.name for path in tmp_path.iterdir()] == ["d.csv.manifest.json"]
+
+    def test_failed_manifest_write_removes_both_files(self, monkeypatch, tmp_path, capsys):
+        def disk_full(obj, fh, **kwargs):
+            fh.write("{")
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(json, "dump", disk_full)
+        assert main(WEIGHTS + ["--out", str(tmp_path / "d.csv")]) == 1
+        assert capsys.readouterr().err == "error: [Errno 28] No space left on device\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_manifest_keeps_a_link(self, tmp_path):
+        # removing a link given as --out would remove no data, only the link
+        target, link = tmp_path / "target.csv", tmp_path / "d.csv"
+        link.symlink_to(target)
+        (tmp_path / "d.csv.manifest.json").mkdir()
+        assert main(WEIGHTS + ["--out", str(link)]) == 1
+        assert link.is_symlink() and target.read_text().startswith("gamma,")
+
     @pytest.mark.parametrize("exc, code", [(OSError(28, "No space left on device"), 1),
                                            (MemoryError("Unable to allocate"), 1),
                                            (ArithmeticError("overflow"), 2)])
@@ -770,5 +838,21 @@ class TestParserPerSubcommand:
         monkeypatch.setenv("COLUMNS", "80")
         text = build_parser().format_help()
         assert added == list(SUBCOMMANDS)
-        for name, (help_line, _) in SUBCOMMANDS.items():
+        for name, (help_line, _, _) in SUBCOMMANDS.items():
             assert f"    {name}" in text and help_line in text
+
+    @pytest.mark.parametrize("name", SUBCOMMAND_FLAGS)
+    def test_flag_interface(self, name):
+        parser = build_parser(name)
+        sub = next(action for action in parser._actions
+                   if isinstance(action, argparse._SubParsersAction)).choices[name]
+        actions = [action for action in sub._actions if action.dest != "help"]
+        assert [action.option_strings for action in actions] == [
+            [flag] for flag in SUBCOMMAND_FLAGS[name].split()]
+        for action in actions:
+            assert (action.dest, action.default, action.required, action.choices, action.type,
+                    action.nargs, action.help) == FLAG_INTERFACE[action.option_strings[0]]
+
+    def test_every_flag_is_taken(self):
+        assert list(SUBCOMMAND_FLAGS) == list(SUBCOMMANDS)
+        assert {flag for _, _, flags in SUBCOMMANDS.values() for flag in flags} == set(FLAGS)
