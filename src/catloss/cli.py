@@ -2,8 +2,9 @@
 
 Each subcommand emits one deterministic dataset through one writer: CSV or
 JSON (floats at 17 significant digits, no timestamps), or ``verify``'s text
-report, plus with ``--out`` a manifest JSON of the resolved parameters, library
-version and data sha256.  A negative value may be a separate token (``-1e-3``).
+report, plus, when ``--out`` is a regular file (or a link to one), a manifest JSON
+of the resolved parameters, library version and data sha256; a device such as
+``/dev/null`` gets none.  A negative value may be a separate token (``-1e-3``).
 
 Exit codes: 0 success, 1 usage or validation error (any ``ValueError``, an
 unreadable file, exhausted memory, a chain transmission that underflows to 0),
@@ -148,7 +149,8 @@ LAYOUTS = {
 def write_output(columns: list[str], blocks: Iterable[str], args) -> None:
     """Stream ``head``, the blocks (each one or more rows joined by ``row_sep``) with
     ``row_sep`` between them, then ``foot`` of ``LAYOUTS[args.format]`` to stdout, or to
-    ``--out`` hashed as written plus a manifest whose params are the parsed ``args``."""
+    ``--out`` hashed as written plus, if ``--out`` is a regular file, a manifest whose
+    params are the parsed ``args``."""
     layout = LAYOUTS[args.format]
     blocks = iter(blocks)
     chunks = chain([layout.head(columns), next(blocks, "")],
@@ -168,6 +170,8 @@ def write_output(columns: list[str], blocks: Iterable[str], args) -> None:
             for data in map(str.encode, chunks):
                 digest.update(data)
                 fh.write(data)
+        if not os.path.isfile(args.out):  # a device or a pipe: no file holds the data
+            return
         manifest = {"subcommand": args.subcommand, "version": __version__,
                     "params": {k: v for k, v in vars(args).items() if k != "func"},
                     "output_sha256": digest.hexdigest(),

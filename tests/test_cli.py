@@ -304,7 +304,8 @@ class TestRepeaterCommands:
 
     def test_trace_streams(self, tmp_path):
         # the 10^5-row JSON trace is 9.5 MB but goes out in blocks of 4096 rows:
-        # the write peaks at about 2.3 MiB
+        # the write peaks at about 2.3 MiB; the manifest hashes every block, and
+        # the last station is the first with six digits
         path = tmp_path / "trace.json"
         tracemalloc.start()
         try:
@@ -316,6 +317,9 @@ class TestRepeaterCommands:
         assert code == 0
         assert path.stat().st_size > 9 * 10**6
         assert peak < 4 * 2**20
+        manifest = json.loads((tmp_path / "trace.json.manifest.json").read_text())
+        assert manifest["output_sha256"] == hashlib.sha256(path.read_bytes()).hexdigest()
+        assert json.loads(path.read_text())["rows"][-1][0] == "100000"
 
     def test_non_integral_spacing_warns_once(self, capsys):
         with warnings.catch_warnings(record=True) as caught:
@@ -380,6 +384,14 @@ class TestOutputsAndManifest:
         assert manifest["output_sha256"] == hashlib.sha256(out.read_bytes()).hexdigest()
         assert run(["verify"], capsys) == (0, out.read_text())
 
+    def test_device_gets_no_manifest(self, tmp_path):
+        # a link to the null device takes the data, but no file holds the bytes
+        # a manifest would hash, so none is written beside the link
+        link = tmp_path / "null"
+        link.symlink_to(os.devnull)
+        assert main(WEIGHTS + ["--out", str(link)]) == 0
+        assert list(tmp_path.iterdir()) == [link]
+
     @pytest.mark.parametrize("argv", DATASETS.values(), ids=DATASETS.keys())
     def test_manifest_params_are_the_parsed_args(self, argv, tmp_path):
         argv = argv + ["--out", str(tmp_path / "d.csv")]
@@ -411,7 +423,9 @@ class TestOutputsAndManifest:
         assert capsys.readouterr().out == text
         payload = json.loads(text)
         assert text == json.dumps(payload, indent=2) + "\n"
+        assert main(argv) == 0
         csv_text = csv_path.read_text()
+        assert capsys.readouterr().out == csv_text
         header, rows = parse_csv(csv_text)
         assert csv_text == "\n".join(",".join(r) for r in [header] + rows) + "\n"
         assert payload["columns"] == header
@@ -566,14 +580,18 @@ class TestExitCodes:
         ],
     )
     def test_numerical_failure_is_two(self, argv, tmp_path, capsys):
-        # a tripped clamp or a NaN result exits 2 with one line and writes nothing
+        # a tripped clamp or a NaN result exits 2 with one line and writes nothing;
+        # no warning is shown, not even one an earlier test showed at its location
         out = tmp_path / "data.csv"
-        code = main(argv + ["--out", str(out)])
+        with warnings.catch_warnings(record=True) as shown:
+            warnings.simplefilter("always")
+            code = main(argv + ["--out", str(out)])
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""
         assert captured.err.startswith("numerical failure:")
-        assert captured.err.count("\n") == 1
+        assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+        assert shown == []
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize(
@@ -812,7 +830,9 @@ class TestParserPerSubcommand:
         full = build_parser
         monkeypatch.setattr(cli, "build_parser", lambda subcommand=None: full())
         assert got == outcome()
-        assert got[2] or got[1]
+        # help, like data, goes to stdout with exit 0; a usage error to stderr with exit 1
+        code, out, err = got
+        assert (code, bool(out), bool(err)) in {(0, True, False), (1, False, True)}
 
     @staticmethod
     def added_subparsers(monkeypatch) -> list[str]:
@@ -838,6 +858,8 @@ class TestParserPerSubcommand:
         monkeypatch.setenv("COLUMNS", "80")
         text = build_parser().format_help()
         assert added == list(SUBCOMMANDS)
+        assert text.startswith("usage: catloss [-h]\n               "
+                               "{weights,fidelity,kl-report,repeater,sweep,tables,verify} ...\n")
         for name, (help_line, _, _) in SUBCOMMANDS.items():
             assert f"    {name}" in text and help_line in text
 
