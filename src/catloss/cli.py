@@ -25,7 +25,7 @@ import re
 import sys
 import warnings
 from collections.abc import Callable, Iterable
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from itertools import chain
 
@@ -112,37 +112,56 @@ def _fmt(value) -> str:
 @dataclass(frozen=True)
 class _Layout:
     """A dataset is ``head(columns)``, the rows joined by ``row_sep``, then
-    ``foot``; a row is ``row_open``, cells joined by ``cell_sep``, then ``row_close``."""
+    ``foot``; a row is ``row_open``, cells joined by ``cell_sep``, then ``row_close``,
+    through one ``%`` template per tuple of cell types, built once per copy of the
+    layout: a float by ``floats`` (checked finite as ``_fmt`` checks it, unless
+    ``%s``), an int by ``%s``, any other cell by ``%s`` after ``cell`` if given."""
 
-    cell: Callable[[object], str]
     head: Callable[[list[str]], str]
+    cell: Callable[[object], str] | None = None
+    floats: str = "%.17g"
     row_open: str = ""
     cell_sep: str = ","
     row_close: str = ""
     row_sep: str = "\n"
     foot: str = "\n"
+    templates: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def row(self, values) -> str:
-        return self.row_open + self.cell_sep.join(map(self.cell, values)) + self.row_close
+        types = tuple(map(type, values))
+        if types not in self.templates:
+            cells = self.cell_sep.join(self.floats if issubclass(t, float) else "%s" for t in types)
+            self.templates[types] = self.row_open + cells + self.row_close, [
+                i for i, t in enumerate(types)
+                if self.cell and t is not int and not issubclass(t, float)]
+        template, converted = self.templates[types]
+        if converted:
+            values = list(values)
+            for i in converted:
+                values[i] = self.cell(values[i])
+        text = template % tuple(values)
+        if self.floats != "%s" and "n" in text:  # nan or inf: _fmt raises for the first one
+            list(map(_fmt, values))
+        return text
 
 
 def _json_cell(value) -> str:
-    # the bytes of json.dumps, with floats as 17-digit strings
-    if isinstance(value, (float, str)):
-        return json.encoder.encode_basestring_ascii(_fmt(value))
+    # the bytes of json.dumps
+    if isinstance(value, str):
+        return json.encoder.encode_basestring_ascii(value)
     return json.dumps(value)
 
 
 LAYOUTS = {
-    "csv": _Layout(cell=_fmt, head=lambda columns: ",".join(columns) + "\n"),
+    "csv": _Layout(head=lambda columns: ",".join(columns) + "\n"),
     "json": _Layout(
-        cell=_json_cell,
+        cell=_json_cell, floats='"%.17g"',  # floats as 17-digit strings
         # json.dumps of the columns and no rows, cut after the rows' "["
         head=lambda columns: json.dumps({"columns": columns, "rows": []}, indent=2)[:-3] + "\n",
         row_open="    [\n      ", cell_sep=",\n      ", row_close="\n    ]",
         row_sep=",\n", foot="\n  ]\n}\n",
     ),
-    "text": _Layout(cell=str, head=lambda columns: ""),  # verify's report; not a --format
+    "text": _Layout(head=lambda columns: "", floats="%s"),  # verify's report; not a --format
 }
 
 
@@ -189,7 +208,7 @@ def write_output(columns: list[str], blocks: Iterable[str], args) -> None:
 
 def _emit(columns, rows, args):
     # every row is rendered, and checked finite, before the first byte goes out
-    layout = LAYOUTS[args.format]
+    layout = replace(LAYOUTS[args.format])
     write_output(columns, [layout.row_sep.join(map(layout.row, rows))], args)
 
 
@@ -268,7 +287,7 @@ def cmd_repeater(args) -> int:
         _emit(columns, [[result.fidelity, result.success_prob, result.n_stations,
                          int(result.amplitude_collapsed)]], args)
         return 0
-    layout = LAYOUTS[args.format]  # each period row rendered, and checked finite, once
+    layout = replace(LAYOUTS[args.format])  # each period row rendered, and checked finite, once
     rows = [layout.row(["#", *row]) for row in result.period.tolist()]
     write_output(["station", "amplitude_in", "f_factor", "p_factor"],
                  _trace_blocks(rows, layout.row_sep, result.n_stations), args)

@@ -35,8 +35,7 @@ SMALL_ALPHA = 0.1
 # Smallest norm of raw logical amplitudes whose square is a normal float.
 _MIN_NORM = np.sqrt(np.finfo(float).tiny)
 
-# Elements of the (point, k1, k2, ja, jb) block per pass of the coherent Gram
-# kernel, which bounds its temporaries.
+# Elements per chunk of points, and per group of terms, of the Gram kernel.
 _GRAM_TERMS = 2**13
 
 
@@ -217,38 +216,39 @@ def _cmul(ar, ai, br, bi):
 
 def _coherent_gram(spec: CodeSpec, qs, amps: np.ndarray) -> np.ndarray:
     """Overlaps <w_{k1,q}|w_{k2,q}> of each space q in ``qs`` at the 1-D ``amps``,
-    shape (n, len(qs), d, d), from <u|v> = exp(-|u|^2/2 - |v|^2/2 + conj(u) v)
-    of the coherent components.  Per chunk of about ``_GRAM_TERMS`` elements of
-    the (point, k1 <= k2, ja, jb) block (at least one point) the exponentials
-    are formed once for all spaces.  Every value rounds as the scalar loop (the
-    test oracle) does: products through ``_cmul``, half-squares as hypot and
-    libm pow, sums in (ja, jb) order."""
-    d, m = spec.d, spec.spaces
-    sector = np.array([np.exp(2j * np.pi * k / spec.cycle) for k in range(d)])[:, None]
-    rot = np.array([np.exp(2j * np.pi * j / m) for j in range(m)])
-    # phase of the (ja, jb) term depends on jb - ja only
-    lags = (np.arange(m)[None, :] - np.arange(m)[:, None] + (m - 1)).ravel()
-    ph = [np.array([np.exp(2j * np.pi * q * lag / m) for lag in range(1 - m, m)])[lags] for q in qs]
-    k1, k2 = np.triu_indices(d)
-    g = np.empty((len(amps), len(qs), d, d), dtype=complex)
-    chunk = max(1, _GRAM_TERMS // (len(k1) * m * m))
+    shape (n, len(qs), d, d), from <u|v> = exp(-|u|^2/2 - |v|^2/2 + conj(u) v) of
+    the coherent components, added a group of terms (ja, jb) at a time to sums of
+    shape (space, pair k1 <= k2, point).  Values round as the scalar oracle's do:
+    ``_cmul`` products, hypot and libm pow squares, sums from +0.0 in (ja, jb) order."""
+    d, m, terms, spaces = spec.d, spec.spaces, spec.spaces**2, len(qs)
+    # np.exp(2j * np.pi * x / n) of the scalar forms: Python rounds 2 pi x / n in floats
+    sector = np.exp(1j * (2 * np.pi * np.arange(d)[:, None] / spec.cycle))
+    rot = np.exp(1j * (2 * np.pi * np.arange(m)[:, None, None] / m))
+    lag = (np.arange(terms) % m - np.arange(terms) // m)[:, None]  # jb - ja
+    ph = np.exp(1j * (2 * np.pi * np.asarray(qs) * lag / m))[..., None, None]
+    re_p, im_p = ph.real + 0j, ph.imag * 1j  # p e = e Re p + e (i Im p): exact products
+    k1, k2 = np.array([(i, j) for i in range(d) for j in range(i, d)]).T  # triu_indices(d)
+    u, v = np.s_[:, None, k1], np.s_[None, :, k2]
+    chunk = max(1, min(len(amps), _GRAM_TERMS // (terms * len(k1))))
+    group = min(terms, max(1, _GRAM_TERMS // (spaces * len(k1) * chunk)))
+    rows = np.empty((group + 1, spaces, len(k1), chunk), dtype=complex)  # sums, then terms
+    g = np.empty((len(amps), spaces, d, d), dtype=complex)
     for lo in range(0, len(amps), chunk):
-        amp = amps[lo : lo + chunk, None, None]
-        # components beta_k e^{2 pi i j/m}, shape (n, d, m)
+        amp, acc = amps[lo : lo + chunk], rows[..., : len(amps[lo : lo + chunk])]
         ur, ui = _cmul(amp * sector.real, amp * sector.imag, rot.real, rot.imag)
-        half_sq = np.float_power(np.hypot(ur, ui), 2.0) / 2
-        u, v = np.s_[:, k1, :, None], np.s_[:, k2, None, :]
-        cr, ci = _cmul(ur[u], -ui[u], ur[v], ui[v])
-        # 1j * ci adds +0.0 to ci, as the scalar complex sum does: -0.0 becomes 0.0
-        e = np.exp(-half_sq[u] - half_sq[v] + cr + 1j * ci).reshape(len(amp), len(k1), m * m)
-        for i, p in enumerate(ph):
-            tr, ti = _cmul(p.real, p.imag, e.real, e.imag)
-            # in (ja, jb) order; the scalar loop starts from +0.0
-            sr, si = (0.0 + np.add.accumulate(t, axis=-1)[..., -1] for t in (tr, ti))
-            diag = sr[:, k1 == k2]
-            g[lo : lo + chunk, i, k1, k2] = (sr + 1j * si) / np.sqrt(diag[:, k1] * diag[:, k2])
-        g[lo : lo + chunk, :, k2, k1] = np.conj(g[lo : lo + chunk, :, k1, k2])
-        g[lo : lo + chunk, :, range(d), range(d)] = 1.0
+        hs = np.float_power(np.hypot(ur, ui), 2.0) / 2  # of the components, shape (m, d, n)
+        e = np.empty((m, m, len(k1), len(amp)), dtype=complex)
+        e.real, e.imag = map(np.add, (-hs[u] - hs[v], 0.0), _cmul(ur[u], -ui[u], ur[v], ui[v]))
+        e, acc[0] = np.exp(e, out=e).reshape(terms, 1, len(k1), -1), 0.0
+        for t in range(0, terms, group):
+            k = min(group, terms - t)
+            np.multiply(e[t : t + k], re_p[t : t + k], out=acc[1 : k + 1])
+            acc[1 : k + 1] += e[t : t + k] * im_p[t : t + k]
+            acc[0] = np.add.reduce(acc[: k + 1], axis=0)  # an outer axis: row after row
+        diag = acc[0].real[:, k1 == k2]
+        val = (acc[0] / np.sqrt(diag[:, k1] * diag[:, k2])).transpose(2, 0, 1)
+        g[lo : lo + chunk, :, k1, k2], g[lo : lo + chunk, :, k2, k1] = val, np.conj(val)
+    g[..., range(d), range(d)] = 1.0
     return g
 
 

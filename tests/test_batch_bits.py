@@ -30,10 +30,15 @@ from conftest import assert_chain_totals
 
 
 def chunk_edges(L, d):
-    """Batch sizes at and around the Gram kernel's chunk of points: its
-    block holds the d(d+1)/2 pairs k1 <= k2 and (L+1)^2 terms per point."""
-    edge = max(1, _GRAM_TERMS // (d * (d + 1) // 2 * (L + 1) ** 2))
-    return [1, edge - 1, edge, edge + 1, 3 * edge + 5]
+    """Batch sizes at and around the Gram kernel's chunk of points, whose
+    exponentials hold the d(d+1)/2 pairs k1 <= k2 and (L+1)^2 terms per point,
+    and around the largest batch whose terms the kernel adds in one group, for
+    one space and for all L+1 spaces (a group holds every space's terms)."""
+    block = d * (d + 1) // 2 * (L + 1) ** 2
+    edge = max(1, _GRAM_TERMS // block)
+    groups = [max(1, _GRAM_TERMS // (spaces * block)) for spaces in (1, L + 1)]
+    return [1, edge - 1, edge, edge + 1, 3 * edge + 5] + [
+        n + i for n in groups for i in (-1, 0, 1) if n + i >= 1]
 
 
 alphas = st.floats(0.1, 9.0)

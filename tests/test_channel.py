@@ -222,10 +222,10 @@ class TestMixtureWeights:
         assert np.max(np.abs(w.ptilde[1:])) < 1e-12
 
     def test_large_gamma_grid_memory_is_bounded(self):
-        # the coherent Gram kernel runs in fixed-size chunks: a 2,000-point
-        # qudit grid peaks at 5.6 MiB (numpy reports its buffers to
-        # tracemalloc, mostly the damped Gram matrices here); one kernel pass
-        # over all points at once peaks at 65 MiB
+        # the coherent Gram kernel runs in chunks of points and groups of
+        # terms: a 2,000-point qudit grid peaks at 5.6 MiB (numpy reports its
+        # buffers to tracemalloc, mostly the damped Gram matrices here); one
+        # kernel pass over all points and all terms at once peaks at 232 MiB
         spec = CodeSpec(6, 4, 8.0)
         coeffs = LogicalCoeffs.of(1.0, 1j, -1.0, 0.5)
         tracemalloc.start()
@@ -236,6 +236,23 @@ class TestMixtureWeights:
             tracemalloc.stop()
         assert w.ptilde.shape == (2000, spec.cycle)
         assert peak < 16 * 2**20
+
+    def test_qudit_weights_batch_peak_is_bounded(self):
+        # the 101-point batch of `weights --L 6 --d 4 --alpha 8`; the kernel that
+        # phased and summed the whole (point, pair, ja, jb) block once per space
+        # peaked here at 1,056,467 bytes (numpy 2.4.6, Python 3.11), and the
+        # kernel that adds a group of terms for every space at 951,924
+        bound = 1_056_467
+        spec = CodeSpec(6, 4, 8.0)
+        coeffs = LogicalCoeffs.of(1.0, 1j, -1.0, 0.5)
+        tracemalloc.start()
+        try:
+            w = mixture_weights(spec, coeffs, ChannelParams(np.linspace(0.5, 1.0, 101)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert w.ptilde.shape == (101, spec.cycle)
+        assert peak <= bound
 
 
 class TestLogicalMixture:

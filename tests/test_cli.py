@@ -287,8 +287,8 @@ class TestRepeaterCommands:
     @pytest.mark.parametrize("ar_every", [1, 7, 5000])
     def test_trace_renders_each_period_row_once(self, ar_every, fmt, monkeypatch, tmp_path):
         # 20001 stations take five digit counts, and each count's rows come from
-        # the one rendering of the period; LAYOUTS binds _fmt at import, so the
-        # count is taken on the rendering of whole rows
+        # the one rendering of the period; a row renders through one template,
+        # so the count is taken on the rendering of whole rows
         rendered = []
         row = cli._Layout.row
 
@@ -577,6 +577,9 @@ class TestExitCodes:
             # a damped Gram entry overflows to inf
             ["repeater", "--L", "10", "--alpha", "0.185", "--spacing-km", "0.05",
              "--total-km", "100", "--ar-every", "1"],
+            # a damped amplitude of about 1e-4 makes a coherent Gram diagonal sum
+            # 0, and the kernel's normalization 0/0
+            ["repeater", "--L", "4", "--alpha", "7", "--spacing-km", "5", "--ar-every", "100"],
         ],
     )
     def test_numerical_failure_is_two(self, argv, tmp_path, capsys):
