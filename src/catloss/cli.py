@@ -250,15 +250,8 @@ def cmd_fidelity(args) -> int:
     return 0
 
 
-def _qubit_spec(L: int, alpha: float) -> codes.CodeSpec:
-    """A qubit code whose small-amplitude warning is left to the batch that runs it."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)
-        return codes.CodeSpec(L, 2, alpha)
-
-
 def cmd_klreport(args) -> int:
-    specs = [_qubit_spec(args.L, float(tok)) for tok in args.alphas.split(",")]
+    specs = [codes.quiet_spec(args.L, 2, float(tok)) for tok in args.alphas.split(",")]
     codes.CodeSpec(args.L, 2, np.array([s.alpha for s in specs]))  # one warning for them all
     max_loss = 2 * args.L + 1
     columns = ["alpha"] + [f"{k}_{i}" for i in range(max_loss + 1) for k in ("ortho", "deform")]
@@ -274,14 +267,14 @@ def cmd_klreport(args) -> int:
 def _chain_config(args) -> repeater.RepeaterConfig:
     return repeater.RepeaterConfig(
         total_km=args.total_km, spacing_km=args.spacing_km, attenuation_km=args.attenuation_km,
-        spec=_qubit_spec(args.L, args.alpha),  # the chain set's batch warns once
+        spec=codes.quiet_spec(args.L, 2, args.alpha),  # the chain set's batch warns once
         coeffs=_coeffs(args, 2),
         ar_every=SCHEME_AR_EVERY[args.scheme] if args.ar_every is None else args.ar_every,
     )
 
 
 def cmd_repeater(args) -> int:
-    (result,) = repeater.simulate_chains([_chain_config(args)])
+    (result,) = repeater.simulate_chains(_chain_config(args))
     if not args.trace:
         columns = ["fidelity", "success_prob", "n_stations", "amplitude_collapsed"]
         _emit(columns, [[result.fidelity, result.success_prob, result.n_stations,
@@ -327,11 +320,8 @@ def _trace_blocks(rows: list[str], row_sep: str, n: int):
 
 def cmd_sweep(args) -> int:
     values = [float(tok) for tok in args.values.split(",")]
-    config = _chain_config(args)
-    rows = [
-        [v, r.fidelity, r.success_prob, int(r.amplitude_collapsed)]
-        for v, r in zip(values, repeater.sweep(config, args.axis, values))
-    ]
+    rows = [[v, r.fidelity, r.success_prob, int(r.amplitude_collapsed)]
+            for v, r in zip(values, repeater.sweep(_chain_config(args), args.axis, values))]
     _emit([args.axis, "fidelity", "success_prob", "amplitude_collapsed"], rows, args)
     return 0
 
@@ -346,14 +336,12 @@ def cmd_tables(args) -> int:
         "F_old", "F_old_ref", "F_old_dev",
         "P_old_plus", "P_old_minus", "P_old_ref", "P_old_dev",
     ]
-    # every chain of the table in one batch, ordered (row, scheme, sign)
-    chains = iter(repeater.simulate_chains([
-        repeater.RepeaterConfig(
-            total_km=args.total_km, spacing_km=spacing, spec=codes.CodeSpec(L, 2, alpha),
-            coeffs=codes.LogicalCoeffs.balanced(sign=sign), ar_every=SCHEME_AR_EVERY[scheme],
-        )
-        for alpha, spacing, *_ in block["rows"] for scheme in ("new", "old") for sign in (1, -1)
-    ]))
+    # every chain of the table in one set of shape (row, scheme, sign)
+    alphas, spacings = np.array([row[:2] for row in block["rows"]]).T[:, :, None, None]
+    chains = iter(repeater.simulate_chains(repeater.RepeaterConfig(
+        total_km=args.total_km, spacing_km=spacings, spec=codes.CodeSpec(L, 2, alphas),
+        coeffs=codes.LogicalCoeffs.stack([codes.LogicalCoeffs.balanced(sign=s) for s in (1, -1)]),
+        ar_every=np.array([[SCHEME_AR_EVERY["new"]], [SCHEME_AR_EVERY["old"]]]))))
     rows = []
     for alpha, spacing, f_new_ref, p_new_ref, f_old_ref, p_old_ref in block["rows"]:
         row = [alpha, spacing]

@@ -57,8 +57,9 @@ class CodeSpec:
         if self.d < 2:
             raise ValueError(f"logical dimension must be >= 2, got {self.d}")
         alpha = np.asarray(self.alpha)
-        if not np.all(np.isfinite(alpha) & (alpha > 0)):
-            raise ValueError(f"alpha must be finite and positive, got {self.alpha}")
+        bad = ~(np.isfinite(alpha) & (alpha > 0))
+        if bad.any():  # the first such amplitude of a batch
+            raise ValueError(f"alpha must be finite and positive, got {alpha[bad][0]}")
         small = np.count_nonzero(alpha < SMALL_ALPHA)
         if small:  # once per batch, at the caller of the generated __init__
             warnings.warn(
@@ -83,6 +84,13 @@ class CodeSpec:
             if np.ndim(amp):
                 raise ValueError(f"the Fock oracles take one amplitude, got shape {np.shape(amp)}")
         return fock.default_n_max(max(self.alpha, amplitude or 0.0))
+
+
+def quiet_spec(L: int, d: int, alpha) -> CodeSpec:
+    """A code whose small-amplitude warning is left to the batch that runs it."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        return CodeSpec(L, d, alpha)
 
 
 def _codeword_amplitude(spec: CodeSpec, k: int, q: int, amplitude):

@@ -7,15 +7,15 @@ bookkeeping (qubit recovery); amplitude restoration runs only at every
 decaying by sqrt(gamma) per segment.
 
 Composition rule: the chain fidelity is the product over stations of the
-per-segment correctable-weight sum evaluated at that segment's input
-amplitude, and the chain success probability the product of the restoration
-factors at the stations that run one.  A restoration factor is evaluated for
-the whole interval since the previous restoration composed into one loss
-channel: the intermediate syndrome reads refine the phase bookkeeping (hence
-the per-station fidelity factors) but do not re-bin the loss classes that
-weight the filter branches.  Within a period of ``ar_every`` stations only
-``ar_every`` distinct factor pairs occur, so chains of 10^5 stations cost one
-mixture batch per chain set plus, per chain, one power of each period row.
+per-segment correctable-weight sum at that segment's input amplitude, and the
+success probability the product of the restoration factors of the stations
+that run one, each over the whole interval since the last restoration composed
+into one loss channel (intermediate syndrome reads refine the phase
+bookkeeping, not the loss classes that weight the filter branches).
+
+A chain set is one ``RepeaterConfig`` of columns, one chain being the shape ().
+A period of ``ar_every`` stations has ``ar_every`` distinct factor pairs, so a set
+of 10^5-station chains costs one mixture batch plus, per chain, a power per period row.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .channel import ChannelParams, mixture_weights
-from .codes import SMALL_ALPHA, CodeSpec, LogicalCoeffs
+from .codes import SMALL_ALPHA, CodeSpec, LogicalCoeffs, quiet_spec
 from .qec import fidelity_from_weights
 from .restore import restoration_from_weights
 
@@ -43,11 +43,12 @@ def segment_gamma(length_km: float, attenuation_km: float = DEFAULT_ATTENUATION_
 
 @dataclass(frozen=True)
 class RepeaterConfig:
-    """Chain layout plus the code and logical input it carries.
+    """A chain set: its layout plus the code and logical input each chain carries.
 
-    ar_every = 1 restores the amplitude at every station, ar_every = 2 at
-    every second one.
-    """
+    ``total_km``, ``spacing_km``, ``attenuation_km``, ``ar_every`` (1 restores the
+    amplitude at every station, 2 at every second one), ``spec.alpha`` and the leading
+    axes of ``coeffs.values`` are columns that broadcast to one batch shape; one chain
+    is the batch of shape ().  The chains share the code's (L, d)."""
 
     total_km: float
     spacing_km: float
@@ -57,32 +58,42 @@ class RepeaterConfig:
     ar_every: int = 1
 
     def __post_init__(self):
-        for name in ("total_km", "spacing_km", "attenuation_km"):
-            if not np.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        if self.spacing_km <= 0 or self.total_km < self.spacing_km:
-            raise ValueError(
-                f"need total_km >= spacing_km > 0, got {self.total_km}, {self.spacing_km}"
-            )
-        if self.attenuation_km <= 0:
-            raise ValueError("attenuation_km must be positive")
-        if self.ar_every < 1:
-            raise ValueError(f"ar_every must be >= 1, got {self.ar_every}")
-        # above 2**53 a float ratio no longer rounds to an exact station count
-        ratio = self.total_km / self.spacing_km
-        if not ratio <= 2**53:
-            raise ValueError(f"total_km/spacing_km = {ratio} must be finite and at most 2**53")
+        total, spacing, attenuation, ar_every = self.columns()[:4]
+        with np.errstate(all="ignore"):  # a non-finite ratio fails its check below
+            ratio = total / spacing
+        for ok, message, *columns in [
+            *((np.isfinite(c), f"{name} must be finite, got {{}}", c) for name, c in
+              (("total_km", total), ("spacing_km", spacing), ("attenuation_km", attenuation))),
+            ((spacing > 0) & (total >= spacing), "need total_km >= spacing_km > 0, got {}, {}",
+             total, spacing),
+            (attenuation > 0, "attenuation_km must be positive"),
+            (ar_every >= 1, "ar_every must be >= 1, got {}", ar_every),
+            # above 2**53 a float ratio no longer rounds to an exact station count
+            (ratio <= 2**53, "total_km/spacing_km = {} must be finite and at most 2**53", ratio),
+        ]:
+            if not np.all(ok):  # named by the first failing chain's values
+                i = np.argmin(ok)
+                raise ValueError(message.format(*(np.ravel(c)[i].item() for c in columns)))
+
+    def columns(self) -> list[np.ndarray]:
+        """total_km, spacing_km, attenuation_km, ar_every and alpha broadcast to
+        the set's shape, then the logical amplitudes broadcast to it plus (d,)."""
+        *columns, values = np.broadcast_arrays(*(np.expand_dims(c, -1) for c in (
+            self.total_km, self.spacing_km, self.attenuation_km, self.ar_every,
+            self.spec.alpha)), self.coeffs.values)
+        return [c[..., 0] for c in columns] + [values]
 
     @property
-    def n_stations(self) -> int:
-        ratio = self.total_km / self.spacing_km
-        if abs(ratio - round(ratio)) <= 1e-9 * ratio:
-            return int(round(ratio))
-        warnings.warn(
-            f"total_km/spacing_km = {ratio} is not integral; rounding down",
-            stacklevel=2,
-        )
-        return int(np.floor(ratio))
+    def n_stations(self):
+        """Stations of each chain, an int for one chain; each chain whose
+        total_km/spacing_km is not integral warns once and rounds down."""
+        ratio = np.divide(*self.columns()[:2])
+        exact = abs(ratio - np.round(ratio)) <= 1e-9 * ratio
+        for r in np.extract(~exact, ratio).tolist():
+            warnings.warn(f"total_km/spacing_km = {r} is not integral; rounding down",
+                          stacklevel=2)
+        n = np.where(exact, np.round(ratio), np.floor(ratio)).astype(np.int64)
+        return n if n.ndim else int(n)
 
 
 @dataclass(frozen=True)
@@ -106,85 +117,78 @@ class ChainResult:
     amplitude_collapsed: bool = False
 
 
-def simulate_chains(configs: list[RepeaterConfig]) -> list[ChainResult]:
-    """Run chains whose codes share (L, d), in input order, as one
+def simulate_chains(config: RepeaterConfig) -> list[ChainResult]:
+    """Run the chains of a set, in C order of its batch shape, as one
     ``mixture_weights`` batch: the period rows of all chains give the fidelity
     factors, the restoring rows after them the restoration factors.  Row t of
     a period takes alpha damped t times; it restores when t = ar_every - 1,
     over the whole interval since the last restoration, composed."""
-    if not configs:
+    stations = np.ravel(config.n_stations)
+    if not stations.size:
         return []
-    L, d = configs[0].spec.L, configs[0].spec.d
-    if any((c.spec.L, c.spec.d) != (L, d) for c in configs):
-        raise ValueError("chains evaluated together must share the code's (L, d)")
-    gammas = [segment_gamma(c.spacing_km, c.attenuation_km) for c in configs]
-    stations = [c.n_stations for c in configs]
-    rows = [min(c.ar_every, n) for c, n in zip(configs, stations)]
-    starts = np.cumsum([0] + rows[:-1])
-    owner = np.repeat(np.arange(len(configs)), rows)
+    *columns, values = config.columns()
+    _, spacing, attenuation, ar_every, alpha = (c.ravel() for c in columns)
+    rows = np.minimum(ar_every, stations)
+    starts = np.cumsum(rows) - rows
+    owner = np.repeat(np.arange(len(rows)), rows)
+    # exp and pow one Python float at a time: numpy's vector loops may round otherwise
+    gammas = [segment_gamma(s, a) for s, a in zip(spacing.tolist(), attenuation.tolist())]
+    row_gammas = np.array(gammas)[owner]
     # every period row of every chain: (amplitude_in, f_factor, p_factor)
     table = np.ones((len(owner), 3))
-    table[:, 0] = [c.spec.alpha * g ** (t / 2.0)
-                   for c, g, r in zip(configs, gammas, rows) for t in range(r)]
-    restoring = [i for i, c in enumerate(configs) if c.ar_every <= stations[i]]
-    interval = np.array([gammas[i] ** configs[i].ar_every for i in restoring])
+    table[:, 0] = [a * g ** (t / 2.0) for a, g, r in zip(alpha.tolist(), gammas, rows.tolist())
+                   for t in range(r)]
+    restoring = np.flatnonzero(ar_every <= stations)
+    interval = np.array([gammas[i] ** k for i, k in
+                         zip(restoring.tolist(), ar_every[restoring].tolist())])
     # damped row amplitudes (as mixture_weights forms them) and restoring intervals must be > 0
-    live = np.logical_and.reduceat(np.sqrt(np.array(gammas)[owner]) * table[:, 0] > 0, starts)
+    live = np.logical_and.reduceat(np.sqrt(row_gammas) * table[:, 0] > 0, starts)
     live[restoring] &= interval > 0
     if not live.all():
-        c = configs[live.argmin()]
-        raise ValueError(f"transmission underflows to 0 at spacing_km={c.spacing_km}, "
-                         f"attenuation_km={c.attenuation_km}, ar_every={c.ar_every}")
+        i = live.argmin()
+        raise ValueError(f"transmission underflows to 0 at spacing_km={spacing[i]}, "
+                         f"attenuation_km={attenuation[i]}, ar_every={ar_every[i]}")
     # the period rows, then the restoring rows: nominal alpha over the whole interval
-    spec = CodeSpec(L, d, np.append(table[:, 0], [configs[i].spec.alpha for i in restoring]))
-    coeffs = LogicalCoeffs.stack([configs[i].coeffs for i in [*owner, *restoring]])
-    row_gammas = np.append(np.array(gammas)[owner], interval)
-    weights = mixture_weights(spec, coeffs, ChannelParams(row_gammas))
+    spec = CodeSpec(config.spec.L, config.spec.d, np.append(table[:, 0], alpha[restoring]))
+    coeffs = LogicalCoeffs(values.reshape(len(rows), -1)[np.append(owner, restoring)])
+    weights = mixture_weights(spec, coeffs, ChannelParams(np.append(row_gammas, interval)))
     table[:, 1] = fidelity_from_weights(weights[: len(owner)])
-    if restoring:
-        rest = np.s_[len(owner):]
-        table[[starts[i] + configs[i].ar_every - 1 for i in restoring], 2] = (
-            restoration_from_weights(LogicalCoeffs(coeffs.values[rest]), weights[rest]))
+    if restoring.size:
+        table[starts[restoring] + rows[restoring] - 1, 2] = restoration_from_weights(
+            LogicalCoeffs(coeffs.values[len(owner):]), weights[len(owner):])
     # roundoff lifts some factors a few ulps above 1, which a power of 10^5 amplifies
     table[:, 1:] = np.minimum(table[:, 1:], 1.0)
+    collapsed = np.minimum.reduceat(table[:, 0], starts) * np.sqrt(gammas) < SMALL_ALPHA
     results = []
-    for c, n, gamma, period in zip(configs, stations, gammas, np.split(table, starts[1:])):
+    for n, k, start, r, flag in zip(stations.tolist(), ar_every.tolist(), starts.tolist(),
+                                    rows.tolist(), collapsed.tolist()):
+        period = table[start:start + r]
         # row t repeats at n // ar_every stations, one more in a cut last period
-        counts = [n // c.ar_every + (t < n % c.ar_every) for t in range(len(period))]
-        f, p = (math.prod(x ** k for x, k in zip(column, counts))
+        counts = [n // k + (t < n % k) for t in range(r)]
+        f, p = (math.prod(x ** c for x, c in zip(column, counts))
                 for column in period[:, 1:].T.tolist())
-        results.append(ChainResult(
-            fidelity=f,
-            success_prob=p,
-            n_stations=n,
-            period=period,
-            amplitude_collapsed=bool(np.min(period[:, 0]) * np.sqrt(gamma) < SMALL_ALPHA),
-        ))
+        results.append(ChainResult(f, p, n, period, flag))
     return results
 
 
 def sweep(config: RepeaterConfig, axis: str, values: list[float]) -> list[ChainResult]:
-    """One chain per value of the swept axis, in input order.
+    """One chain per value of the swept axis, in input order: the chain
+    ``config`` with the swept column set to the values.
 
     axis 'spacing' varies the station spacing in km, 'alpha' the coherent
     amplitude, and 'gamma' the per-segment transmission (realized by setting
     the spacing to -attenuation * ln(gamma)).
     """
-    configs = []
     for v in values:
         if v <= 0:
             raise ValueError(f"sweep values must be positive, got {v}")
-        if axis == "spacing":
-            cfg = replace(config, spacing_km=v)
-        elif axis == "alpha":
-            with warnings.catch_warnings():  # the chain set's batch warns once for all values
-                warnings.simplefilter("ignore", UserWarning)
-                cfg = replace(config, spec=CodeSpec(config.spec.L, config.spec.d, v))
-        elif axis == "gamma":
-            if v >= 1.0:
-                raise ValueError("gamma sweep values must lie in (0, 1)")
-            cfg = replace(config, spacing_km=-config.attenuation_km * np.log(v))
-        else:
+        if axis == "gamma" and v >= 1.0:
+            raise ValueError("gamma sweep values must lie in (0, 1)")
+        if axis not in ("spacing", "alpha", "gamma"):
             raise ValueError(f"axis must be spacing|alpha|gamma, got {axis!r}")
-        configs.append(cfg)
-    return simulate_chains(configs)
+    if axis == "alpha":  # the chain set's batch warns once for all values
+        spec = quiet_spec(config.spec.L, config.spec.d, np.array(values, dtype=float))
+        return simulate_chains(replace(config, spec=spec))
+    if axis == "gamma":
+        values = [-config.attenuation_km * np.log(v) for v in values]
+    return simulate_chains(replace(config, spacing_km=np.array(values, dtype=float)))

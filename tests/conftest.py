@@ -7,6 +7,9 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+from catloss.codes import CodeSpec, LogicalCoeffs
+from catloss.repeater import RepeaterConfig
+
 
 def pytest_addoption(parser):
     parser.addoption("--bits-examples", type=int, default=25,
@@ -61,6 +64,17 @@ def assert_chain_totals(result, ar_every: int) -> None:
             exact = mpmath.fprod(mpmath.mpf(x) ** k for x, k in zip(column.tolist(), counts))
             slack = 4 * np.finfo(float).eps * rows * abs(exact) + rows * 2.0**-1074
             assert abs(mpmath.mpf(got) - exact) <= slack, (got, exact, counts)
+
+
+def chains_of(config: RepeaterConfig) -> list[RepeaterConfig]:
+    """The chains of a chain set, each its own set of shape (), in C order
+    of the set's batch shape: the order ``simulate_chains`` returns them in."""
+    *columns, values = config.columns()
+    total, spacing, attenuation, ar_every, alpha = (c.ravel().tolist() for c in columns)
+    L, d = config.spec.L, config.spec.d
+    return [RepeaterConfig(t, s, CodeSpec(L, d, a), LogicalCoeffs(v), at, k)
+            for t, s, at, k, a, v in zip(total, spacing, attenuation, ar_every, alpha,
+                                          values.reshape(len(total), d))]
 
 
 def central_difference(f, x: float, h: float = 1e-5) -> float:

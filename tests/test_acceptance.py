@@ -221,7 +221,7 @@ def test_08_table_reproduction():
                     coeffs=LogicalCoeffs.balanced(sign=sign),
                     ar_every=2,
                 )
-                results[sign] = simulate_chains([cfg])[0]
+                results[sign] = simulate_chains(cfg)[0]
             f_new = min(results[1].fidelity, results[-1].fidelity)
             assert abs(f_new - f_ref) < 0.02, (which, f_new, f_ref)
             # the published success columns mix the two balanced inputs

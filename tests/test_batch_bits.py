@@ -23,10 +23,10 @@ import scalar_reference as ref
 from catloss.channel import ChannelParams, class_probabilities, mixture_weights
 from catloss.codes import _GRAM_TERMS, CodeSpec, LogicalCoeffs, gram_matrix
 from catloss.qec import fidelity_bound, fidelity_from_weights
-from catloss.repeater import RepeaterConfig, simulate_chains
+from catloss.repeater import RepeaterConfig, simulate_chains, sweep
 from catloss.restore import restoration_from_weights, teleport_success_from_overlaps
 from catloss.series import sectioned_exp
-from conftest import assert_chain_totals
+from conftest import assert_chain_totals, chains_of
 
 
 def chunk_edges(L, d):
@@ -247,24 +247,37 @@ chains = st.lists(
 )
 
 
+def _chain_set(L, chain_set, coeffs, layout):
+    """One config of the drawn chains' columns (alpha, spacing, stations,
+    ar_every) and logical states: as drawn, a set of shape (n,); 'table', as
+    ``tables`` runs them, every (alpha, spacing, stations) row under both
+    schemes and both balanced inputs, a set of shape (n, 2, 2), so amplitudes
+    repeat across chains and, at ar_every 1, between a period row and its
+    restoring row; 'grid', alpha, ar_every and the states along one axis and
+    spacing and stations along another, a set of shape (n, n)."""
+    alpha, spacing, stations, ar_every = (np.array(c) for c in zip(*chain_set))
+    coeffs = LogicalCoeffs.stack(coeffs)
+    if layout == "table":
+        alpha, spacing, stations = (c[:, None, None] for c in (alpha, spacing, stations))
+        ar_every = np.array([[2], [1]])
+        coeffs = LogicalCoeffs.stack([LogicalCoeffs.balanced(sign=sign) for sign in (1, -1)])
+    elif layout == "grid":
+        alpha, ar_every = alpha[:, None], ar_every[:, None]
+        coeffs = LogicalCoeffs(coeffs.values[:, None])
+    return RepeaterConfig(total_km=spacing * stations, spacing_km=spacing,
+                          spec=CodeSpec(L, 2, alpha), coeffs=coeffs, ar_every=ar_every)
+
+
 @pytest.mark.filterwarnings("ignore:alpha=.*collinear")
-@given(L=st.integers(0, 7), chain_set=chains, seed=seeds, table_shape=st.booleans())
+@given(L=st.integers(0, 7), chain_set=chains, seed=seeds,
+       layout=st.sampled_from(["chains", "table", "grid"]))
 @bits_settings
-def test_simulate_chains(L, chain_set, seed, table_shape):
-    coeffs = _coeffs(2, len(chain_set), seed)
-    configs = [
-        RepeaterConfig(total_km=spacing * stations, spacing_km=spacing,
-                       spec=CodeSpec(L, 2, alpha), coeffs=c, ar_every=ar_every)
-        for (alpha, spacing, stations, ar_every), c in zip(chain_set, coeffs)
-    ]
-    if table_shape:
-        # as ``tables`` runs them: every (alpha, spacing) row under both schemes
-        # and both input signs, so amplitudes repeat across chains and, at
-        # ar_every 1, between a period row and its restoring row
-        configs = [replace(cfg, ar_every=ar_every, coeffs=LogicalCoeffs.balanced(sign=sign))
-                   for cfg in configs for ar_every in (2, 1) for sign in (1, -1)]
-    results = simulate_chains(configs)
-    for cfg, got in zip(configs, results):
+def test_simulate_chains(L, chain_set, seed, layout):
+    config = _chain_set(L, chain_set, _coeffs(2, len(chain_set), seed), layout)
+    results = simulate_chains(config)
+    one_chain = chains_of(config)
+    assert len(results) == len(one_chain) == np.prod(np.shape(config.n_stations))
+    for cfg, got in zip(one_chain, results):
         # the frozen totals are sequential products over the expanded columns
         _, _, period, collapsed = ref.simulate_chain(
             L, cfg.spec.alpha, cfg.coeffs.values, cfg.n_stations,
@@ -274,7 +287,7 @@ def test_simulate_chains(L, chain_set, seed, table_shape):
         period[:, 1:] = np.minimum(period[:, 1:], 1.0)  # probabilities, capped at 1
         _same(got.period, period)
         assert_chain_totals(got, cfg.ar_every)
-    assert results == [simulate_chains([cfg])[0] for cfg in configs]
+    assert results == [simulate_chains(cfg)[0] for cfg in one_chain]
 
 
 long_chains = st.lists(
@@ -285,27 +298,27 @@ long_chains = st.lists(
 
 
 @pytest.mark.filterwarnings("ignore:alpha=.*collinear")
-@given(L=st.integers(0, 4), chain_set=long_chains, seed=seeds)
+@given(L=st.integers(0, 4), chain_set=long_chains, seed=seeds,
+       layout=st.sampled_from(["chains", "grid"]))
 @bits_settings
-def test_chain_totals_are_exact_products(L, chain_set, seed):
+def test_chain_totals_are_exact_products(L, chain_set, seed, layout):
     # a sequential product over the stations was 8 ulps off at 519 stations
-    coeffs = _coeffs(2, len(chain_set), seed)
-    configs = [
-        RepeaterConfig(total_km=spacing * stations, spacing_km=spacing,
-                       spec=CodeSpec(L, 2, alpha), coeffs=c, ar_every=ar_every)
-        for (alpha, spacing, stations, ar_every), c in zip(chain_set, coeffs)
-    ]
-    for cfg, got in zip(configs, simulate_chains(configs)):
+    config = _chain_set(L, chain_set, _coeffs(2, len(chain_set), seed), layout)
+    for cfg, got in zip(chains_of(config), simulate_chains(config)):
         assert got.n_stations == round(cfg.total_km / cfg.spacing_km)
         assert_chain_totals(got, cfg.ar_every)
 
 
-def test_chain_set_must_share_the_code_family():
-    base = dict(total_km=1.0, spacing_km=0.5, coeffs=LogicalCoeffs.balanced())
-    with pytest.raises(ValueError, match=r"\(L, d\)"):
-        simulate_chains([RepeaterConfig(spec=CodeSpec(1, 2, 2.0), **base),
-                         RepeaterConfig(spec=CodeSpec(2, 2, 2.0), **base)])
-    assert simulate_chains([]) == []
+def test_empty_chain_set():
+    # a set of no chains, of any shape, returns no results, and so does a sweep
+    # of no values; a set holds one CodeSpec, so its chains share (L, d)
+    base = RepeaterConfig(total_km=1.0, spacing_km=0.5, spec=CodeSpec(1, 2, 2.0),
+                          coeffs=LogicalCoeffs.balanced())
+    for empty in (np.zeros(0), np.ones((2, 0))):
+        assert simulate_chains(replace(base, spacing_km=empty)) == []
+        assert simulate_chains(replace(base, spec=CodeSpec(1, 2, empty + 2.0))) == []
+    for axis in ("spacing", "alpha", "gamma"):
+        assert sweep(base, axis, []) == []
 
 
 def test_point_shapes_are_the_batch_shapes():

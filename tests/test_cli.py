@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import catloss
-from catloss import channel, cli
+from catloss import channel, cli, codes, repeater
 from catloss.channel import ChannelParams
 from catloss.cli import (FLAGS, LAYOUTS, SUBCOMMANDS, _chain_config, _fmt, build_parser,
                          main)
@@ -255,7 +255,7 @@ class TestRepeaterCommands:
         for ar_every, n in cases + [(4100, 2 * 4100 + 3)]:
             argv = ["repeater", "--L", "1", "--alpha", "2", "--spacing-km", "1",
                     "--total-km", str(n), "--ar-every", str(ar_every), "--trace"]
-            result = simulate_chains([_chain_config(build_parser().parse_args(argv))])[0]
+            result = simulate_chains(_chain_config(build_parser().parse_args(argv)))[0]
             period = result.period.tolist()
             assert result.n_stations == n and len(period) == min(ar_every, n)
             assert_chain_totals(result, ar_every)
@@ -328,6 +328,42 @@ class TestRepeaterCommands:
                          "--spacing-km", "0.3"]) == 0
         rounding = [w for w in caught if "not integral" in str(w.message)]
         assert [w.category for w in rounding] == [UserWarning]
+
+    def test_non_integral_sweep_warns_once_per_chain(self, capsys):
+        # 1000 km over 0.3 and 0.7 km is not integral, over 0.5 km it is
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["sweep", "--L", "4", "--alpha", "7", "--axis", "spacing",
+                         "--values", "0.3,0.5,0.7"]) == 0
+        rounding = [w for w in caught if "not integral" in str(w.message)]
+        assert [str(w.message) for w in rounding] == [
+            f"total_km/spacing_km = {r} is not integral; rounding down"
+            for r in ("3333.3333333333335", "1428.5714285714287")]
+        assert [w.category for w in rounding] == [UserWarning, UserWarning]
+
+    def test_chain_set_objects_do_not_grow_with_its_chains(self, monkeypatch, capsys):
+        # a chain set is one RepeaterConfig of columns: a command builds as many
+        # RepeaterConfig, CodeSpec and LogicalCoeffs objects for 200 chains as for 2
+        built = []
+        for cls in (repeater.RepeaterConfig, codes.CodeSpec, codes.LogicalCoeffs):
+            def counted(self, post_init=cls.__post_init__):
+                built.append(type(self).__name__)
+                post_init(self)
+            monkeypatch.setattr(cls, "__post_init__", counted)
+
+        def objects(argv):
+            built.clear()
+            assert main(argv) == 0
+            capsys.readouterr()
+            return sorted(built)
+
+        sweep = ["sweep", "--L", "4", "--alpha", "7", "--axis", "alpha", "--values"]
+        many = ",".join(map(str, np.linspace(3.0, 9.0, 200).tolist()))
+        assert objects(sweep + ["3.5,8"]) == objects(sweep + [many])
+        table = objects(["tables", "--which", "I"])  # 12 rows of 4 chains
+        monkeypatch.setitem(cli.LONG_HAUL_REFERENCE["I"], "rows",
+                            cli.LONG_HAUL_REFERENCE["I"]["rows"][:1])
+        assert objects(["tables", "--which", "I"]) == table
 
     def test_sweep(self, capsys):
         code, out = run(

@@ -1,6 +1,7 @@
 """Chain simulation: composition, schemes, sweeps, reference rows."""
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -19,6 +20,7 @@ from catloss.repeater import (
     sweep,
 )
 from catloss.restore import restoration_from_weights
+from conftest import chains_of
 
 BALANCED = LogicalCoeffs.balanced()
 
@@ -73,6 +75,37 @@ class TestConfig:
         with pytest.raises(ValueError, match=r"total_km/spacing_km = 1\.0000000000000001e\+307"):
             config(total=1e300, spacing=1e-7)
 
+    def test_set_validation_names_the_first_invalid_chain(self):
+        base = dict(spec=CodeSpec(1, 2, 2.0), coeffs=BALANCED)
+        with pytest.raises(ValueError, match=r"^spacing_km must be finite, got nan$"):
+            RepeaterConfig(10.0, np.array([1.0, np.nan, np.inf]), **base)
+        with pytest.raises(ValueError, match=r"^need total_km >= spacing_km > 0, got 2\.0, 3\.0$"):
+            RepeaterConfig(np.array([[10.0], [2.0]]), np.array([1.0, 3.0]), **base)
+        with pytest.raises(ValueError, match=r"^ar_every must be >= 1, got 0$"):
+            RepeaterConfig(10.0, 1.0, ar_every=np.array([1, 2, 0, -1]), **base)
+        with pytest.raises(ValueError, match=r"^attenuation_km must be positive$"):
+            RepeaterConfig(10.0, 1.0, attenuation_km=np.array([22.0, 0.0]), **base)
+        with pytest.raises(ValueError, match=r"^total_km/spacing_km = inf must be finite"):
+            RepeaterConfig(np.array([1.0, 1e300]), np.array([1.0, 1e-300]), **base)
+        with pytest.raises(ValueError, match=r"^alpha must be finite and positive, got -1\.0$"):
+            RepeaterConfig(10.0, 1.0, spec=CodeSpec(1, 2, np.array([2.0, -1.0, 0.0])),
+                           coeffs=BALANCED)
+        # the columns must broadcast to one shape
+        with pytest.raises(ValueError, match="broadcast"):
+            RepeaterConfig(10.0, np.ones(2), spec=CodeSpec(1, 2, np.full(3, 2.0)), coeffs=BALANCED)
+        with pytest.raises(ValueError, match="broadcast"):
+            RepeaterConfig(10.0, np.ones(2), spec=CodeSpec(1, 2, 2.0),
+                           coeffs=LogicalCoeffs.stack([BALANCED] * 3))
+
+    def test_set_station_counts_warn_once_per_non_integral_chain(self):
+        cfg = config(total=1.0, spacing=np.array([0.3, 0.5, 0.7, 0.3]))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cfg.n_stations.tolist() == [3, 2, 1, 3]
+        assert [str(w.message) for w in caught] == [
+            f"total_km/spacing_km = {r} is not integral; rounding down"
+            for r in (1.0 / 0.3, 1.0 / 0.7, 1.0 / 0.3)]
+
     def test_non_integral_spacing_warns_and_floors(self):
         cfg = config(total=1.0, spacing=0.3)
         with pytest.warns(UserWarning, match="not integral"):
@@ -84,7 +117,7 @@ class TestConfig:
 
 class TestSimulateChain:
     def test_products_match_trace(self):
-        result = simulate_chains([config(total=10.0, spacing=0.5)])[0]
+        result = simulate_chains(config(total=10.0, spacing=0.5))[0]
         assert result.n_stations == 20
         assert result.period.shape == (2, 3)
         assert result.fidelity == pytest.approx(float(np.prod(expanded(result, 1))), abs=1e-12)
@@ -101,7 +134,7 @@ class TestSimulateChain:
             return mixture_weights(spec, coeffs, params)
 
         monkeypatch.setattr("catloss.repeater.mixture_weights", counted)
-        result = simulate_chains([config(L=1, alpha=2.0, total=0.5, spacing=0.5, ar_every=50)])[0]
+        result = simulate_chains(config(L=1, alpha=2.0, total=0.5, spacing=0.5, ar_every=50))[0]
         assert batches == [(1,)]
         assert result.period.shape == (1, 3)
         assert result.success_prob == 1.0
@@ -126,25 +159,53 @@ class TestSimulateChain:
 
         monkeypatch.setattr("catloss.repeater.mixture_weights", counted_weights)
         monkeypatch.setattr(codes, "_coherent_gram", counted_kernel)
-        configs = [config(L=3, alpha=alpha, total=10.0, spacing=spacing, ar_every=ar, sign=sign)
-                   for alpha in (4.0, 5.0) for spacing in (0.1, 1.0)
-                   for ar in (2, 1) for sign in (1, -1)]
+        # a set of shape (alpha, spacing, ar_every, sign)
+        configs = RepeaterConfig(
+            total_km=10.0, spacing_km=np.array([0.1, 1.0])[:, None, None],
+            spec=CodeSpec(3, 2, np.array([4.0, 5.0])[:, None, None, None]),
+            coeffs=LogicalCoeffs.stack([LogicalCoeffs.balanced(sign=sign) for sign in (1, -1)]),
+            ar_every=np.array([[2], [1]]))
         results = simulate_chains(configs)
         # 16 chains: 8 with two period rows, 8 with one, and every chain restores
         assert batches == [8 * 2 + 8 + 16]
         assert kernel_amps and all(len(np.unique(a)) == len(a) for a in kernel_amps)
-        assert results == [simulate_chains([c])[0] for c in configs]
+        one_chain = [config(L=3, alpha=alpha, total=10.0, spacing=spacing, ar_every=ar, sign=sign)
+                     for alpha in (4.0, 5.0) for spacing in (0.1, 1.0)
+                     for ar in (2, 1) for sign in (1, -1)]
+        assert results == [simulate_chains(c)[0] for c in one_chain]
+        assert results == [simulate_chains(c)[0] for c in chains_of(configs)]
+
+    @pytest.mark.filterwarnings("ignore:alpha=.*collinear")
+    def test_columns_broadcast_to_one_set(self):
+        # a set of shape (2, 3, 2, 2): total_km and attenuation_km along axis 0,
+        # spacing_km along axis 1, ar_every and the states along axis 2, alpha along axis 3
+        cfg = RepeaterConfig(
+            total_km=np.array([3.0, 6.0])[:, None, None, None],
+            spacing_km=np.array([0.5, 1.5, 3.0])[:, None, None],
+            spec=CodeSpec(2, 2, np.array([3.0, 6.0])),
+            coeffs=LogicalCoeffs(np.array([[0.6, 0.8j], [0.8, -0.6]])[:, None]),
+            attenuation_km=np.array([22.0, 11.0])[:, None, None, None],
+            ar_every=np.array([[1], [3]]))
+        assert np.shape(cfg.n_stations) == (2, 3, 2, 2)
+        results = simulate_chains(cfg)
+        assert len(results) == 24
+        assert results == [simulate_chains(c)[0] for c in chains_of(cfg)]
+        # the last chain: total 6.0, spacing 3.0, alpha 6.0, values (0.8, -0.6), ar_every 3
+        last = chains_of(cfg)[-1]
+        assert (last.total_km, last.spacing_km, last.spec.alpha, last.attenuation_km,
+                last.ar_every) == (6.0, 3.0, 6.0, 11.0, 3)
+        assert last.coeffs.values.tolist() == [0.8, -0.6]
 
     def test_single_hop_reduces_to_direct_composition(self):
         cfg = config(L=1, alpha=2.0, total=0.5, spacing=0.5, ar_every=1)
-        result = simulate_chains([cfg])[0]
+        result = simulate_chains(cfg)[0]
         w = mixture_weights(cfg.spec, BALANCED, ChannelParams(segment_gamma(0.5)))
         assert result.fidelity == pytest.approx(fidelity_from_weights(w))
         assert result.success_prob == pytest.approx(restoration_from_weights(BALANCED, w))
         assert 0.0 < result.success_prob < 1.0
 
     def test_new_scheme_alternates_amplitudes(self):
-        result = simulate_chains([config(total=1.0, spacing=0.1, ar_every=2)])[0]
+        result = simulate_chains(config(total=1.0, spacing=0.1, ar_every=2))[0]
         amps = expanded(result, 0)
         gamma = segment_gamma(0.1)
         assert amps[0] == pytest.approx(7.0)
@@ -152,25 +213,25 @@ class TestSimulateChain:
         assert amps[2] == pytest.approx(7.0)
 
     def test_old_scheme_restores_every_station(self):
-        result = simulate_chains([config(total=1.0, spacing=0.1, ar_every=1)])[0]
+        result = simulate_chains(config(total=1.0, spacing=0.1, ar_every=1))[0]
         p_factors = expanded(result, 2)
         assert np.all(p_factors < 1.0)
 
     def test_new_scheme_ar_only_every_second(self):
-        result = simulate_chains([config(total=1.0, spacing=0.1, ar_every=2)])[0]
+        result = simulate_chains(config(total=1.0, spacing=0.1, ar_every=2))[0]
         p_factors = expanded(result, 2)
         assert np.all(p_factors[0::2] == 1.0)
         assert np.all(p_factors[1::2] < 1.0)
 
     def test_collapse_flagged_for_long_segments(self):
         cfg = config(L=1, alpha=2.0, total=400.0, spacing=200.0, ar_every=1)
-        result = simulate_chains([cfg])[0]
+        result = simulate_chains(cfg)[0]
         assert result.amplitude_collapsed
 
     def test_exponent_law(self):
         # seven restoring stations multiply seven equal restoration factors
         cfg = config(L=2, alpha=3.0, total=1.4, spacing=0.2, ar_every=1)
-        result = simulate_chains([cfg])[0]
+        result = simulate_chains(cfg)[0]
         w = mixture_weights(cfg.spec, BALANCED, ChannelParams(segment_gamma(0.2)))
         factor = restoration_from_weights(BALANCED, w)
         assert result.n_stations == 7
@@ -179,7 +240,7 @@ class TestSimulateChain:
     def test_long_haul_regime(self):
         # 1000 km, restoration every 0.2 km, five-loss protection at alpha=7
         cfg = config(L=4, alpha=7.0, total=1000.0, spacing=0.2, ar_every=1)
-        result = simulate_chains([cfg])[0]
+        result = simulate_chains(cfg)[0]
         assert result.n_stations == 5000
         assert 0.35 < result.success_prob < 0.55
 
@@ -193,11 +254,10 @@ class TestSimulateChain:
     def test_factors_and_totals_are_probabilities(self, L, sign, chain_set):
         # roundoff lifts some factors a few ulps above 1, and 10^5 stations
         # would raise that to a total above 1
-        results = simulate_chains([
-            config(L=L, alpha=alpha, total=spacing * n, spacing=spacing, ar_every=ar_every,
-                   sign=sign)
-            for alpha, spacing, n, ar_every in chain_set
-        ])
+        alpha, spacing, n, ar_every = (np.array(c) for c in zip(*chain_set))
+        results = simulate_chains(RepeaterConfig(
+            total_km=spacing * n, spacing_km=spacing, spec=CodeSpec(L, 2, alpha),
+            coeffs=LogicalCoeffs.balanced(sign=sign), ar_every=ar_every))
         for r in results:
             assert np.all((r.period[:, 1:] >= 0.0) & (r.period[:, 1:] <= 1.0)), r.period
             assert 0.0 <= r.fidelity <= 1.0 and 0.0 <= r.success_prob <= 1.0
@@ -216,14 +276,14 @@ class TestReferenceRows:
     def test_old_scheme_fidelity_reproduces_reference(self, L, alpha, f_new, p_new, f_old, p_old):
         # the published old-scheme fidelities match the per-station
         # composition at the balanced input to all printed digits
-        result = simulate_chains([config(L=L, alpha=alpha, ar_every=1)])[0]
+        result = simulate_chains(config(L=L, alpha=alpha, ar_every=1))[0]
         assert result.fidelity == pytest.approx(f_old, abs=5e-6)
 
     @pytest.mark.parametrize("L,alpha,f_new,p_new,f_old,p_old", REFERENCE_ROWS)
     def test_new_beats_old_per_sign(self, L, alpha, f_new, p_new, f_old, p_old):
         for sign in (1, -1):
-            new = simulate_chains([config(L=L, alpha=alpha, ar_every=2, sign=sign)])[0]
-            old = simulate_chains([config(L=L, alpha=alpha, ar_every=1, sign=sign)])[0]
+            new = simulate_chains(config(L=L, alpha=alpha, ar_every=2, sign=sign))[0]
+            old = simulate_chains(config(L=L, alpha=alpha, ar_every=1, sign=sign))[0]
             assert new.success_prob >= old.success_prob
             assert new.fidelity >= old.fidelity - 1e-9
 
@@ -233,7 +293,7 @@ class TestReferenceRows:
         # to the single-shot factor at the full-channel transmission, which
         # has collapsed
         cfg = config(L=4, alpha=7.0, total=1000.0, spacing=1000.0, ar_every=1)
-        result = simulate_chains([cfg])[0]
+        result = simulate_chains(cfg)[0]
         assert result.amplitude_collapsed
         assert result.success_prob < 1e-6
         direct = restoration_from_weights(
@@ -251,7 +311,7 @@ class TestReferenceRows:
         for which, block in LONG_HAUL_REFERENCE.items():
             for alpha, spacing, *_ in block["rows"]:
                 cfgs = [config(L=block["L"], alpha=alpha, spacing=spacing, ar_every=k) for k in (2, 1)]
-                new, old = (simulate_chains([c])[0] for c in cfgs)
+                new, old = (simulate_chains(c)[0] for c in cfgs)
                 assert new.success_prob >= old.success_prob, (which, alpha, spacing)
 
 
@@ -263,7 +323,7 @@ class TestSweep:
         cfg = config(total=100.0)
         values = [0.5, 0.1, 1.0]
         rows = sweep(cfg, "spacing", values)
-        direct = [simulate_chains([replace(cfg, spacing_km=v)])[0] for v in values]
+        direct = [simulate_chains(replace(cfg, spacing_km=v))[0] for v in values]
         assert rows == direct
         assert all(np.array_equal(r.period, d.period) for r, d in zip(rows, direct))
 
@@ -289,7 +349,7 @@ class TestSweep:
     def test_gamma_axis_maps_to_spacing(self):
         gamma = math.exp(-0.1)  # spacing 2.2 km, dividing the total exactly
         rows = sweep(config(total=22.0), "gamma", [gamma])
-        direct = simulate_chains([config(total=22.0, spacing=2.2)])[0]
+        direct = simulate_chains(config(total=22.0, spacing=2.2))[0]
         assert rows[0].fidelity == pytest.approx(direct.fidelity)
 
     def test_rejects_unknown_axis(self):
