@@ -42,7 +42,7 @@ from .series import log_factorials, sectioned_exp
 KRAUS_RESIDUAL = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChannelParams:
     """Transmission gamma in (0, 1], or an array of them for a batch; the
     per-photon loss probability is 1-gamma."""
@@ -55,7 +55,7 @@ class ChannelParams:
             raise ValueError(f"gamma must be in (0, 1], got {self.gamma}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LossClassWeights:
     """Codeword loss-class probabilities p, input-dependent weights ptilde
     (both ending in the d(L+1) classes), and the Gram matrices both are

@@ -101,25 +101,19 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        if not math.isfinite(value):
-            raise ArithmeticError(f"non-finite value {value} in output")
-        return format(value, ".17g")
-    return str(value)
-
-
 @dataclass(frozen=True)
 class _Layout:
     """A dataset is ``head(columns)``, the rows joined by ``row_sep``, then
     ``foot``; a row is ``row_open``, cells joined by ``cell_sep``, then ``row_close``,
     through one ``%`` template per tuple of cell types, built once per copy of the
-    layout: a float by ``floats`` (checked finite as ``_fmt`` checks it, unless
-    ``%s``), an int by ``%s``, any other cell by ``%s`` after ``cell`` if given."""
+    layout: a float by ``floats``, a str by ``strs``, any other cell (an int) by
+    ``%s``.  A row holding a non-finite float fails, naming the first one.  The only
+    str cells are program literals (``tables``' empty cell, the trace's ``#``), so
+    none needs escaping."""
 
     head: Callable[[list[str]], str]
-    cell: Callable[[object], str] | None = None
     floats: str = "%.17g"
+    strs: str = "%s"
     row_open: str = ""
     cell_sep: str = ","
     row_close: str = ""
@@ -130,38 +124,27 @@ class _Layout:
     def row(self, values) -> str:
         types = tuple(map(type, values))
         if types not in self.templates:
-            cells = self.cell_sep.join(self.floats if issubclass(t, float) else "%s" for t in types)
-            self.templates[types] = self.row_open + cells + self.row_close, [
-                i for i, t in enumerate(types)
-                if self.cell and t is not int and not issubclass(t, float)]
-        template, converted = self.templates[types]
-        if converted:
-            values = list(values)
-            for i in converted:
-                values[i] = self.cell(values[i])
-        text = template % tuple(values)
-        if self.floats != "%s" and "n" in text:  # nan or inf: _fmt raises for the first one
-            list(map(_fmt, values))
+            self.templates[types] = self.row_open + self.cell_sep.join(
+                self.floats if issubclass(t, float) else self.strs if issubclass(t, str)
+                else "%s" for t in types) + self.row_close
+        text = self.templates[types] % tuple(values)
+        if "n" in text:  # nan or inf: no finite float, int or str cell spells an n
+            for value in values:
+                if isinstance(value, float) and not math.isfinite(value):
+                    raise ArithmeticError(f"non-finite value {value} in output")
         return text
-
-
-def _json_cell(value) -> str:
-    # the bytes of json.dumps
-    if isinstance(value, str):
-        return json.encoder.encode_basestring_ascii(value)
-    return json.dumps(value)
 
 
 LAYOUTS = {
     "csv": _Layout(head=lambda columns: ",".join(columns) + "\n"),
     "json": _Layout(
-        cell=_json_cell, floats='"%.17g"',  # floats as 17-digit strings
+        floats='"%.17g"', strs='"%s"',  # floats as 17-digit strings
         # json.dumps of the columns and no rows, cut after the rows' "["
         head=lambda columns: json.dumps({"columns": columns, "rows": []}, indent=2)[:-3] + "\n",
         row_open="    [\n      ", cell_sep=",\n      ", row_close="\n    ]",
         row_sep=",\n", foot="\n  ]\n}\n",
     ),
-    "text": _Layout(head=lambda columns: "", floats="%s"),  # verify's report; not a --format
+    "text": _Layout(head=lambda columns: ""),  # verify's report; not a --format
 }
 
 
@@ -349,9 +332,9 @@ def cmd_tables(args) -> int:
             results = {sign: next(chains) for sign in (1, -1)}
             f_min = min(results[1].fidelity, results[-1].fidelity)
             p_plus, p_minus = results[1].success_prob, results[-1].success_prob
-            f_dev = "" if f_ref is None else _fmt(f_min - f_ref)
+            f_dev = "" if f_ref is None else f_min - f_ref
             p_dev = ("" if p_ref is None or p_ref == 0
-                     else _fmt(min(abs(p - p_ref) / p_ref for p in (p_plus, p_minus))))
+                     else min(abs(p - p_ref) / p_ref for p in (p_plus, p_minus)))
             row += [f_min, "" if f_ref is None else f_ref, f_dev,
                     p_plus, p_minus, "" if p_ref is None else p_ref, p_dev]
         rows.append(row)

@@ -39,7 +39,7 @@ _MIN_NORM = np.sqrt(np.finfo(float).tiny)
 _GRAM_TERMS = 2**13
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CodeSpec:
     """Code parameters: loss order L, logical dimension d, amplitude alpha.
 
@@ -161,7 +161,7 @@ def sector_amplitude(spec: CodeSpec, k: int, amplitude: float | None = None) -> 
 
 
 def support_residue(spec: CodeSpec, q: int) -> int:
-    """Photon-number class of space q: n = -q (mod L+1)."""
+    """Photon-number class of space q: n = -q (mod L+1); ``q`` may be an array."""
     return (-q) % spec.spaces
 
 
@@ -170,7 +170,7 @@ def codeword_norm_sq(spec: CodeSpec, q, amplitude=None):
     of |amp|^(2n)/n!; independent of the logical index k.  ``q`` is a space
     or a sequence of spaces, which adds a last axis."""
     amp = np.asarray(spec.alpha if amplitude is None else amplitude, dtype=float)
-    return sectioned_exp(amp * amp, spec.spaces, (-np.asarray(q)) % spec.spaces)
+    return sectioned_exp(amp * amp, spec.spaces, support_residue(spec, np.asarray(q)))
 
 
 def codeword_fock(

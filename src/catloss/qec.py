@@ -24,7 +24,7 @@ from .codes import SMALL_ALPHA, CodeSpec, LogicalCoeffs, codeword_fock
 from .channel import ChannelParams, LossClassWeights, mixture_weights
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KLReport:
     """Gram matrix of corrupted codewords for one error pair.
 
@@ -38,7 +38,7 @@ class KLReport:
     deform_violation: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FidelityResult:
     """Worst-case bound over balanced qubit inputs.
 

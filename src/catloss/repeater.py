@@ -41,7 +41,7 @@ def segment_gamma(length_km: float, attenuation_km: float = DEFAULT_ATTENUATION_
     return float(np.exp(-length_km / attenuation_km))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RepeaterConfig:
     """A chain set: its layout plus the code and logical input each chain carries.
 
@@ -179,13 +179,13 @@ def sweep(config: RepeaterConfig, axis: str, values: list[float]) -> list[ChainR
     amplitude, and 'gamma' the per-segment transmission (realized by setting
     the spacing to -attenuation * ln(gamma)).
     """
+    if axis not in ("spacing", "alpha", "gamma"):
+        raise ValueError(f"axis must be spacing|alpha|gamma, got {axis!r}")
     for v in values:
         if v <= 0:
             raise ValueError(f"sweep values must be positive, got {v}")
         if axis == "gamma" and v >= 1.0:
             raise ValueError("gamma sweep values must lie in (0, 1)")
-        if axis not in ("spacing", "alpha", "gamma"):
-            raise ValueError(f"axis must be spacing|alpha|gamma, got {axis!r}")
     if axis == "alpha":  # the chain set's batch warns once for all values
         spec = quiet_spec(config.spec.L, config.spec.d, np.array(values, dtype=float))
         return simulate_chains(replace(config, spec=spec))

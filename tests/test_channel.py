@@ -152,6 +152,13 @@ class TestClassProbabilities:
 
 
 class TestMixtureWeights:
+    def test_batch_records_compare_and_hash_by_identity(self):
+        params = [ChannelParams(np.array([0.9, 0.8])) for _ in range(2)]
+        a, b = (mixture_weights(CodeSpec(1, 2, np.array([2.0, 3.0])), BALANCED, p) for p in params)
+        for x, y in ((a, b), tuple(params)):
+            assert x == x and x != y
+            assert len({x, y, x}) == 2
+
     @pytest.mark.parametrize("L", [0, 1, 2, 3, 4])
     @pytest.mark.parametrize("alpha", [1.0, 2.0, 3.0, 6.0])
     @pytest.mark.parametrize("gamma", [0.5, 0.8, 0.99])

@@ -18,8 +18,7 @@ import pytest
 import catloss
 from catloss import channel, cli, codes, repeater
 from catloss.channel import ChannelParams
-from catloss.cli import (FLAGS, LAYOUTS, SUBCOMMANDS, _chain_config, _fmt, build_parser,
-                         main)
+from catloss.cli import FLAGS, LAYOUTS, SUBCOMMANDS, _chain_config, build_parser, main
 from catloss.codes import CodeSpec
 from catloss.qec import fidelity_bound
 from catloss.repeater import simulate_chains
@@ -281,7 +280,7 @@ class TestRepeaterCommands:
             assert payload["rows"] == rows
             assert [row[0] for row in rows] == [str(i) for i in range(1, n + 1)]
             for i, row in enumerate(rows, start=1):
-                assert row[1:] == [_fmt(v) for v in period[(i - 1) % len(period)]]
+                assert row[1:] == [format(v, ".17g") for v in period[(i - 1) % len(period)]]
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("ar_every", [1, 7, 5000])
@@ -467,6 +466,19 @@ class TestOutputsAndManifest:
         assert payload["columns"] == header
         assert [[str(cell) for cell in row] for row in payload["rows"]] == rows
 
+    @pytest.mark.parametrize("fmt, quote", [("csv", ""), ("json", '"')])
+    def test_row_template_spells_and_checks_every_cell(self, fmt, quote):
+        layout = replace(LAYOUTS[fmt])
+        # the str cells are program literals: bare in CSV, quoted in JSON
+        cells = [quote * 2, quote + "#" + quote, "3", quote + "0.25" + quote]
+        assert layout.row(["", "#", 3, 0.25]) == (
+            layout.row_open + layout.cell_sep.join(cells) + layout.row_close)
+        # the first non-finite float is named
+        for values, name in [([0.5, "", math.nan, math.inf], "nan"),
+                             ([-math.inf, math.nan], "-inf")]:
+            with pytest.raises(ArithmeticError, match=f"^non-finite value {name} in output$"):
+                layout.row(values)
+
     def test_full_precision_roundtrip(self, capsys):
         _, out = run(
             ["weights", "--L", "1", "--alpha", "2",
@@ -606,6 +618,7 @@ class TestExitCodes:
         [
             ["fidelity", "--L", "40", "--alpha", "5", "--gamma-steps", "2"],
             ["weights", "--L", "1", "--alpha", "30", "--gamma-steps", "2"],
+            ["weights", "--L", "1", "--alpha", "30", "--gamma-steps", "2", "--format", "json"],
             ["repeater", "--L", "4", "--alpha", "30", "--total-km", "1"],
             ["sweep", "--L", "4", "--alpha", "7", "--total-km", "1",
              "--axis", "alpha", "--values", "30"],
@@ -616,6 +629,8 @@ class TestExitCodes:
             # a damped amplitude of about 1e-4 makes a coherent Gram diagonal sum
             # 0, and the kernel's normalization 0/0
             ["repeater", "--L", "4", "--alpha", "7", "--spacing-km", "5", "--ar-every", "100"],
+            ["repeater", "--L", "4", "--alpha", "7", "--spacing-km", "5", "--ar-every", "100",
+             "--format", "json"],
         ],
     )
     def test_numerical_failure_is_two(self, argv, tmp_path, capsys):

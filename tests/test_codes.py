@@ -85,6 +85,12 @@ class TestSpecValidation:
         assert record[0].filename == __file__
         assert str(record[0].message).startswith("alpha=0.05 < 0.1 at 3 of 4 amplitudes")
 
+    def test_batch_spec_compares_and_hashes_by_identity(self):
+        # an array has no single truth value, so a spec compares as an object
+        a, b = CodeSpec(1, 2, np.array([2.0, 3.0])), CodeSpec(1, 2, np.array([2.0, 3.0]))
+        assert a == a and a != b
+        assert len({a, b, a}) == 2
+
     def test_id_range_checked(self):
         spec = CodeSpec(1, 2, 2.0)
         with pytest.raises(ValueError):

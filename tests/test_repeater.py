@@ -111,6 +111,12 @@ class TestConfig:
         with pytest.warns(UserWarning, match="not integral"):
             assert cfg.n_stations == 3
 
+    def test_chain_set_compares_and_hashes_by_identity(self):
+        a, b = (RepeaterConfig(10.0, np.array([1.0, 2.0]), CodeSpec(1, 2, np.array([2.0, 3.0])),
+                               BALANCED) for _ in range(2))
+        assert a == a and a != b
+        assert len({a, b, a}) == 2
+
     def test_station_count(self):
         assert config(total=1000.0, spacing=0.1).n_stations == 10000
 
@@ -353,5 +359,7 @@ class TestSweep:
         assert rows[0].fidelity == pytest.approx(direct.fidelity)
 
     def test_rejects_unknown_axis(self):
-        with pytest.raises(ValueError):
-            sweep(config(), "distance", [1.0])
+        # checked before the values: no values, or one invalid on every axis, names the axis
+        for values in ([1.0], [], [-1.0]):
+            with pytest.raises(ValueError, match=r"^axis must be .*, got 'distance'$"):
+                sweep(config(), "distance", values)
