@@ -47,7 +47,6 @@ from .restore import (
     FilterParams,
     filter_operators,
     filter_params,
-    filter_success,
     restoration_from_weights,
     teleport_success_assembled,
 )
@@ -69,7 +68,7 @@ __all__ = [
     "encode", "kraus_apply", "logical_mixture", "mixture_weights",
     "FidelityResult", "KLReport", "fidelity_bound", "fidelity_from_weights",
     "kl_check",
-    "FilterParams", "filter_operators", "filter_params", "filter_success",
+    "FilterParams", "filter_operators", "filter_params",
     "restoration_from_weights", "teleport_success_assembled",
     "ChainResult", "RepeaterConfig", "segment_gamma",
     "simulate_chains", "sweep",

@@ -57,9 +57,9 @@ class ChannelParams:
 
 @dataclass(frozen=True, eq=False)
 class LossClassWeights:
-    """Codeword loss-class probabilities p, input-dependent weights ptilde
-    (both ending in the d(L+1) classes), and the Gram matrices both are
-    built from, each behind the batch shape of its inputs.
+    """Input-dependent weights ptilde (ending in the d(L+1) classes) and the
+    Gram matrices they are built from, each behind the batch shape of its
+    inputs; the loss-class probabilities p are ``class_probabilities``.
 
     ``gram`` holds the code-space overlaps at the input amplitude (its
     [..., 0, 1] entry is the s_bar of amplitude restoration);
@@ -67,7 +67,6 @@ class LossClassWeights:
     sqrt(gamma) * alpha (its [..., q, 0, 1] entry is s_tilde_q).
     """
 
-    p: np.ndarray
     ptilde: np.ndarray
     gram: np.ndarray
     damped_grams: np.ndarray
@@ -170,11 +169,12 @@ def mixture_weights(
     coeffs: LogicalCoeffs,
     params: ChannelParams,
 ) -> LossClassWeights:
-    """Loss-class probabilities p and the weights ptilde of the output mixture.
+    """The weights ptilde of the output mixture.
 
-    ptilde_j scales p_j by the ratio of the branch-j damped logical norm to
-    the input logical norm, both assembled from codeword Gram matrices; the
-    ptilde sum to one exactly (trace preservation).
+    ptilde_j scales the loss-class probability p_j by the ratio of the
+    branch-j damped logical norm to the input logical norm, both assembled
+    from codeword Gram matrices; the ptilde sum to one exactly (trace
+    preservation).
     """
     if coeffs.d != spec.d:
         raise ValueError(f"coefficient count {coeffs.d} != logical dimension {spec.d}")
@@ -189,7 +189,7 @@ def mixture_weights(
         for j in range(spec.cycle)
     ]
     ptilde = p * np.stack(branch_norms, axis=-1) / input_norm[..., None]
-    return LossClassWeights(p=p, ptilde=ptilde, gram=gram, damped_grams=grams)
+    return LossClassWeights(ptilde=ptilde, gram=gram, damped_grams=grams)
 
 
 def _superpose(words, coeffs) -> np.ndarray:

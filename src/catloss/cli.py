@@ -200,6 +200,8 @@ def _gamma_grid(args) -> np.ndarray:
         raise ValueError("need 0 < gamma-min <= gamma-max <= 1")
     if args.gamma_steps < 1:
         raise ValueError(f"need gamma-steps >= 1, got {args.gamma_steps}")
+    if args.gamma_steps == 1 and args.gamma_min != args.gamma_max:  # linspace keeps gamma-min
+        raise ValueError("gamma-steps 1 needs gamma-min == gamma-max")
     return np.linspace(args.gamma_min, args.gamma_max, args.gamma_steps)
 
 
@@ -210,6 +212,8 @@ def _coeffs(args, d: int) -> codes.LogicalCoeffs:
             raise ValueError(f"--coeffs needs {d} entries, got {len(raw)}")
         return codes.LogicalCoeffs.of(*raw)
     if d != 2:
+        if (args.a, args.b) != (FLAGS["--a"]["default"], FLAGS["--b"]["default"]):
+            raise ValueError(f"--a/--b set a qubit input; give --d {d} amplitudes with --coeffs")
         return codes.LogicalCoeffs.balanced(d)
     return codes.LogicalCoeffs.of(args.a, args.b)
 
@@ -228,7 +232,7 @@ def cmd_fidelity(args) -> int:
     spec = codes.CodeSpec(args.L, 2, args.alpha)
     grid = _gamma_grid(args)
     bound = qec.fidelity_bound(spec, channel.ChannelParams(grid))
-    rows = np.column_stack([grid, bound.F_of_ab, bound.F_minus, bound.F_bound]).tolist()
+    rows = np.column_stack([grid, bound.F_plus, bound.F_minus, bound.F_bound]).tolist()
     _emit(["gamma", "F_plus", "F_minus", "F_bound"], rows, args)
     return 0
 
@@ -323,7 +327,7 @@ def cmd_tables(args) -> int:
     alphas, spacings = np.array([row[:2] for row in block["rows"]]).T[:, :, None, None]
     chains = iter(repeater.simulate_chains(repeater.RepeaterConfig(
         total_km=args.total_km, spacing_km=spacings, spec=codes.CodeSpec(L, 2, alphas),
-        coeffs=codes.LogicalCoeffs.stack([codes.LogicalCoeffs.balanced(sign=s) for s in (1, -1)]),
+        coeffs=qec.BALANCED_PAIR,
         ar_every=np.array([[SCHEME_AR_EVERY["new"]], [SCHEME_AR_EVERY["old"]]]))))
     rows = []
     for alpha, spacing, f_new_ref, p_new_ref, f_old_ref, p_old_ref in block["rows"]:

@@ -145,9 +145,9 @@ class LogicalCoeffs:
             return cls(amps / n)
 
     @classmethod
-    def balanced(cls, d: int = 2, sign: int = 1) -> "LogicalCoeffs":
-        """Equal-weight qubit (1, sign)/sqrt(2), or uniform qudit for d > 2."""
-        return cls.of(1.0, float(sign)) if d == 2 else cls.of(*([1.0] * d))
+    def balanced(cls, d: int = 2) -> "LogicalCoeffs":
+        """The uniform state (1, ..., 1)/sqrt(d)."""
+        return cls.of(*([1.0] * d))
 
     @property
     def d(self) -> int:

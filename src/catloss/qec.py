@@ -23,6 +23,10 @@ from . import fock
 from .codes import SMALL_ALPHA, CodeSpec, LogicalCoeffs, codeword_fock
 from .channel import ChannelParams, LossClassWeights, mixture_weights
 
+# The balanced qubit inputs (1, 1)/sqrt(2) and (1, -1)/sqrt(2), a read-only batch of two.
+BALANCED_PAIR = LogicalCoeffs(np.array([[1, 1], [1, -1]]) / np.sqrt(2))
+BALANCED_PAIR.values.flags.writeable = False
+
 
 @dataclass(frozen=True, eq=False)
 class KLReport:
@@ -42,11 +46,11 @@ class KLReport:
 class FidelityResult:
     """Worst-case bound over balanced qubit inputs.
 
-    F_of_ab is the correctable weight for the (1, 1)/sqrt(2) input, F_minus
+    F_plus is the correctable weight for the (1, 1)/sqrt(2) input, F_minus
     the one for (1, -1)/sqrt(2); F_bound is the minimum of the two, per point.
     """
 
-    F_of_ab: float
+    F_plus: float
     F_minus: float
     F_bound: float
 
@@ -96,12 +100,11 @@ def fidelity_bound(spec: CodeSpec, params: ChannelParams) -> FidelityResult:
 
     Restricted to real logical coefficients the state-dependent fidelity is
     extremal at the balanced inputs, so the bound is the minimum over the
-    two sign choices (1, +-1)/sqrt(2), both evaluated in one call.
+    two sign choices (1, +-1)/sqrt(2) of ``BALANCED_PAIR``, in one call.
     """
     if spec.d != 2:
         raise ValueError("the worst-case bound is defined for qubit codes only")
-    inputs = LogicalCoeffs.stack([LogicalCoeffs.balanced(sign=s) for s in (1, -1)])
     shape = (2,) + (1,) * np.broadcast(spec.alpha, params.gamma).ndim + (2,)  # inputs, points, d
-    coeffs = LogicalCoeffs(inputs.values.reshape(shape))
+    coeffs = LogicalCoeffs(BALANCED_PAIR.values.reshape(shape))
     f_plus, f_minus = fidelity_from_weights(mixture_weights(spec, coeffs, params))
-    return FidelityResult(F_of_ab=f_plus, F_minus=f_minus, F_bound=np.minimum(f_plus, f_minus))
+    return FidelityResult(F_plus=f_plus, F_minus=f_minus, F_bound=np.minimum(f_plus, f_minus))

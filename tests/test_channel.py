@@ -163,10 +163,11 @@ class TestMixtureWeights:
     @pytest.mark.parametrize("alpha", [1.0, 2.0, 3.0, 6.0])
     @pytest.mark.parametrize("gamma", [0.5, 0.8, 0.99])
     def test_qubit_weights_sum_to_one(self, L, alpha, gamma):
-        w = mixture_weights(CodeSpec(L, 2, alpha), BALANCED, ChannelParams(gamma))
+        spec, params = CodeSpec(L, 2, alpha), ChannelParams(gamma)
+        w = mixture_weights(spec, BALANCED, params)
         assert abs(float(np.sum(w.ptilde)) - 1.0) < 1e-10
         assert np.all(w.ptilde >= -1e-12)
-        assert np.all(w.p >= -1e-12)
+        assert np.all(class_probabilities(spec, params) >= -1e-12)
 
     @pytest.mark.parametrize("L", [0, 1, 2])
     @pytest.mark.parametrize("alpha", [1.0, 2.0, 3.0, 6.0])

@@ -147,6 +147,16 @@ class TestWeights:
         header, _ = parse_csv(out)
         assert len(header) == 7
 
+    @pytest.mark.parametrize("flags", [
+        ["--coeffs", "1,1,1", "--a", "0.3", "--b", "0.1"],  # --coeffs overrides --a/--b
+        ["--a", repr(1 / math.sqrt(2)), "--b", repr(1 / math.sqrt(2))],  # the defaults
+    ])
+    def test_qutrit_takes_the_default_or_overridden_qubit_flags(self, flags, capsys):
+        base = ["weights", "--L", "1", "--d", "3", "--alpha", "2", "--gamma-steps", "3"]
+        code, out = run(base + flags, capsys)
+        assert code == 0
+        assert out == run(base, capsys)[1]
+
 
 class TestFidelity:
     def test_no_loss_row(self, capsys):
@@ -181,7 +191,7 @@ class TestFidelity:
         for row in rows:
             gamma, f_plus, f_minus, f_bound = map(float, row)
             res = fidelity_bound(CodeSpec(2, 2, 3.0), ChannelParams(gamma))
-            assert (f_plus, f_minus, f_bound) == (res.F_of_ab, res.F_minus, res.F_bound)
+            assert (f_plus, f_minus, f_bound) == (res.F_plus, res.F_minus, res.F_bound)
 
 
 class TestKlReport:
@@ -583,6 +593,25 @@ class TestExitCodes:
         for cmd in ("weights", "fidelity"):
             for grid in (["--gamma-min", "0", "--gamma-max", "1"], ["--gamma-steps", "0"]):
                 assert main([cmd, "--L", "1", "--alpha", "2", *grid, "--out", out]) == 1
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv, named", [
+        # --a/--b set a qubit input, which a qudit without --coeffs dropped
+        (["weights", "--L", "1", "--d", "3", "--alpha", "2", "--a", "0.3", "--b", "0.1"],
+         "--coeffs"),
+        (["weights", "--L", "1", "--d", "4", "--alpha", "2", "--b=-1"], "--coeffs"),
+        # a one-step grid holds gamma-min alone, which dropped gamma-max
+        (["weights", "--L", "1", "--alpha", "2", "--gamma-steps", "1", "--gamma-max", "0.7"],
+         "gamma-steps 1"),
+        (["fidelity", "--L", "1", "--alpha", "2", "--gamma-steps", "1", "--gamma-min", "0.9"],
+         "gamma-steps 1"),
+    ])
+    def test_dropped_flag_value_is_one(self, argv, named, tmp_path, capsys):
+        code = main(argv + ["--out", str(tmp_path / "data.csv")])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+        assert named in captured.err
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize(

@@ -213,13 +213,13 @@ class TestFidelityBound:
         params = ChannelParams(0.9)
         res = fidelity_bound(spec, params)
         f_plus, f_minus = (
-            fidelity_from_weights(mixture_weights(spec, LogicalCoeffs.balanced(sign=s), params))
+            fidelity_from_weights(mixture_weights(spec, LogicalCoeffs.of(1.0, s), params))
             for s in (1, -1)
         )
         assert abs(res.F_bound - min(f_plus, f_minus)) < 1e-14
-        assert res.F_of_ab == pytest.approx(f_plus)
+        assert res.F_plus == pytest.approx(f_plus)
         assert res.F_minus == pytest.approx(f_minus)
-        assert res.F_bound <= res.F_of_ab + 1e-12
+        assert res.F_bound <= res.F_plus + 1e-12
 
     def test_both_inputs_are_one_mixture_call(self, monkeypatch):
         # the two balanced inputs are a batch axis ahead of the points
@@ -238,7 +238,7 @@ class TestFidelityBound:
         for i, alpha in enumerate(alphas[:, 0]):
             for j, gamma in enumerate(gammas):
                 one = fidelity_bound(CodeSpec(2, 2, alpha), ChannelParams(gamma))
-                assert (res.F_of_ab[i, j], res.F_minus[i, j]) == (one.F_of_ab, one.F_minus)
+                assert (res.F_plus[i, j], res.F_minus[i, j]) == (one.F_plus, one.F_minus)
 
     def test_balanced_input_is_extremum(self):
         # dF/da = 0 at a = 1/sqrt(2) with b = sqrt(1 - a^2), both codes

@@ -30,7 +30,7 @@ def config(L=4, alpha=7.0, total=1000.0, spacing=0.1, ar_every=2, sign=1):
         total_km=total,
         spacing_km=spacing,
         spec=CodeSpec(L, 2, alpha),
-        coeffs=LogicalCoeffs.balanced(sign=sign),
+        coeffs=LogicalCoeffs.of(1.0, sign),
         ar_every=ar_every,
     )
 
@@ -169,7 +169,7 @@ class TestSimulateChain:
         configs = RepeaterConfig(
             total_km=10.0, spacing_km=np.array([0.1, 1.0])[:, None, None],
             spec=CodeSpec(3, 2, np.array([4.0, 5.0])[:, None, None, None]),
-            coeffs=LogicalCoeffs.stack([LogicalCoeffs.balanced(sign=sign) for sign in (1, -1)]),
+            coeffs=LogicalCoeffs.stack([LogicalCoeffs.of(1.0, sign) for sign in (1, -1)]),
             ar_every=np.array([[2], [1]]))
         results = simulate_chains(configs)
         # 16 chains: 8 with two period rows, 8 with one, and every chain restores
@@ -263,7 +263,7 @@ class TestSimulateChain:
         alpha, spacing, n, ar_every = (np.array(c) for c in zip(*chain_set))
         results = simulate_chains(RepeaterConfig(
             total_km=spacing * n, spacing_km=spacing, spec=CodeSpec(L, 2, alpha),
-            coeffs=LogicalCoeffs.balanced(sign=sign), ar_every=ar_every))
+            coeffs=LogicalCoeffs.of(1.0, sign), ar_every=ar_every))
         for r in results:
             assert np.all((r.period[:, 1:] >= 0.0) & (r.period[:, 1:] <= 1.0)), r.period
             assert 0.0 <= r.fidelity <= 1.0 and 0.0 <= r.success_prob <= 1.0

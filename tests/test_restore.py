@@ -11,7 +11,6 @@ from catloss.channel import ChannelParams, mixture_weights
 from catloss.restore import (
     filter_operators,
     filter_params,
-    filter_success,
     restoration_from_weights,
     teleport_success_assembled,
     teleport_success_from_overlaps,
@@ -40,10 +39,9 @@ class TestFilterParams:
         assert abs(abs(fp.phi) - math.pi / 2) < 1e-12
 
     def test_collinear_rejected(self):
-        for fn in (filter_params, filter_success):
-            for s in (1.0, math.nan):
-                with pytest.raises(ValueError, match="collinear"):
-                    fn(s)
+        for s in (1.0, math.nan):
+            with pytest.raises(ValueError, match="collinear"):
+                filter_params(s)
 
     @pytest.mark.parametrize("mag", [0.0, 0.1, 0.5, 0.9, 0.99])
     @pytest.mark.parametrize("phase", [0.0, 0.7, math.pi / 2, 2.5])
@@ -55,19 +53,16 @@ class TestFilterParams:
 
 
 class TestFilterSuccess:
-    def test_orthogonal_is_certain(self):
-        assert filter_success(0.0) == 1.0
-
     def test_zero_loss_code_value(self):
         # coherent-pair overlap exp(-2 alpha^2) at alpha = 1
         alpha = 1.0
         s = gram_matrix(CodeSpec(0, 2, alpha), 0)[0, 1]
-        assert abs(filter_success(s) - (1.0 - math.exp(-2 * alpha**2))) < 1e-12
+        assert abs(1 - abs(s) - (1.0 - math.exp(-2 * alpha**2))) < 1e-12
 
     def test_one_loss_code_space_value(self):
         a2 = 4.0
         s = gram_matrix(CodeSpec(1, 2, 2.0), 0)[0, 1]
-        assert abs(filter_success(s) - (1.0 - abs(math.cos(a2)) / math.cosh(a2))) < 1e-12
+        assert abs(1 - abs(s) - (1.0 - abs(math.cos(a2)) / math.cosh(a2))) < 1e-12
 
     def test_matches_filtered_norm(self):
         # P = ||A_s w||^2 for either codeword written in the filter basis
@@ -77,7 +72,7 @@ class TestFilterSuccess:
         w0 = np.array([fp.b0, fp.b1])
         w1 = np.exp(1j * fp.phi) * np.array([fp.b0, -fp.b1])
         for w in (w0, w1):
-            assert np.linalg.norm(a_s @ w) ** 2 == pytest.approx(filter_success(s))
+            assert np.linalg.norm(a_s @ w) ** 2 == pytest.approx(1 - abs(s))
 
 
 class TestTeleportSuccess:

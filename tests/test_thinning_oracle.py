@@ -1,0 +1,78 @@
+"""Mixture weights against an mpmath oracle: the binomial thinning of the
+input's photon-number distribution, which needs no sectioned exponential,
+no codeword and no Gram matrix."""
+
+import mpmath
+import numpy as np
+import pytest
+
+from catloss.channel import ChannelParams, mixture_weights
+from catloss.codes import CodeSpec, LogicalCoeffs
+
+
+def thinning_weights(L: int, d: int, alpha: float, gamma: float, c, dps: int = 30) -> np.ndarray:
+    """ptilde_j = P(k = j mod d(L+1)) at ``dps`` digits, where the input's photon
+    number n = (L+1) l carries the weight |sum_k c_k exp(2 pi i k l / d)|^2 x^n / n!
+    (x = alpha^2) and k ~ Binomial(n, 1 - gamma) of its photons are lost.  The
+    binomial pmf runs by its ratio recurrence; n stops once x^n / n! is past its
+    peak and below 1e-400 of the summed weight."""
+    with mpmath.workdps(dps):
+        m, cycle = L + 1, d * (L + 1)
+        x, g = mpmath.mpf(alpha) ** 2, mpmath.mpf(gamma)
+        c = [mpmath.mpc(complex(ck)) for ck in c]
+        c_hat = [abs(mpmath.fsum(ck * mpmath.expjpi(mpmath.mpf(2 * k * s) / d)
+                                 for k, ck in enumerate(c))) ** 2 for s in range(d)]
+        weights, total = [mpmath.mpf(0)] * cycle, mpmath.mpf(0)
+        term, n = mpmath.mpf(1), 0  # x^n / n!
+        ratio = (1 - g) / g
+        while n <= x or term > total * mpmath.mpf(10) ** -400:
+            w = c_hat[(n // m) % d] * term
+            pmf = g**n
+            for k in range(n + 1):
+                weights[k % cycle] += w * pmf
+                pmf *= ratio * (n - k) / (k + 1)
+            total += w
+            for i in range(1, m + 1):
+                term *= x / (n + i)
+            n += m
+        return np.array([float(w / total) for w in weights])
+
+
+def _random_coeffs(d: int, seed: int) -> LogicalCoeffs:
+    rng = np.random.default_rng(seed)
+    return LogicalCoeffs.of(*(rng.normal(size=d) + 1j * rng.normal(size=d)))
+
+
+def _check(L, d, alpha, gamma, seed):
+    c = _random_coeffs(d, seed)
+    got = mixture_weights(CodeSpec(L, d, alpha), c, ChannelParams(gamma)).ptilde
+    want = thinning_weights(L, d, alpha, gamma, c.values)
+    assert np.all(abs(got - want) <= 1e-14), np.max(abs(got - want))
+    big = want > 1e-300
+    rel = abs(got[big] - want[big]) / want[big]
+    assert np.all(rel <= 1e-12), (np.max(rel), got, want)
+
+
+@pytest.mark.parametrize("L,d,alpha,gamma", [
+    (1, 2, 2.0, 0.5), (1, 2, 2.0, 0.75), (1, 2, 2.0, 1.0),
+    (2, 2, 3.0, 0.5), (2, 2, 3.0, 0.9),
+    (3, 3, 5.0, 0.5), (3, 3, 5.0, 0.8),
+    (6, 4, 8.0, 0.5),
+])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_weights_match_thinning(L, d, alpha, gamma, seed):
+    # within 1e-14 absolute, and 1e-12 relative on every weight above 1e-300
+    _check(L, d, alpha, gamma, seed)
+
+
+@pytest.mark.xfail(strict=True, reason="absolute roundoff of the Gram-matrix route: "
+                   "tiny weights lose their relative accuracy, go negative or NaN")
+@pytest.mark.filterwarnings("ignore:alpha=0.001:UserWarning")
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the Gram kernel's 0/0
+@pytest.mark.parametrize("L,d,alpha,gamma", [
+    (6, 4, 8.0, 0.99),  # weights near 1e-34 come out near 1e-15
+    (7, 4, 0.2, 0.5), (7, 4, 0.2, 0.75),  # weights negative or clamped to 0
+    (5, 2, 1e-3, 2 / 3), (5, 2, 1e-3, 5 / 6),  # NaN
+])
+def test_small_weights_match_thinning(L, d, alpha, gamma):
+    _check(L, d, alpha, gamma, 0)

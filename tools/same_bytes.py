@@ -1,0 +1,89 @@
+"""Check that two source trees of catloss write the same bytes.
+
+    python tools/same_bytes.py OLD_SRC NEW_SRC
+
+runs every argv below as ``python -m catloss.cli`` with PYTHONPATH set to each
+tree, one process per argv and tree, in an empty directory, and compares the
+stdout sha256, the exit code and stderr, with warning-location lines
+(``*.py:N:``) dropped from stderr.  It prints each mismatch and exits 1 if
+there is any.  The argvs: the benchmark workloads at seeds 0, 1 and 7,
+``tables`` in CSV and JSON, the README's usage and reproduction-map commands
+(``--out`` dropped, so the data reaches stdout) and the argv literals of
+``tests/test_cli.py::TestExitCodes``.
+"""
+
+import ast
+import hashlib
+import os
+import re
+import shlex
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT))
+from perfbench.workloads import WORKLOADS, commands  # noqa: E402
+
+
+def _readme_argvs():
+    text = (ROOT / "README.md").read_text()
+    lines = re.findall(r"^catloss (.*)$", text, re.M) + re.findall(r"`catloss ([^`]*)`", text)
+    for line in lines:
+        argv = shlex.split(line, comments=True)
+        if "..." not in argv:
+            if "--out" in argv:
+                del argv[argv.index("--out"):argv.index("--out") + 2]
+            yield argv
+
+
+def _exit_code_argvs():
+    """The all-literal argvs given to ``main``/``run`` or parametrized first as ``argv``."""
+    tree = ast.parse((ROOT / "tests" / "test_cli.py").read_text())
+    cls = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "TestExitCodes")
+    for call in (n for n in ast.walk(cls) if isinstance(n, ast.Call) and n.args):
+        name = getattr(call.func, "id", getattr(call.func, "attr", None))
+        if name in ("main", "run"):
+            found = call.args[:1]
+        elif name == "parametrize" and re.match(r"argv\b", getattr(call.args[0], "value", "")):
+            found = [e.elts[0] if isinstance(e, ast.Tuple) else e for e in call.args[1].elts]
+        else:
+            continue
+        for node in found:
+            if isinstance(node, ast.List) and all(isinstance(e, ast.Constant) for e in node.elts):
+                yield ast.literal_eval(node)
+
+
+def argvs():
+    found = [argv for seed in (0, 1, 7) for name in WORKLOADS for argv in commands(name, seed)]
+    found += [["tables", "--which", w, "--format", f] for w in ("I", "II", "III")
+              for f in ("csv", "json")]
+    found += [*_readme_argvs(), *_exit_code_argvs()]
+    return list(dict.fromkeys(map(tuple, found)))  # distinct, in order
+
+
+def outcome(src, argv):
+    with tempfile.TemporaryDirectory() as cwd:
+        proc = subprocess.run([sys.executable, "-m", "catloss.cli", *argv], cwd=cwd,
+                              env={**os.environ, "PYTHONPATH": str(Path(src).resolve())},
+                              stdin=subprocess.DEVNULL, capture_output=True, timeout=600)
+    err = [ln for ln in proc.stderr.decode().splitlines() if not re.search(r"\.py:\d+:", ln)]
+    return hashlib.sha256(proc.stdout).hexdigest(), proc.returncode, err
+
+
+def main(old_src, new_src):
+    todo, bad = argvs(), 0
+    for argv in todo:
+        old, new = outcome(old_src, argv), outcome(new_src, argv)
+        if old != new:
+            bad += 1
+            print(f"MISMATCH {shlex.join(argv)}\n  old: {old}\n  new: {new}")
+    print(f"{len(todo) - bad} of {len(todo)} argvs byte-identical")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 3:
+        sys.exit(__doc__)
+    sys.exit(main(*sys.argv[1:]))
