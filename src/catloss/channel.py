@@ -184,11 +184,11 @@ def mixture_weights(
     gram = gram_matrix(spec, 0)
     input_norm = _weighted_norm_sq(c, gram)
     grams = gram_matrix(spec, range(spec.spaces), damped_amp)
-    branch_norms = [
-        _weighted_norm_sq(c * _sector_phases(spec, j), grams[..., j % spec.spaces, :, :])
-        for j in range(spec.cycle)
-    ]
-    ptilde = p * np.stack(branch_norms, axis=-1) / input_norm[..., None]
+    # class j = s * spaces + q on axes (s, q), so space q's Gram broadcasts over s
+    j = np.arange(spec.cycle).reshape(spec.d, spec.spaces, 1)
+    branch_norms = _weighted_norm_sq(c[..., None, None, :] * _sector_phases(spec, j),
+                                     grams[..., None, :, :, :])
+    ptilde = p * branch_norms.reshape(*branch_norms.shape[:-2], spec.cycle) / input_norm[..., None]
     return LossClassWeights(ptilde=ptilde, gram=gram, damped_grams=grams)
 
 

@@ -148,18 +148,19 @@ LAYOUTS = {
 }
 
 
-def write_output(columns: list[str], blocks: Iterable[str], args) -> None:
-    """Stream ``head``, the blocks (each one or more rows joined by ``row_sep``) with
+def write_output(columns: list[str], blocks: Iterable[bytes], args) -> None:
+    """Stream ``head``, the byte blocks (each one or more rows joined by ``row_sep``) with
     ``row_sep`` between them, then ``foot`` of ``LAYOUTS[args.format]`` to stdout, or to
     ``--out`` hashed as written plus, if ``--out`` is a regular file, a manifest whose
     params are the parsed ``args``."""
     layout = LAYOUTS[args.format]
+    head, sep, foot = (t.encode() for t in (layout.head(columns), layout.row_sep, layout.foot))
     blocks = iter(blocks)
-    chunks = chain([layout.head(columns), next(blocks, "")],
-                   (layout.row_sep + block for block in blocks), [layout.foot])
+    chunks = chain([head, next(blocks, b"")],
+                   chain.from_iterable((sep, block) for block in blocks), [foot])
     if args.out is None:
         try:
-            sys.stdout.writelines(chunks)
+            sys.stdout.writelines(chunk.decode() for chunk in chunks)
             sys.stdout.flush()
         except BrokenPipeError:
             # the reader left (``| head``): stop quietly, devnull takes the exit flush
@@ -169,7 +170,7 @@ def write_output(columns: list[str], blocks: Iterable[str], args) -> None:
     try:
         with open(args.out, "wb") as fh:
             opened.append(fh.name)
-            for data in map(str.encode, chunks):
+            for data in chunks:
                 digest.update(data)
                 fh.write(data)
         if not os.path.isfile(args.out):  # a device or a pipe: no file holds the data
@@ -192,7 +193,7 @@ def write_output(columns: list[str], blocks: Iterable[str], args) -> None:
 def _emit(columns, rows, args):
     # every row is rendered, and checked finite, before the first byte goes out
     layout = replace(LAYOUTS[args.format])
-    write_output(columns, [layout.row_sep.join(map(layout.row, rows))], args)
+    write_output(columns, [layout.row_sep.join(map(layout.row, rows)).encode()], args)
 
 
 def _gamma_grid(args) -> np.ndarray:
@@ -274,16 +275,17 @@ def cmd_repeater(args) -> int:
     return 0
 
 
-def _trace_blocks(rows: list[str], row_sep: str, n: int):
-    """Stations 1..n, station i being ``rows[(i - 1) % P]`` with its one ``#`` replaced by
-    i, in blocks ending every ``P * max(1, 4096 // P)`` stations and at each power of ten:
-    the period rows rotated to the block's first station, with k placeholder digits,
-    repeated by bytes ``*``, the digits written in place by one numpy column assignment."""
+def _trace_blocks(rows: list[str], row_sep: str, n: int, lo: int = 1):
+    """Stations lo..n as bytes, station i being ``rows[(i - 1) % P]`` with its ``#`` replaced
+    by i, in blocks ending every ``P * max(1, 4096 // P)`` stations and at each power of ten:
+    the period rows rotated to the block's first station, with k placeholder digits, repeated
+    by bytes ``*``; digit position i of consecutive stations holds runs of one digit, each
+    10**(k - 1 - i) long, written in one pass as an ``np.repeat`` of ``0123456789...``."""
     P, step = len(rows), len(rows) * max(1, 4096 // len(rows))
     text = bytearray((row_sep.join(rows) + row_sep).encode()) * 2  # a rotation is a slice
     cells = np.flatnonzero(np.frombuffer(text, np.uint8) == ord("#"))  # each row's station
     bounds = np.cumsum([0] + [len(row) + len(row_sep) for row in rows] * 2)  # row starts
-    lo = 1
+    ten = np.frombuffer(b"0123456789" * (step // 5 + 2), np.uint8)  # a block has < 2 * step
     while lo <= n:
         k = len(str(lo))
         hi = min(lo - (lo - 1) % step + step, 10**k, n + 1)
@@ -292,16 +294,19 @@ def _trace_blocks(rows: list[str], row_sep: str, n: int):
         buf = text[bounds[a]:bounds[a + w]].replace(b"#", b"0" * k)
         end = q * len(buf) + bounds[a + r] - bounds[a] + (k - 1) * r - len(row_sep)
         buf *= reps
-        digits = np.empty((reps * w, k), np.uint8)
-        rest = np.arange(lo, lo + reps * w, dtype=np.int64)  # stations reach 2**53
-        for i in range(k - 1, -1, -1):  # one digit position per pass, the last first
-            rest, digits[:, i] = np.divmod(rest, 10)
-        # a station's digits: k - 1 bytes on for each station before it in the block
-        cols = (cells[a:a + w] - bounds[a] + (k - 1) * np.arange(w))[:, None] + np.arange(k)
-        np.frombuffer(buf, np.uint8).reshape(reps, -1)[:, cols.ravel()] = (
-            digits.reshape(reps, -1) + ord("0"))
+        view = np.frombuffer(buf, np.uint8).reshape(reps, -1)
+        # a station's digits: k - 1 bytes on for each station before it in the period
+        cols = cells[a:a + w] - bounds[a] + (k - 1) * np.arange(w)
+        m = reps * w
+        for i in range(k):  # lo's digit d holds for p - lo % p stations, each next for p
+            p = 10 ** (k - 1 - i)
+            c = min(p, m)  # runs capped at the block: a leading digit's p reaches 10**15
+            x, d = max(0, lo % p + c - p), lo // p % 10  # lo sits x into runs of c
+            runs = np.repeat(ten[d:d + (x + m - 1) // c + 1], c)[x:x + m]
+            view[:, cols + i] = runs.reshape(reps, w)
+        del view  # buf cannot resize while a view of it lives
         del buf[end:]
-        yield buf.decode("ascii")
+        yield buf
         lo = hi
 
 
@@ -402,7 +407,7 @@ def cmd_verify(args) -> int:
     ok &= _check("teleport success vs assembled state", abs(closed - assembled), 1e-9, lines)
 
     lines.append("all checks passed" if ok else "FAILURES present")
-    write_output([], ["\n".join(lines)], args)
+    write_output([], ["\n".join(lines).encode()], args)
     return 0 if ok else 2
 
 

@@ -311,24 +311,41 @@ class TestRepeaterCommands:
                      "--format", fmt, "--out", str(tmp_path / "trace")]) == 0
         assert len(rendered) == ar_every
 
-    def test_trace_streams(self, tmp_path):
-        # the 10^5-row JSON trace is 9.5 MB but goes out in blocks of 4096 rows:
-        # the write peaks at about 2.3 MiB; the manifest hashes every block, and
-        # the last station is the first with six digits
-        path = tmp_path / "trace.json"
+    @pytest.mark.parametrize("fmt, size", [("csv", 4.7 * 10**6), ("json", 9.5 * 10**6)],
+                             ids=["csv", "json"])
+    def test_trace_streams(self, fmt, size, tmp_path):
+        # the 10^5-row trace (4.7 MB of CSV, 9.5 MB of JSON) goes out in blocks
+        # of 4096 rows: the write peaks at about 2.3 MiB; the manifest hashes
+        # every block, and the last station is the first with six digits
+        path = tmp_path / f"trace.{fmt}"
         tracemalloc.start()
         try:
             code = main(["repeater", "--L", "4", "--alpha", "7", "--spacing-km", "0.01",
-                         "--trace", "--format", "json", "--out", str(path)])
+                         "--trace", "--format", fmt, "--out", str(path)])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert code == 0
-        assert path.stat().st_size > 9 * 10**6
+        assert path.stat().st_size > 0.95 * size
         assert peak < 4 * 2**20
-        manifest = json.loads((tmp_path / "trace.json.manifest.json").read_text())
+        manifest = json.loads((tmp_path / f"trace.{fmt}.manifest.json").read_text())
         assert manifest["output_sha256"] == hashlib.sha256(path.read_bytes()).hexdigest()
-        assert json.loads(path.read_text())["rows"][-1][0] == "100000"
+        text = path.read_text()
+        last = json.loads(text)["rows"][-1][0] if fmt == "json" else parse_csv(text)[1][-1][0]
+        assert last == "100000"
+
+    @pytest.mark.parametrize("P", [1, 3, 7, 4100])
+    def test_trace_digits_past_six_places(self, P):
+        # blocks that start just below 10^k, k = 7..16, and end past it, and the
+        # last stations below 2^53, where a leading digit's run (10^15 stations)
+        # is far longer than the block; each station against str(i)
+        rows = [f"#,{j}" for j in range(P)]
+        edges = [(10**k - 4099, 10**k + 4100) for k in range(7, 17)] + [(2**53 - 8200, 2**53)]
+        for lo, n in edges:
+            got = b"\n".join(cli._trace_blocks(rows, "\n", n, lo)).decode().split("\n")
+            want = [f"{i},{(i - 1) % P}" for i in range(lo, n + 1)]
+            same = got == want  # a bare == would have pytest diff two long lists
+            assert same, (P, lo, next(i for i, (g, w) in enumerate(zip(got, want)) if g != w))
 
     def test_non_integral_spacing_warns_once(self, capsys):
         with warnings.catch_warnings(record=True) as caught:
@@ -819,7 +836,7 @@ class TestExitCodes:
         # the data file is open once the first block is drawn: a failure after
         # that removes it, and no manifest is written
         def blocks():
-            yield "1,2"
+            yield b"1,2"
             raise exc
 
         args = argparse.Namespace(format="csv", out=str(tmp_path / "data.csv"),

@@ -3,13 +3,17 @@
     python tools/same_bytes.py OLD_SRC NEW_SRC
 
 runs every argv below as ``python -m catloss.cli`` with PYTHONPATH set to each
-tree, one process per argv and tree, in an empty directory, and compares the
-stdout sha256, the exit code and stderr, with warning-location lines
-(``*.py:N:``) dropped from stderr.  It prints each mismatch and exits 1 if
-there is any.  The argvs: the benchmark workloads at seeds 0, 1 and 7,
-``tables`` in CSV and JSON, the README's usage and reproduction-map commands
-(``--out`` dropped, so the data reaches stdout) and the argv literals of
-``tests/test_cli.py::TestExitCodes``.
+tree, one process per argv, tree and arm, in an empty directory.  The stdout
+arm compares the stdout sha256, the exit code and stderr, with
+warning-location lines (``*.py:N:``) dropped from stderr.  The ``--out`` arm
+runs the argv again with ``--out data`` appended and also compares the sha256
+of ``data``, its manifest without ``created_utc`` and the names of the files
+left in the directory.  It prints each mismatch and exits 1 if there is any.
+The argvs: the benchmark workloads at seeds 0, 1 and 7, ``tables`` in CSV and
+JSON, 10^5-station traces restored every 3, 4097 and 50000 stations and a
+1,234,560-station trace, each in CSV and JSON, the README's usage and
+reproduction-map commands (their own ``--out`` dropped) and the argv literals
+of ``tests/test_cli.py::TestExitCodes``.
 """
 
 import ast
@@ -59,27 +63,53 @@ def argvs():
     found = [argv for seed in (0, 1, 7) for name in WORKLOADS for argv in commands(name, seed)]
     found += [["tables", "--which", w, "--format", f] for w in ("I", "II", "III")
               for f in ("csv", "json")]
+    chains = [["--spacing-km", "0.01", "--ar-every", str(n)] for n in (3, 4097, 50000)]
+    chains.append(["--spacing-km", "0.001", "--total-km", "1234.56"])  # seven digits
+    found += [["repeater", "--L", "1", "--alpha", "2", "--trace", *chain, "--format", f]
+              for f in ("csv", "json") for chain in chains]
     found += [*_readme_argvs(), *_exit_code_argvs()]
     return list(dict.fromkeys(map(tuple, found)))  # distinct, in order
 
 
+def _sha256(path):
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        while chunk := fh.read(1 << 20):
+            digest.update(chunk)
+    return digest.hexdigest()
+
+
 def outcome(src, argv):
-    with tempfile.TemporaryDirectory() as cwd:
-        proc = subprocess.run([sys.executable, "-m", "catloss.cli", *argv], cwd=cwd,
-                              env={**os.environ, "PYTHONPATH": str(Path(src).resolve())},
-                              stdin=subprocess.DEVNULL, capture_output=True, timeout=600)
-    err = [ln for ln in proc.stderr.decode().splitlines() if not re.search(r"\.py:\d+:", ln)]
-    return hashlib.sha256(proc.stdout).hexdigest(), proc.returncode, err
+    """What ``argv`` leaves behind in an empty directory; stdout goes to a file
+    beside it, so a long trace is hashed without being held in memory."""
+    with tempfile.TemporaryDirectory() as tmp:
+        cwd, stdout = Path(tmp, "cwd"), Path(tmp, "stdout")
+        cwd.mkdir()
+        with open(stdout, "wb") as out:
+            proc = subprocess.run([sys.executable, "-m", "catloss.cli", *argv], cwd=cwd,
+                                  env={**os.environ, "PYTHONPATH": str(Path(src).resolve())},
+                                  stdin=subprocess.DEVNULL, stdout=out,
+                                  stderr=subprocess.PIPE, timeout=600)
+        err = [ln for ln in proc.stderr.decode().splitlines()
+               if not re.search(r"\.py:\d+:", ln)]
+        files = sorted(path.name for path in cwd.iterdir())
+        data = _sha256(cwd / "data") if (cwd / "data").is_file() else None
+        manifest = cwd / "data.manifest.json"
+        manifest = ([ln for ln in manifest.read_text().splitlines() if '"created_utc"' not in ln]
+                    if manifest.is_file() else None)
+        return _sha256(stdout), proc.returncode, err, files, data, manifest
 
 
 def main(old_src, new_src):
     todo, bad = argvs(), 0
     for argv in todo:
-        old, new = outcome(old_src, argv), outcome(new_src, argv)
-        if old != new:
-            bad += 1
-            print(f"MISMATCH {shlex.join(argv)}\n  old: {old}\n  new: {new}")
-    print(f"{len(todo) - bad} of {len(todo)} argvs byte-identical")
+        for arm in (argv, [*argv, "--out", "data"]):
+            old, new = outcome(old_src, arm), outcome(new_src, arm)
+            if old != new:
+                bad += 1
+                print(f"MISMATCH {shlex.join(arm)}\n  old: {old}\n  new: {new}", flush=True)
+    print(f"{2 * len(todo) - bad} of {2 * len(todo)} runs ({len(todo)} argvs, each to stdout "
+          f"and to --out) byte-identical")
     return 1 if bad else 0
 
 
