@@ -76,17 +76,21 @@ class LossClassWeights:
         return LossClassWeights(*(getattr(self, f.name)[index] for f in fields(self)))
 
 
-def _kraus_factors(n_max: int, gamma: float, k: int, log_fact: np.ndarray) -> np.ndarray:
-    """f[n] with A_k|n+k> = f[n]|n>; each factor is a binomial amplitude <= 1."""
-    n = np.arange(n_max + 1 - k, dtype=float)
+def _kraus_factors(n_max: int, gamma: float, k, log_fact: np.ndarray) -> np.ndarray:
+    """f[n] with A_k|n+k> = f[n]|n>, each a binomial amplitude <= 1, n = 0..n_max-k;
+    for a column of loss counts k, rows f[k, n] over n = 0..n_max, 0 past n_max-k."""
+    if np.ndim(gamma):
+        raise ValueError(f"the Fock oracles take one gamma, got shape {np.shape(gamma)}")
+    n = np.arange(n_max + 1 - np.min(k))
+    inside = n + k <= n_max
     if gamma == 1.0:
-        return np.ones(n_max + 1 - k) if k == 0 else np.zeros(n_max + 1 - k)
+        return (inside & (k == 0)).astype(float)
     log_f = 0.5 * (
-        log_fact[k:] - log_fact[: n_max + 1 - k] - log_fact[k]
+        log_fact[np.minimum(n + k, n_max)] - log_fact[n] - log_fact[k]
         + n * np.log(gamma)
         + k * np.log1p(-gamma)
     )
-    return np.exp(log_f)
+    return np.exp(np.where(inside, log_f, -np.inf))
 
 
 def kraus_apply(state: np.ndarray, params: ChannelParams, k: int) -> np.ndarray:
@@ -144,13 +148,14 @@ def class_probabilities(spec: CodeSpec, params: ChannelParams) -> np.ndarray:
 
 
 def class_probabilities_kraus(spec: CodeSpec, params: ChannelParams) -> np.ndarray:
-    """Brute-force route for ``class_probabilities``: sum the squared norms
-    ||A_k w||^2 of a codeword grouped by k modulo the cycle."""
+    """Brute-force route for ``class_probabilities``: the squared norms
+    ||A_k w||^2 = sum_n f_k[n]^2 |w[n+k]|^2 of a codeword, for every k in one
+    array pass, summed by k modulo the cycle."""
     word = codeword_fock(spec, 0, 0)
-    p = np.zeros(spec.cycle)
-    for k in range(len(word)):
-        p[k % spec.cycle] += float(np.linalg.norm(kraus_apply(word, params, k))) ** 2
-    return p
+    n_max, k = len(word) - 1, np.arange(len(word))[:, None]
+    f = _kraus_factors(n_max, params.gamma, k, log_factorials(n_max))  # rows k, columns n = k.T
+    norms = np.sum((f * np.abs(word)[np.minimum(k + k.T, n_max)]) ** 2, axis=1)
+    return np.bincount(k[:, 0] % spec.cycle, weights=norms, minlength=spec.cycle)
 
 
 def _sector_phases(spec: CodeSpec, j: int) -> np.ndarray:

@@ -241,12 +241,11 @@ def cmd_fidelity(args) -> int:
 def cmd_klreport(args) -> int:
     specs = [codes.quiet_spec(args.L, 2, float(tok)) for tok in args.alphas.split(",")]
     codes.CodeSpec(args.L, 2, np.array([s.alpha for s in specs]))  # one warning for them all
-    max_loss = 2 * args.L + 1
-    columns = ["alpha"] + [f"{k}_{i}" for i in range(max_loss + 1) for k in ("ortho", "deform")]
+    losses = range(2 * args.L + 2)
+    columns = ["alpha"] + [f"{k}_{i}" for i in losses for k in ("ortho", "deform")]
     rows = [[spec.alpha] for spec in specs]
     for spec, row in zip(specs, rows):
-        for i in range(max_loss + 1):
-            report = qec.kl_check(spec, args.basis, i, i)
+        for report in qec.kl_check(spec, args.basis, losses, losses):
             row += [report.ortho_violation, report.deform_violation]
     _emit(columns, rows, args)
     return 0
@@ -386,12 +385,11 @@ def cmd_verify(args) -> int:
         psi = channel.encode(spec_i, coeffs)
         rho_in = np.outer(psi, psi.conj())
         exact = channel.channel_apply_exact(rho_in, params)
-        mixed = fock.mix(channel.logical_mixture(spec_i, coeffs, params))
+        mixture = channel.logical_mixture(spec_i, coeffs, params)
         ok &= _check(f"mixture vs exact channel (L={L}, d={d})",
-                     fock.trace_distance(exact, mixed), 1e-8, lines)
-        w = channel.mixture_weights(spec_i, coeffs, params)
+                     fock.trace_distance(exact, fock.mix(mixture)), 1e-8, lines)
         ok &= _check(f"weights sum to one (L={L}, d={d})",
-                     abs(float(np.sum(w.ptilde)) - 1.0), 1e-10, lines)
+                     abs(float(np.sum([w for w, _ in mixture])) - 1.0), 1e-10, lines)
 
     fp = restore.filter_params(0.3 + 0.2j)
     a_s, a_f = restore.filter_operators(fp)

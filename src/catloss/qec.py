@@ -70,23 +70,30 @@ def _code_basis(spec: CodeSpec, basis: str):
     raise ValueError(f"basis must be 'Z' or 'X', got {basis!r}")
 
 
-def kl_check(spec: CodeSpec, basis: str, error_i: int, error_j: int) -> KLReport:
-    """Evaluate both correctability conditions for the pair (a^i, a^j)."""
-    if error_i < 0 or error_j < 0:
-        raise ValueError("loss counts must be nonnegative")
-    words = _code_basis(spec, basis)
-    left = [fock.annihilate(w, error_i) for w in words]
-    right = left if error_j == error_i else [fock.annihilate(w, error_j) for w in words]
-    gram = np.array([[np.vdot(u, v) for v in right] for u in left])
-    off = abs(gram - np.diag(np.diag(gram)))
-    diag = gram.diagonal().real
-    scale = float(np.max(np.abs(diag)))
-    spread = float(diag.max() - diag.min()) / scale if scale > 0 else 0.0
-    return KLReport(
-        gram=gram,
-        ortho_violation=float(off.max()),
-        deform_violation=spread,
-    )
+def kl_check(spec: CodeSpec, basis: str, error_i, error_j):
+    """Evaluate both correctability conditions for the pair (a^i, a^j); loss
+    counts given as sequences give a list of reports, one per broadcast pair.
+    The basis is built once, and a^i w lowered from a^(i-1) w by one step."""
+    counts = np.broadcast_arrays(error_i, error_j)
+    if any((c.size and c.dtype.kind not in "iu") or np.any(c < 0) for c in counts):
+        raise ValueError("loss counts must be nonnegative integers")
+    pairs = list(zip(*(c.ravel().tolist() for c in counts)))
+    ladder = [_code_basis(spec, basis)]
+    top, n_max = max(map(max, pairs), default=0), len(ladder[0][0]) - 1
+    if top > n_max:
+        raise ValueError(f"loss count {top} exceeds the Fock cutoff n_max={n_max}"
+                         f" at alpha={spec.alpha}")
+    while len(ladder) <= top:
+        ladder.append([fock.annihilate(w, 1) for w in ladder[-1]])
+    reports = []
+    for i, j in pairs:
+        gram = np.array([[np.vdot(u, v) for v in ladder[j]] for u in ladder[i]])
+        off = abs(gram - np.diag(np.diag(gram)))
+        diag = gram.diagonal().real
+        scale = float(np.max(np.abs(diag)))
+        spread = float(diag.max() - diag.min()) / scale if scale > 0 else 0.0
+        reports.append(KLReport(gram, ortho_violation=float(off.max()), deform_violation=spread))
+    return reports if counts[0].ndim else reports[0]
 
 
 def fidelity_from_weights(weights: LossClassWeights) -> np.ndarray:

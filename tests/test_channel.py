@@ -137,6 +137,17 @@ class TestClassProbabilities:
         oracle = class_probabilities_kraus(spec, params)
         assert np.max(np.abs(closed - oracle)) < 1e-10
 
+    @pytest.mark.parametrize("gamma", [0.3, 0.9, 1.0])
+    @pytest.mark.parametrize("L,d,alpha", [(1, 2, 2.0), (2, 2, 3.0), (1, 3, 2.0), (4, 2, 7.0)])
+    def test_kraus_norms_match_per_k_kraus_apply(self, L, d, alpha, gamma):
+        # every ||A_k w||^2 in one array pass, against one kraus_apply per k
+        spec, params = CodeSpec(L, d, alpha), ChannelParams(gamma)
+        word = codeword_fock(spec, 0, 0)
+        per_k = np.zeros(spec.cycle)
+        for k in range(len(word)):
+            per_k[k % spec.cycle] += float(np.linalg.norm(kraus_apply(word, params, k))) ** 2
+        assert np.max(np.abs(class_probabilities_kraus(spec, params) - per_k)) <= 1e-15
+
     def test_sectioned_series_against_direct_sum(self):
         # the root-of-unity filter behind p matches brute-force summation
         from catloss.series import sectioned_exp

@@ -208,6 +208,18 @@ class TestKlReport:
         deform = [float(r[header.index("deform_1")]) for r in rows]
         assert max(deform) < 1e-12
 
+    def test_builds_each_word_once_per_amplitude(self, monkeypatch, capsys):
+        # one kl_check per amplitude builds its two basis words once, not once
+        # per loss count: 12 words for six amplitudes where there were 48
+        built, real = [], codes.codeword_fock
+        monkeypatch.setattr("catloss.qec.codeword_fock",
+                            lambda *a, **kw: built.append(a) or real(*a, **kw))
+        for basis in ("Z", "X"):
+            built.clear()
+            assert run(["kl-report", "--L", "1", "--alphas", "1,2,3,4,5,6", "--basis", basis],
+                       capsys)[0] == 0
+            assert len(built) == 12
+
     def test_collinear_x_basis_is_one(self, capsys):
         # at alpha = 1e-300 the two codewords are equal, so w0 - w1 is zero
         code = main(["kl-report", "--L", "1", "--alphas", "1e-300", "--basis", "X"])
@@ -604,6 +616,15 @@ class TestExitCodes:
     def test_invalid_spec_is_one(self, capsys):
         assert main(["weights", "--L", "-1", "--alpha", "2"]) == 1
 
+    def test_loss_count_past_fock_cutoff_is_one(self, capsys):
+        # 2L+1 = 81 losses exceed alpha 1's cutoff of 64 photons: one line naming
+        # the loss count, the amplitude and the cutoff
+        assert main(["kl-report", "--L", "40", "--alphas", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: loss count 81 exceeds the Fock cutoff n_max=64"
+                                " at alpha=1.0\n")
+
     def test_invalid_gamma_grid_is_one(self, tmp_path, capsys):
         # exit 1 and nothing written; an empty grid is not a header-only dataset
         out = str(tmp_path / "data.csv")
@@ -887,6 +908,15 @@ class TestExitCodes:
                      "--trace", "--out", str(tmp_path / "trace.csv")]) == code
         assert capsys.readouterr().out == ""
         assert list(tmp_path.iterdir()) == []
+
+    def test_verify_reads_weights_off_its_mixtures(self, monkeypatch, capsys):
+        # one mixture_weights call per logical_mixture and one for the teleport
+        # check; the weights-sum checks read the mixtures' own weights
+        calls, real = [], channel.mixture_weights
+        monkeypatch.setattr("catloss.channel.mixture_weights",
+                            lambda *a: calls.append(a) or real(*a))
+        assert run(["verify"], capsys)[0] == 0
+        assert len(calls) == 4
 
     def test_verify_passes_on_clean_build(self, capsys):
         code, out = run(["verify"], capsys)

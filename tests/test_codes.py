@@ -6,7 +6,14 @@ import numpy as np
 import pytest
 
 from catloss import fock
-from catloss.channel import ChannelParams, class_probabilities_kraus, encode, logical_mixture
+from catloss.channel import (
+    ChannelParams,
+    channel_apply_exact,
+    class_probabilities_kraus,
+    encode,
+    kraus_apply,
+    logical_mixture,
+)
 from catloss.codes import (
     CodeSpec,
     LogicalCoeffs,
@@ -30,6 +37,14 @@ FOCK_ORACLES = {
     "logical_mixture": lambda spec, c, p: logical_mixture(spec, c, p),
     "kl_check": lambda spec, c, p: kl_check(spec, "Z", 1, 1),
     "teleport_success_assembled": lambda spec, c, p: teleport_success_assembled(spec, 1, p, c),
+}
+
+# the Fock oracles that take a ChannelParams, called on a code and its transmission
+GAMMA_ORACLES = {
+    "kraus_apply": lambda spec, p: kraus_apply(codeword_fock(spec, 0, 0), p, 1),
+    "channel_apply_exact": lambda spec, p: channel_apply_exact(
+        fock.mix([(1.0, codeword_fock(spec, 0, 0))]), p),
+    "class_probabilities_kraus": class_probabilities_kraus,
 }
 
 
@@ -169,6 +184,14 @@ class TestFockOraclesTakeOneAmplitude:
             codeword_fock(CodeSpec(1, 2, 2.0), 0, 0, np.array([1.0, 1.5]))
         with pytest.raises(ValueError, match="one amplitude"):
             codeword_fock(CodeSpec(1, 2, np.array([2.0])), 0, 0, 2.0, n_max=70)
+
+    @pytest.mark.parametrize("gamma", [[0.9, 0.8], [0.9]])
+    @pytest.mark.parametrize("oracle", sorted(GAMMA_ORACLES))
+    def test_batch_gamma_rejected(self, oracle, gamma):
+        # one ValueError naming the shape, not numpy's ambiguous truth value;
+        # a batch of one is refused too, not taken as its one point
+        with pytest.raises(ValueError, match=rf"one gamma, got shape \({len(gamma)},\)"):
+            GAMMA_ORACLES[oracle](CodeSpec(1, 2, 2.0), ChannelParams(np.array(gamma)))
 
 
 class TestCoherentForm:

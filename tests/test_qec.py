@@ -8,7 +8,7 @@ import pytest
 from catloss import fock
 from catloss.codes import CodeSpec, LogicalCoeffs, codeword_fock
 from catloss.channel import ChannelParams, encode, logical_mixture, mixture_weights
-from catloss.qec import fidelity_bound, fidelity_from_weights, kl_check
+from catloss.qec import _code_basis, fidelity_bound, fidelity_from_weights, kl_check
 
 from conftest import central_difference
 
@@ -80,6 +80,50 @@ class TestKlCheckX:
     def test_rejects_qudits(self):
         with pytest.raises(ValueError):
             kl_check(CodeSpec(1, 3, 2.0), "X", 0, 0)
+
+
+class TestKlCheckSequences:
+    # loss counts as sequences: one report per pair, from one basis build
+    @pytest.mark.parametrize("basis", ["Z", "X"])
+    @pytest.mark.parametrize("L", range(4))
+    def test_sequence_equals_pairs_bit_for_bit(self, L, basis):
+        losses = range(2 * L + 2)
+        for alpha in (0.5, 1.0, 2.0, 3.5, 6.0, 9.0):
+            spec = CodeSpec(L, 2, alpha)
+            reports = kl_check(spec, basis, losses, losses)
+            assert len(reports) == len(losses)
+            for i, report in zip(losses, reports):
+                one = kl_check(spec, basis, i, i)
+                assert np.array_equal(report.gram, one.gram)
+                assert report.ortho_violation == one.ortho_violation
+                assert report.deform_violation == one.deform_violation
+
+    @pytest.mark.parametrize("basis", ["Z", "X"])
+    def test_ladder_equals_direct_lowering(self, basis):
+        # a^i w stepped down from a^(i-1) w has the bits of fock.annihilate(w, i)
+        spec = CodeSpec(3, 2, 5.0)
+        words = _code_basis(spec, basis)
+        for i, report in enumerate(kl_check(spec, basis, range(8), range(8))):
+            low = [fock.annihilate(w, i) for w in words]
+            assert np.array_equal(report.gram, [[np.vdot(u, v) for v in low] for u in low])
+
+    def test_count_broadcasts_against_sequence(self):
+        spec = CodeSpec(1, 2, 2.0)
+        reports = kl_check(spec, "Z", 0, [0, 1, 4])
+        assert [r.gram.tolist() for r in reports] == [
+            kl_check(spec, "Z", 0, j).gram.tolist() for j in (0, 1, 4)]
+        assert kl_check(spec, "Z", range(0), range(0)) == []
+
+    @pytest.mark.parametrize("i,j", [([0, 1], [0, -1]), (-1, 0), (1.5, 1.5), ([0, 1.0], 0)])
+    def test_rejects_negative_or_fractional_count(self, i, j):
+        with pytest.raises(ValueError, match="nonnegative integers"):
+            kl_check(CodeSpec(1, 2, 2.0), "Z", i, j)
+
+    def test_count_past_cutoff_names_count_alpha_and_cutoff(self):
+        # alpha = 1 keeps the default cutoff 64; L = 40 asks for 2L+1 = 81 losses
+        with pytest.raises(ValueError, match=r"loss count 81 exceeds the Fock cutoff "
+                                             r"n_max=64 at alpha=1\.0"):
+            kl_check(CodeSpec(40, 2, 1.0), "Z", range(82), range(82))
 
 
 def _syndrome(spec, mixture, q):

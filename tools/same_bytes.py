@@ -11,9 +11,10 @@ of ``data``, its manifest without ``created_utc`` and the names of the files
 left in the directory.  It prints each mismatch and exits 1 if there is any.
 The argvs: the benchmark workloads at seeds 0, 1 and 7, ``tables`` in CSV and
 JSON, 10^5-station traces restored every 3, 4097 and 50000 stations and a
-1,234,560-station trace, each in CSV and JSON, the README's usage and
-reproduction-map commands (their own ``--out`` dropped) and the argv literals
-of ``tests/test_cli.py::TestExitCodes``.
+1,234,560-station trace, each in CSV and JSON, ``kl-report`` at L 0-3 in both
+bases for alphas 0.5 to 9 (every loss count of the lowering ladder), the
+README's usage and reproduction-map commands (their own ``--out`` dropped) and
+the argv literals of ``tests/test_cli.py::TestExitCodes``.
 """
 
 import ast
@@ -67,6 +68,8 @@ def argvs():
     chains.append(["--spacing-km", "0.001", "--total-km", "1234.56"])  # seven digits
     found += [["repeater", "--L", "1", "--alpha", "2", "--trace", *chain, "--format", f]
               for f in ("csv", "json") for chain in chains]
+    found += [["kl-report", "--L", str(L), "--alphas", "0.5,1,2,3.5,5,7,9", "--basis", b]
+              for L in range(4) for b in ("Z", "X")]
     found += [*_readme_argvs(), *_exit_code_argvs()]
     return list(dict.fromkeys(map(tuple, found)))  # distinct, in order
 
