@@ -29,8 +29,6 @@ with their broadcast shape; a single point is the batch of shape ().
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from functools import reduce
-from operator import add, mul
 
 import numpy as np
 
@@ -103,28 +101,28 @@ def kraus_apply(state: np.ndarray, params: ChannelParams, k: int) -> np.ndarray:
 
 
 def channel_apply_exact(rho: np.ndarray, params: ChannelParams) -> np.ndarray:
-    """sum_k A_k rho A_k^dagger, summed until the residual probability
-    drops below 1e-12 (hard cap at n_max)."""
+    """sum_k A_k rho A_k^dagger over k = 0..K, with K the first loss count whose
+    cumulative captured probability leaves less than 1e-12 of the trace (hard
+    cap at n_max).  Every Kraus factor comes from one array pass; the blocks
+    are added one k at a time."""
     trace_in = float(np.trace(rho).real)
     if abs(trace_in - 1.0) > 1e-10:
         raise ValueError(f"input must have unit trace, got {trace_in}")
-    n_max = len(rho) - 1
-    log_fact = log_factorials(n_max)
-    out = np.zeros((n_max + 1, n_max + 1), dtype=complex)
-    captured = 0.0
+    n_max, k = len(rho) - 1, np.arange(len(rho))[:, None]
+    f = _kraus_factors(n_max, params.gamma, k, log_factorials(n_max))  # rows k, columns n = k.T
+    # ||A_k rho A_k^dagger||_tr = sum_n f[k, n]^2 rho[n + k, n + k], 0 past n_max - k
+    captured = np.cumsum(np.sum(f * f * rho.diagonal().real[np.minimum(k + k.T, n_max)], axis=1))
     # The k <= n_max operators are complete on the truncated space, so the
     # captured probability reaches trace_in up to roundoff.
-    for k in range(n_max + 1):
-        f = _kraus_factors(n_max, params.gamma, k, log_fact)
-        block = np.outer(f, f) * rho[k:, k:]
-        out[: n_max + 1 - k, : n_max + 1 - k] += block
-        captured += float(np.trace(block).real)
-        if captured > trace_in - KRAUS_RESIDUAL:
-            break
-    else:
+    done = captured > trace_in - KRAUS_RESIDUAL
+    if not done.any():
         raise fock.TruncationError(
-            f"only {captured} of the probability captured by k <= {n_max}"
+            f"only {captured[-1]} of the probability captured by k <= {n_max}"
         )
+    out = np.zeros_like(rho, dtype=complex)
+    for i in range(int(np.argmax(done)) + 1):
+        fi = f[i, : n_max + 1 - i]
+        out[: n_max + 1 - i, : n_max + 1 - i] += np.outer(fi, fi) * rho[i:, i:]
     return out
 
 
@@ -197,9 +195,10 @@ def mixture_weights(
     return LossClassWeights(ptilde=ptilde, gram=gram, damped_grams=grams)
 
 
-def _superpose(words, coeffs) -> np.ndarray:
-    """Normalized sum_k words[k] * coeffs[k], the terms added in k order."""
-    return fock.normalized(reduce(add, map(mul, words, coeffs)))
+def _superpose(words: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """Normalized sum_k coeffs[..., k] words[..., k, :], every state of the
+    broadcast batch in one product."""
+    return fock.normalized(np.matmul(coeffs[..., None, :], words)[..., 0, :])
 
 
 def logical_mixture(
@@ -215,16 +214,15 @@ def logical_mixture(
     logical sector k."""
     ptilde = mixture_weights(spec, coeffs, params).ptilde
     amp = np.sqrt(params.gamma) * spec.alpha
-    words = [[codeword_fock(spec, k, q, amp) for k in range(spec.d)] for q in range(spec.spaces)]
-    # c_k * phase_k as scalar products: the vectorized complex multiply may round differently
-    return [
-        (w, _superpose(words[j % spec.spaces], map(mul, coeffs.values, _sector_phases(spec, j))))
-        for j, w in enumerate(ptilde.tolist())
-    ]
+    words = codeword_fock(spec, np.arange(spec.d), np.arange(spec.spaces)[:, None], amp)
+    # class j = s * spaces + q on axes (s, q), so space q's words broadcast over s
+    j = np.arange(spec.cycle).reshape(spec.d, spec.spaces, 1)
+    states = _superpose(words, coeffs.values * _sector_phases(spec, j))
+    return list(zip(ptilde.tolist(), states.reshape(spec.cycle, -1)))
 
 
 def encode(spec: CodeSpec, coeffs: LogicalCoeffs) -> np.ndarray:
     """Normalized logical state sum_k c_k |w_{k,0}> in the code space."""
     if coeffs.d != spec.d:
         raise ValueError(f"coefficient count {coeffs.d} != logical dimension {spec.d}")
-    return _superpose([codeword_fock(spec, k, 0) for k in range(spec.d)], coeffs.values)
+    return _superpose(codeword_fock(spec, np.arange(spec.d), 0), coeffs.values)

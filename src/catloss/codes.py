@@ -93,15 +93,15 @@ def quiet_spec(L: int, d: int, alpha) -> CodeSpec:
         return CodeSpec(L, d, alpha)
 
 
-def _codeword_amplitude(spec: CodeSpec, k: int, q: int, amplitude):
-    """Check logical index k in [0, d), space index q in [0, L] and the
-    amplitudes of codeword (k, q), alpha by default; return the amplitudes."""
-    if not 0 <= k < spec.d:
-        raise ValueError(f"logical index k={k} outside [0, {spec.d})")
-    if not 0 <= q <= spec.L:
-        raise ValueError(f"space index q={q} outside [0, {spec.L}]")
+def _codeword_amplitude(spec: CodeSpec, k, q, amplitude):
+    """Check every logical index k in [0, d), space index q in [0, L] and the
+    amplitudes of codewords (k, q), alpha by default; return the amplitudes."""
+    if bad := [x for x in np.ravel(k).tolist() if not 0 <= x < spec.d]:
+        raise ValueError(f"logical index k={bad[0]} outside [0, {spec.d})")
+    if bad := [x for x in np.ravel(q).tolist() if not 0 <= x <= spec.L]:
+        raise ValueError(f"space index q={bad[0]} outside [0, {spec.L}]")
     amp = spec.alpha if amplitude is None else amplitude
-    if not np.all(np.isfinite(amp) & (np.asarray(amp) > 0)):
+    if not (np.isfinite(amp) & (np.asarray(amp) > 0)).all():
         raise ValueError(f"amplitude must be finite and positive, got {amp}")
     return amp
 
@@ -175,27 +175,32 @@ def codeword_norm_sq(spec: CodeSpec, q, amplitude=None):
 
 def codeword_fock(
     spec: CodeSpec,
-    k: int,
-    q: int,
+    k,
+    q,
     amplitude: float | None = None,
     n_max: int | None = None,
 ) -> np.ndarray:
-    """Codeword w_{k,q} as its sectioned Fock series, normalized within
-    truncation.  The cutoff defaults to ``spec.n_max(amplitude)``, which is
-    ``spec.n_max()`` for every amplitude up to alpha, so damped words share
-    the code's truncation."""
+    """Codewords w_{k,q} as their sectioned Fock series, each normalized within
+    truncation.  Sectors ``k`` and spaces ``q`` may be arrays; they broadcast,
+    and the words run along the last axis, shape (..., n_max + 1), each with
+    the bits of its one-word call.  The cutoff defaults to
+    ``spec.n_max(amplitude)``, which is ``spec.n_max()`` for every amplitude up
+    to alpha, so damped words share the code's truncation."""
     amp = _codeword_amplitude(spec, k, q, amplitude)
     cutoff = spec.n_max(amp)  # also when n_max is given: it rejects a batch of amplitudes
     n_max = cutoff if n_max is None else n_max
-    beta = sector_amplitude(spec, k, amp)
+    # each sector's amplitude from a Python-int k, since numpy's complex division
+    # multiplies by the reciprocal; its modulus by hypot, as the scalar abs of a
+    # one-word call rounds it (the array abs rounds apart)
+    beta = np.array([sector_amplitude(spec, j, amp) for j in np.ravel(k).tolist()])
+    beta = beta.reshape(np.shape(k) + (1,))
+    log_abs, angle = np.log(np.hypot(beta.real, beta.imag)), np.arctan2(beta.imag, beta.real)
     n = np.arange(n_max + 1)
-    mask = (n % spec.spaces) == support_residue(spec, q)
-    log_mag = np.full(n_max + 1, -np.inf)
-    log_mag[mask] = n[mask] * np.log(abs(beta)) - 0.5 * log_factorials(n_max)[mask]
-    log_mag -= log_mag.max()
-    coeffs = np.exp(log_mag) * np.exp(1j * n * np.angle(beta))
-    coeffs[~mask] = 0.0
-    return fock.normalized(coeffs)
+    mask = (n % spec.spaces) == support_residue(spec, np.asarray(q))[..., None]
+    log_mag = np.where(mask, n * log_abs - 0.5 * log_factorials(n_max), -np.inf)
+    log_mag -= log_mag.max(axis=-1, keepdims=True)
+    coeffs = np.exp(log_mag) * np.exp(1j * n * angle)
+    return fock.normalized(np.where(mask, coeffs, 0.0))
 
 
 def codeword_coherent(spec: CodeSpec, k: int, q: int) -> np.ndarray:

@@ -34,11 +34,12 @@ def default_n_max(alpha: complex | float) -> int:
 
 
 def normalized(state: np.ndarray) -> np.ndarray:
-    """``state`` divided by its norm."""
-    n = np.linalg.norm(state)
-    if n == 0.0:
+    """``state`` divided by its norm; a stack of states (..., n_max + 1), each
+    by the 1-D ``np.linalg.norm`` of its own row."""
+    n = [np.linalg.norm(row) for row in state.reshape(-1, state.shape[-1])]
+    if 0.0 in n:
         raise ValueError("cannot normalize the zero vector")
-    return state / n
+    return state / (n[0] if state.ndim == 1 else np.reshape(n, state.shape[:-1] + (1,)))
 
 
 def tail_mass(state: np.ndarray) -> float:
@@ -106,19 +107,19 @@ def parity_phase_apply(state: np.ndarray, modulus: int) -> np.ndarray:
 
 
 def mix(components: list[tuple[float, np.ndarray]]) -> np.ndarray:
-    """Statistical mixture sum_i w_i |psi_i><psi_i| with each psi_i normalized."""
+    """Statistical mixture sum_i w_i |psi_i><psi_i| with each psi_i normalized,
+    as one weighted product of the stacked states."""
     if not components:
         raise ValueError("empty mixture")
     dim = len(components[0][1])
-    rho = np.zeros((dim, dim), dtype=complex)
     for weight, state in components:
         if weight < 0:
             raise ValueError(f"negative weight {weight}")
         if len(state) != dim:
             raise ValueError(f"mixture components differ in length: {len(state)} vs {dim}")
-        psi = state / np.linalg.norm(state)
-        rho += weight * np.outer(psi, psi.conj())
-    return rho
+    weights, states = zip(*components)
+    psi = normalized(np.array(states, dtype=complex))
+    return (psi.T * np.array(weights, dtype=float)) @ psi.conj()
 
 
 def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:

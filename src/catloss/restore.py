@@ -117,30 +117,21 @@ def teleport_success_assembled(
     if spec.d != 2:
         raise ValueError("teleportation restore is defined for qubit codes only")
     damped = np.sqrt(params.gamma) * spec.alpha
-    w0t, w1t = (codeword_fock(spec, k, q, damped) for k in (0, 1))
-    w0b, w1b = (codeword_fock(spec, k, 0) for k in (0, 1))
+    w0t, w1t = codeword_fock(spec, np.arange(2), q, damped)
+    wb = codeword_fock(spec, np.arange(2), 0)
     s_tilde = complex(np.vdot(w0t, w1t))
-    s_bar = complex(np.vdot(w0b, w1b))
+    s_bar = complex(np.vdot(*wb))
     b1 = filter_params(s_tilde).b1
-    c0, c1 = map(complex, c.values)
+    c0, c1 = c.values
 
     # the states on the left of each scalar product: swapped operands round differently
     n_omega = float(np.linalg.norm(w0t * c0 + w1t * c1)) ** 2
     n_phi_hat = 1.0 + np.real(s_tilde * s_bar)
-    bell = [1.0 + np.real(s_tilde**2), 1.0 - np.real(s_tilde**2),
-            1.0 + abs(s_tilde) ** 2, 1.0 - abs(s_tilde) ** 2]
-    outputs = [
-        w0b * c0 + w1b * c1,
-        w0b * c0 - w1b * c1,
-        w0b * c1 + w1b * c0,
-        w0b * -c1 + w1b * c0,
-    ]
-    stacked = np.concatenate(
-        [
-            b1**2 * np.sqrt(bell[i]) / np.sqrt(n_omega * n_phi_hat) * outputs[i]
-            for i in range(4)
-        ]
-    )
+    bell = np.array([1.0 + np.real(s_tilde**2), 1.0 - np.real(s_tilde**2),
+                     1.0 + abs(s_tilde) ** 2, 1.0 - abs(s_tilde) ** 2])
+    # the four output qubits (c0, c1), (c0, -c1), (c1, c0), (-c1, c0) in one product
+    outputs = np.array([[c0, c1], [c0, -c1], [c1, c0], [-c1, c0]]) @ wb
+    stacked = (b1**2 * np.sqrt(bell) / np.sqrt(n_omega * n_phi_hat))[:, None] * outputs
     return float(np.vdot(stacked, stacked).real)
 
 

@@ -19,6 +19,9 @@ import numpy as np
 # Largest negative excursion accepted as pure roundoff when clamping.
 CLAMP_TOL = 1e-12
 
+# Elements per chunk of the filter's (point, residue, r) product.
+_PRODUCT_TERMS = 2**13
+
 
 def log_factorials(n_max: int) -> np.ndarray:
     """log(n!) for n = 0..n_max, accumulated iteratively to avoid overflow."""
@@ -32,8 +35,10 @@ def sectioned_exp(x, modulus: int, residue):
     """S_{m,j}(x): sum of x^n/n! over photon numbers n = j (mod m), shape
     ``shape(x) + shape(residue)`` for real x >= 0 and an int residue or a
     sequence of them; tiny negative roundoff is clamped to 0.  exp(w^r x) is
-    formed once for all residues, and every value rounds as the one-point
-    filter does (elementwise exp and products, then a last-axis sum).
+    formed once and multiplied by every residue's phase row in (point,
+    residue, r) products of at most ``_PRODUCT_TERMS`` elements, each summed
+    over its last axis, so every value rounds as the one-point filter does
+    (elementwise exp and products, then a row sum).
     """
     x = np.asarray(x, dtype=float)
     if np.any(x < 0):
@@ -46,9 +51,14 @@ def sectioned_exp(x, modulus: int, residue):
         v = np.repeat(np.exp(x)[..., None], len(js), axis=-1)
     else:
         r = np.arange(m)
-        e = np.exp(np.exp(2j * np.pi * r / m) * x[..., None])
-        sums = [np.sum(e * np.exp(-2j * np.pi * j * r / m), axis=-1) for j in js]
-        v = (np.stack(sums, axis=-1) / m).real
+        e = np.exp(np.exp(2j * np.pi * r / m) * x.reshape(-1, 1))
+        # each residue's phase row exp(-2 pi i j r / m), its scalar -2 pi i j in Python
+        rows = np.exp(np.array([-2j * np.pi * j for j in js])[:, None] * r / m)
+        sums = np.empty((x.size, len(js)), dtype=complex)
+        step = max(1, _PRODUCT_TERMS // rows.size)  # points per (point, residue, r) product
+        for lo in range(0, x.size, step):
+            np.sum(e[lo : lo + step, None, :] * rows, axis=-1, out=sums[lo : lo + step])
+        v = (sums.reshape(x.shape + (len(js),)) / m).real
         v = np.where(x[..., None] == 0, [float(j == 0) for j in js], v)
     if np.any(v < -CLAMP_TOL):
         raise ArithmeticError(

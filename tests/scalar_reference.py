@@ -41,6 +41,25 @@ def sectioned_exp(x: float, modulus: int, residue: int) -> float:
     return v
 
 
+def codeword_fock(L, d, alpha, k, q, amplitude=None, n_max=None):
+    """One Fock word w_{k,q} as the one-word oracle built it, for int k and q."""
+    amp = alpha if amplitude is None else amplitude
+    if n_max is None:
+        top = max(alpha, amp)
+        n_max = max(int(np.ceil(top * top + 8.0 * top + 25.0)), 64)
+    beta = _sector_amplitude(L, d, k, amp)
+    n = np.arange(n_max + 1)
+    mask = (n % (L + 1)) == (-q) % (L + 1)
+    log_fact = np.zeros(n_max + 1)
+    log_fact[1:] = np.cumsum(np.log(np.arange(1, n_max + 1, dtype=float)))
+    log_mag = np.full(n_max + 1, -np.inf)
+    log_mag[mask] = n[mask] * np.log(abs(beta)) - 0.5 * log_fact[mask]
+    log_mag -= log_mag.max()
+    coeffs = np.exp(log_mag) * np.exp(1j * n * np.angle(beta))
+    coeffs[~mask] = 0.0
+    return coeffs / np.linalg.norm(coeffs)
+
+
 def _cmul(ar, ai, br, bi):
     return ar * br - ai * bi, ar * bi + ai * br
 

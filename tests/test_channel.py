@@ -8,8 +8,11 @@ import pytest
 
 from catloss import codes, fock
 from catloss.codes import CodeSpec, LogicalCoeffs, codeword_fock, gram_matrix
+from catloss.series import log_factorials
 from catloss.channel import (
+    KRAUS_RESIDUAL,
     ChannelParams,
+    _kraus_factors,
     channel_apply_exact,
     class_probabilities,
     class_probabilities_kraus,
@@ -100,6 +103,43 @@ class TestChannelExact:
         rho = 2.0 * projector(fock.basis_state(0, 8))
         with pytest.raises(ValueError):
             channel_apply_exact(rho, ChannelParams(0.9))
+
+    @staticmethod
+    def per_k_reference(rho, gamma):
+        """The channel one loss count at a time, stopping where the captured
+        probability first comes within KRAUS_RESIDUAL of the trace."""
+        n_max, trace_in = len(rho) - 1, float(np.trace(rho).real)
+        log_fact = log_factorials(n_max)
+        out, captured = np.zeros_like(rho, dtype=complex), 0.0
+        for k in range(n_max + 1):
+            f = _kraus_factors(n_max, gamma, k, log_fact)
+            block = np.outer(f, f) * rho[k:, k:]
+            out[: n_max + 1 - k, : n_max + 1 - k] += block
+            captured += float(np.trace(block).real)
+            if captured > trace_in - KRAUS_RESIDUAL:
+                return out
+        raise AssertionError("the reference captured too little probability")
+
+    @staticmethod
+    def random_density_matrix(dim, seed):
+        a = np.random.default_rng(seed).normal(size=(dim, 2 * dim)).view(complex)
+        rho = a @ a.conj().T
+        return rho / np.trace(rho).real
+
+    @pytest.mark.parametrize("gamma", [0.3, 0.9, 1.0])
+    def test_matches_per_k_reference(self, gamma):
+        states = [projector(encode(CodeSpec(L, d, alpha), LogicalCoeffs.balanced(d)))
+                  for L, d, alpha in ((1, 2, 2.0), (2, 2, 3.0), (1, 3, 2.0))]
+        states += [self.random_density_matrix(24, seed) for seed in (1, 2)]
+        for rho in states:
+            out = channel_apply_exact(rho, ChannelParams(gamma))
+            assert np.max(np.abs(out - self.per_k_reference(rho, gamma))) <= 1e-15
+
+    def test_truncation_error_kept(self, monkeypatch):
+        # no cumulative captured probability reaches a trace beyond the input's
+        monkeypatch.setattr("catloss.channel.KRAUS_RESIDUAL", -1e-3)
+        with pytest.raises(fock.TruncationError, match="captured by k <= 8"):
+            channel_apply_exact(projector(fock.basis_state(3, 8)), ChannelParams(0.5))
 
 
 class TestClassProbabilities:

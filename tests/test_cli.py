@@ -918,6 +918,20 @@ class TestExitCodes:
         assert run(["verify"], capsys)[0] == 0
         assert len(calls) == 4
 
+    def test_verify_builds_words_and_kraus_factors_in_array_passes(self, monkeypatch, capsys):
+        # one word call per code and amplitude (30 calls were one word each) and
+        # one Kraus-factor pass per exact channel (38 were one loss count each)
+        words, factors = [], []
+        real_words, real_factors = codes.codeword_fock, channel._kraus_factors
+        for module in ("codes", "channel", "restore", "qec"):
+            monkeypatch.setattr(f"catloss.{module}.codeword_fock",
+                                lambda *a, **kw: words.append(a) or real_words(*a, **kw))
+        monkeypatch.setattr("catloss.channel._kraus_factors",
+                            lambda *a: factors.append(a) or real_factors(*a))
+        assert run(["verify"], capsys)[0] == 0
+        assert len(words) <= 11
+        assert len(factors) <= 4
+
     def test_verify_passes_on_clean_build(self, capsys):
         code, out = run(["verify"], capsys)
         assert code == 0

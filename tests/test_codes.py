@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import scalar_reference as ref
 from catloss import fock
 from catloss.channel import (
     ChannelParams,
@@ -169,6 +170,45 @@ class TestFockSeries:
         word = codeword_fock(CodeSpec(1, 2, 2.0), 1, 1)
         lead = word[1] / abs(word[1])
         assert abs(lead - 1.0j) < 1e-12
+
+
+class TestCodewordArrays:
+    """``codeword_fock`` with arrays of sectors and spaces equals, word for
+    word and bit for bit, the one-word calls and the frozen one-word oracle."""
+
+    @pytest.mark.parametrize("L", range(7))
+    @pytest.mark.parametrize("d", range(2, 6))
+    def test_words_equal_one_word_calls(self, L, d):
+        alpha = 0.5 + 1.1 * L + 0.7 * d
+        spec = CodeSpec(L, d, alpha)
+        for amp in (None, alpha * math.sqrt(0.9), alpha * math.sqrt(0.35)):
+            for n_max in (None, spec.n_max() + 7):
+                words = codeword_fock(spec, np.arange(d), np.arange(L + 1)[:, None], amp, n_max)
+                assert words.shape == (L + 1, d, (n_max or spec.n_max()) + 1)
+                for q in range(L + 1):
+                    for k in range(d):
+                        one = codeword_fock(spec, k, q, amp, n_max)
+                        frozen = ref.codeword_fock(L, d, alpha, k, q, amp, n_max)
+                        assert np.array_equal(words[q, k], one), (amp, n_max, k, q)
+                        assert np.array_equal(one, frozen), (amp, n_max, k, q)
+                        for part in (np.real, np.imag):  # signed zeros too
+                            assert np.array_equal(np.signbit(part(one)), np.signbit(part(frozen)))
+
+    def test_sectors_and_spaces_broadcast(self):
+        spec = CodeSpec(2, 3, 2.5)
+        k = np.array([[2], [0]])
+        words = codeword_fock(spec, k, [1, 2, 0])
+        assert words.shape == (2, 3, spec.n_max() + 1)
+        assert np.array_equal(words[0, 1], codeword_fock(spec, 2, 2))
+        assert np.array_equal(words[1, 2], codeword_fock(spec, 0, 0))
+        assert codeword_fock(spec, [1], 0).shape == (1, spec.n_max() + 1)
+
+    def test_array_indices_range_checked(self):
+        spec = CodeSpec(1, 2, 2.0)
+        with pytest.raises(ValueError, match=r"logical index k=2 outside \[0, 2\)"):
+            codeword_fock(spec, [0, 1, 2], 0)
+        with pytest.raises(ValueError, match=r"space index q=-1 outside \[0, 1\]"):
+            codeword_fock(spec, 0, np.array([[0], [-1]]))
 
 
 class TestFockOraclesTakeOneAmplitude:

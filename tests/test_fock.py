@@ -137,6 +137,30 @@ class TestInnerOuterMix:
         assert np.max(np.abs(rho - expected)) < 1e-12
         assert abs(np.trace(rho).real - 1.0) < 1e-10
 
+    def test_normalized_stack_divides_each_row_by_its_norm(self):
+        u, v = fock.coherent_state(1.0, 32), 3.0 * fock.coherent_state(0.5j, 32)
+        stack = np.array([[u, v], [v, 2.0 * u]])
+        out = fock.normalized(stack)
+        for i in range(2):
+            for j in range(2):
+                assert np.array_equal(out[i, j], fock.normalized(stack[i, j]))
+        with pytest.raises(ValueError, match="zero vector"):
+            fock.normalized(np.array([u, 0.0 * u]))
+
+    def test_mix_rejects_empty_list(self):
+        with pytest.raises(ValueError, match="empty mixture"):
+            fock.mix([])
+
+    def test_mix_rejects_negative_weight(self):
+        u = fock.coherent_state(1.0, 32)
+        with pytest.raises(ValueError, match="negative weight -0.25"):
+            fock.mix([(1.25, u), (-0.25, u)])
+
+    def test_mix_rejects_states_of_different_lengths(self):
+        u, v = fock.coherent_state(1.0, 32), fock.coherent_state(1.0, 40)
+        with pytest.raises(ValueError, match="differ in length: 41 vs 33"):
+            fock.mix([(0.5, u), (0.5, v)])
+
     def test_density_matrix_hermitian_and_psd(self):
         rho = fock.mix([(0.5, fock.coherent_state(1.0, 32)),
                         (0.5, fock.coherent_state(1.0j, 32))])

@@ -8,7 +8,10 @@ arm compares the stdout sha256, the exit code and stderr, with
 warning-location lines (``*.py:N:``) dropped from stderr.  The ``--out`` arm
 runs the argv again with ``--out data`` appended and also compares the sha256
 of ``data``, its manifest without ``created_utc`` and the names of the files
-left in the directory.  It prints each mismatch and exits 1 if there is any.
+left in the directory.  ``verify``'s report is compared by check name, ok/FAIL
+status and tolerance, with its manifest's ``output_sha256`` dropped, since its
+values are roundoff residuals of the oracles; a moved residual is printed as
+a note, not a mismatch.  It prints each mismatch and exits 1 if there is any.
 The argvs: the benchmark workloads at seeds 0, 1 and 7, ``tables`` in CSV and
 JSON, 10^5-station traces restored every 3, 4097 and 50000 stations and a
 1,234,560-station trace, each in CSV and JSON, ``kl-report`` at L 0-3 in both
@@ -74,6 +77,21 @@ def argvs():
     return list(dict.fromkeys(map(tuple, found)))  # distinct, in order
 
 
+# one check of verify's report: status, name, residual, tolerance
+_VERIFY_LINE = re.compile(r"^(ok  |FAIL) (.*): (\S+) \(tol (\S+)\)$")
+
+
+def _verify_report(text):
+    """The report's lines with each residual cut out, and the residuals by check name."""
+    lines, residuals = [], {}
+    for line in text.splitlines():
+        m = _VERIFY_LINE.match(line)
+        if m:
+            line, residuals[m[2]] = f"{m[1]} {m[2]} (tol {m[4]})", m[3]
+        lines.append(line)
+    return lines, residuals
+
+
 def _sha256(path):
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -83,7 +101,8 @@ def _sha256(path):
 
 
 def outcome(src, argv):
-    """What ``argv`` leaves behind in an empty directory; stdout goes to a file
+    """What ``argv`` leaves behind in an empty directory, and ``verify``'s
+    residuals by check name ({} for other commands); stdout goes to a file
     beside it, so a long trace is hashed without being held in memory."""
     with tempfile.TemporaryDirectory() as tmp:
         cwd, stdout = Path(tmp, "cwd"), Path(tmp, "stdout")
@@ -96,23 +115,34 @@ def outcome(src, argv):
         err = [ln for ln in proc.stderr.decode().splitlines()
                if not re.search(r"\.py:\d+:", ln)]
         files = sorted(path.name for path in cwd.iterdir())
-        data = _sha256(cwd / "data") if (cwd / "data").is_file() else None
+        data = cwd / "data" if (cwd / "data").is_file() else None
+        dropped = ('"created_utc"', '"output_sha256"') if argv[0] == "verify" else ('"created_utc"',)
         manifest = cwd / "data.manifest.json"
-        manifest = ([ln for ln in manifest.read_text().splitlines() if '"created_utc"' not in ln]
-                    if manifest.is_file() else None)
-        return _sha256(stdout), proc.returncode, err, files, data, manifest
+        manifest = ([ln for ln in manifest.read_text().splitlines()
+                     if not any(key in ln for key in dropped)] if manifest.is_file() else None)
+        if argv[0] != "verify":
+            data = data and _sha256(data)
+            return (_sha256(stdout), proc.returncode, err, files, data, manifest), {}
+        out, residuals = _verify_report(stdout.read_text())
+        if data:
+            data, residuals = _verify_report(data.read_text())
+        return (out, proc.returncode, err, files, data, manifest), residuals
 
 
 def main(old_src, new_src):
     todo, bad = argvs(), 0
     for argv in todo:
         for arm in (argv, [*argv, "--out", "data"]):
-            old, new = outcome(old_src, arm), outcome(new_src, arm)
+            (old, old_res), (new, new_res) = outcome(old_src, arm), outcome(new_src, arm)
             if old != new:
                 bad += 1
                 print(f"MISMATCH {shlex.join(arm)}\n  old: {old}\n  new: {new}", flush=True)
+            for name in sorted(old_res.keys() & new_res.keys()):
+                if old_res[name] != new_res[name]:
+                    print(f"note: {shlex.join(arm)}: {name} moved from {old_res[name]} to "
+                          f"{new_res[name]}", flush=True)
     print(f"{2 * len(todo) - bad} of {2 * len(todo)} runs ({len(todo)} argvs, each to stdout "
-          f"and to --out) byte-identical")
+          f"and to --out) byte-identical, verify by name, status and tolerance")
     return 1 if bad else 0
 
 
