@@ -35,6 +35,7 @@ from .channel import (
     kraus_apply,
     logical_mixture,
     mixture_weights,
+    thinning_weights,
 )
 from .qec import (
     FidelityResult,
@@ -65,7 +66,7 @@ __all__ = [
     "codeword_fock", "verify_code_equations",
     "ChannelParams", "LossClassWeights",
     "channel_apply_exact", "class_probabilities", "class_probabilities_kraus",
-    "encode", "kraus_apply", "logical_mixture", "mixture_weights",
+    "encode", "kraus_apply", "logical_mixture", "mixture_weights", "thinning_weights",
     "FidelityResult", "KLReport", "fidelity_bound", "fidelity_from_weights",
     "kl_check",
     "FilterParams", "filter_operators", "filter_params",

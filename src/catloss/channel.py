@@ -19,7 +19,9 @@ where p_j is the loss-class probability
 built from sectioned exponentials S and sectioned codeword norms Nq, and the
 N_j / N ratio renormalizes for the input-dependent codeword overlaps.  The
 two routes agree to machine precision; the oracle-equivalence tests enforce
-agreement to 1e-8 in trace distance.
+agreement to 1e-8 in trace distance.  ``thinning_weights`` gives the same
+weights from ``series.class_sums`` alone, with no Gram matrix and accurate in
+relative terms; ``weights`` reads it, the chain commands ``mixture_weights``.
 
 The closed forms take batches: ``CodeSpec.alpha``, ``ChannelParams.gamma``
 and the logical coefficients may carry batch shapes, and the results lead
@@ -34,7 +36,7 @@ import numpy as np
 
 from . import fock
 from .codes import CodeSpec, LogicalCoeffs, codeword_fock, codeword_norm_sq, gram_matrix
-from .series import log_factorials, sectioned_exp
+from .series import class_sums, log_factorials, sectioned_exp
 
 # Residual probability left unsummed by the exact Kraus evolution.
 KRAUS_RESIDUAL = 1e-12
@@ -193,6 +195,43 @@ def mixture_weights(
                                      grams[..., None, :, :, :])
     ptilde = p * branch_norms.reshape(*branch_norms.shape[:-2], spec.cycle) / input_norm[..., None]
     return LossClassWeights(ptilde=ptilde, gram=gram, damped_grams=grams)
+
+
+def thinning_weights(spec: CodeSpec, coeffs: LogicalCoeffs, params: ChannelParams) -> np.ndarray:
+    """The weights ptilde of the output mixture (the ``ptilde`` of ``mixture_weights``)
+    as the binomial thinning of the input's photon numbers, with no Gram matrix.
+
+    The input holds photon numbers n = (L+1) l with weight |c_hat_{l mod d}|^2 x^n/n!
+    (x = alpha^2, c_hat_s = sum_k c_k e^{2 pi i k s/d}); of them k ~ Binomial(n, 1-gamma)
+    are lost, so with A = ``class_sums``((1-gamma) x) and B = ``class_sums``(gamma x)
+
+        ptilde_j  propto  A_j sum_s |c_hat_s|^2 B_{(s(L+1) - j) mod d(L+1)},
+
+    normalized by its own total.  Every weight is a ratio of sums of nonnegative
+    terms, accurate in relative terms however small; a batch has its points' bits.
+    """
+    if coeffs.d != spec.d:
+        raise ValueError(f"coefficient count {coeffs.d} != logical dimension {spec.d}")
+    alpha = np.asarray(spec.alpha, dtype=float)
+    gamma = np.asarray(params.gamma, dtype=float)
+    with np.errstate(over="ignore"):  # reported below
+        x = alpha * alpha
+    if not np.all(np.isfinite(x)):
+        raise ArithmeticError(f"alpha**2 overflows at alpha={alpha[~np.isfinite(x)].flat[0]}")
+    lost, kept = class_sums(np.stack(np.broadcast_arrays((1.0 - gamma) * x, gamma * x)),
+                            spec.cycle)
+    # |c_hat_s|^2 in real arithmetic, k along the last axis: a complex product may fuse
+    s = np.arange(spec.d)
+    angle = 2 * np.pi / spec.d * s[:, None] * s  # (s, k)
+    cos, sin = np.cos(angle), np.sin(angle)
+    c = coeffs.values[..., None, :]
+    re = (c.real * cos - c.imag * sin).sum(axis=-1)
+    im = (c.real * sin + c.imag * cos).sum(axis=-1)
+    c_hat_sq = re * re + im * im
+    j = np.arange(spec.cycle)[:, None]
+    kept = kept[..., (s * spec.spaces - j) % spec.cycle]  # (..., j, s)
+    w = lost * (kept * c_hat_sq[..., None, :]).sum(axis=-1)
+    return w / w.sum(axis=-1, keepdims=True)
 
 
 def _superpose(words: np.ndarray, coeffs: np.ndarray) -> np.ndarray:

@@ -224,8 +224,8 @@ def cmd_weights(args) -> int:
     coeffs = _coeffs(args, spec.d)
     grid = _gamma_grid(args)
     columns = ["gamma"] + [f"ptilde_{j}" for j in range(spec.cycle)]
-    w = channel.mixture_weights(spec, coeffs, channel.ChannelParams(grid))
-    _emit(columns, np.column_stack([grid, w.ptilde]).tolist(), args)
+    ptilde = channel.thinning_weights(spec, coeffs, channel.ChannelParams(grid))
+    _emit(columns, np.column_stack([grid, ptilde]).tolist(), args)
     return 0
 
 
@@ -388,8 +388,12 @@ def cmd_verify(args) -> int:
         mixture = channel.logical_mixture(spec_i, coeffs, params)
         ok &= _check(f"mixture vs exact channel (L={L}, d={d})",
                      fock.trace_distance(exact, fock.mix(mixture)), 1e-8, lines)
+        weights = np.array([w for w, _ in mixture])
         ok &= _check(f"weights sum to one (L={L}, d={d})",
-                     abs(float(np.sum([w for w, _ in mixture])) - 1.0), 1e-10, lines)
+                     abs(float(np.sum(weights)) - 1.0), 1e-10, lines)
+        thinning = channel.thinning_weights(spec_i, coeffs, params)
+        ok &= _check(f"mixture weights vs binomial thinning (L={L}, d={d})",
+                     float(np.max(np.abs(weights - thinning))), 1e-12, lines)
 
     fp = restore.filter_params(0.3 + 0.2j)
     a_s, a_f = restore.filter_operators(fp)

@@ -56,7 +56,7 @@ class FidelityResult:
 
 
 def _code_basis(spec: CodeSpec, basis: str):
-    words = [codeword_fock(spec, k, 0) for k in range(spec.d)]
+    words = list(codeword_fock(spec, np.arange(spec.d), 0))
     if basis == "Z":
         return words
     if basis == "X":

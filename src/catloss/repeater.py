@@ -57,8 +57,14 @@ class RepeaterConfig:
     attenuation_km: float = DEFAULT_ATTENUATION_KM
     ar_every: int = 1
 
+    _columns: tuple = field(init=False, repr=False)
+
     def __post_init__(self):
-        total, spacing, attenuation, ar_every = self.columns()[:4]
+        *broadcast, values = np.broadcast_arrays(*(np.expand_dims(c, -1) for c in (
+            self.total_km, self.spacing_km, self.attenuation_km, self.ar_every,
+            self.spec.alpha)), self.coeffs.values)
+        object.__setattr__(self, "_columns", (*(c[..., 0] for c in broadcast), values))
+        total, spacing, attenuation, ar_every = self._columns[:4]
         with np.errstate(all="ignore"):  # a non-finite ratio fails its check below
             ratio = total / spacing
         for ok, message, *columns in [
@@ -75,13 +81,11 @@ class RepeaterConfig:
                 i = np.argmin(ok)
                 raise ValueError(message.format(*(np.ravel(c)[i].item() for c in columns)))
 
-    def columns(self) -> list[np.ndarray]:
+    def columns(self) -> tuple[np.ndarray, ...]:
         """total_km, spacing_km, attenuation_km, ar_every and alpha broadcast to
-        the set's shape, then the logical amplitudes broadcast to it plus (d,)."""
-        *columns, values = np.broadcast_arrays(*(np.expand_dims(c, -1) for c in (
-            self.total_km, self.spacing_km, self.attenuation_km, self.ar_every,
-            self.spec.alpha)), self.coeffs.values)
-        return [c[..., 0] for c in columns] + [values]
+        the set's shape, then the logical amplitudes broadcast to it plus (d,);
+        broadcast once, when the set is made."""
+        return self._columns
 
     @property
     def n_stations(self):

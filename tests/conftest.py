@@ -13,7 +13,8 @@ from catloss.repeater import RepeaterConfig
 
 def pytest_addoption(parser):
     parser.addoption("--bits-examples", type=int, default=25,
-                     help="examples per derandomized bit test (tests/test_batch_bits.py)")
+                     help="examples per derandomized bit test (tests/test_batch_bits.py,"
+                          " tests/test_class_sums.py)")
 
 
 def pytest_configure(config):

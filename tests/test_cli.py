@@ -137,6 +137,37 @@ class TestWeights:
         assert code == 0
         assert out == run(base + unit, capsys)[1]
 
+    # on the Gram route the first five exited 2 with NaN or wrote negative
+    # weights, --L 50 tripped the filter's clamp and --L 100000 ran past 60 s
+    @pytest.mark.filterwarnings("ignore:alpha=0.001:UserWarning")
+    @pytest.mark.parametrize("flags", [
+        "--L 1 --alpha 30 --gamma-steps 2",
+        "--L 1 --alpha 1e4 --gamma-steps 2",
+        "--L 3 --alpha 0.5 --gamma-min 5e-324 --gamma-max 5e-324 --gamma-steps 1",
+        "--L 5 --d 2 --alpha 1e-3 --gamma-steps 4",
+        "--L 7 --d 4 --alpha 0.2 --gamma-steps 3",
+        "--L 50 --alpha 5",
+        "--L 100000 --alpha 2 --gamma-steps 2",
+    ])
+    def test_weights_are_probabilities_over_the_domain(self, flags, capsys):
+        code, out = run(["weights", *flags.split()], capsys)
+        assert code == 0
+        _, rows = parse_csv(out)
+        weights = np.array(rows, dtype=float)[:, 1:]
+        assert np.all(np.isfinite(weights)) and np.all((weights >= 0) & (weights <= 1))
+        assert np.all(abs(weights.sum(axis=1) - 1.0) <= 1e-10)
+
+    def test_runs_no_gram_kernel_filter_or_class_probabilities(self, monkeypatch, capsys):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the weights path reached the Gram route")
+
+        for name in ("catloss.channel.mixture_weights", "catloss.channel.class_probabilities",
+                     "catloss.channel.gram_matrix", "catloss.channel.sectioned_exp",
+                     "catloss.codes.sectioned_exp", "catloss.codes._coherent_gram"):
+            monkeypatch.setattr(name, refuse)
+        for d in ("2", "4"):
+            assert run(["weights", "--L", "6", "--d", d, "--alpha", "8"], capsys)[0] == 0
+
     def test_qutrit_weights(self, capsys):
         code, out = run(
             ["weights", "--L", "1", "--d", "3", "--alpha", "2",
@@ -209,16 +240,17 @@ class TestKlReport:
         assert max(deform) < 1e-12
 
     def test_builds_each_word_once_per_amplitude(self, monkeypatch, capsys):
-        # one kl_check per amplitude builds its two basis words once, not once
-        # per loss count: 12 words for six amplitudes where there were 48
+        # one kl_check per amplitude builds its two basis words once, in one call,
+        # not once per loss count: 12 words in 6 calls for six amplitudes
         built, real = [], codes.codeword_fock
         monkeypatch.setattr("catloss.qec.codeword_fock",
-                            lambda *a, **kw: built.append(a) or real(*a, **kw))
+                            lambda *a, **kw: built.append(real(*a, **kw)) or built[-1])
         for basis in ("Z", "X"):
             built.clear()
             assert run(["kl-report", "--L", "1", "--alphas", "1,2,3,4,5,6", "--basis", basis],
                        capsys)[0] == 0
-            assert len(built) == 12
+            assert len(built) == 6
+            assert sum(len(np.atleast_2d(words)) for words in built) == 12
 
     def test_collinear_x_basis_is_one(self, capsys):
         # at alpha = 1e-300 the two codewords are equal, so w0 - w1 is zero
@@ -525,9 +557,9 @@ class TestOutputsAndManifest:
             capsys,
         )
         _, rows = parse_csv(out)
-        from catloss import CodeSpec, LogicalCoeffs, ChannelParams, mixture_weights
-        w = mixture_weights(CodeSpec(1, 2, 2.0), LogicalCoeffs.balanced(), ChannelParams(0.9))
-        assert float(rows[0][1]) == w.ptilde[0]
+        from catloss import CodeSpec, LogicalCoeffs, ChannelParams, thinning_weights
+        w = thinning_weights(CodeSpec(1, 2, 2.0), LogicalCoeffs.balanced(), ChannelParams(0.9))
+        assert float(rows[0][1]) == w[0]
 
 
 class TestConfigFile:
@@ -684,8 +716,9 @@ class TestExitCodes:
         "argv",
         [
             ["fidelity", "--L", "40", "--alpha", "5", "--gamma-steps", "2"],
-            ["weights", "--L", "1", "--alpha", "30", "--gamma-steps", "2"],
-            ["weights", "--L", "1", "--alpha", "30", "--gamma-steps", "2", "--format", "json"],
+            # the Gram route of fidelity's mixture weights overflows to NaN
+            ["fidelity", "--L", "1", "--alpha", "30", "--gamma-steps", "2"],
+            ["fidelity", "--L", "1", "--alpha", "30", "--gamma-steps", "2", "--format", "json"],
             ["repeater", "--L", "4", "--alpha", "30", "--total-km", "1"],
             ["sweep", "--L", "4", "--alpha", "7", "--total-km", "1",
              "--axis", "alpha", "--values", "30"],
@@ -766,20 +799,19 @@ class TestExitCodes:
         # NaN in the last gamma row / the last period row (the chain's restoring
         # row, last in its one mixture batch): every row is rendered before
         # the first byte goes out
-        real_weights = channel.mixture_weights
+        real_thinning, real_weights = channel.thinning_weights, channel.mixture_weights
 
         def nan_at_gamma_max(spec, coeffs, params):
             # one call per grid: NaN in the rows of gamma = 1 only
-            w = real_weights(spec, coeffs, params)
             at_max = np.asarray(params.gamma)[..., None] == 1.0
-            return replace(w, ptilde=np.where(at_max, math.nan, w.ptilde))
+            return np.where(at_max, math.nan, real_thinning(spec, coeffs, params))
 
         def nan_in_last_row(spec, coeffs, params):
             w = real_weights(spec, coeffs, params)
             last = np.arange(len(w.ptilde))[:, None] == len(w.ptilde) - 1
             return replace(w, ptilde=np.where(last, math.nan, w.ptilde))
 
-        monkeypatch.setattr("catloss.channel.mixture_weights", nan_at_gamma_max)
+        monkeypatch.setattr("catloss.channel.thinning_weights", nan_at_gamma_max)
         monkeypatch.setattr("catloss.repeater.mixture_weights", nan_in_last_row)
         out = ["--out", str(tmp_path / "data")] if to_file else []
         code = main(DATASETS[dataset] + out)

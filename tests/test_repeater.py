@@ -1,6 +1,7 @@
 """Chain simulation: composition, schemes, sweeps, reference rows."""
 
 import math
+import sys
 import warnings
 from dataclasses import replace
 
@@ -119,6 +120,19 @@ class TestConfig:
 
     def test_station_count(self):
         assert config(total=1000.0, spacing=0.1).n_stations == 10000
+
+    def test_columns_broadcast_once(self, monkeypatch):
+        # the set's columns are broadcast when it is made, not again by
+        # n_stations or simulate_chains (three times before)
+        callers, real = [], np.broadcast_arrays
+        monkeypatch.setattr(np, "broadcast_arrays", lambda *a: callers.append(
+            sys._getframe(1).f_globals["__name__"]) or real(*a))
+        cfg = config(alpha=np.array([6.0, 7.0]))
+        results = simulate_chains(cfg)
+        assert callers.count("catloss.repeater") == 1
+        assert cfg.columns() is cfg.columns()
+        monkeypatch.undo()
+        assert results == [simulate_chains(c)[0] for c in chains_of(cfg)]
 
 
 class TestSimulateChain:

@@ -1,11 +1,13 @@
 """Mixture weights against an mpmath oracle: the binomial thinning of the
 input's photon-number distribution, which needs no sectioned exponential,
-no codeword and no Gram matrix."""
+no codeword and no Gram matrix.  ``mixture_weights`` (the Gram route) and
+``channel.thinning_weights`` (the class-sum route) are checked against it."""
 
 import mpmath
 import numpy as np
 import pytest
 
+from catloss import channel
 from catloss.channel import ChannelParams, mixture_weights
 from catloss.codes import CodeSpec, LogicalCoeffs
 
@@ -53,12 +55,21 @@ def _check(L, d, alpha, gamma, seed):
     assert np.all(rel <= 1e-12), (np.max(rel), got, want)
 
 
-@pytest.mark.parametrize("L,d,alpha,gamma", [
+POINTS = [
     (1, 2, 2.0, 0.5), (1, 2, 2.0, 0.75), (1, 2, 2.0, 1.0),
     (2, 2, 3.0, 0.5), (2, 2, 3.0, 0.9),
     (3, 3, 5.0, 0.5), (3, 3, 5.0, 0.8),
     (6, 4, 8.0, 0.5),
-])
+]
+
+SMALL_WEIGHT_POINTS = [
+    (6, 4, 8.0, 0.99),  # weights near 1e-34 come out near 1e-15
+    (7, 4, 0.2, 0.5), (7, 4, 0.2, 0.75),  # weights negative or clamped to 0
+    (5, 2, 1e-3, 2 / 3), (5, 2, 1e-3, 5 / 6),  # NaN
+]
+
+
+@pytest.mark.parametrize("L,d,alpha,gamma", POINTS)
 @pytest.mark.parametrize("seed", [0, 1])
 def test_weights_match_thinning(L, d, alpha, gamma, seed):
     # within 1e-14 absolute, and 1e-12 relative on every weight above 1e-300
@@ -69,10 +80,21 @@ def test_weights_match_thinning(L, d, alpha, gamma, seed):
                    "tiny weights lose their relative accuracy, go negative or NaN")
 @pytest.mark.filterwarnings("ignore:alpha=0.001:UserWarning")
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the Gram kernel's 0/0
-@pytest.mark.parametrize("L,d,alpha,gamma", [
-    (6, 4, 8.0, 0.99),  # weights near 1e-34 come out near 1e-15
-    (7, 4, 0.2, 0.5), (7, 4, 0.2, 0.75),  # weights negative or clamped to 0
-    (5, 2, 1e-3, 2 / 3), (5, 2, 1e-3, 5 / 6),  # NaN
-])
+@pytest.mark.parametrize("L,d,alpha,gamma", SMALL_WEIGHT_POINTS)
 def test_small_weights_match_thinning(L, d, alpha, gamma):
     _check(L, d, alpha, gamma, 0)
+
+
+@pytest.mark.filterwarnings("ignore:alpha=0.001:UserWarning")
+@pytest.mark.parametrize("L,d,alpha,gamma", POINTS + SMALL_WEIGHT_POINTS)
+@pytest.mark.parametrize("seed", [0, 1])
+def test_class_sum_weights_match_thinning(L, d, alpha, gamma, seed):
+    # 1e-12 relative on every weight above 1e-300, the small ones included;
+    # nonnegative weights that sum to one within 1e-15 per class
+    c = _random_coeffs(d, seed)
+    got = channel.thinning_weights(CodeSpec(L, d, alpha), c, ChannelParams(gamma))
+    want = thinning_weights(L, d, alpha, gamma, c.values)
+    big = want > 1e-300
+    assert np.all(abs(got[big] - want[big]) <= 1e-12 * want[big]), (got, want)
+    assert np.all(got >= 0) and np.all(got[~big] <= 1e-300)
+    assert abs(got.sum() - 1.0) <= 1e-15 * d * (L + 1)

@@ -11,7 +11,10 @@ of ``data``, its manifest without ``created_utc`` and the names of the files
 left in the directory.  ``verify``'s report is compared by check name, ok/FAIL
 status and tolerance, with its manifest's ``output_sha256`` dropped, since its
 values are roundoff residuals of the oracles; a moved residual is printed as
-a note, not a mismatch.  It prints each mismatch and exits 1 if there is any.
+a note, not a mismatch.  It prints each mismatch and exits 1 if there is any;
+a CSV or JSON dataset whose bytes differ is printed with its largest deviation
+from the old tree's, scaled as the benchmark's reference check scales it
+(``perfbench/checks.max_deviation``).
 The argvs: the benchmark workloads at seeds 0, 1 and 7, ``tables`` in CSV and
 JSON, 10^5-station traces restored every 3, 4097 and 50000 stations and a
 1,234,560-station trace, each in CSV and JSON, ``kl-report`` at L 0-3 in both
@@ -31,8 +34,9 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-sys.path.insert(0, str(ROOT))
-from perfbench.workloads import WORKLOADS, commands  # noqa: E402
+sys.path.insert(0, str(ROOT / "perfbench"))
+from checks import max_deviation, parse_table  # noqa: E402
+from workloads import WORKLOADS, commands, output_format  # noqa: E402
 
 
 def _readme_argvs():
@@ -100,43 +104,65 @@ def _sha256(path):
     return digest.hexdigest()
 
 
-def outcome(src, argv):
-    """What ``argv`` leaves behind in an empty directory, and ``verify``'s
-    residuals by check name ({} for other commands); stdout goes to a file
-    beside it, so a long trace is hashed without being held in memory."""
-    with tempfile.TemporaryDirectory() as tmp:
-        cwd, stdout = Path(tmp, "cwd"), Path(tmp, "stdout")
-        cwd.mkdir()
-        with open(stdout, "wb") as out:
-            proc = subprocess.run([sys.executable, "-m", "catloss.cli", *argv], cwd=cwd,
-                                  env={**os.environ, "PYTHONPATH": str(Path(src).resolve())},
-                                  stdin=subprocess.DEVNULL, stdout=out,
-                                  stderr=subprocess.PIPE, timeout=600)
-        err = [ln for ln in proc.stderr.decode().splitlines()
-               if not re.search(r"\.py:\d+:", ln)]
-        files = sorted(path.name for path in cwd.iterdir())
-        data = cwd / "data" if (cwd / "data").is_file() else None
-        dropped = ('"created_utc"', '"output_sha256"') if argv[0] == "verify" else ('"created_utc"',)
-        manifest = cwd / "data.manifest.json"
-        manifest = ([ln for ln in manifest.read_text().splitlines()
-                     if not any(key in ln for key in dropped)] if manifest.is_file() else None)
-        if argv[0] != "verify":
-            data = data and _sha256(data)
-            return (_sha256(stdout), proc.returncode, err, files, data, manifest), {}
-        out, residuals = _verify_report(stdout.read_text())
-        if data:
-            data, residuals = _verify_report(data.read_text())
-        return (out, proc.returncode, err, files, data, manifest), residuals
+def outcome(src, argv, tmp):
+    """What ``argv`` leaves behind in an empty directory made in ``tmp``, and
+    ``verify``'s residuals by check name ({} for other commands); stdout goes to
+    a file beside it, so a long trace is hashed without being held in memory."""
+    cwd, stdout = Path(tmp, "cwd"), Path(tmp, "stdout")
+    cwd.mkdir()
+    with open(stdout, "wb") as out:
+        proc = subprocess.run([sys.executable, "-m", "catloss.cli", *argv], cwd=cwd,
+                              env={**os.environ, "PYTHONPATH": str(Path(src).resolve())},
+                              stdin=subprocess.DEVNULL, stdout=out,
+                              stderr=subprocess.PIPE, timeout=600)
+    err = [ln for ln in proc.stderr.decode().splitlines()
+           if not re.search(r"\.py:\d+:", ln)]
+    files = sorted(path.name for path in cwd.iterdir())
+    data = cwd / "data" if (cwd / "data").is_file() else None
+    dropped = ('"created_utc"', '"output_sha256"') if argv[0] == "verify" else ('"created_utc"',)
+    manifest = cwd / "data.manifest.json"
+    manifest = ([ln for ln in manifest.read_text().splitlines()
+                 if not any(key in ln for key in dropped)] if manifest.is_file() else None)
+    if argv[0] != "verify":
+        data = data and _sha256(data)
+        return (_sha256(stdout), proc.returncode, err, files, data, manifest), {}
+    out, residuals = _verify_report(stdout.read_text())
+    if data:
+        data, residuals = _verify_report(data.read_text())
+    return (out, proc.returncode, err, files, data, manifest), residuals
+
+
+def deviation(argv, old_tmp, new_tmp):
+    """The largest scaled deviation of the new dataset from the old one (the
+    ``--out`` file, else stdout): inf where their shapes differ (one run wrote
+    nothing), None where either does not parse as a CSV or JSON table."""
+    if argv[0] == "verify":
+        return None
+    tables = []
+    for tmp in (new_tmp, old_tmp):
+        path = Path(tmp, "cwd", "data")
+        path = path if path.is_file() else Path(tmp, "stdout")
+        try:
+            tables.append(parse_table(path.read_text(), output_format(argv)))
+        except (ValueError, KeyError):  # a failed run writes no table (DatasetError too)
+            return None
+    return max_deviation(*tables)
 
 
 def main(old_src, new_src):
     todo, bad = argvs(), 0
     for argv in todo:
         for arm in (argv, [*argv, "--out", "data"]):
-            (old, old_res), (new, new_res) = outcome(old_src, arm), outcome(new_src, arm)
+            with (tempfile.TemporaryDirectory() as old_tmp,
+                  tempfile.TemporaryDirectory() as new_tmp):
+                (old, old_res), (new, new_res) = (outcome(old_src, arm, old_tmp),
+                                                  outcome(new_src, arm, new_tmp))
+                dev = deviation(arm, old_tmp, new_tmp) if old != new else None
             if old != new:
                 bad += 1
                 print(f"MISMATCH {shlex.join(arm)}\n  old: {old}\n  new: {new}", flush=True)
+                if dev is not None:
+                    print(f"  largest deviation: {dev:.3g}", flush=True)
             for name in sorted(old_res.keys() & new_res.keys()):
                 if old_res[name] != new_res[name]:
                     print(f"note: {shlex.join(arm)}: {name} moved from {old_res[name]} to "
