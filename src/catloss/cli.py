@@ -31,7 +31,7 @@ from itertools import chain
 
 import numpy as np
 
-from . import __version__, channel, codes, fock, qec, repeater, restore
+from . import __version__, channel, codes, fock, qec, repeater
 
 # Restoration cadence of each scheme: restore at every n-th station.
 SCHEME_AR_EVERY = {"old": 1, "new": 2}
@@ -245,7 +245,7 @@ def cmd_klreport(args) -> int:
     columns = ["alpha"] + [f"{k}_{i}" for i in losses for k in ("ortho", "deform")]
     rows = [[spec.alpha] for spec in specs]
     for spec, row in zip(specs, rows):
-        for report in qec.kl_check(spec, args.basis, losses, losses):
+        for report in fock.kl_check(spec, args.basis, losses, losses):
             row += [report.ortho_violation, report.deform_violation]
     _emit(columns, rows, args)
     return 0
@@ -350,64 +350,13 @@ def cmd_tables(args) -> int:
     return 0
 
 
-def _check(name: str, value: float, tol: float, lines: list[str]) -> bool:
-    ok = value < tol
-    lines.append(f"{'ok  ' if ok else 'FAIL'} {name}: {value:.3e} (tol {tol:.0e})")
-    return ok
-
-
 def cmd_verify(args) -> int:
-    """Cross-check every closed form against its brute-force route."""
-    lines: list[str] = []
-    ok = True
-
-    a, b = 1.0, 1.0j
-    expected = np.exp(-abs(a) ** 2 / 2 - abs(b) ** 2 / 2 + np.conj(a) * b)
-    got = np.vdot(fock.coherent_state(a), fock.coherent_state(b))
-    ok &= _check("coherent-overlap closed form", abs(got - expected), 1e-12, lines)
-
-    spec = codes.CodeSpec(2, 2, 3.0)
-    diff = np.linalg.norm(codes.codeword_fock(spec, 1, 1) - codes.codeword_coherent(spec, 1, 1))
-    ok &= _check("fock/coherent codeword equivalence", diff, 1e-10, lines)
-
-    res = codes.verify_code_equations(spec, 1, 1)
-    ok &= _check("code-equation residuals", max(res.parity, res.lowering), 1e-9, lines)
-
-    params = channel.ChannelParams(0.9)
-    p_closed = channel.class_probabilities(spec, params)
-    p_kraus = channel.class_probabilities_kraus(spec, params)
-    ok &= _check("loss-class probabilities vs Kraus norms",
-                 float(np.max(np.abs(p_closed - p_kraus))), 1e-10, lines)
-
-    for L, d, alpha in ((1, 2, 2.0), (2, 2, 3.0), (1, 3, 2.0)):
-        spec_i = codes.CodeSpec(L, d, alpha)
-        coeffs = codes.LogicalCoeffs.balanced(d)
-        psi = channel.encode(spec_i, coeffs)
-        rho_in = np.outer(psi, psi.conj())
-        exact = channel.channel_apply_exact(rho_in, params)
-        mixture = channel.logical_mixture(spec_i, coeffs, params)
-        ok &= _check(f"mixture vs exact channel (L={L}, d={d})",
-                     fock.trace_distance(exact, fock.mix(mixture)), 1e-8, lines)
-        weights = np.array([w for w, _ in mixture])
-        ok &= _check(f"weights sum to one (L={L}, d={d})",
-                     abs(float(np.sum(weights)) - 1.0), 1e-10, lines)
-        thinning = channel.thinning_weights(spec_i, coeffs, params)
-        ok &= _check(f"mixture weights vs binomial thinning (L={L}, d={d})",
-                     float(np.max(np.abs(weights - thinning))), 1e-12, lines)
-
-    fp = restore.filter_params(0.3 + 0.2j)
-    a_s, a_f = restore.filter_operators(fp)
-    povm = a_s.T.conj() @ a_s + a_f.T.conj() @ a_f
-    ok &= _check("filter POVM completeness",
-                 float(np.max(np.abs(povm - np.eye(2)))), 1e-12, lines)
-
-    spec_t = codes.CodeSpec(1, 2, 2.0)
-    ct = codes.LogicalCoeffs.of(1.0, 1.0j)
-    closed = restore.teleport_success_from_weights(
-        channel.mixture_weights(spec_t, ct, channel.ChannelParams(0.95)), 1, ct)
-    assembled = restore.teleport_success_assembled(spec_t, 1, channel.ChannelParams(0.95), ct)
-    ok &= _check("teleport success vs assembled state", abs(closed - assembled), 1e-9, lines)
-
+    """Cross-check every closed form against its brute-force route (``fock.checks``)."""
+    lines, ok = [], True
+    for name, value, tol in fock.checks():
+        passed = value < tol
+        ok &= passed
+        lines.append(f"{'ok  ' if passed else 'FAIL'} {name}: {value:.3e} (tol {tol:.0e})")
     lines.append("all checks passed" if ok else "FAILURES present")
     write_output([], ["\n".join(lines).encode()], args)
     return 0 if ok else 2

@@ -1,4 +1,5 @@
-"""Rotation-symmetric coherent-superposition codewords.
+"""Rotation-symmetric coherent-superposition codes: parameters, logical
+amplitudes, codeword norms and overlaps in closed form.
 
 A code instance is fixed by the correctable loss order L, the logical
 dimension d and the coherent amplitude alpha.  Logical sector k of space q
@@ -15,8 +16,9 @@ and of a^(L+1) with eigenvalue beta_k^(L+1) = exp(2 pi i k/d) alpha^(L+1).
 
 Sector phases are kept exactly as the eigenvalue equations produce them (for
 instance the odd one-loss word of sector 1 leads with a factor i); fixing
-global phases here would silently rotate overlaps and channel branch phases
-downstream.
+global phases would silently rotate overlaps and channel branch phases
+downstream.  The words themselves, as Fock series or coherent sums, are the
+oracle's (``fock.codeword_fock``).
 """
 
 from __future__ import annotations
@@ -26,8 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import fock
-from .series import log_factorials, sectioned_exp
+from .series import sectioned_exp
 
 # Below this amplitude the codewords are nearly collinear.
 SMALL_ALPHA = 0.1
@@ -77,13 +78,6 @@ class CodeSpec:
     def cycle(self) -> int:
         """Loss-count period d(L+1): total coherent components of the code."""
         return self.d * (self.L + 1)
-
-    def n_max(self, amplitude: float | None = None) -> int:
-        """Fock cutoff covering alpha and ``amplitude``, both single values."""
-        for amp in (self.alpha, amplitude):
-            if np.ndim(amp):
-                raise ValueError(f"the Fock oracles take one amplitude, got shape {np.shape(amp)}")
-        return fock.default_n_max(max(self.alpha, amplitude or 0.0))
 
 
 def quiet_spec(L: int, d: int, alpha) -> CodeSpec:
@@ -171,54 +165,6 @@ def codeword_norm_sq(spec: CodeSpec, q, amplitude=None):
     or a sequence of spaces, which adds a last axis."""
     amp = np.asarray(spec.alpha if amplitude is None else amplitude, dtype=float)
     return sectioned_exp(amp * amp, spec.spaces, support_residue(spec, np.asarray(q)))
-
-
-def codeword_fock(
-    spec: CodeSpec,
-    k,
-    q,
-    amplitude: float | None = None,
-    n_max: int | None = None,
-) -> np.ndarray:
-    """Codewords w_{k,q} as their sectioned Fock series, each normalized within
-    truncation.  Sectors ``k`` and spaces ``q`` may be arrays; they broadcast,
-    and the words run along the last axis, shape (..., n_max + 1), each with
-    the bits of its one-word call.  The cutoff defaults to
-    ``spec.n_max(amplitude)``, which is ``spec.n_max()`` for every amplitude up
-    to alpha, so damped words share the code's truncation."""
-    amp = _codeword_amplitude(spec, k, q, amplitude)
-    cutoff = spec.n_max(amp)  # also when n_max is given: it rejects a batch of amplitudes
-    n_max = cutoff if n_max is None else n_max
-    # each sector's amplitude from a Python-int k, since numpy's complex division
-    # multiplies by the reciprocal; its modulus by hypot, as the scalar abs of a
-    # one-word call rounds it (the array abs rounds apart)
-    beta = np.array([sector_amplitude(spec, j, amp) for j in np.ravel(k).tolist()])
-    beta = beta.reshape(np.shape(k) + (1,))
-    log_abs, angle = np.log(np.hypot(beta.real, beta.imag)), np.arctan2(beta.imag, beta.real)
-    n = np.arange(n_max + 1)
-    mask = (n % spec.spaces) == support_residue(spec, np.asarray(q))[..., None]
-    log_mag = np.where(mask, n * log_abs - 0.5 * log_factorials(n_max), -np.inf)
-    log_mag -= log_mag.max(axis=-1, keepdims=True)
-    coeffs = np.exp(log_mag) * np.exp(1j * n * angle)
-    return fock.normalized(np.where(mask, coeffs, 0.0))
-
-
-def codeword_coherent(spec: CodeSpec, k: int, q: int) -> np.ndarray:
-    """Same codeword built as a phased sum of L+1 coherent states.
-
-    Serves as the independent construction route: the coherent sum collapses
-    onto the sectioned Fock series of ``codeword_fock`` including its global
-    phase, which the equivalence tests pin down.
-    """
-    beta = sector_amplitude(spec, k, _codeword_amplitude(spec, k, q, None))
-    n_max = spec.n_max()
-    m = spec.spaces
-    total = np.zeros(n_max + 1, dtype=complex)
-    for j in range(m):
-        phase = np.exp(2j * np.pi * q * j / m)
-        component = fock.coherent_state(beta * np.exp(2j * np.pi * j / m), n_max)
-        total += phase * component
-    return fock.normalized(total)
 
 
 def _cmul(ar, ai, br, bi):
@@ -314,37 +260,3 @@ def gram_matrix(spec: CodeSpec, q, amplitude=None) -> np.ndarray:
         rest = iter(np.moveaxis(g, -3, 0) if coherent else ())
         g = np.stack([trig[x] if x in trig else next(rest) for x in spaces], axis=-3)
     return g if np.ndim(q) else g[..., 0, :, :]
-
-
-@dataclass(frozen=True)
-class CodeResiduals:
-    """How far a state is from solving the code-defining equations."""
-
-    parity: float
-    lowering: float
-
-
-def verify_code_equations(spec: CodeSpec, k: int, q: int) -> CodeResiduals:
-    """Residuals of the two eigenvalue equations on a constructed codeword.
-
-    Returns ||(exp(2 pi i n_hat/(L+1)) - exp(-2 pi i q/(L+1))) |w>|| and
-    ||(a^(L+1) - exp(2 pi i k/d) alpha^(L+1)) |w>|| / alpha^(L+1); both are
-    below 1e-9 for library-constructed codewords under the truncation policy.
-
-    Losing q photons shifts the support to n = -q (mod L+1), so the parity
-    eigenvalue of space q is the inverse root of unity exp(-2 pi i q/(L+1));
-    the L+1 syndrome values stay distinct and perfectly distinguishable.
-
-    The truncation gets extra headroom beyond the construction policy:
-    a^(L+1) probes the top L+1 slots, and without the margin the residual
-    would report truncation dust instead of equation quality at the
-    largest working amplitudes.
-    """
-    w = codeword_fock(spec, k, q, n_max=spec.n_max() + 4 * spec.spaces + 16)
-    m = spec.spaces
-    parity_eig = np.exp(2j * np.pi * support_residue(spec, q) / m)
-    # the state on the left of each scalar product: swapped operands round differently
-    parity_res = float(np.linalg.norm(fock.parity_phase_apply(w, m) - w * parity_eig))
-    lower_eig = np.exp(2j * np.pi * k / spec.d) * spec.alpha**m
-    lower_res = float(np.linalg.norm(fock.annihilate(w, m) - w * lower_eig)) / spec.alpha**m
-    return CodeResiduals(parity=parity_res, lowering=lower_res)

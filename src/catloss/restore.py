@@ -13,46 +13,16 @@ branches (unambiguous discrimination) and succeeds with probability 1 - |s|,
 s the codeword overlap.  The teleportation success probability is assembled
 from the norms of the four Bell branches and the four candidate output
 qubits; all of them reduce to scalar functions of the damped-space overlap
-s_tilde and the code-space overlap s_bar.
+s_tilde and the code-space overlap s_bar.  The filter's operators and the
+assembled Fock state are the oracle's (``fock.teleport_success_assembled``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .codes import CodeSpec, LogicalCoeffs, _cmul, _pair_gram, codeword_fock
-from .channel import ChannelParams, LossClassWeights, _weighted_norm_sq
-
-
-@dataclass(frozen=True)
-class FilterParams:
-    """Decomposition of a nonorthogonal codeword pair with overlap s."""
-
-    b0: float
-    b1: float
-    phi: float
-
-
-def filter_params(s: complex) -> FilterParams:
-    """Basis weights (b0, b1) and overlap phase for codewords with overlap s;
-    |s| must be below 1 (NaN is rejected too)."""
-    mag = abs(s)
-    if not mag < 1.0:
-        raise ValueError(f"|s|={mag} >= 1: collinear codewords cannot be filtered")
-    b0 = np.sqrt((1.0 + mag) / 2.0)
-    b1 = np.sqrt((1.0 - mag) / 2.0)
-    phi = float(np.angle(s)) if s != 0 else 0.0
-    return FilterParams(b0=float(b0), b1=float(b1), phi=phi)
-
-
-def filter_operators(fp: FilterParams) -> tuple[np.ndarray, np.ndarray]:
-    """Success/failure operators in the {x, y} basis; together a complete POVM."""
-    ratio = fp.b1 / fp.b0
-    a_s = np.diag([ratio, 1.0])
-    a_f = np.diag([np.sqrt(1.0 - ratio**2), 0.0])
-    return a_s, a_f
+from .codes import LogicalCoeffs, _cmul, _pair_gram
+from .channel import LossClassWeights, _weighted_norm_sq
 
 
 def teleport_success_from_overlaps(s_tilde, s_bar, c: LogicalCoeffs):
@@ -94,45 +64,6 @@ def teleport_success_from_overlaps(s_tilde, s_bar, c: LogicalCoeffs):
     with np.errstate(divide="ignore", invalid="ignore"):
         p = np.float_power(1.0 - mag, 2.0) / (4.0 * n_omega * n_phi_hat) * branch_sum
     return np.where(saturated, 0.0, p)[()]
-
-
-def teleport_success_assembled(
-    spec: CodeSpec,
-    q: int,
-    params: ChannelParams,
-    c: LogicalCoeffs,
-) -> float:
-    """Success probability of restoring a qubit sitting in space q, by brute
-    force: assemble the four-branch post-filter state from explicit Fock
-    vectors and take its squared norm.  The qubit entered the channel at the
-    nominal alpha and now lives at sqrt(gamma) * alpha with coefficients c,
-    branch phase gates included; the target is the code space at the nominal
-    amplitude.  ``teleport_success_from_overlaps`` is the closed form.
-
-    Every norm entering the branch coefficients is computed from vector inner
-    products (two-mode norms via the tensor-product identity), none from the
-    sectioned closed forms, and the branches are stacked as a direct sum over
-    the orthonormal Bell outcomes.
-    """
-    if spec.d != 2:
-        raise ValueError("teleportation restore is defined for qubit codes only")
-    damped = np.sqrt(params.gamma) * spec.alpha
-    w0t, w1t = codeword_fock(spec, np.arange(2), q, damped)
-    wb = codeword_fock(spec, np.arange(2), 0)
-    s_tilde = complex(np.vdot(w0t, w1t))
-    s_bar = complex(np.vdot(*wb))
-    b1 = filter_params(s_tilde).b1
-    c0, c1 = c.values
-
-    # the states on the left of each scalar product: swapped operands round differently
-    n_omega = float(np.linalg.norm(w0t * c0 + w1t * c1)) ** 2
-    n_phi_hat = 1.0 + np.real(s_tilde * s_bar)
-    bell = np.array([1.0 + np.real(s_tilde**2), 1.0 - np.real(s_tilde**2),
-                     1.0 + abs(s_tilde) ** 2, 1.0 - abs(s_tilde) ** 2])
-    # the four output qubits (c0, c1), (c0, -c1), (c1, c0), (-c1, c0) in one product
-    outputs = np.array([[c0, c1], [c0, -c1], [c1, c0], [-c1, c0]]) @ wb
-    stacked = (b1**2 * np.sqrt(bell) / np.sqrt(n_omega * n_phi_hat))[:, None] * outputs
-    return float(np.vdot(stacked, stacked).real)
 
 
 def teleport_success_from_weights(weights: LossClassWeights, q, c: LogicalCoeffs):

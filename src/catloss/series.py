@@ -1,4 +1,4 @@
-"""Sectioned exponential series and log-factorial helpers.
+"""Sectioned exponential series.
 
 The sectioned exponential S_{m,j}(x) = sum_{n = j mod m} x^n / n! is the
 building block of every codeword norm, codeword overlap and loss-class
@@ -29,14 +29,6 @@ _PRODUCT_TERMS = 2**13
 
 # Elements per block of the class sums' (offset, direction, point) terms.
 _CLASS_TERMS = 2**14
-
-
-def log_factorials(n_max: int) -> np.ndarray:
-    """log(n!) for n = 0..n_max, accumulated iteratively to avoid overflow."""
-    out = np.zeros(n_max + 1)
-    if n_max > 0:
-        out[1:] = np.cumsum(np.log(np.arange(1, n_max + 1, dtype=float)))
-    return out
 
 
 def sectioned_exp(x, modulus: int, residue):

@@ -12,25 +12,23 @@ import numpy as np
 import pytest
 
 from catloss import fock
-from catloss.codes import CodeSpec, LogicalCoeffs, codeword_fock, gram_matrix
-from catloss.channel import (
-    ChannelParams,
+from catloss.codes import CodeSpec, LogicalCoeffs, gram_matrix
+from catloss.channel import ChannelParams, class_probabilities, mixture_weights
+from catloss.fock import (
     channel_apply_exact,
-    class_probabilities,
     class_probabilities_kraus,
+    codeword_fock,
     encode,
-    kraus_apply,
-    logical_mixture,
-    mixture_weights,
-)
-from catloss.qec import fidelity_from_weights, kl_check
-from catloss.repeater import RepeaterConfig, simulate_chains, sweep
-from catloss.restore import (
     filter_operators,
     filter_params,
+    kl_check,
+    kraus_apply,
+    logical_mixture,
     teleport_success_assembled,
-    teleport_success_from_weights,
 )
+from catloss.qec import fidelity_from_weights
+from catloss.repeater import RepeaterConfig, simulate_chains, sweep
+from catloss.restore import teleport_success_from_weights
 
 from conftest import central_difference, projector
 
@@ -95,7 +93,7 @@ def test_02_closed_form_identities():
             # Kraus action: even and odd loss counts on both codewords
             gamma = 0.8
             damped = math.sqrt(gamma) * alpha
-            n_max = one.n_max()
+            n_max = fock.n_max(one)
             for m in (0, 1, 2):
                 even_pref = (
                     math.sqrt(math.cosh(gamma * a2) / math.cosh(a2))

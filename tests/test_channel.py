@@ -7,19 +7,18 @@ import numpy as np
 import pytest
 
 from catloss import codes, fock
-from catloss.codes import CodeSpec, LogicalCoeffs, codeword_fock, gram_matrix
-from catloss.series import log_factorials
-from catloss.channel import (
+from catloss.codes import CodeSpec, LogicalCoeffs, gram_matrix
+from catloss.channel import ChannelParams, class_probabilities, mixture_weights
+from catloss.fock import (
     KRAUS_RESIDUAL,
-    ChannelParams,
     _kraus_factors,
     channel_apply_exact,
-    class_probabilities,
     class_probabilities_kraus,
+    codeword_fock,
     encode,
     kraus_apply,
+    log_factorials,
     logical_mixture,
-    mixture_weights,
 )
 
 from conftest import projector, sectioned_sum_direct
@@ -137,7 +136,7 @@ class TestChannelExact:
 
     def test_truncation_error_kept(self, monkeypatch):
         # no cumulative captured probability reaches a trace beyond the input's
-        monkeypatch.setattr("catloss.channel.KRAUS_RESIDUAL", -1e-3)
+        monkeypatch.setattr("catloss.fock.KRAUS_RESIDUAL", -1e-3)
         with pytest.raises(fock.TruncationError, match="captured by k <= 8"):
             channel_apply_exact(projector(fock.basis_state(3, 8)), ChannelParams(0.5))
 
@@ -338,7 +337,7 @@ class TestLogicalMixture:
     def test_components_share_code_truncation(self, L, d, alpha, gamma):
         spec = CodeSpec(L, d, alpha)
         comps = logical_mixture(spec, LogicalCoeffs.balanced(d), ChannelParams(gamma))
-        assert [len(state) - 1 for _, state in comps] == [spec.n_max()] * spec.cycle
+        assert [len(state) - 1 for _, state in comps] == [fock.n_max(spec)] * spec.cycle
 
     def test_qutrit_component_count(self):
         comps = logical_mixture(

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import catloss
-from catloss import channel, cli, codes, repeater
+from catloss import channel, cli, codes, fock, repeater
 from catloss.channel import ChannelParams
 from catloss.cli import FLAGS, LAYOUTS, SUBCOMMANDS, _chain_config, build_parser, main
 from catloss.codes import CodeSpec
@@ -242,8 +242,8 @@ class TestKlReport:
     def test_builds_each_word_once_per_amplitude(self, monkeypatch, capsys):
         # one kl_check per amplitude builds its two basis words once, in one call,
         # not once per loss count: 12 words in 6 calls for six amplitudes
-        built, real = [], codes.codeword_fock
-        monkeypatch.setattr("catloss.qec.codeword_fock",
+        built, real = [], fock.codeword_fock
+        monkeypatch.setattr("catloss.fock.codeword_fock",
                             lambda *a, **kw: built.append(real(*a, **kw)) or built[-1])
         for basis in ("Z", "X"):
             built.clear()
@@ -945,7 +945,7 @@ class TestExitCodes:
         # one mixture_weights call per logical_mixture and one for the teleport
         # check; the weights-sum checks read the mixtures' own weights
         calls, real = [], channel.mixture_weights
-        monkeypatch.setattr("catloss.channel.mixture_weights",
+        monkeypatch.setattr("catloss.fock.mixture_weights",
                             lambda *a: calls.append(a) or real(*a))
         assert run(["verify"], capsys)[0] == 0
         assert len(calls) == 4
@@ -954,11 +954,10 @@ class TestExitCodes:
         # one word call per code and amplitude (30 calls were one word each) and
         # one Kraus-factor pass per exact channel (38 were one loss count each)
         words, factors = [], []
-        real_words, real_factors = codes.codeword_fock, channel._kraus_factors
-        for module in ("codes", "channel", "restore", "qec"):
-            monkeypatch.setattr(f"catloss.{module}.codeword_fock",
-                                lambda *a, **kw: words.append(a) or real_words(*a, **kw))
-        monkeypatch.setattr("catloss.channel._kraus_factors",
+        real_words, real_factors = fock.codeword_fock, fock._kraus_factors
+        monkeypatch.setattr("catloss.fock.codeword_fock",
+                            lambda *a, **kw: words.append(a) or real_words(*a, **kw))
+        monkeypatch.setattr("catloss.fock._kraus_factors",
                             lambda *a: factors.append(a) or real_factors(*a))
         assert run(["verify"], capsys)[0] == 0
         assert len(words) <= 11

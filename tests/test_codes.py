@@ -7,26 +7,20 @@ import pytest
 
 import scalar_reference as ref
 from catloss import fock
-from catloss.channel import (
-    ChannelParams,
+from catloss.channel import ChannelParams
+from catloss.codes import CodeSpec, LogicalCoeffs, _cmul, gram_matrix, sector_amplitude
+from catloss.fock import (
     channel_apply_exact,
     class_probabilities_kraus,
-    encode,
-    kraus_apply,
-    logical_mixture,
-)
-from catloss.codes import (
-    CodeSpec,
-    LogicalCoeffs,
-    _cmul,
     codeword_coherent,
     codeword_fock,
-    gram_matrix,
-    sector_amplitude,
+    encode,
+    kl_check,
+    kraus_apply,
+    logical_mixture,
+    teleport_success_assembled,
     verify_code_equations,
 )
-from catloss.qec import kl_check
-from catloss.restore import teleport_success_assembled
 
 # every Fock-space oracle, called on a code and its balanced qubit input
 FOCK_ORACLES = {
@@ -118,14 +112,14 @@ class TestSpecValidation:
 class TestFockSeries:
     @pytest.mark.parametrize("L,d,alpha", [(1, 2, 2.0), (2, 3, 3.0), (4, 2, 7.0), (6, 4, 8.0)])
     def test_damped_words_share_code_truncation(self, L, d, alpha):
-        # CodeSpec.n_max() is the one cutoff: every amplitude a <= alpha,
+        # fock.n_max(spec) is the one cutoff: every amplitude a <= alpha,
         # the damped amplitudes of the channel among them, builds on it
         spec = CodeSpec(L, d, alpha)
         for gamma in (1.0, 0.9, 0.5, 0.01):
             a = math.sqrt(gamma) * alpha
             for k in range(d):
                 for q in range(L + 1):
-                    assert len(codeword_fock(spec, k, q, a)) - 1 == spec.n_max()
+                    assert len(codeword_fock(spec, k, q, a)) - 1 == fock.n_max(spec)
 
     def test_one_loss_code_space_series(self):
         # even series alpha^(2n)/sqrt((2n)!) normalized by sqrt(cosh(alpha^2))
@@ -182,9 +176,9 @@ class TestCodewordArrays:
         alpha = 0.5 + 1.1 * L + 0.7 * d
         spec = CodeSpec(L, d, alpha)
         for amp in (None, alpha * math.sqrt(0.9), alpha * math.sqrt(0.35)):
-            for n_max in (None, spec.n_max() + 7):
+            for n_max in (None, fock.n_max(spec) + 7):
                 words = codeword_fock(spec, np.arange(d), np.arange(L + 1)[:, None], amp, n_max)
-                assert words.shape == (L + 1, d, (n_max or spec.n_max()) + 1)
+                assert words.shape == (L + 1, d, (n_max or fock.n_max(spec)) + 1)
                 for q in range(L + 1):
                     for k in range(d):
                         one = codeword_fock(spec, k, q, amp, n_max)
@@ -198,10 +192,10 @@ class TestCodewordArrays:
         spec = CodeSpec(2, 3, 2.5)
         k = np.array([[2], [0]])
         words = codeword_fock(spec, k, [1, 2, 0])
-        assert words.shape == (2, 3, spec.n_max() + 1)
+        assert words.shape == (2, 3, fock.n_max(spec) + 1)
         assert np.array_equal(words[0, 1], codeword_fock(spec, 2, 2))
         assert np.array_equal(words[1, 2], codeword_fock(spec, 0, 0))
-        assert codeword_fock(spec, [1], 0).shape == (1, spec.n_max() + 1)
+        assert codeword_fock(spec, [1], 0).shape == (1, fock.n_max(spec) + 1)
 
     def test_array_indices_range_checked(self):
         spec = CodeSpec(1, 2, 2.0)
@@ -224,6 +218,14 @@ class TestFockOraclesTakeOneAmplitude:
             codeword_fock(CodeSpec(1, 2, 2.0), 0, 0, np.array([1.0, 1.5]))
         with pytest.raises(ValueError, match="one amplitude"):
             codeword_fock(CodeSpec(1, 2, np.array([2.0])), 0, 0, 2.0, n_max=70)
+
+    def test_cutoff_below_the_policy_rejected(self):
+        # n_max=10 held a normalized word with 0.9995 of its mass in the top five slots
+        with pytest.raises(fock.TruncationError, match="n_max=10 below the cutoff 90"):
+            codeword_fock(CodeSpec(1, 2, 5.0), 0, 0, n_max=10)
+        with pytest.raises(fock.TruncationError, match="n_max=89 below the cutoff 90"):
+            codeword_fock(CodeSpec(1, 2, 5.0), 0, 0, n_max=89)
+        assert len(codeword_fock(CodeSpec(1, 2, 5.0), 0, 0, n_max=90)) == 91
 
     @pytest.mark.parametrize("gamma", [[0.9, 0.8], [0.9]])
     @pytest.mark.parametrize("oracle", sorted(GAMMA_ORACLES))

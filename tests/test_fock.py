@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from catloss import fock
-from catloss.channel import ChannelParams, channel_apply_exact, kraus_apply
+from catloss.channel import ChannelParams
+from catloss.fock import channel_apply_exact, kraus_apply
 
 from conftest import projector, series_coherent_overlap
 
@@ -155,6 +156,13 @@ class TestInnerOuterMix:
         u = fock.coherent_state(1.0, 32)
         with pytest.raises(ValueError, match="negative weight -0.25"):
             fock.mix([(1.25, u), (-0.25, u)])
+
+    @pytest.mark.parametrize("weight", [math.nan, math.inf])
+    def test_mix_rejects_non_finite_weight(self, weight):
+        # NaN passed the old `weight < 0` test and gave an all-NaN matrix
+        u = fock.coherent_state(1.0, 32)
+        with pytest.raises(ValueError, match=f"non-finite weight {weight}"):
+            fock.mix([(weight, u), (0.5, u)])
 
     def test_mix_rejects_states_of_different_lengths(self):
         u, v = fock.coherent_state(1.0, 32), fock.coherent_state(1.0, 40)

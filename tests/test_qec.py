@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from catloss import fock
-from catloss.codes import CodeSpec, LogicalCoeffs, codeword_fock
-from catloss.channel import ChannelParams, encode, logical_mixture, mixture_weights
-from catloss.qec import _code_basis, fidelity_bound, fidelity_from_weights, kl_check
+from catloss.codes import CodeSpec, LogicalCoeffs
+from catloss.channel import ChannelParams, mixture_weights
+from catloss.fock import _code_basis, codeword_fock, encode, kl_check, logical_mixture
+from catloss.qec import fidelity_bound, fidelity_from_weights
 
 from conftest import central_difference
 
@@ -227,7 +228,7 @@ class TestFidelityState:
         spec = CodeSpec(1, 2, 2.0)
         params = ChannelParams(0.9)
         w = mixture_weights(spec, BALANCED, params)
-        n_max = spec.n_max()
+        n_max = fock.n_max(spec)
         words = [codeword_fock(spec, k, 0, n_max=n_max) for k in range(2)]
         odd = [codeword_fock(spec, k, 1, n_max=n_max) for k in range(2)]
         a = b = 1 / math.sqrt(2)

@@ -8,11 +8,9 @@ import pytest
 from catloss.codes import CodeSpec, LogicalCoeffs, gram_matrix
 from catloss import codes
 from catloss.channel import ChannelParams, mixture_weights
+from catloss.fock import filter_operators, filter_params, teleport_success_assembled
 from catloss.restore import (
-    filter_operators,
-    filter_params,
     restoration_from_weights,
-    teleport_success_assembled,
     teleport_success_from_overlaps,
     teleport_success_from_weights,
 )
