@@ -15,8 +15,8 @@ where p_j is the loss-class probability
 built from sectioned exponentials S and sectioned codeword norms Nq, and the
 N_j / N ratio renormalizes for the input-dependent codeword overlaps.
 ``thinning_weights`` gives the same weights from ``series.class_sums`` alone,
-with no Gram matrix and accurate in relative terms; ``weights`` reads it, the
-chain commands ``mixture_weights``.
+with no Gram matrix and accurate in relative terms; ``weights`` and ``fidelity``
+read it, the chain commands ``mixture_weights``.
 
 The closed forms take batches: ``CodeSpec.alpha``, ``ChannelParams.gamma``
 and the logical coefficients may carry batch shapes, and the results lead

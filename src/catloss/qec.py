@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codes import CodeSpec, LogicalCoeffs
-from .channel import ChannelParams, LossClassWeights, mixture_weights
+from .channel import ChannelParams, LossClassWeights, thinning_weights
 
 # The balanced qubit inputs (1, 1)/sqrt(2) and (1, -1)/sqrt(2), a read-only batch of two.
 BALANCED_PAIR = LogicalCoeffs(np.array([[1, 1], [1, -1]]) / np.sqrt(2))
@@ -39,15 +39,20 @@ def fidelity_from_weights(weights: LossClassWeights) -> np.ndarray:
 
 
 def fidelity_bound(spec: CodeSpec, params: ChannelParams) -> FidelityResult:
-    """Lower bound on the worst-case fidelity for qubit codes.
+    """Worst-case fidelity for qubit codes, over every complex logical input.
 
-    Restricted to real logical coefficients the state-dependent fidelity is
-    extremal at the balanced inputs, so the bound is the minimum over the
-    two sign choices (1, +-1)/sqrt(2) of ``BALANCED_PAIR``, in one call.
+    Through the class sums (``thinning_weights``) the fidelity of an input c is
+    a ratio of two positive linear forms in the |c_hat_s|^2 (c_hat the d-point
+    DFT of c), so its minimum over every complex input lies where one c_hat_s
+    alone is nonzero: at a Fourier input, which for d = 2 is (1, +-1)/sqrt(2).
+    The bound is the minimum over the two inputs of ``BALANCED_PAIR``, in one
+    call.  Each is F = A/(A + B), A the weight of the L+1 correctable classes
+    and B that of the rest, so F lies in [0, 1].
     """
     if spec.d != 2:
         raise ValueError("the worst-case bound is defined for qubit codes only")
     shape = (2,) + (1,) * np.broadcast(spec.alpha, params.gamma).ndim + (2,)  # inputs, points, d
-    coeffs = LogicalCoeffs(BALANCED_PAIR.values.reshape(shape))
-    f_plus, f_minus = fidelity_from_weights(mixture_weights(spec, coeffs, params))
+    ptilde = thinning_weights(spec, LogicalCoeffs(BALANCED_PAIR.values.reshape(shape)), params)
+    correctable = ptilde[..., : spec.spaces].sum(axis=-1)
+    f_plus, f_minus = correctable / (correctable + ptilde[..., spec.spaces:].sum(axis=-1))
     return FidelityResult(F_plus=f_plus, F_minus=f_minus, F_bound=np.minimum(f_plus, f_minus))

@@ -74,12 +74,14 @@ class RepeaterConfig:
              total, spacing),
             (attenuation > 0, "attenuation_km must be positive"),
             (ar_every >= 1, "ar_every must be >= 1, got {}", ar_every),
+            # numpy holds an int past int64 as uint64 or object, which np.repeat refuses
+            (ar_every < 2**63, "ar_every must be below 2**63, got {}", ar_every),
             # above 2**53 a float ratio no longer rounds to an exact station count
             (ratio <= 2**53, "total_km/spacing_km = {} must be finite and at most 2**53", ratio),
         ]:
             if not np.all(ok):  # named by the first failing chain's values
                 i = np.argmin(ok)
-                raise ValueError(message.format(*(np.ravel(c)[i].item() for c in columns)))
+                raise ValueError(message.format(*(np.ravel(c).tolist()[i] for c in columns)))
 
     def columns(self) -> tuple[np.ndarray, ...]:
         """total_km, spacing_km, attenuation_km, ar_every and alpha broadcast to
@@ -186,8 +188,8 @@ def sweep(config: RepeaterConfig, axis: str, values: list[float]) -> list[ChainR
     if axis not in ("spacing", "alpha", "gamma"):
         raise ValueError(f"axis must be spacing|alpha|gamma, got {axis!r}")
     for v in values:
-        if v <= 0:
-            raise ValueError(f"sweep values must be positive, got {v}")
+        if not v > 0:  # NaN too, which no comparison holds for
+            raise ValueError(f"sweep values must be finite and positive, got {v}")
         if axis == "gamma" and v >= 1.0:
             raise ValueError("gamma sweep values must lie in (0, 1)")
     if axis == "alpha":  # the chain set's batch warns once for all values

@@ -13,13 +13,14 @@ from catloss.repeater import RepeaterConfig
 
 def pytest_addoption(parser):
     parser.addoption("--bits-examples", type=int, default=25,
-                     help="examples per derandomized bit test (tests/test_batch_bits.py,"
-                          " tests/test_class_sums.py)")
+                     help="examples per derandomized property test (tests/test_batch_bits.py,"
+                          " tests/test_class_sums.py, tests/test_thinning_oracle.py,"
+                          " tests/test_qec.py)")
 
 
 def pytest_configure(config):
-    # the bit tests read this profile; rounding that depends on the batch
-    # layout shows only at some draws, so CI also runs them at ten times the default
+    # the bit and mpmath property tests read this profile; rounding that depends on
+    # the batch layout shows only at some draws, so CI also runs them at ten times the default
     settings.register_profile("bits", max_examples=config.getoption("--bits-examples"),
                               deadline=None, derandomize=True)
 

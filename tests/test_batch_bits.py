@@ -7,7 +7,9 @@ draws a batch over the CLI domain (L 0-7, d 2-4, alpha in [0.1, 9], gamma in
 (0, 1], random logical coefficients) and checks two things: the batch
 against the frozen scalars, and a batch of N against N batches of one.
 Gram batches straddle the kernel's chunk of points for their (L, d).  Chain
-totals are checked against exact products instead (``assert_chain_totals``).
+totals are checked against exact products instead (``assert_chain_totals``),
+and the worst-case fidelity bound, which reads the class-sum weights, against
+the mpmath thinning sum (``test_thinning_oracle.thinning_fidelity``).
 """
 
 import math
@@ -27,6 +29,7 @@ from catloss.repeater import RepeaterConfig, simulate_chains, sweep
 from catloss.restore import restoration_from_weights, teleport_success_from_overlaps
 from catloss.series import sectioned_exp
 from conftest import assert_chain_totals, chains_of
+from test_thinning_oracle import thinning_fidelity
 
 
 def chunk_edges(L, d):
@@ -194,20 +197,18 @@ def test_mixture_weights_and_fidelity(L, d, n, drawn, seed):
 @given(L=st.integers(0, 7), alpha=alphas, n=st.integers(1, 9), drawn=drawn_points, seed=seeds)
 @bits_settings
 def test_fidelity_bound_over_a_grid(L, alpha, n, drawn, seed):
+    # the bound reads the class-sum weights, which no frozen form holds: each point
+    # lies within 1e-12 relative of the 30-digit thinning sum (above 1e-300)
     _, gams = _points(drawn, n, seed)
-    points = [(g,) for g in gams]
     bound = lambda: fidelity_bound(CodeSpec(L, 2, alpha), ChannelParams(np.array(gams)))
-    plus, minus = (LogicalCoeffs.of(1.0, s).values for s in (1, -1))
-    no_frozen = lambda g: _squares_to_zero(L, alpha, g)
-    _agree(lambda: bound().F_plus, lambda g: ref.fidelity_state(L, 2, alpha, g, plus), points,
-           no_frozen)
-    _agree(lambda: bound().F_minus, lambda g: ref.fidelity_state(L, 2, alpha, g, minus), points,
-           no_frozen)
-    _agree(lambda: bound().F_bound,
-           lambda g: min(ref.fidelity_state(L, 2, alpha, g, c) for c in (plus, minus)), points,
-           no_frozen)
-    _agree(lambda: bound().F_bound,
-           lambda g: fidelity_bound(CodeSpec(L, 2, alpha), ChannelParams(g)).F_bound, points)
+    got = bound()
+    for g, f_plus, f_minus in zip(gams, got.F_plus, got.F_minus):
+        for f, w in zip((f_plus, f_minus), thinning_fidelity(L, alpha, g)):
+            assert 0.0 <= f <= 1.0 and abs(f - w) <= 1e-12 * w + 1e-300, (g, f, w)
+    for field in ("F_plus", "F_minus", "F_bound"):
+        _agree(lambda: getattr(bound(), field),
+               lambda g: getattr(fidelity_bound(CodeSpec(L, 2, alpha), ChannelParams(g)), field),
+               [(g,) for g in gams])
 
 
 @given(n=st.integers(1, 40), seed=seeds)

@@ -158,8 +158,9 @@ class TestWeights:
         assert np.all(abs(weights.sum(axis=1) - 1.0) <= 1e-10)
 
     def test_runs_no_gram_kernel_filter_or_class_probabilities(self, monkeypatch, capsys):
+        # nor does fidelity, which reads the same class-sum weights
         def refuse(*args, **kwargs):
-            raise AssertionError("the weights path reached the Gram route")
+            raise AssertionError("the weights or fidelity path reached the Gram route")
 
         for name in ("catloss.channel.mixture_weights", "catloss.channel.class_probabilities",
                      "catloss.channel.gram_matrix", "catloss.channel.sectioned_exp",
@@ -167,6 +168,7 @@ class TestWeights:
             monkeypatch.setattr(name, refuse)
         for d in ("2", "4"):
             assert run(["weights", "--L", "6", "--d", d, "--alpha", "8"], capsys)[0] == 0
+        assert run(["fidelity", "--L", "6", "--alpha", "8"], capsys)[0] == 0
 
     def test_qutrit_weights(self, capsys):
         code, out = run(
@@ -702,6 +704,10 @@ class TestExitCodes:
              "--spacing-km", "1e-300"],
             ["repeater", "--L", "4", "--alpha", "7", "--total-km", "1e300",
              "--spacing-km", "1e-7"],
+            ["sweep", "--L", "1", "--alpha", "2", "--total-km", "1",
+             "--axis", "gamma", "--values", "nan"],
+            ["sweep", "--L", "1", "--alpha", "2", "--total-km", "1",
+             "--axis", "spacing", "--values", "nan"],
         ],
     )
     def test_non_finite_input_is_one(self, argv, capsys):
@@ -715,10 +721,6 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["fidelity", "--L", "40", "--alpha", "5", "--gamma-steps", "2"],
-            # the Gram route of fidelity's mixture weights overflows to NaN
-            ["fidelity", "--L", "1", "--alpha", "30", "--gamma-steps", "2"],
-            ["fidelity", "--L", "1", "--alpha", "30", "--gamma-steps", "2", "--format", "json"],
             ["repeater", "--L", "4", "--alpha", "30", "--total-km", "1"],
             ["sweep", "--L", "4", "--alpha", "7", "--total-km", "1",
              "--axis", "alpha", "--values", "30"],
@@ -747,6 +749,36 @@ class TestExitCodes:
         assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
         assert shown == []
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # on the Gram route the first tripped the filter's clamp and the next
+            # three overflowed to NaN, each exiting 2
+            ["fidelity", "--L", "40", "--alpha", "5", "--gamma-steps", "2"],
+            ["fidelity", "--L", "1", "--alpha", "30", "--gamma-steps", "2"],
+            ["fidelity", "--L", "1", "--alpha", "30", "--gamma-steps", "2", "--format", "json"],
+            ["fidelity", "--L", "2", "--alpha", "30", "--gamma-steps", "2"],
+            ["fidelity", "--L", "1", "--alpha", "1e4", "--gamma-steps", "2"],
+        ],
+    )
+    def test_fidelity_exits_zero_where_the_gram_route_failed(self, argv, capsys):
+        # the class-sum weights give a finite bound in [0, 1], the minimum of the pair
+        code, out = run(argv, capsys)
+        assert code == 0
+        rows = json.loads(out)["rows"] if "json" in argv else parse_csv(out)[1]
+        f_plus, f_minus, f_bound = np.array(rows, dtype=float)[:, 1:].T
+        assert np.all(np.isfinite([f_plus, f_minus])) and np.all((f_plus >= 0) & (f_minus >= 0))
+        assert np.all((f_plus <= 1) & (f_minus <= 1))
+        assert np.array_equal(f_bound, np.minimum(f_plus, f_minus))
+
+    def test_ar_every_past_int64_is_one(self, capsys):
+        # numpy held it as an object column, and np.repeat raised a TypeError
+        code = main(["repeater", "--L", "1", "--alpha", "2", "--total-km", "1",
+                     "--ar-every", "100000000000000000000"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == "error: ar_every must be below 2**63, got 100000000000000000000\n"
 
     @pytest.mark.parametrize(
         "argv",

@@ -4,10 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from catloss import fock
 from catloss.codes import CodeSpec, LogicalCoeffs
-from catloss.channel import ChannelParams, mixture_weights
+from catloss.channel import ChannelParams, mixture_weights, thinning_weights
 from catloss.fock import _code_basis, codeword_fock, encode, kl_check, logical_mixture
 from catloss.qec import fidelity_bound, fidelity_from_weights
 
@@ -272,9 +274,9 @@ class TestFidelityBound:
 
         def counted(*args):
             calls.append(args)
-            return mixture_weights(*args)
+            return thinning_weights(*args)
 
-        monkeypatch.setattr("catloss.qec.mixture_weights", counted)
+        monkeypatch.setattr("catloss.qec.thinning_weights", counted)
         alphas, gammas = np.array([[2.0], [3.0]]), np.array([0.5, 0.9, 1.0])
         res = fidelity_bound(CodeSpec(2, 2, alphas), ChannelParams(gammas))
         assert len(calls) == 1
@@ -301,18 +303,17 @@ class TestFidelityBound:
         with pytest.raises(ValueError):
             fidelity_bound(CodeSpec(1, 3, 2.0), ChannelParams(0.9))
 
-    def test_complex_scan_probes_below_real_bound(self):
-        # the diagnostic grid can only find inputs at or below the
-        # real-restricted bound, and at moderate amplitude it stays close
-        spec = CodeSpec(1, 2, 2.0)
-        params = ChannelParams(0.9)
-        bound = fidelity_bound(spec, params).F_bound
-        scanned = math.inf
-        for a in np.linspace(0.0, 1.0, 32):
-            b_mag = np.sqrt(max(0.0, 1.0 - a * a))
-            for phi in np.linspace(0.0, 2.0 * np.pi, 16, endpoint=False):
-                coeffs = LogicalCoeffs((complex(a), b_mag * np.exp(1j * phi)))
-                scanned = min(scanned, fidelity_from_weights(mixture_weights(spec, coeffs, params)))
-        # grid resolution keeps the scan near the analytic minimum; a value
-        # clearly below it would flag that complex phases matter
-        assert scanned == pytest.approx(bound, abs=1e-3)
+    @given(L=st.integers(0, 7), alpha=st.floats(0.1, 9.0),
+           gamma=st.floats(0.0, 1.0, exclude_min=True),
+           parts=st.tuples(*[st.floats(-1.0, 1.0)] * 4))
+    @settings.get_profile("bits")  # registered in conftest.py
+    def test_complex_scan_probes_below_real_bound(self, L, alpha, gamma, parts):
+        # the fidelity is a ratio of positive linear forms in the |c_hat_s|^2, so
+        # no complex qubit input lies below its minimum at the two Fourier inputs
+        assume(any(parts))
+        spec, params = CodeSpec(L, 2, alpha), ChannelParams(gamma)
+        coeffs = LogicalCoeffs.of(complex(*parts[:2]), complex(*parts[2:]))
+        ptilde = thinning_weights(spec, coeffs, params)
+        correctable = ptilde[:spec.spaces].sum()
+        f = correctable / (correctable + ptilde[spec.spaces:].sum())
+        assert f >= fidelity_bound(spec, params).F_bound - 1e-15

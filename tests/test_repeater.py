@@ -84,6 +84,11 @@ class TestConfig:
             RepeaterConfig(np.array([[10.0], [2.0]]), np.array([1.0, 3.0]), **base)
         with pytest.raises(ValueError, match=r"^ar_every must be >= 1, got 0$"):
             RepeaterConfig(10.0, 1.0, ar_every=np.array([1, 2, 0, -1]), **base)
+        # past int64 numpy holds the column as uint64 or object, which no count array takes
+        for big in (2**63, 10**20):
+            with pytest.raises(ValueError, match=rf"^ar_every must be below 2\*\*63, got {big}$"):
+                RepeaterConfig(10.0, 1.0, ar_every=big, **base)
+        assert simulate_chains(RepeaterConfig(10.0, 1.0, ar_every=2**63 - 1, **base))
         with pytest.raises(ValueError, match=r"^attenuation_km must be positive$"):
             RepeaterConfig(10.0, 1.0, attenuation_km=np.array([22.0, 0.0]), **base)
         with pytest.raises(ValueError, match=r"^total_km/spacing_km = inf must be finite"):
@@ -371,6 +376,13 @@ class TestSweep:
         rows = sweep(config(total=22.0), "gamma", [gamma])
         direct = simulate_chains(config(total=22.0, spacing=2.2))[0]
         assert rows[0].fidelity == pytest.approx(direct.fidelity)
+
+    @pytest.mark.parametrize("axis", ["spacing", "alpha", "gamma"])
+    @pytest.mark.parametrize("value", [math.nan, 0.0, -1.0])
+    def test_rejects_values_that_are_not_positive(self, axis, value):
+        # NaN is named as a sweep value, not as the spacing it would have set
+        with pytest.raises(ValueError, match=r"^sweep values must be finite and positive, got"):
+            sweep(config(), axis, [1e-3, value])
 
     def test_rejects_unknown_axis(self):
         # checked before the values: no values, or one invalid on every axis, names the axis

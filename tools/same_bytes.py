@@ -135,18 +135,20 @@ def outcome(src, argv, tmp):
 def deviation(argv, old_tmp, new_tmp):
     """The largest scaled deviation of the new dataset from the old one (the
     ``--out`` file, else stdout): inf where their shapes differ (one run wrote
-    nothing), None where either does not parse as a CSV or JSON table."""
+    nothing), None where neither run wrote a table or either does not parse as
+    a CSV or JSON table."""
     if argv[0] == "verify":
         return None
     tables = []
     for tmp in (new_tmp, old_tmp):
         path = Path(tmp, "cwd", "data")
         path = path if path.is_file() else Path(tmp, "stdout")
-        try:
-            tables.append(parse_table(path.read_text(), output_format(argv)))
-        except (ValueError, KeyError):  # a failed run writes no table (DatasetError too)
+        text = path.read_text()
+        try:  # a failed run writes nothing, an empty table in either format
+            tables.append(parse_table(text, output_format(argv)) if text else [])
+        except (ValueError, KeyError):  # DatasetError too
             return None
-    return max_deviation(*tables)
+    return max_deviation(*tables) if any(tables) else None
 
 
 def main(old_src, new_src):
