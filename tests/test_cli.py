@@ -733,6 +733,11 @@ class TestExitCodes:
             ["repeater", "--L", "4", "--alpha", "7", "--spacing-km", "5", "--ar-every", "100"],
             ["repeater", "--L", "4", "--alpha", "7", "--spacing-km", "5", "--ar-every", "100",
              "--format", "json"],
+            # the first three again, written as JSON
+            ["repeater", "--L", "4", "--alpha", "30", "--total-km", "1", "--format", "json"],
+            ["sweep", "--L", "4", "--alpha", "7", "--total-km", "1",
+             "--axis", "alpha", "--values", "30", "--format", "json"],
+            ["repeater", "--L", "2", "--alpha", "40", "--total-km", "1", "--format", "json"],
         ],
     )
     def test_numerical_failure_is_two(self, argv, tmp_path, capsys):
