@@ -1,8 +1,9 @@
 """Multi-component cat codes under photon loss.
 
 Closed-form channel behaviour, correctability analysis and a one-way
-repeater simulator for rotation-symmetric coherent-state codes, with every
-closed form backed by the truncated Fock-space brute-force oracle of ``fock``.
+repeater simulator for rotation-symmetric coherent-state codes.  Importing
+the package loads the closed forms only; the truncated Fock-space
+brute-force oracle that backs each of them is ``catloss.fock``.
 """
 
 __version__ = "0.1.0"
@@ -13,44 +14,12 @@ from .channel import (ChannelParams, LossClassWeights, class_probabilities, mixt
 from .qec import FidelityResult, fidelity_bound, fidelity_from_weights
 from .restore import restoration_from_weights
 from .repeater import ChainResult, RepeaterConfig, segment_gamma, simulate_chains, sweep
-from .fock import (
-    TruncationError,
-    annihilate,
-    basis_state,
-    coherent_state,
-    default_n_max,
-    mix,
-    normalized,
-    parity_phase_apply,
-    trace_distance,
-    codeword_coherent,
-    codeword_fock,
-    verify_code_equations,
-    channel_apply_exact,
-    class_probabilities_kraus,
-    encode,
-    kraus_apply,
-    logical_mixture,
-    KLReport,
-    kl_check,
-    FilterParams,
-    filter_operators,
-    filter_params,
-    teleport_success_assembled,
-)
 
 __all__ = [
-    "TruncationError", "annihilate", "basis_state", "coherent_state",
-    "default_n_max", "mix", "normalized", "parity_phase_apply", "trace_distance",
-    "CodeSpec", "LogicalCoeffs", "codeword_coherent",
-    "codeword_fock", "verify_code_equations",
-    "ChannelParams", "LossClassWeights",
-    "channel_apply_exact", "class_probabilities", "class_probabilities_kraus",
-    "encode", "kraus_apply", "logical_mixture", "mixture_weights", "thinning_weights",
-    "FidelityResult", "KLReport", "fidelity_bound", "fidelity_from_weights",
-    "kl_check",
-    "FilterParams", "filter_operators", "filter_params",
-    "restoration_from_weights", "teleport_success_assembled",
-    "ChainResult", "RepeaterConfig", "segment_gamma",
-    "simulate_chains", "sweep",
+    "CodeSpec", "LogicalCoeffs",
+    "ChannelParams", "LossClassWeights", "class_probabilities", "mixture_weights",
+    "thinning_weights",
+    "FidelityResult", "fidelity_bound", "fidelity_from_weights",
+    "restoration_from_weights",
+    "ChainResult", "RepeaterConfig", "segment_gamma", "simulate_chains", "sweep",
 ]

@@ -31,7 +31,7 @@ from itertools import chain
 
 import numpy as np
 
-from . import __version__, channel, codes, fock, qec, repeater
+from . import __version__, channel, codes, qec, repeater
 
 # Restoration cadence of each scheme: restore at every n-th station.
 SCHEME_AR_EVERY = {"old": 1, "new": 2}
@@ -207,8 +207,13 @@ def _gamma_grid(args) -> np.ndarray:
 
 
 def _coeffs(args, d: int) -> codes.LogicalCoeffs:
-    if getattr(args, "coeffs", None):
-        raw = [complex(tok) for tok in args.coeffs.split(",")]
+    if getattr(args, "coeffs", None) is not None:  # "" too: an empty list, not the default
+        raw = []
+        for tok in args.coeffs.split(","):
+            try:
+                raw.append(complex(tok))
+            except ValueError:
+                raise ValueError(f"--coeffs entry {tok!r} is not a complex number") from None
         if len(raw) != d:
             raise ValueError(f"--coeffs needs {d} entries, got {len(raw)}")
         return codes.LogicalCoeffs.of(*raw)
@@ -239,6 +244,8 @@ def cmd_fidelity(args) -> int:
 
 
 def cmd_klreport(args) -> int:
+    from . import fock  # the oracle loads only for the commands that run it
+
     specs = [codes.quiet_spec(args.L, 2, float(tok)) for tok in args.alphas.split(",")]
     codes.CodeSpec(args.L, 2, np.array([s.alpha for s in specs]))  # one warning for them all
     losses = range(2 * args.L + 2)
@@ -352,6 +359,8 @@ def cmd_tables(args) -> int:
 
 def cmd_verify(args) -> int:
     """Cross-check every closed form against its brute-force route (``fock.checks``)."""
+    from . import fock
+
     lines, ok = [], True
     for name, value, tol in fock.checks():
         passed = value < tol

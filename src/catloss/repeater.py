@@ -196,5 +196,11 @@ def sweep(config: RepeaterConfig, axis: str, values: list[float]) -> list[ChainR
         spec = quiet_spec(config.spec.L, config.spec.d, np.array(values, dtype=float))
         return simulate_chains(replace(config, spec=spec))
     if axis == "gamma":
-        values = [-config.attenuation_km * np.log(v) for v in values]
+        spacings = [-config.attenuation_km * np.log(v) for v in values]
+        for v, s in zip(values, spacings):
+            # named by the gamma the user set; an infinite spacing is the attenuation's
+            if np.any(np.isfinite(s) & (s > config.total_km)):
+                raise ValueError(f"gamma {v} sets a spacing of {s} km, above total_km "
+                                 f"{config.total_km}")
+        values = spacings
     return simulate_chains(replace(config, spacing_km=np.array(values, dtype=float)))

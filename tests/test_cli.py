@@ -677,6 +677,15 @@ class TestExitCodes:
          "gamma-steps 1"),
         (["fidelity", "--L", "1", "--alpha", "2", "--gamma-steps", "1", "--gamma-min", "0.9"],
          "gamma-steps 1"),
+        # an empty --coeffs took the default input, (1, 1)/sqrt(2) or the uniform qudit
+        (["weights", "--L", "1", "--alpha", "2", "--coeffs", ""], "--coeffs entry ''"),
+        (["weights", "--L", "1", "--d", "3", "--alpha", "2", "--coeffs", ""],
+         "--coeffs entry ''"),
+        # a malformed entry gave complex()'s message, naming neither flag nor entry
+        (["weights", "--L", "1", "--alpha", "2", "--coeffs", "1,,2"], "--coeffs entry ''"),
+        (["weights", "--L", "1", "--alpha", "2", "--coeffs", " "], "--coeffs entry ' '"),
+        (["weights", "--L", "1", "--d", "3", "--alpha", "2", "--coeffs", "1,x,1j"],
+         "--coeffs entry 'x'"),
     ])
     def test_dropped_flag_value_is_one(self, argv, named, tmp_path, capsys):
         code = main(argv + ["--out", str(tmp_path / "data.csv")])
@@ -685,6 +694,29 @@ class TestExitCodes:
         assert captured.err.startswith("error:") and captured.err.count("\n") == 1
         assert named in captured.err
         assert list(tmp_path.iterdir()) == []
+
+    def test_empty_coeffs_in_config_is_one(self, tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_text("coeffs=\n")
+        code = main(["--config", str(config), "weights", "--L", "1", "--alpha", "2"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == "error: --coeffs entry '' is not a complex number\n"
+
+    @pytest.mark.parametrize("argv, gamma, total", [
+        (["sweep", "--L", "1", "--alpha", "2", "--total-km", "1", "--axis", "gamma",
+          "--values", "0.9,0.5"], "0.9", "1.0"),
+        (["sweep", "--L", "1", "--alpha", "2", "--axis", "gamma", "--values", "1e-320"],
+         "1e-320", "1000.0"),
+    ])
+    def test_gamma_spacing_past_total_is_one(self, argv, gamma, total, capsys):
+        # named by the swept gamma, not by a spacing_km the user never set
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err.startswith(f"error: gamma {gamma} sets a spacing of ")
+        assert captured.err.endswith(f" km, above total_km {total}\n")
+        assert "spacing_km" not in captured.err
 
     @pytest.mark.parametrize(
         "argv",

@@ -1,6 +1,10 @@
 """Public surface of the package, and the one module that holds the Fock oracle."""
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -15,16 +19,12 @@ SRC = Path(catloss.__file__).parent
 # the closed-form modules: none of them reaches the oracle
 CLOSED_FORMS = ("series", "codes", "channel", "qec", "restore", "repeater")
 
+# the closed forms only; the oracle's names are reached as catloss.fock.X
 ALL = {
-    "TruncationError", "annihilate", "basis_state", "coherent_state", "default_n_max", "mix",
-    "normalized", "parity_phase_apply", "trace_distance", "CodeSpec", "LogicalCoeffs",
-    "codeword_coherent", "codeword_fock", "verify_code_equations", "ChannelParams",
-    "LossClassWeights", "channel_apply_exact", "class_probabilities",
-    "class_probabilities_kraus", "encode", "kraus_apply", "logical_mixture", "mixture_weights",
-    "thinning_weights", "FidelityResult", "KLReport", "fidelity_bound", "fidelity_from_weights",
-    "kl_check", "FilterParams", "filter_operators", "filter_params", "restoration_from_weights",
-    "teleport_success_assembled", "ChainResult", "RepeaterConfig", "segment_gamma",
-    "simulate_chains", "sweep",
+    "CodeSpec", "LogicalCoeffs", "ChannelParams", "LossClassWeights", "class_probabilities",
+    "mixture_weights", "thinning_weights", "FidelityResult", "fidelity_bound",
+    "fidelity_from_weights", "restoration_from_weights", "ChainResult", "RepeaterConfig",
+    "segment_gamma", "simulate_chains", "sweep",
 }
 
 
@@ -36,14 +36,14 @@ def test_all_names_resolve_once():
 
 
 def test_all_names_pinned():
-    assert len(ALL) == 39
+    assert len(ALL) == 16
     assert set(catloss.__all__) == ALL
 
 
-def _imports(tree):
-    """Every module an import statement names, relative ones with their leading dots,
-    and every name a ``from`` import binds, as "module:name"."""
-    for node in ast.walk(tree):
+def _imports(nodes):
+    """Every module an import statement among ``nodes`` names, relative ones with their
+    leading dots, and every name a ``from`` import binds, as "module:name"."""
+    for node in nodes:
         if isinstance(node, ast.Import):
             yield from (alias.name for alias in node.names)
         elif isinstance(node, ast.ImportFrom):
@@ -52,9 +52,19 @@ def _imports(tree):
             yield from (f"{module}:{alias.name}" for alias in node.names)
 
 
-@pytest.mark.parametrize("module", CLOSED_FORMS)
+def _run_on_import(node):
+    """``node`` and every node under it but the bodies of functions, which run when called."""
+    yield node
+    for child in ast.iter_child_nodes(node):
+        if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            yield from _run_on_import(child)
+
+
+# the package itself, and cli's module-level statements: its oracle commands import fock
+@pytest.mark.parametrize("module", (*CLOSED_FORMS, "__init__", "cli"))
 def test_closed_forms_import_no_fock(module):
-    found = list(_imports(ast.parse((SRC / f"{module}.py").read_text())))
+    tree = ast.parse((SRC / f"{module}.py").read_text())
+    found = list(_imports(_run_on_import(tree) if module == "cli" else ast.walk(tree)))
     assert found  # the walk sees the module's own imports
     assert [name for name in found if "fock" in name] == []
 
@@ -64,3 +74,41 @@ def test_closed_forms_import_no_fock(module):
                                          "filter_operators", "log_factorials", "n_max"}))
 def test_oracles_live_in_fock(name):
     assert getattr(fock, name).__module__ == "catloss.fock"
+
+
+# Runs argvs through cli.main in one interpreter and prints, as JSON, whether
+# catloss.fock is loaded after importing cli and after each argv.
+_FOCK_LOADED = """
+import contextlib, io, json, sys
+from catloss import cli
+loaded = ["catloss.fock" in sys.modules]
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0, argv
+    loaded.append("catloss.fock" in sys.modules)
+print(json.dumps(loaded))
+"""
+
+
+def _fock_loaded(argvs):
+    # a fresh interpreter: this session has imported fock already
+    proc = subprocess.run([sys.executable, "-c", _FOCK_LOADED, json.dumps(argvs)],
+                          capture_output=True, text=True, timeout=300,
+                          env={**os.environ, "PYTHONPATH": str(SRC.parent)})
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_only_the_oracle_commands_load_fock():
+    chain = ["--L", "1", "--alpha", "2", "--total-km", "1"]
+    closed_forms = [
+        ["weights", "--L", "1", "--alpha", "2", "--gamma-steps", "3"],
+        ["fidelity", "--L", "1", "--alpha", "2", "--gamma-steps", "3"],
+        ["repeater", *chain],
+        ["repeater", *chain, "--trace"],
+        ["sweep", *chain, "--axis", "alpha", "--values", "2,3"],
+        ["tables", "--which", "I", "--total-km", "10"],
+    ]
+    kl_report = ["kl-report", "--L", "1", "--alphas", "2"]
+    assert _fock_loaded([*closed_forms, kl_report]) == [False] * 7 + [True]
+    assert _fock_loaded([["verify"]]) == [False, True]

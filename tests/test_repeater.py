@@ -384,6 +384,13 @@ class TestSweep:
         with pytest.raises(ValueError, match=r"^sweep values must be finite and positive, got"):
             sweep(config(), axis, [1e-3, value])
 
+    @pytest.mark.parametrize("gamma", [0.5, 1e-320])
+    def test_rejects_gamma_whose_spacing_exceeds_the_total(self, gamma):
+        # named by the gamma value, not by the spacing_km it sets
+        with pytest.raises(ValueError, match=rf"^gamma {gamma} sets a spacing of \S+ km, "
+                                             r"above total_km 1\.0$"):
+            sweep(config(total=1.0), "gamma", [0.999, gamma])
+
     def test_rejects_unknown_axis(self):
         # checked before the values: no values, or one invalid on every axis, names the axis
         for values in ([1.0], [], [-1.0]):

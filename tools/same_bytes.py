@@ -35,7 +35,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "perfbench"))
-from checks import max_deviation, parse_table  # noqa: E402
+from checks import _VERIFY_LINE, max_deviation, parse_table  # noqa: E402
 from workloads import WORKLOADS, commands, output_format  # noqa: E402
 
 
@@ -79,10 +79,6 @@ def argvs():
               for L in range(4) for b in ("Z", "X")]
     found += [*_readme_argvs(), *_exit_code_argvs()]
     return list(dict.fromkeys(map(tuple, found)))  # distinct, in order
-
-
-# one check of verify's report: status, name, residual, tolerance
-_VERIFY_LINE = re.compile(r"^(ok  |FAIL) (.*): (\S+) \(tol (\S+)\)$")
 
 
 def _verify_report(text):
