@@ -206,14 +206,21 @@ def _gamma_grid(args) -> np.ndarray:
     return np.linspace(args.gamma_min, args.gamma_max, args.gamma_steps)
 
 
+def _entries(text: str, flag: str, kind: type) -> list:
+    """The entries of ``flag``'s comma list, each read by ``kind`` (float or complex)."""
+    entries = []
+    for tok in text.split(","):
+        try:
+            entries.append(kind(tok))
+        except ValueError:
+            noun = "a complex number" if kind is complex else "a number"
+            raise ValueError(f"{flag} entry {tok!r} is not {noun}") from None
+    return entries
+
+
 def _coeffs(args, d: int) -> codes.LogicalCoeffs:
     if getattr(args, "coeffs", None) is not None:  # "" too: an empty list, not the default
-        raw = []
-        for tok in args.coeffs.split(","):
-            try:
-                raw.append(complex(tok))
-            except ValueError:
-                raise ValueError(f"--coeffs entry {tok!r} is not a complex number") from None
+        raw = _entries(args.coeffs, "--coeffs", complex)
         if len(raw) != d:
             raise ValueError(f"--coeffs needs {d} entries, got {len(raw)}")
         return codes.LogicalCoeffs.of(*raw)
@@ -246,7 +253,7 @@ def cmd_fidelity(args) -> int:
 def cmd_klreport(args) -> int:
     from . import fock  # the oracle loads only for the commands that run it
 
-    specs = [codes.quiet_spec(args.L, 2, float(tok)) for tok in args.alphas.split(",")]
+    specs = [codes.quiet_spec(args.L, 2, a) for a in _entries(args.alphas, "--alphas", float)]
     codes.CodeSpec(args.L, 2, np.array([s.alpha for s in specs]))  # one warning for them all
     losses = range(2 * args.L + 2)
     columns = ["alpha"] + [f"{k}_{i}" for i in losses for k in ("ortho", "deform")]
@@ -317,7 +324,7 @@ def _trace_blocks(rows: list[str], row_sep: str, n: int, lo: int = 1):
 
 
 def cmd_sweep(args) -> int:
-    values = [float(tok) for tok in args.values.split(",")]
+    values = _entries(args.values, "--values", float)
     rows = [[v, r.fidelity, r.success_prob, int(r.amplitude_collapsed)]
             for v, r in zip(values, repeater.sweep(_chain_config(args), args.axis, values))]
     _emit([args.axis, "fidelity", "success_prob", "amplitude_collapsed"], rows, args)

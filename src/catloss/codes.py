@@ -117,11 +117,6 @@ class LogicalCoeffs:
         object.__setattr__(self, "values", values)
 
     @classmethod
-    def stack(cls, states) -> "LogicalCoeffs":
-        """One batch of the given logical states, in order."""
-        return cls(np.stack([s.values for s in states]))
-
-    @classmethod
     def of(cls, *amplitudes) -> "LogicalCoeffs":
         """Normalize raw amplitudes of any finite size."""
         amps = np.asarray(amplitudes, dtype=complex)
@@ -228,7 +223,8 @@ def gram_matrix(spec: CodeSpec, q, amplitude=None) -> np.ndarray:
     This is the only overlap routine: entry [..., k1, k2] is the overlap of
     sectors k1 and k2 at that amplitude.  The qubit one-loss spaces and the
     two-loss code space use their explicit trigonometric forms; every other
-    space is the coherent-component Gram matrix, exact to machine precision,
+    space is the coherent-component Gram matrix, which cancels as the amplitude
+    falls and L grows (absolute error 9.8e-5 at 0.1 for L 5, 3e-8 at 0.5 for L 8),
     all such spaces in one kernel pass over the distinct amplitudes."""
     spaces = np.ravel(q).tolist()
     amp = np.asarray([_codeword_amplitude(spec, 0, x, amplitude) for x in spaces][0], dtype=float)

@@ -57,14 +57,16 @@ class RepeaterConfig:
     attenuation_km: float = DEFAULT_ATTENUATION_KM
     ar_every: int = 1
 
-    _columns: tuple = field(init=False, repr=False)
+    # total_km, spacing_km, attenuation_km, ar_every and alpha broadcast to the set's
+    # shape, then the logical amplitudes to it plus (d,); broadcast once, when it is made
+    columns: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         *broadcast, values = np.broadcast_arrays(*(np.expand_dims(c, -1) for c in (
             self.total_km, self.spacing_km, self.attenuation_km, self.ar_every,
             self.spec.alpha)), self.coeffs.values)
-        object.__setattr__(self, "_columns", (*(c[..., 0] for c in broadcast), values))
-        total, spacing, attenuation, ar_every = self._columns[:4]
+        object.__setattr__(self, "columns", (*(c[..., 0] for c in broadcast), values))
+        total, spacing, attenuation, ar_every = self.columns[:4]
         with np.errstate(all="ignore"):  # a non-finite ratio fails its check below
             ratio = total / spacing
         for ok, message, *columns in [
@@ -83,17 +85,11 @@ class RepeaterConfig:
                 i = np.argmin(ok)
                 raise ValueError(message.format(*(np.ravel(c).tolist()[i] for c in columns)))
 
-    def columns(self) -> tuple[np.ndarray, ...]:
-        """total_km, spacing_km, attenuation_km, ar_every and alpha broadcast to
-        the set's shape, then the logical amplitudes broadcast to it plus (d,);
-        broadcast once, when the set is made."""
-        return self._columns
-
     @property
     def n_stations(self):
         """Stations of each chain, an int for one chain; each chain whose
         total_km/spacing_km is not integral warns once and rounds down."""
-        ratio = np.divide(*self.columns()[:2])
+        ratio = np.divide(*self.columns[:2])
         exact = abs(ratio - np.round(ratio)) <= 1e-9 * ratio
         for r in np.extract(~exact, ratio).tolist():
             warnings.warn(f"total_km/spacing_km = {r} is not integral; rounding down",
@@ -132,7 +128,7 @@ def simulate_chains(config: RepeaterConfig) -> list[ChainResult]:
     stations = np.ravel(config.n_stations)
     if not stations.size:
         return []
-    *columns, values = config.columns()
+    *columns, values = config.columns
     _, spacing, attenuation, ar_every, alpha = (c.ravel() for c in columns)
     rows = np.minimum(ar_every, stations)
     starts = np.cumsum(rows) - rows

@@ -1,5 +1,6 @@
 """Shared brute-force oracles, independent of the library's closed forms."""
 
+import importlib
 import math
 
 import mpmath
@@ -68,10 +69,19 @@ def assert_chain_totals(result, ar_every: int) -> None:
             assert abs(mpmath.mpf(got) - exact) <= slack, (got, exact, counts)
 
 
+def record_calls(monkeypatch, target: str) -> list:
+    """Wrap the function at the dotted ``target`` for one test: each call appends
+    its positional arguments to the list returned, then runs the function."""
+    module, _, name = target.rpartition(".")
+    calls, real = [], getattr(importlib.import_module(module), name)
+    monkeypatch.setattr(target, lambda *args, **kw: calls.append(args) or real(*args, **kw))
+    return calls
+
+
 def chains_of(config: RepeaterConfig) -> list[RepeaterConfig]:
     """The chains of a chain set, each its own set of shape (), in C order
     of the set's batch shape: the order ``simulate_chains`` returns them in."""
-    *columns, values = config.columns()
+    *columns, values = config.columns
     total, spacing, attenuation, ar_every, alpha = (c.ravel().tolist() for c in columns)
     L, d = config.spec.L, config.spec.d
     return [RepeaterConfig(t, s, CodeSpec(L, d, a), LogicalCoeffs(v), at, k)

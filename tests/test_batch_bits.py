@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 import scalar_reference as ref
 from catloss.channel import ChannelParams, class_probabilities, mixture_weights
 from catloss.codes import _GRAM_TERMS, CodeSpec, LogicalCoeffs, gram_matrix
-from catloss.qec import fidelity_bound, fidelity_from_weights
+from catloss.qec import BALANCED_PAIR, fidelity_bound, fidelity_from_weights
 from catloss.repeater import RepeaterConfig, simulate_chains, sweep
 from catloss.restore import restoration_from_weights, teleport_success_from_overlaps
 from catloss.series import sectioned_exp
@@ -70,7 +70,7 @@ def _coeffs(d, n, seed):
 
 
 def _batch(L, d, amps, gams, coeffs):
-    return (CodeSpec(L, d, np.array(amps)), LogicalCoeffs.stack(coeffs),
+    return (CodeSpec(L, d, np.array(amps)), LogicalCoeffs([c.values for c in coeffs]),
             ChannelParams(np.array(gams)))
 
 
@@ -219,7 +219,8 @@ def test_teleport_success_from_overlaps(n, seed):
     s_tilde[rng.uniform(size=n) < 0.1] = 1.0  # saturated branches return 0
     s_bar = rng.uniform(0, 1, n) * np.exp(2j * np.pi * rng.uniform(size=n))
     coeffs = _coeffs(2, n, seed)
-    got = teleport_success_from_overlaps(s_tilde, s_bar, LogicalCoeffs.stack(coeffs))
+    batch = LogicalCoeffs([c.values for c in coeffs])
+    got = teleport_success_from_overlaps(s_tilde, s_bar, batch)
     _same(got, [ref.teleport_success_from_overlaps(complex(t), complex(b), c.values)
                 for t, b, c in zip(s_tilde, s_bar, coeffs)])
     _same(got, [teleport_success_from_overlaps(complex(t), complex(b), c)
@@ -259,11 +260,11 @@ def _chain_set(L, chain_set, coeffs, layout):
     restoring row; 'grid', alpha, ar_every and the states along one axis and
     spacing and stations along another, a set of shape (n, n)."""
     alpha, spacing, stations, ar_every = (np.array(c) for c in zip(*chain_set))
-    coeffs = LogicalCoeffs.stack(coeffs)
+    coeffs = LogicalCoeffs([c.values for c in coeffs])
     if layout == "table":
         alpha, spacing, stations = (c[:, None, None] for c in (alpha, spacing, stations))
         ar_every = np.array([[2], [1]])
-        coeffs = LogicalCoeffs.stack([LogicalCoeffs.of(1.0, sign) for sign in (1, -1)])
+        coeffs = BALANCED_PAIR
     elif layout == "grid":
         alpha, ar_every = alpha[:, None], ar_every[:, None]
         coeffs = LogicalCoeffs(coeffs.values[:, None])

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from catloss import codes, fock
+from catloss import fock
 from catloss.codes import CodeSpec, LogicalCoeffs, gram_matrix
 from catloss.channel import ChannelParams, class_probabilities, mixture_weights
 from catloss.fock import (
@@ -21,7 +21,7 @@ from catloss.fock import (
     logical_mixture,
 )
 
-from conftest import projector, sectioned_sum_direct
+from conftest import projector, record_calls, sectioned_sum_direct
 
 BALANCED = LogicalCoeffs.balanced()
 
@@ -260,19 +260,12 @@ class TestMixtureWeights:
     def test_one_kernel_pass_for_all_damped_spaces(self, L, d, monkeypatch):
         # at most one coherent Gram pass for the code space at the nominal
         # amplitude and one for every damped space together
-        calls = []
-        kernel = codes._coherent_gram
-
-        def counted(spec, qs, amps):
-            calls.append(list(qs))
-            return kernel(spec, qs, amps)
-
-        monkeypatch.setattr(codes, "_coherent_gram", counted)
+        calls = record_calls(monkeypatch, "catloss.codes._coherent_gram")
         mixture_weights(CodeSpec(L, d, 3.0), LogicalCoeffs.balanced(d),
                         ChannelParams(np.linspace(0.5, 1.0, 7)))
         coherent = [q for q in range(L + 1) if not (d == 2 and (L, q) in ((1, 0), (1, 1), (2, 0)))]
         assert len(calls) <= 2
-        assert calls[-1:] == ([coherent] if coherent else [])
+        assert [list(qs) for _, qs, _ in calls[-1:]] == ([coherent] if coherent else [])
 
     def test_no_loss_gives_unit_first_weight(self):
         w = mixture_weights(CodeSpec(2, 2, 3.0), BALANCED, ChannelParams(1.0))

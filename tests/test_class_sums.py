@@ -103,7 +103,7 @@ class TestClassSums:
             class_sums(y, modulus)
 
 
-def _coeffs(d, seed):
+def random_coeffs(d, seed):
     rng = np.random.default_rng(seed)
     return LogicalCoeffs.of(*(rng.normal(size=d) + 1j * rng.normal(size=d)))
 
@@ -115,7 +115,7 @@ class TestThinningWeights:
         rng = np.random.default_rng(seed)
         alphas = rng.uniform(0.1, 9.0, n)
         gammas = np.where(rng.random(n) < 0.2, 1.0, 1.0 - rng.random(n))
-        values = np.stack([_coeffs(d, seed + i).values for i in range(n)])
+        values = np.stack([random_coeffs(d, seed + i).values for i in range(n)])
         batch = thinning_weights(CodeSpec(L, d, alphas), LogicalCoeffs(values),
                                  ChannelParams(gammas))
         cycle = d * (L + 1)
@@ -133,7 +133,7 @@ class TestThinningWeights:
             CodeSpec(L, d, alphas[0]), LogicalCoeffs(values[0]), ChannelParams(gammas)))
 
     def test_no_loss_keeps_the_code_space(self):
-        w = thinning_weights(CodeSpec(2, 3, 4.0), _coeffs(3, 1), ChannelParams(1.0))
+        w = thinning_weights(CodeSpec(2, 3, 4.0), random_coeffs(3, 1), ChannelParams(1.0))
         assert w.tolist() == [1.0] + [0.0] * 8
 
     def test_rejects_overflowed_amplitude_and_wrong_count(self):

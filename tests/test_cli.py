@@ -623,6 +623,13 @@ class TestConfigFile:
         assert data == (tmp_path / "token.csv").read_bytes()
         assert data != (tmp_path / "default.csv").read_bytes()
 
+    def test_empty_alphas_line_is_one(self, tmp_path, capsys):
+        # an empty list, as on the command line: one line naming the flag and the entry
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("alphas=\n")
+        assert main(["kl-report", "--L", "1", "--config", str(cfg)]) == 1
+        assert capsys.readouterr() == ("", "error: --alphas entry '' is not a number\n")
+
     def test_value_on_a_switch_is_error(self, tmp_path, capsys):
         # `trace=1` is not the bare `trace` line: exit 1 naming the switch, nothing written
         cfg = tmp_path / "run.cfg"
@@ -686,6 +693,13 @@ class TestExitCodes:
         (["weights", "--L", "1", "--alpha", "2", "--coeffs", " "], "--coeffs entry ' '"),
         (["weights", "--L", "1", "--d", "3", "--alpha", "2", "--coeffs", "1,x,1j"],
          "--coeffs entry 'x'"),
+        # so did float()'s, for the real lists
+        (["kl-report", "--L", "1", "--alphas", "1,,2"], "error: --alphas entry '' is not a number"),
+        (["kl-report", "--L", "1", "--alphas", "x"], "error: --alphas entry 'x' is not a number"),
+        (["sweep", "--L", "4", "--alpha", "6", "--axis", "spacing", "--values", "0.1,x"],
+         "error: --values entry 'x' is not a number"),
+        (["sweep", "--L", "4", "--alpha", "6", "--axis", "spacing", "--values", ""],
+         "error: --values entry '' is not a number"),
     ])
     def test_dropped_flag_value_is_one(self, argv, named, tmp_path, capsys):
         code = main(argv + ["--out", str(tmp_path / "data.csv")])

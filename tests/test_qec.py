@@ -13,7 +13,7 @@ from catloss.channel import ChannelParams, mixture_weights, thinning_weights
 from catloss.fock import _code_basis, codeword_fock, encode, kl_check, logical_mixture
 from catloss.qec import fidelity_bound, fidelity_from_weights
 
-from conftest import central_difference
+from conftest import central_difference, record_calls
 
 BALANCED = LogicalCoeffs.balanced()
 
@@ -270,13 +270,7 @@ class TestFidelityBound:
 
     def test_both_inputs_are_one_mixture_call(self, monkeypatch):
         # the two balanced inputs are a batch axis ahead of the points
-        calls = []
-
-        def counted(*args):
-            calls.append(args)
-            return thinning_weights(*args)
-
-        monkeypatch.setattr("catloss.qec.thinning_weights", counted)
+        calls = record_calls(monkeypatch, "catloss.qec.thinning_weights")
         alphas, gammas = np.array([[2.0], [3.0]]), np.array([0.5, 0.9, 1.0])
         res = fidelity_bound(CodeSpec(2, 2, alphas), ChannelParams(gammas))
         assert len(calls) == 1

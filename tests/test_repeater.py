@@ -10,10 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from catloss import codes
 from catloss.codes import CodeSpec, LogicalCoeffs
 from catloss.channel import ChannelParams, mixture_weights
-from catloss.qec import fidelity_from_weights
+from catloss.qec import BALANCED_PAIR, fidelity_from_weights
 from catloss.repeater import (
     RepeaterConfig,
     segment_gamma,
@@ -21,7 +20,7 @@ from catloss.repeater import (
     sweep,
 )
 from catloss.restore import restoration_from_weights
-from conftest import chains_of
+from conftest import chains_of, record_calls
 
 BALANCED = LogicalCoeffs.balanced()
 
@@ -101,7 +100,7 @@ class TestConfig:
             RepeaterConfig(10.0, np.ones(2), spec=CodeSpec(1, 2, np.full(3, 2.0)), coeffs=BALANCED)
         with pytest.raises(ValueError, match="broadcast"):
             RepeaterConfig(10.0, np.ones(2), spec=CodeSpec(1, 2, 2.0),
-                           coeffs=LogicalCoeffs.stack([BALANCED] * 3))
+                           coeffs=LogicalCoeffs([BALANCED.values] * 3))
 
     def test_set_station_counts_warn_once_per_non_integral_chain(self):
         cfg = config(total=1.0, spacing=np.array([0.3, 0.5, 0.7, 0.3]))
@@ -135,7 +134,6 @@ class TestConfig:
         cfg = config(alpha=np.array([6.0, 7.0]))
         results = simulate_chains(cfg)
         assert callers.count("catloss.repeater") == 1
-        assert cfg.columns() is cfg.columns()
         monkeypatch.undo()
         assert results == [simulate_chains(c)[0] for c in chains_of(cfg)]
 
@@ -152,15 +150,9 @@ class TestSimulateChain:
 
     def test_chain_shorter_than_period_evaluates_only_its_stations(self, monkeypatch):
         # one station at ar_every 50: one mixture batch of one row, no restoration
-        batches = []
-
-        def counted(spec, coeffs, params):
-            batches.append(np.shape(spec.alpha))
-            return mixture_weights(spec, coeffs, params)
-
-        monkeypatch.setattr("catloss.repeater.mixture_weights", counted)
+        calls = record_calls(monkeypatch, "catloss.repeater.mixture_weights")
         result = simulate_chains(config(L=1, alpha=2.0, total=0.5, spacing=0.5, ar_every=50))[0]
-        assert batches == [(1,)]
+        assert [np.shape(spec.alpha) for spec, _, _ in calls] == [(1,)]
         assert result.period.shape == (1, 3)
         assert result.success_prob == 1.0
         assert result.fidelity == fidelity_from_weights(
@@ -171,29 +163,18 @@ class TestSimulateChain:
         # the shape of a table: every (alpha, spacing) row under both schemes
         # and both input signs, so amplitudes repeat across chains, across
         # signs and, at ar_every 1, between a period row and its restoring row
-        batches, kernel_amps = [], []
-        kernel = codes._coherent_gram
-
-        def counted_weights(spec, coeffs, params):
-            batches.append(np.size(spec.alpha))
-            return mixture_weights(spec, coeffs, params)
-
-        def counted_kernel(spec, qs, amps):
-            kernel_amps.append(amps)
-            return kernel(spec, qs, amps)
-
-        monkeypatch.setattr("catloss.repeater.mixture_weights", counted_weights)
-        monkeypatch.setattr(codes, "_coherent_gram", counted_kernel)
+        batches = record_calls(monkeypatch, "catloss.repeater.mixture_weights")
+        kernel_calls = record_calls(monkeypatch, "catloss.codes._coherent_gram")
         # a set of shape (alpha, spacing, ar_every, sign)
         configs = RepeaterConfig(
             total_km=10.0, spacing_km=np.array([0.1, 1.0])[:, None, None],
             spec=CodeSpec(3, 2, np.array([4.0, 5.0])[:, None, None, None]),
-            coeffs=LogicalCoeffs.stack([LogicalCoeffs.of(1.0, sign) for sign in (1, -1)]),
+            coeffs=BALANCED_PAIR,
             ar_every=np.array([[2], [1]]))
         results = simulate_chains(configs)
         # 16 chains: 8 with two period rows, 8 with one, and every chain restores
-        assert batches == [8 * 2 + 8 + 16]
-        assert kernel_amps and all(len(np.unique(a)) == len(a) for a in kernel_amps)
+        assert [np.size(spec.alpha) for spec, _, _ in batches] == [8 * 2 + 8 + 16]
+        assert kernel_calls and all(len(np.unique(a)) == len(a) for _, _, a in kernel_calls)
         one_chain = [config(L=3, alpha=alpha, total=10.0, spacing=spacing, ar_every=ar, sign=sign)
                      for alpha in (4.0, 5.0) for spacing in (0.1, 1.0)
                      for ar in (2, 1) for sign in (1, -1)]

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from catloss.codes import CodeSpec, LogicalCoeffs, gram_matrix
-from catloss import codes
 from catloss.channel import ChannelParams, mixture_weights
 from catloss.fock import filter_operators, filter_params, teleport_success_assembled
 from catloss.restore import (
@@ -14,6 +13,7 @@ from catloss.restore import (
     teleport_success_from_overlaps,
     teleport_success_from_weights,
 )
+from conftest import record_calls
 
 
 class TestFilterParams:
@@ -166,32 +166,19 @@ class TestOneWaySuccess:
         params = ChannelParams(0.95)
         c = LogicalCoeffs.balanced()
         expected = restoration_from_weights(c, mixture_weights(spec, c, params))
-        calls = []
-        kernel = codes._coherent_gram
-
-        def counted(spec, qs, amps):
-            calls.append((list(qs), amps.tolist()))
-            return kernel(spec, qs, amps)
-
-        monkeypatch.setattr(codes, "_coherent_gram", counted)
+        calls = record_calls(monkeypatch, "catloss.codes._coherent_gram")
         mixture_weights(spec, c, params)
-        weights_calls = calls[:]
+        weights_calls = [(list(qs), amps.tolist()) for _, qs, amps in calls]
         assert weights_calls
         calls.clear()
         assert restoration_from_weights(c, mixture_weights(spec, c, params)) == expected
-        assert calls == weights_calls
+        assert [(list(qs), amps.tolist()) for _, qs, amps in calls] == weights_calls
 
     def test_branches_are_one_teleportation_call(self, monkeypatch):
         # the d(L+1) branches are a batch axis: one call per factor, not one per branch
-        calls = []
-
-        def counted(*args):
-            calls.append(args)
-            return teleport_success_from_overlaps(*args)
-
-        monkeypatch.setattr("catloss.restore.teleport_success_from_overlaps", counted)
+        calls = record_calls(monkeypatch, "catloss.restore.teleport_success_from_overlaps")
         spec = CodeSpec(3, 2, np.array([3.0, 5.0, 7.0]))
-        coeffs = LogicalCoeffs.stack([LogicalCoeffs.of(0.6, 0.8j)] * 3)
+        coeffs = LogicalCoeffs([LogicalCoeffs.of(0.6, 0.8j).values] * 3)
         params = ChannelParams(np.array([0.9, 0.5, 1.0]))
         factor = restoration_from_weights(coeffs, mixture_weights(spec, coeffs, params))
         assert len(calls) == 1

@@ -14,6 +14,7 @@ from catloss import channel
 from catloss.channel import ChannelParams, mixture_weights
 from catloss.codes import CodeSpec, LogicalCoeffs
 from catloss.qec import fidelity_bound
+from test_class_sums import random_coeffs
 
 
 def _thinned_residues(L: int, d: int, alpha: float, gamma: float) -> tuple[list, list]:
@@ -63,13 +64,8 @@ def thinning_fidelity(L: int, alpha: float, gamma: float, dps: int = 30) -> tupl
         return tuple(float(mpmath.fsum(w[: L + 1]) / t) for w, t in zip(spread, mass))
 
 
-def _random_coeffs(d: int, seed: int) -> LogicalCoeffs:
-    rng = np.random.default_rng(seed)
-    return LogicalCoeffs.of(*(rng.normal(size=d) + 1j * rng.normal(size=d)))
-
-
 def _check(L, d, alpha, gamma, seed):
-    c = _random_coeffs(d, seed)
+    c = random_coeffs(d, seed)
     got = mixture_weights(CodeSpec(L, d, alpha), c, ChannelParams(gamma)).ptilde
     want = thinning_weights(L, d, alpha, gamma, c.values)
     assert np.all(abs(got - want) <= 1e-14), np.max(abs(got - want))
@@ -114,7 +110,7 @@ def test_small_weights_match_thinning(L, d, alpha, gamma):
 def test_class_sum_weights_match_thinning(L, d, alpha, gamma, seed):
     # 1e-12 relative on every weight above 1e-300, the small ones included;
     # nonnegative weights that sum to one within 1e-15 per class
-    c = _random_coeffs(d, seed)
+    c = random_coeffs(d, seed)
     got = channel.thinning_weights(CodeSpec(L, d, alpha), c, ChannelParams(gamma))
     want = thinning_weights(L, d, alpha, gamma, c.values)
     big = want > 1e-300
