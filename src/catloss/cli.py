@@ -27,7 +27,7 @@ import warnings
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
-from itertools import chain
+from itertools import chain, groupby
 
 import numpy as np
 
@@ -121,18 +121,35 @@ class _Layout:
     foot: str = "\n"
     templates: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def row(self, values) -> str:
-        types = tuple(map(type, values))
+    def template(self, types: tuple) -> str:
         if types not in self.templates:
             self.templates[types] = self.row_open + self.cell_sep.join(
                 self.floats if issubclass(t, float) else self.strs if issubclass(t, str)
                 else "%s" for t in types) + self.row_close
-        text = self.templates[types] % tuple(values)
+        return self.templates[types]
+
+    def row(self, values) -> str:
+        text = self.template(tuple(map(type, values))) % tuple(values)
         if "n" in text:  # nan or inf: no finite float, int or str cell spells an n
             for value in values:
                 if isinstance(value, float) and not math.isfinite(value):
                     raise ArithmeticError(f"non-finite value {value} in output")
         return text
+
+    def rows(self, rows) -> str:
+        """The rows joined by ``row_sep``, as ``row`` spells and checks them: each run
+        of rows with one tuple of cell types through one ``%`` over the run's joined
+        template."""
+        texts = []
+        for types, run in groupby(rows, lambda values: tuple(map(type, values))):
+            run = list(run)
+            text = self.row_sep.join([self.template(types)] * len(run)) % tuple(
+                chain.from_iterable(run))
+            if "n" in text:
+                for values in run:  # names the first non-finite cell
+                    self.row(values)
+            texts.append(text)
+        return self.row_sep.join(texts)
 
 
 LAYOUTS = {
@@ -192,8 +209,7 @@ def write_output(columns: list[str], blocks: Iterable[bytes], args) -> None:
 
 def _emit(columns, rows, args):
     # every row is rendered, and checked finite, before the first byte goes out
-    layout = replace(LAYOUTS[args.format])
-    write_output(columns, [layout.row_sep.join(map(layout.row, rows)).encode()], args)
+    write_output(columns, [replace(LAYOUTS[args.format]).rows(rows).encode()], args)
 
 
 def _gamma_grid(args) -> np.ndarray:
@@ -428,29 +444,31 @@ SUBCOMMANDS = {
 }
 
 
-def build_parser(subcommand: str | None = None) -> argparse.ArgumentParser:
-    """The parser of every subcommand, or given a name in ``SUBCOMMANDS`` one
-    holding only that subcommand's subparser (argparse builds a help formatter
-    per flag, so this saves the other six); either prints the same usage line."""
+def _add_flags(parser: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
+    """``parser`` given the flags and defaults of subcommand ``name``."""
+    _, command, flags = SUBCOMMANDS[name]
+    parser.set_defaults(func=command)
+    for flag in flags:
+        parser.add_argument(flag, **FLAGS[flag])
+    if "--format" not in flags:  # verify's report
+        parser.set_defaults(format="text")
+    return parser
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand: what ``catloss -h`` prints.  ``main`` builds it
+    only for help, a missing or unknown subcommand and an unrecognized argument; a
+    known subcommand parses with its own parser, ``catloss NAME``, whose flags come
+    from the same ``_add_flags``."""
     parser = _Parser(
         prog="catloss",
         description=__doc__,
         epilog="A key=value file passed as --config PATH supplies flag "
         "defaults (a bare key sets a switch); explicit flags always win.",
     )
-    if subcommand in SUBCOMMANDS:  # the metavar argparse derives from all the choices
-        names, metavar = [subcommand], "{" + ",".join(SUBCOMMANDS) + "}"
-    else:  # no metavar, so argparse's errors name the action "subcommand"
-        names, metavar = list(SUBCOMMANDS), None
-    sub = parser.add_subparsers(dest="subcommand", required=True, metavar=metavar)
-    for name in names:
-        help_line, command, flags = SUBCOMMANDS[name]
-        p = sub.add_parser(name, help=help_line)
-        p.set_defaults(func=command)
-        for flag in flags:
-            p.add_argument(flag, **FLAGS[flag])
-        if "--format" not in flags:  # verify's report
-            p.set_defaults(format="text")
+    sub = parser.add_subparsers(dest="subcommand", required=True)
+    for name, (help_line, _, _) in SUBCOMMANDS.items():
+        _add_flags(sub.add_parser(name, help=help_line), name)
     return parser
 
 
@@ -460,23 +478,41 @@ def _config_tokens(path: str) -> list[str]:
     bare ``key`` line, which sets a switch."""
     tokens = []
     with open(path) as fh:
-        for line in fh:
+        for n, line in enumerate(fh, 1):
             line = line.strip()
             if line and not line.startswith("#"):
                 key, sep, value = line.partition("=")
-                tokens.append("--" + key.strip().replace("_", "-") + sep + value.strip())
+                key = key.strip().replace("_", "-")
+                if key == "config":
+                    raise ValueError(f"{path} line {n}: a config file cannot name another "
+                                     "config file")
+                tokens.append("--" + key + sep + value.strip())
     return tokens
 
 
-def main(argv: list[str] | None = None) -> int:
-    config = _Parser(prog="catloss", add_help=False, allow_abbrev=False)
-    config.add_argument("--config", metavar="PATH")
-    try:
+def _parse(argv: list[str] | None) -> argparse.Namespace:
+    """``argv`` with its ``--config`` file read in, parsed as ``build_parser()`` parses
+    it: by the subcommand's own parser, or by ``build_parser()`` for help and the
+    usage errors that name no subcommand or an unrecognized argument."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if any(token == "--config" or token.startswith("--config=") for token in argv):
+        config = _Parser(prog="catloss", add_help=False, allow_abbrev=False)
+        config.add_argument("--config", metavar="PATH")
         known, argv = config.parse_known_args(argv)
         if known.config is not None:
             # right after the subcommand: explicit flags win, as argparse keeps the last
             argv = argv[:1] + _config_tokens(known.config) + argv[1:]
-        args = build_parser(argv[0] if argv else None).parse_args(argv)
+    if argv and argv[0] in SUBCOMMANDS:  # the full parser hands argv[1:] to this parser
+        parser = _add_flags(_Parser(prog=f"catloss {argv[0]}"), argv[0])
+        args, extras = parser.parse_known_args(argv[1:], argparse.Namespace(subcommand=argv[0]))
+        if not extras:
+            return args
+    return build_parser().parse_args(argv)  # prints help or the usage error, and exits
+
+
+def main(argv: list[str] | None = None) -> int:
+    try:
+        args = _parse(argv)
         # warnings (numpy's floating-point ones too) wait for the command to return,
         # so a failure prints one line; catch_warnings would reset their registries
         caught, show = [], warnings.showwarning

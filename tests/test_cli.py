@@ -22,7 +22,7 @@ from catloss.cli import FLAGS, LAYOUTS, SUBCOMMANDS, _chain_config, build_parser
 from catloss.codes import CodeSpec
 from catloss.qec import fidelity_bound
 from catloss.repeater import simulate_chains
-from conftest import assert_chain_totals
+from conftest import assert_chain_totals, record_calls
 
 
 def run(args, capsys):
@@ -552,6 +552,22 @@ class TestOutputsAndManifest:
             with pytest.raises(ArithmeticError, match=f"^non-finite value {name} in output$"):
                 layout.row(values)
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_rows_render_runs_as_row_does(self, fmt, monkeypatch):
+        # tables' "" cells change the cell types between rows; sweep has an int column
+        emitted = record_calls(monkeypatch, "catloss.cli._emit")
+        for argv in (DATASETS["tables"], DATASETS["sweep"]):
+            assert main(argv + ["--out", os.devnull]) == 0
+        mixed = [[0.5, "", 3], [0.25, "", 3], [0.5, 1e-300, 0], ["#", 2.5, 1], [0.5, "", 3]]
+        for rows in [emitted[0][1], emitted[1][1], mixed, mixed[:1], []]:
+            layout = replace(LAYOUTS[fmt])
+            assert layout.rows(rows) == layout.row_sep.join(map(layout.row, rows))
+        assert len({tuple(map(type, row)) for row in emitted[0][1]}) > 1
+        # a non-finite cell inside a run: the first one in row order is named
+        rows = [[0.5, "", 3], [0.5, 1.0, 2], [0.25, math.nan, 2], [math.inf, 0.5, 2]]
+        with pytest.raises(ArithmeticError, match="^non-finite value nan in output$"):
+            replace(LAYOUTS[fmt]).rows(rows)
+
     def test_full_precision_roundtrip(self, capsys):
         _, out = run(
             ["weights", "--L", "1", "--alpha", "2",
@@ -629,6 +645,14 @@ class TestConfigFile:
         cfg.write_text("alphas=\n")
         assert main(["kl-report", "--L", "1", "--config", str(cfg)]) == 1
         assert capsys.readouterr() == ("", "error: --alphas entry '' is not a number\n")
+
+    def test_config_naming_a_config_is_one(self, tmp_path, capsys):
+        # --config is a flag, but a file cannot name another: one line naming the file
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("L=1\n\n# the next file\nconfig=other.cfg\n")
+        assert main(["weights", "--alpha", "2", "--config", str(cfg)]) == 1
+        assert capsys.readouterr() == (
+            "", f"error: {cfg} line 4: a config file cannot name another config file\n")
 
     def test_value_on_a_switch_is_error(self, tmp_path, capsys):
         # `trace=1` is not the bare `trace` line: exit 1 naming the switch, nothing written
@@ -1054,12 +1078,29 @@ class TestExitCodes:
 
 
 class TestParserPerSubcommand:
-    """``main`` builds only the named subcommand's parser; what it parses and
-    prints must be what the parser of every subcommand parses and prints."""
+    """``main`` parses a known subcommand with that subcommand's parser alone; what it
+    parses and prints must be what the parser of every subcommand parses and prints."""
 
     @pytest.mark.parametrize("argv", CALLS.values(), ids=CALLS.keys())
-    def test_parses_as_the_full_parser(self, argv):
-        assert vars(build_parser(argv[0]).parse_args(argv)) == vars(build_parser().parse_args(argv))
+    def test_parses_as_the_full_parser(self, argv, monkeypatch):
+        full = build_parser().parse_args(argv)
+
+        def unused():
+            raise AssertionError("the full parser was built")
+
+        monkeypatch.setattr(cli, "build_parser", unused)
+        assert vars(cli._parse(argv)) == vars(full)
+
+    @staticmethod
+    def full_route(argv):
+        """The reference route: the ``--config`` pre-parser on every argv, then the
+        parser of every subcommand."""
+        config = cli._Parser(prog="catloss", add_help=False, allow_abbrev=False)
+        config.add_argument("--config", metavar="PATH")
+        known, argv = config.parse_known_args(argv)
+        if known.config is not None:
+            argv = argv[:1] + cli._config_tokens(known.config) + argv[1:]
+        return build_parser().parse_args(argv)
 
     @pytest.mark.parametrize("argv", [
         [], ["-h"], ["--he"], ["bogus"], ["--", "weights"], ["-h", "weights"],
@@ -1069,6 +1110,12 @@ class TestParserPerSubcommand:
         WEIGHTS + ["--bogus"],
         ["tables", "--which", "IV"],
         ["--config", "{cfg}", "weights"],
+        WEIGHTS + ["--", "x"],
+        WEIGHTS + ["--he"],  # an abbreviated --help
+        ["weights", "--alpha", "-1e-3", "--L", "1"],
+        ["verify", "extra"],
+        ["weights", "--L", "1", "--config"],  # no path
+        ["--config={cfg}", "weights"],
     ])
     def test_prints_as_the_full_parser(self, argv, monkeypatch, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -1085,8 +1132,7 @@ class TestParserPerSubcommand:
             return code, captured.out, captured.err
 
         got = outcome()
-        full = build_parser
-        monkeypatch.setattr(cli, "build_parser", lambda subcommand=None: full())
+        monkeypatch.setattr(cli, "_parse", self.full_route)
         assert got == outcome()
         # help, like data, goes to stdout with exit 0; a usage error to stderr with exit 1
         code, out, err = got
@@ -1106,9 +1152,23 @@ class TestParserPerSubcommand:
 
     @pytest.mark.parametrize("argv", CALLS.values(), ids=CALLS.keys())
     def test_main_adds_one_subparser(self, argv, monkeypatch, tmp_path):
-        added = self.added_subparsers(monkeypatch)
+        # the parsers one call builds, by prog: the subcommand's own, and the --config
+        # pre-parser ahead of it when a token names --config
+        built, init = [], argparse.ArgumentParser.__init__
+
+        def counted(parser, *args, **kwargs):
+            init(parser, *args, **kwargs)
+            built.append(parser.prog)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
         assert main(argv + ["--out", str(tmp_path / "d")]) == 0
-        assert added == [argv[0]]
+        assert built == [f"catloss {argv[0]}"]
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"out={tmp_path / 'e'}\n")
+        built.clear()
+        assert main(argv + ["--config", str(cfg)]) == 0
+        assert built == ["catloss", f"catloss {argv[0]}"]
+        assert (tmp_path / "e").read_bytes() == (tmp_path / "d").read_bytes()
 
     def test_full_parser_lists_every_subcommand(self, monkeypatch):
         # what `catloss -h` prints and the benchmark's set-up probe builds
@@ -1123,15 +1183,18 @@ class TestParserPerSubcommand:
 
     @pytest.mark.parametrize("name", SUBCOMMAND_FLAGS)
     def test_flag_interface(self, name):
-        parser = build_parser(name)
-        sub = next(action for action in parser._actions
-                   if isinstance(action, argparse._SubParsersAction)).choices[name]
-        actions = [action for action in sub._actions if action.dest != "help"]
-        assert [action.option_strings for action in actions] == [
-            [flag] for flag in SUBCOMMAND_FLAGS[name].split()]
-        for action in actions:
-            assert (action.dest, action.default, action.required, action.choices, action.type,
-                    action.nargs, action.help) == FLAG_INTERFACE[action.option_strings[0]]
+        full = next(action for action in build_parser()._actions
+                    if isinstance(action, argparse._SubParsersAction)).choices[name]
+        own = cli._add_flags(cli._Parser(prog=f"catloss {name}"), name)  # what main builds
+        for sub in (full, own):
+            assert sub.prog == f"catloss {name}"
+            actions = [action for action in sub._actions if action.dest != "help"]
+            assert [action.option_strings for action in actions] == [
+                [flag] for flag in SUBCOMMAND_FLAGS[name].split()]
+            for action in actions:
+                assert (action.dest, action.default, action.required, action.choices,
+                        action.type, action.nargs, action.help) == FLAG_INTERFACE[
+                            action.option_strings[0]]
 
     def test_every_flag_is_taken(self):
         assert list(SUBCOMMAND_FLAGS) == list(SUBCOMMANDS)

@@ -19,8 +19,10 @@ The argvs: the benchmark workloads at seeds 0, 1 and 7, ``tables`` in CSV and
 JSON, 10^5-station traces restored every 3, 4097 and 50000 stations and a
 1,234,560-station trace, each in CSV and JSON, ``kl-report`` at L 0-3 in both
 bases for alphas 0.5 to 9 (every loss count of the lowering ladder), the
-README's usage and reproduction-map commands (their own ``--out`` dropped) and
-the argv literals of ``tests/test_cli.py::TestExitCodes``.
+README's usage and reproduction-map commands (their own ``--out`` dropped), the
+argv literals of ``tests/test_cli.py::TestExitCodes``, and what only the argument
+parser prints: no argv, ``-h``, each subcommand's ``-h`` and each subcommand with
+its required flags and one unrecognized argument.
 """
 
 import ast
@@ -67,6 +69,18 @@ def _exit_code_argvs():
                 yield ast.literal_eval(node)
 
 
+# each subcommand's required flags, with values it accepts
+REQUIRED = {
+    "weights": ["--L", "1", "--alpha", "2"],
+    "fidelity": ["--L", "1", "--alpha", "2"],
+    "kl-report": ["--L", "1"],
+    "repeater": ["--L", "1", "--alpha", "2"],
+    "sweep": ["--L", "1", "--alpha", "2", "--axis", "alpha", "--values", "2"],
+    "tables": ["--which", "I"],
+    "verify": [],
+}
+
+
 def argvs():
     found = [argv for seed in (0, 1, 7) for name in WORKLOADS for argv in commands(name, seed)]
     found += [["tables", "--which", w, "--format", f] for w in ("I", "II", "III")
@@ -77,7 +91,9 @@ def argvs():
               for f in ("csv", "json") for chain in chains]
     found += [["kl-report", "--L", str(L), "--alphas", "0.5,1,2,3.5,5,7,9", "--basis", b]
               for L in range(4) for b in ("Z", "X")]
-    found += [*_readme_argvs(), *_exit_code_argvs()]
+    found += [*_readme_argvs(), *_exit_code_argvs(), [], ["-h"]]
+    found += [[name, "-h"] for name in REQUIRED]
+    found += [[name, *flags, "--bogus"] for name, flags in REQUIRED.items()]
     return list(dict.fromkeys(map(tuple, found)))  # distinct, in order
 
 
@@ -115,11 +131,11 @@ def outcome(src, argv, tmp):
            if not re.search(r"\.py:\d+:", ln)]
     files = sorted(path.name for path in cwd.iterdir())
     data = cwd / "data" if (cwd / "data").is_file() else None
-    dropped = ('"created_utc"', '"output_sha256"') if argv[0] == "verify" else ('"created_utc"',)
+    dropped = ('"created_utc"', '"output_sha256"') if argv[:1] == ["verify"] else ('"created_utc"',)
     manifest = cwd / "data.manifest.json"
     manifest = ([ln for ln in manifest.read_text().splitlines()
                  if not any(key in ln for key in dropped)] if manifest.is_file() else None)
-    if argv[0] != "verify":
+    if argv[:1] != ["verify"]:
         data = data and _sha256(data)
         return (_sha256(stdout), proc.returncode, err, files, data, manifest), {}
     out, residuals = _verify_report(stdout.read_text())
@@ -133,7 +149,7 @@ def deviation(argv, old_tmp, new_tmp):
     ``--out`` file, else stdout): inf where their shapes differ (one run wrote
     nothing), None where neither run wrote a table or either does not parse as
     a CSV or JSON table."""
-    if argv[0] == "verify":
+    if argv[:1] == ["verify"]:
         return None
     tables = []
     for tmp in (new_tmp, old_tmp):
