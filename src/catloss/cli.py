@@ -423,31 +423,31 @@ FLAGS = {
 _CHAIN = ("--L", "--alpha", "--a", "--b", "--total-km", "--spacing-km", "--attenuation-km",
           "--scheme", "--ar-every")
 
-# The one place a subcommand is declared: name -> (help line, command, its FLAGS
-# in usage order), in usage order.
+# The one place a subcommand is declared: name -> (help line, the name of its
+# command, its FLAGS in usage order), in usage order.
 SUBCOMMANDS = {
-    "weights": ("output-mixture weights over a gamma grid", cmd_weights,
+    "weights": ("output-mixture weights over a gamma grid", "cmd_weights",
                 ("--L", "--d", "--alpha", "--a", "--b", "--coeffs", "--gamma-min",
                  "--gamma-max", "--gamma-steps", "--out", "--format")),
-    "fidelity": ("worst-case fidelity bound over a gamma grid", cmd_fidelity,
+    "fidelity": ("worst-case fidelity bound over a gamma grid", "cmd_fidelity",
                  ("--L", "--alpha", "--gamma-min", "--gamma-max", "--gamma-steps",
                   "--out", "--format")),
-    "kl-report": ("correctability violations per loss count", cmd_klreport,
+    "kl-report": ("correctability violations per loss count", "cmd_klreport",
                   ("--L", "--alphas", "--basis", "--out", "--format")),
-    "repeater": ("simulate one communication chain", cmd_repeater,
+    "repeater": ("simulate one communication chain", "cmd_repeater",
                  (*_CHAIN, "--trace", "--out", "--format")),
-    "sweep": ("chain results along one swept axis", cmd_sweep,
+    "sweep": ("chain results along one swept axis", "cmd_sweep",
               (*_CHAIN, "--axis", "--values", "--out", "--format")),
-    "tables": ("long-haul comparison vs reference values", cmd_tables,
+    "tables": ("long-haul comparison vs reference values", "cmd_tables",
                ("--which", "--total-km", "--out", "--format")),
-    "verify": ("closed forms vs brute-force oracles", cmd_verify, ("--out",)),
+    "verify": ("closed forms vs brute-force oracles", "cmd_verify", ("--out",)),
 }
 
 
 def _add_flags(parser: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
     """``parser`` given the flags and defaults of subcommand ``name``."""
     _, command, flags = SUBCOMMANDS[name]
-    parser.set_defaults(func=command)
+    parser.set_defaults(func=globals()[command])  # as the module holds it now, wrapped or not
     for flag in flags:
         parser.add_argument(flag, **FLAGS[flag])
     if "--format" not in flags:  # verify's report

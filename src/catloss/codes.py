@@ -247,10 +247,9 @@ def gram_matrix(spec: CodeSpec, q, amplitude=None) -> np.ndarray:
             raise ArithmeticError(f"overlap of space {x} at amplitude {amp[bad][0]} is {s[bad][0]}")
         trig[x] = _pair_gram(s)
     coherent = [x for x in spaces if x not in trig]
-    if coherent:  # each distinct amplitude once, gathered back only if one repeats
+    if coherent:  # each distinct amplitude once, gathered back to the amplitudes' shape
         distinct, at = np.unique(amp.reshape(-1), return_inverse=True)
-        g = (_coherent_gram(spec, coherent, distinct)[at] if distinct.size < amp.size
-             else _coherent_gram(spec, coherent, amp.reshape(-1)))
+        g = _coherent_gram(spec, coherent, distinct)[at]
         g = g.reshape(amp.shape + g.shape[1:])
     if trig:  # the spaces in the order asked, the coherent ones taken from g
         rest = iter(np.moveaxis(g, -3, 0) if coherent else ())

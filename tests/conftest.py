@@ -1,7 +1,7 @@
-"""Shared brute-force oracles, independent of the library's closed forms."""
+"""Shared test helpers and the ``bits`` hypothesis profile; the mpmath truths
+are in mp_truth.py."""
 
 import importlib
-import math
 
 import mpmath
 import numpy as np
@@ -26,33 +26,9 @@ def pytest_configure(config):
                               deadline=None, derandomize=True)
 
 
-def series_coherent_overlap(alpha: complex, beta: complex, terms: int = 400) -> complex:
-    """<alpha|beta> by direct term-by-term summation of the Fock series."""
-    total = 0.0j
-    log_term = -(abs(alpha) ** 2 + abs(beta) ** 2) / 2.0
-    prefactor = math.exp(log_term)
-    term = 1.0 + 0.0j
-    for n in range(terms):
-        total += term
-        term = term * np.conj(alpha) * beta / (n + 1)
-    return prefactor * total
-
-
 def projector(psi: np.ndarray) -> np.ndarray:
     """|psi><psi| as a dense matrix, without normalization."""
     return np.outer(psi, psi.conj())
-
-
-def sectioned_sum_direct(x: float, modulus: int, residue: int, terms: int = 2000) -> float:
-    """sum of x^n/n! over n = residue (mod modulus), summed term by term."""
-    total = 0.0
-    log_term = 0.0
-    for n in range(terms):
-        if n > 0:
-            log_term += math.log(x) - math.log(n) if x > 0 else -math.inf
-        if n % modulus == residue % modulus:
-            total += math.exp(log_term)
-    return total
 
 
 def assert_chain_totals(result, ar_every: int) -> None:

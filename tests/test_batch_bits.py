@@ -9,7 +9,7 @@ against the frozen scalars, and a batch of N against N batches of one.
 Gram batches straddle the kernel's chunk of points for their (L, d).  Chain
 totals are checked against exact products instead (``assert_chain_totals``),
 and the worst-case fidelity bound, which reads the class-sum weights, against
-the mpmath thinning sum (``test_thinning_oracle.thinning_fidelity``).
+the mpmath thinning sum (``mp_truth.thinning_fidelity``).
 """
 
 import math
@@ -29,7 +29,7 @@ from catloss.repeater import RepeaterConfig, simulate_chains, sweep
 from catloss.restore import restoration_from_weights, teleport_success_from_overlaps
 from catloss.series import sectioned_exp
 from conftest import assert_chain_totals, chains_of
-from test_thinning_oracle import thinning_fidelity
+from mp_truth import thinning_fidelity
 
 
 def chunk_edges(L, d):

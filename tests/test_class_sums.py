@@ -9,7 +9,6 @@ conftest.py, so ``--bits-examples`` sets their number of examples.
 import math
 import tracemalloc
 
-import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,22 +17,9 @@ from hypothesis import strategies as st
 from catloss.channel import ChannelParams, thinning_weights
 from catloss.codes import CodeSpec, LogicalCoeffs
 from catloss.series import _CLASS_TERMS, class_sums
+from mp_truth import mp_class_sums
 
 bits_settings = settings.get_profile("bits")  # registered in conftest.py
-
-
-def mp_class_sums(y: float, modulus: int, dps: int = 60) -> np.ndarray:
-    """S_{M,t}(y) e^{-y} at ``dps`` digits: y^n/n! by its ratio recurrence, binned by
-    n mod M, until n is past y and the term is below 1e-400 of the total."""
-    with mpmath.workdps(dps):
-        y = mpmath.mpf(y)
-        sums, total, term, n = [mpmath.mpf(0)] * modulus, mpmath.mpf(0), mpmath.mpf(1), 0
-        while n <= y or term > total * mpmath.mpf(10) ** -400:
-            sums[n % modulus] += term
-            total += term
-            n += 1
-            term *= y / n
-        return np.array([float(s / mpmath.exp(y)) for s in sums])
 
 
 # y log-uniform over [1e-300, 900], uniform over [0, 900], and 0 itself

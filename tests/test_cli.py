@@ -1199,3 +1199,9 @@ class TestParserPerSubcommand:
     def test_every_flag_is_taken(self):
         assert list(SUBCOMMAND_FLAGS) == list(SUBCOMMANDS)
         assert {flag for _, _, flags in SUBCOMMANDS.values() for flag in flags} == set(FLAGS)
+
+    def test_runs_the_command_the_module_holds(self, monkeypatch):
+        # a wrapper installed as cli.cmd_weights, by a tracer or a test, is what runs
+        calls = record_calls(monkeypatch, "catloss.cli.cmd_weights")
+        assert main(WEIGHTS) == 0 and len(calls) == 1
+        assert build_parser().parse_args(WEIGHTS).func is cli.cmd_weights

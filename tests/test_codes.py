@@ -21,7 +21,7 @@ from catloss.fock import (
     teleport_success_assembled,
     verify_code_equations,
 )
-from test_class_sums import mp_class_sums
+from mp_truth import mp_qubit_overlap
 
 # every Fock-space oracle, called on a code and its balanced qubit input
 FOCK_ORACLES = {
@@ -42,15 +42,6 @@ GAMMA_ORACLES = {
         fock.mix([(1.0, codeword_fock(spec, 0, 0))]), p),
     "class_probabilities_kraus": class_probabilities_kraus,
 }
-
-
-def mp_qubit_overlap(L, q, amp):
-    """<w_{0,q}|w_{1,q}> of a qubit code from its Fock series, summed at 60 digits
-    by classes n mod 2(L+1) = r, r + L + 1 (r = -q mod (L+1)), whose phases
-    exp(i pi n / (L+1)) are exp(i pi r / (L+1)) and its negative."""
-    m, r = L + 1, (-q) % (L + 1)
-    sums = mp_class_sums(amp * amp, 2 * m)
-    return np.exp(1j * np.pi * r / m) * (sums[r] - sums[r + m]) / (sums[r] + sums[r + m])
 
 
 def _trig_case(L, d, q):

@@ -1,8 +1,10 @@
-"""Public surface of the package, and the one module that holds the Fock oracle."""
+"""Public surface of the package, the one module that holds the Fock oracle, and the one
+that holds the tests' mpmath truths."""
 
 import ast
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -15,6 +17,7 @@ from catloss import fock
 from test_codes import FOCK_ORACLES, GAMMA_ORACLES
 
 SRC = Path(catloss.__file__).parent
+TESTS = Path(__file__).parent
 
 # the closed-form modules: none of them reaches the oracle
 CLOSED_FORMS = ("series", "codes", "channel", "qec", "restore", "repeater")
@@ -50,6 +53,34 @@ def _imports(nodes):
             module = "." * node.level + (node.module or "")
             yield module
             yield from (f"{module}:{alias.name}" for alias in node.names)
+
+
+def test_mp_truth_imports_only_mpmath_numpy_and_math():
+    # no closed form, test module or test runner: scripts import the truths too
+    found = list(_imports(ast.walk(ast.parse((TESTS / "mp_truth.py").read_text()))))
+    assert found
+    assert {name.partition(":")[0].split(".")[0] for name in found} <= {"mpmath", "numpy", "math"}
+
+
+def test_mp_truth_imports_outside_pytest():
+    # a fresh interpreter with the tests directory alone on its path
+    check = ("import sys, mp_truth; print(sorted({'catloss', 'pytest', 'hypothesis'}"
+             " & {name.split('.')[0] for name in sys.modules}))")
+    proc = subprocess.run([sys.executable, "-c", check], capture_output=True, text=True,
+                          timeout=300, env={**os.environ, "PYTHONPATH": str(TESTS)})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
+def test_bits_profile_readers_are_named_in_help_and_ci():
+    # the --bits-examples help and the ten-times CI steps name every module that reads it
+    readers = {f"tests/{path.name}" for path in TESTS.glob("test_*.py")
+               if re.search(r"get_profile\(.bits.\)", path.read_text())}
+    help_text = (TESTS / "conftest.py").read_text()
+    ci = [line for line in (TESTS.parent / ".github/workflows/ci.yml").read_text().splitlines()
+          if "--bits-examples" in line]
+    assert readers and set(re.findall(r"tests/test_\w+\.py", help_text)) == readers
+    assert set(re.findall(r"tests/test_\w+\.py", "\n".join(ci))) == readers
 
 
 def _run_on_import(node):

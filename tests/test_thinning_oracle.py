@@ -1,10 +1,9 @@
-"""Mixture weights against an mpmath oracle: the binomial thinning of the
-input's photon-number distribution, which needs no sectioned exponential,
-no codeword and no Gram matrix.  ``mixture_weights`` (the Gram route) and
-``channel.thinning_weights`` (the class-sum route) are checked against it,
-and so is ``qec.fidelity_bound``, which reads the class-sum route."""
+"""Mixture weights against an mpmath oracle, ``mp_truth.thinning_weights``: the
+binomial thinning of the input's photon-number distribution, which needs no
+sectioned exponential, no codeword and no Gram matrix.  ``mixture_weights`` (the
+Gram route) and ``channel.thinning_weights`` (the class-sum route) are checked
+against it, and so is ``qec.fidelity_bound``, which reads the class-sum route."""
 
-import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,54 +13,8 @@ from catloss import channel
 from catloss.channel import ChannelParams, mixture_weights
 from catloss.codes import CodeSpec, LogicalCoeffs
 from catloss.qec import fidelity_bound
+from mp_truth import filter_fidelity, thinning_fidelity, thinning_weights
 from test_class_sums import random_coeffs
-
-
-def _thinned_residues(L: int, d: int, alpha: float, gamma: float) -> tuple[list, list]:
-    """The input's photon numbers n = (L+1) l split by s = l mod d: for each s the
-    Poisson weight of its numbers, sum x^n / n! (x = alpha^2), and that weight
-    spread over k mod d(L+1), where k ~ Binomial(n, 1 - gamma) photons are lost.
-    The pmf of k mod d(L+1) is the coefficient list of (gamma + (1 - gamma) z)^n
-    mod z^(d(L+1)) - 1, advanced one photon at a time by Pascal's rule.  n stops
-    once every s holds a number, and x^n / n! is past its peak and below 1e-400
-    of the summed weight, so an input of one s keeps its weight at tiny x.  Runs
-    at the caller's mpmath precision."""
-    m, cycle = L + 1, d * (L + 1)
-    x, g = mpmath.mpf(alpha) ** 2, mpmath.mpf(gamma)
-    spread, mass = [[mpmath.mpf(0)] * cycle for _ in range(d)], [mpmath.mpf(0)] * d
-    term, n = mpmath.mpf(1), 0  # x^n / n!
-    pmf = [mpmath.mpf(1)] + [mpmath.mpf(0)] * (cycle - 1)  # of k mod cycle, n photons
-    while n < cycle or n <= x or term > mpmath.fsum(mass) * mpmath.mpf(10) ** -400:
-        s = (n // m) % d
-        spread[s] = [w + term * p for w, p in zip(spread[s], pmf)]
-        mass[s] += term
-        for i in range(1, m + 1):
-            term *= x / (n + i)
-            pmf = [g * pmf[j] + (1 - g) * pmf[j - 1] for j in range(cycle)]
-        n += m
-    return spread, mass
-
-
-def thinning_weights(L: int, d: int, alpha: float, gamma: float, c, dps: int = 30) -> np.ndarray:
-    """ptilde_j = P(k = j mod d(L+1)) at ``dps`` digits for the input c, whose
-    photon numbers n = (L+1) l carry the weight |c_hat_{l mod d}|^2 x^n / n!,
-    c_hat_s = sum_k c_k exp(2 pi i k s / d)."""
-    with mpmath.workdps(dps):
-        spread, mass = _thinned_residues(L, d, alpha, gamma)
-        c = [mpmath.mpc(complex(ck)) for ck in c]
-        c_hat = [abs(mpmath.fsum(ck * mpmath.expjpi(mpmath.mpf(2 * k * s) / d)
-                                 for k, ck in enumerate(c))) ** 2 for s in range(d)]
-        total = mpmath.fsum(h * t for h, t in zip(c_hat, mass))
-        return np.array([float(mpmath.fsum(h * w[j] for h, w in zip(c_hat, spread)) / total)
-                         for j in range(d * (L + 1))])
-
-
-def thinning_fidelity(L: int, alpha: float, gamma: float, dps: int = 30) -> tuple[float, float]:
-    """(F_plus, F_minus) at ``dps`` digits: the weight of classes 0..L for the qubit
-    inputs (1, +-1)/sqrt(2), whose photon numbers are those of s = 0 and s = 1 alone."""
-    with mpmath.workdps(dps):
-        spread, mass = _thinned_residues(L, 2, alpha, gamma)
-        return tuple(float(mpmath.fsum(w[: L + 1]) / t) for w, t in zip(spread, mass))
 
 
 def _check(L, d, alpha, gamma, seed):
@@ -160,27 +113,6 @@ def test_tiny_amplitude_weights_match_thinning():
     got = channel.thinning_weights(CodeSpec(1, 2, 1e-100), c, ChannelParams(0.5))
     assert np.all(abs(got - want) <= 1e-12 * want), (got, want)
 
-
-def filter_fidelity(L: int, alpha: float, gamma: float, dps: int = 30) -> tuple[float, float]:
-    """(F_plus, F_minus) at ``dps`` digits from the class sums of the ROADMAP's
-    class-sum identity, each by the root-of-unity filter S_t(y) e^-y =
-    (1/M) sum_r w^-rt exp(y (w^r - 1)), w = exp(2 pi i / M): for amplitudes
-    whose thinning sum would run over some alpha^2 photon numbers."""
-    with mpmath.workdps(dps):
-        m, cycle = L + 1, 2 * (L + 1)
-        x, g = mpmath.mpf(alpha) ** 2, mpmath.mpf(gamma)
-
-        def sums(y):
-            w = [mpmath.expjpi(mpmath.mpf(2 * r) / cycle) for r in range(cycle)]
-            return [mpmath.re(mpmath.fsum(mpmath.exp(y * (w[r] - 1)) / w[r] ** t
-                                          for r in range(cycle))) / cycle for t in range(cycle)]
-
-        lost, kept = sums((1 - g) * x), sums(g * x)
-        fidelity = []
-        for s in range(2):
-            weights = [lost[j] * kept[(s * m - j) % cycle] for j in range(cycle)]
-            fidelity.append(float(mpmath.fsum(weights[:m]) / mpmath.fsum(weights)))
-        return tuple(fidelity)
 
 
 FIDELITY_POINTS = [(L, alpha, gamma) for L, d, alpha, gamma in POINTS if d == 2] + [
