@@ -67,6 +67,19 @@ class LossClassWeights:
         return LossClassWeights(*(getattr(self, f.name)[index] for f in fields(self)))
 
 
+def _input_and_damped(kernel, spec: CodeSpec, params: ChannelParams):
+    """One ``kernel(spec, range(L + 1), amplitudes)`` call over the input amplitudes
+    alpha, then the damped ones sqrt(gamma) * alpha, each flat and in that order (not
+    sorted, so a kernel's error names the first bad amplitude in this order): space 0
+    at the input amplitudes in alpha's shape, and every space at the damped ones in
+    the batch shape."""
+    alpha = np.asarray(spec.alpha, dtype=float)
+    damped = np.sqrt(np.asarray(params.gamma, dtype=float)) * alpha
+    values = kernel(spec, range(spec.spaces), np.concatenate([alpha.ravel(), damped.ravel()]))
+    return (values[: alpha.size, 0].reshape(alpha.shape + values.shape[2:]),
+            values[alpha.size :].reshape(damped.shape + values.shape[1:]))
+
+
 def class_probabilities(spec: CodeSpec, params: ChannelParams) -> np.ndarray:
     """Loss-class probabilities p_j, j = 0..d(L+1)-1, for a single codeword:
     the probability that the photon loss count is j modulo the code cycle.
@@ -79,8 +92,7 @@ def class_probabilities(spec: CodeSpec, params: ChannelParams) -> np.ndarray:
     gamma = np.asarray(params.gamma, dtype=float)
     # the square as libm pow rounds it, like a float's ** 2
     x = (1.0 - gamma) * np.float_power(alpha, 2.0)
-    norm0 = codeword_norm_sq(spec, 0)
-    damped = codeword_norm_sq(spec, range(spec.spaces), np.sqrt(gamma) * alpha)
+    norm0, damped = _input_and_damped(codeword_norm_sq, spec, params)
     classes = np.arange(spec.cycle)
     sections = sectioned_exp(x, spec.cycle, classes)
     return sections * damped[..., classes % spec.spaces] / norm0[..., None]
@@ -113,10 +125,8 @@ def mixture_weights(
         raise ValueError(f"coefficient count {coeffs.d} != logical dimension {spec.d}")
     p = class_probabilities(spec, params)
     c = coeffs.values
-    damped_amp = np.sqrt(params.gamma) * np.asarray(spec.alpha, dtype=float)
-    gram = gram_matrix(spec, 0)
+    gram, grams = _input_and_damped(gram_matrix, spec, params)
     input_norm = _weighted_norm_sq(c, gram)
-    grams = gram_matrix(spec, range(spec.spaces), damped_amp)
     # class j = s * spaces + q on axes (s, q), so space q's Gram broadcasts over s
     j = np.arange(spec.cycle).reshape(spec.d, spec.spaces, 1)
     branch_norms = _weighted_norm_sq(c[..., None, None, :] * _sector_phases(spec, j),

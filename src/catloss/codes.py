@@ -95,8 +95,10 @@ def _codeword_amplitude(spec: CodeSpec, k, q, amplitude):
     if bad := [x for x in np.ravel(q).tolist() if not 0 <= x <= spec.L]:
         raise ValueError(f"space index q={bad[0]} outside [0, {spec.L}]")
     amp = spec.alpha if amplitude is None else amplitude
-    if not (np.isfinite(amp) & (np.asarray(amp) > 0)).all():
-        raise ValueError(f"amplitude must be finite and positive, got {amp}")
+    bad = ~(np.isfinite(amp) & (np.asarray(amp) > 0))
+    if bad.any():  # the first such amplitude of a batch
+        raise ValueError(f"amplitude must be finite and positive, got "
+                         f"{amp if np.ndim(amp) == 0 else np.asarray(amp)[bad][0]}")
     return amp
 
 
@@ -227,7 +229,7 @@ def gram_matrix(spec: CodeSpec, q, amplitude=None) -> np.ndarray:
     falls and L grows (absolute error 9.8e-5 at 0.1 for L 5, 3e-8 at 0.5 for L 8),
     all such spaces in one kernel pass over the distinct amplitudes."""
     spaces = np.ravel(q).tolist()
-    amp = np.asarray([_codeword_amplitude(spec, 0, x, amplitude) for x in spaces][0], dtype=float)
+    amp = np.asarray(_codeword_amplitude(spec, 0, spaces, amplitude), dtype=float)
     a2 = amp * amp
     trig = {}
     for x in (x for x in spaces if spec.d == 2 and (spec.L, x) in ((1, 0), (1, 1), (2, 0))):

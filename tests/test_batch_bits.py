@@ -22,10 +22,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import scalar_reference as ref
-from catloss.channel import ChannelParams, class_probabilities, mixture_weights
-from catloss.codes import _GRAM_TERMS, CodeSpec, LogicalCoeffs, gram_matrix
+from catloss.channel import (ChannelParams, _sector_phases, _weighted_norm_sq,
+                             class_probabilities, mixture_weights)
+from catloss.codes import _GRAM_TERMS, CodeSpec, LogicalCoeffs, codeword_norm_sq, gram_matrix
 from catloss.qec import BALANCED_PAIR, fidelity_bound, fidelity_from_weights
-from catloss.repeater import RepeaterConfig, simulate_chains, sweep
+from catloss.repeater import RepeaterConfig, segment_gamma, simulate_chains, sweep
 from catloss.restore import restoration_from_weights, teleport_success_from_overlaps
 from catloss.series import sectioned_exp
 from conftest import assert_chain_totals, chains_of
@@ -270,6 +271,63 @@ def _chain_set(L, chain_set, coeffs, layout):
         coeffs = LogicalCoeffs(coeffs.values[:, None])
     return RepeaterConfig(total_km=spacing * stations, spacing_km=spacing,
                           spec=CodeSpec(L, 2, alpha), coeffs=coeffs, ar_every=ar_every)
+
+
+def _separate_calls(spec, coeffs, params):
+    """p, ptilde, gram and damped_grams with the nominal amplitude in kernel calls of
+    its own: ``gram_matrix(spec, 0)`` beside the damped spaces' Gram matrices, and
+    ``codeword_norm_sq(spec, 0)`` beside the damped norms."""
+    alpha, gamma = np.asarray(spec.alpha, dtype=float), np.asarray(params.gamma, dtype=float)
+    damped_amp = np.sqrt(gamma) * alpha
+    classes = np.arange(spec.cycle)
+    sections = sectioned_exp((1.0 - gamma) * np.float_power(alpha, 2.0), spec.cycle, classes)
+    norms = codeword_norm_sq(spec, range(spec.spaces), damped_amp)
+    p = sections * norms[..., classes % spec.spaces] / codeword_norm_sq(spec, 0)[..., None]
+    gram, grams = gram_matrix(spec, 0), gram_matrix(spec, range(spec.spaces), damped_amp)
+    c = coeffs.values
+    j = classes.reshape(spec.d, spec.spaces, 1)
+    branch = _weighted_norm_sq(c[..., None, None, :] * _sector_phases(spec, j),
+                               grams[..., None, :, :, :])
+    ptilde = p * branch.reshape(*branch.shape[:-2], spec.cycle)
+    return p, ptilde / _weighted_norm_sq(c, gram)[..., None], gram, grams
+
+
+def _same_as_separate_calls(spec, coeffs, params):
+    w = mixture_weights(spec, coeffs, params)
+    got = [class_probabilities(spec, params), w.ptilde, w.gram, w.damped_grams]
+    for a, b in zip(got, _separate_calls(spec, coeffs, params)):
+        _same(a, b)
+    assert w.gram.shape == np.shape(spec.alpha) + (spec.d, spec.d)
+
+
+# the qubit codes of L 0-3 (the trigonometric spaces and coherent ones beside them)
+# and the qutrit code of L 2
+union_codes = st.sampled_from([(0, 2), (1, 2), (2, 2), (3, 2), (2, 3)])
+
+
+@given(code=union_codes, chain_set=chains, ar_every=st.sampled_from([1, 2]), seed=seeds)
+@bits_settings
+def test_union_batch_of_chain_rows(code, chain_set, ar_every, seed):
+    # the batch a chain set forms: period rows a * g ** (t / 2.0) at transmission g,
+    # then each chain's restoring row at a over g ** ar_every, so damped amplitudes
+    # repeat input ones; the one-call route has the two-call route's bits
+    (L, d), gammas = code, [segment_gamma(s) for _, s, _, _ in chain_set]
+    nominal = [a for a, _, _, _ in chain_set]
+    amps = [a * g ** (t / 2.0) for a, g in zip(nominal, gammas) for t in range(ar_every)] + nominal
+    gams = [g for g in gammas for _ in range(ar_every)] + [g ** ar_every for g in gammas]
+    _same_as_separate_calls(*_batch(L, d, amps, gams, _coeffs(d, len(amps), seed)))
+
+
+@given(code=union_codes, alpha=alphas, n=st.integers(1, 9), drawn=drawn_points, seed=seeds,
+       column=st.booleans())
+@bits_settings
+def test_union_batch_of_one_alpha(code, alpha, n, drawn, seed, column):
+    # one alpha over a gamma grid, whose gram keeps alpha's shape (), or a column of
+    # alphas broadcast against the grid
+    (L, d), (_, gams) = code, _points(drawn, n, seed)
+    amps = np.array([[alpha], [alpha + 1.0]]) if column else alpha
+    spec, params = CodeSpec(L, d, amps), ChannelParams(np.array(gams))
+    _same_as_separate_calls(spec, LogicalCoeffs.balanced(d), params)
 
 
 @pytest.mark.filterwarnings("ignore:alpha=.*collinear")

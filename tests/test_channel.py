@@ -259,14 +259,17 @@ class TestMixtureWeights:
 
     @pytest.mark.parametrize("L,d", [(1, 2), (2, 2), (3, 2), (6, 4)])
     def test_one_kernel_pass_for_all_damped_spaces(self, L, d, monkeypatch):
-        # at most one coherent Gram pass for the code space at the nominal
-        # amplitude and one for every damped space together
+        # one coherent Gram pass for the nominal and the damped amplitudes together
+        # (none when every space takes a trigonometric form), and two sectioned
+        # exponentials: the class sections and every codeword norm
         calls = record_calls(monkeypatch, "catloss.codes._coherent_gram")
+        exps = [record_calls(monkeypatch, f"catloss.{module}.sectioned_exp")
+                for module in ("channel", "codes")]
         mixture_weights(CodeSpec(L, d, 3.0), LogicalCoeffs.balanced(d),
                         ChannelParams(np.linspace(0.5, 1.0, 7)))
         coherent = [q for q in range(L + 1) if not (d == 2 and (L, q) in ((1, 0), (1, 1), (2, 0)))]
-        assert len(calls) <= 2
-        assert [list(qs) for _, qs, _ in calls[-1:]] == ([coherent] if coherent else [])
+        assert [list(qs) for _, qs, _ in calls] == ([coherent] if coherent else [])
+        assert sum(map(len, exps)) == 2
 
     def test_no_loss_gives_unit_first_weight(self):
         w = mixture_weights(CodeSpec(2, 2, 3.0), BALANCED, ChannelParams(1.0))

@@ -825,6 +825,17 @@ class TestExitCodes:
         assert shown == []
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_overflow_names_the_nominal_amplitude(self, fmt, capsys):
+        # the two-loss form overflows at the nominal amplitude and at every damped
+        # one below it; the batch's first is the nominal 40.0, not the smallest
+        code = main(["repeater", "--L", "2", "--alpha", "40", "--total-km", "1",
+                     "--format", fmt])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == (
+            "numerical failure: overlap of space 0 at amplitude 40.0 is (nan+0j)\n")
+
     @pytest.mark.parametrize(
         "argv",
         [

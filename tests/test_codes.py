@@ -21,6 +21,7 @@ from catloss.fock import (
     teleport_success_assembled,
     verify_code_equations,
 )
+from conftest import record_calls
 from mp_truth import mp_qubit_overlap
 
 # every Fock-space oracle, called on a code and its balanced qubit input
@@ -381,6 +382,19 @@ class TestGramKernel:
         for bad in (0.0, math.nan, math.inf):
             with pytest.raises(ValueError, match="finite and positive"):
                 gram_matrix(spec, 0, bad)
+
+    def test_amplitudes_checked_once_naming_the_first_bad_one(self, monkeypatch):
+        # one check for every space of the call, and one line naming the batch's
+        # first bad amplitude, not numpy's summary of the whole array
+        calls = record_calls(monkeypatch, "catloss.codes._codeword_amplitude")
+        gram_matrix(CodeSpec(3, 2, 1.0), range(4), np.linspace(0.5, 1, 5))
+        assert [q for _, _, q, _ in calls] == [[0, 1, 2, 3]]
+        with pytest.raises(ValueError) as error:
+            gram_matrix(CodeSpec(3, 2, 1.0), 0, np.linspace(0, 1, 3000))
+        assert str(error.value) == "amplitude must be finite and positive, got 0.0"
+        with pytest.raises(ValueError) as error:
+            gram_matrix(CodeSpec(3, 2, 1.0), range(4), [2.0, math.nan, -1.0])
+        assert str(error.value) == "amplitude must be finite and positive, got nan"
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowed_trig_form_is_arithmetic_error(self):
