@@ -198,8 +198,7 @@ def write_output(columns: list[str], blocks: Iterable[bytes], args) -> None:
                     "created_utc": datetime.now(timezone.utc).isoformat()}
         with open(str(args.out) + ".manifest.json", "w") as fh:
             opened.append(fh.name)
-            json.dump(manifest, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            fh.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")  # one write
     except BaseException:
         for path in opened:  # a regular file only: never a device (/dev/null) or a link
             if os.path.isfile(path) and not os.path.islink(path):

@@ -14,13 +14,12 @@ into one loss channel (intermediate syndrome reads refine the phase
 bookkeeping, not the loss classes that weight the filter branches).
 
 A chain set is one ``RepeaterConfig`` of columns, one chain being the shape ().
-A period of ``ar_every`` stations has ``ar_every`` distinct factor pairs, so a set
-of 10^5-station chains costs one mixture batch plus, per chain, a power per period row.
+A period of ``ar_every`` stations has ``ar_every`` distinct factor pairs, so a set of
+10^5-station chains costs one mixture batch plus array passes over its period rows.
 """
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass, field, replace
 
@@ -34,11 +33,11 @@ from .restore import restoration_from_weights
 DEFAULT_ATTENUATION_KM = 22.0
 
 
-def segment_gamma(length_km: float, attenuation_km: float = DEFAULT_ATTENUATION_KM) -> float:
-    """Fibre transmission over a segment: gamma = exp(-length/attenuation)."""
-    if length_km <= 0 or attenuation_km <= 0:
+def segment_gamma(length_km, attenuation_km=DEFAULT_ATTENUATION_KM):
+    """Fibre transmission exp(-length/attenuation) per segment, elementwise; a float for scalars."""
+    if np.any(np.minimum(length_km, attenuation_km) <= 0):
         raise ValueError("lengths must be positive")
-    return float(np.exp(-length_km / attenuation_km))
+    return np.exp(-np.asarray(length_km, float) / attenuation_km)[()]
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,6 +66,10 @@ class RepeaterConfig:
             self.spec.alpha)), self.coeffs.values)
         object.__setattr__(self, "columns", (*(c[..., 0] for c in broadcast), values))
         total, spacing, attenuation, ar_every = self.columns[:4]
+        odd = ar_every.dtype.kind not in "iu" and [  # ints past uint64 are objects
+            k for k in ar_every.ravel().tolist() if type(k) is bool or not isinstance(k, int)]
+        if odd:  # a float, bool or str, named by the first
+            raise ValueError(f"ar_every must be an integer, got {odd[0]!r}")
         with np.errstate(all="ignore"):  # a non-finite ratio fails its check below
             ratio = total / spacing
         for ok, message, *columns in [
@@ -76,7 +79,7 @@ class RepeaterConfig:
              total, spacing),
             (attenuation > 0, "attenuation_km must be positive"),
             (ar_every >= 1, "ar_every must be >= 1, got {}", ar_every),
-            # numpy holds an int past int64 as uint64 or object, which np.repeat refuses
+            # numpy holds an int past int64 as uint64 or object, which no int64 count holds
             (ar_every < 2**63, "ar_every must be below 2**63, got {}", ar_every),
             # above 2**53 a float ratio no longer rounds to an exact station count
             (ratio <= 2**53, "total_km/spacing_km = {} must be finite and at most 2**53", ratio),
@@ -130,19 +133,19 @@ def simulate_chains(config: RepeaterConfig) -> list[ChainResult]:
         return []
     *columns, values = config.columns
     _, spacing, attenuation, ar_every, alpha = (c.ravel() for c in columns)
+    ar_every = ar_every.astype(np.int64)  # checked ints below 2**63, uint64 or objects too
     rows = np.minimum(ar_every, stations)
     starts = np.cumsum(rows) - rows
     owner = np.repeat(np.arange(len(rows)), rows)
-    # exp and pow one Python float at a time: numpy's vector loops may round otherwise
-    gammas = [segment_gamma(s, a) for s, a in zip(spacing.tolist(), attenuation.tolist())]
-    row_gammas = np.array(gammas)[owner]
+    t = np.arange(len(owner)) - starts[owner]  # each row's place in its period
+    # float_power and exp arrays round as the per-chain scalar calls did; np.power does not
+    gammas = segment_gamma(spacing, attenuation)
+    row_gammas = gammas[owner]
     # every period row of every chain: (amplitude_in, f_factor, p_factor)
     table = np.ones((len(owner), 3))
-    table[:, 0] = [a * g ** (t / 2.0) for a, g, r in zip(alpha.tolist(), gammas, rows.tolist())
-                   for t in range(r)]
+    table[:, 0] = alpha[owner] * np.float_power(row_gammas, t / 2.0)
     restoring = np.flatnonzero(ar_every <= stations)
-    interval = np.array([gammas[i] ** k for i, k in
-                         zip(restoring.tolist(), ar_every[restoring].tolist())])
+    interval = np.float_power(gammas[restoring], ar_every[restoring])
     # damped row amplitudes (as mixture_weights forms them) and restoring intervals must be > 0
     live = np.logical_and.reduceat(np.sqrt(row_gammas) * table[:, 0] > 0, starts)
     live[restoring] &= interval > 0
@@ -161,16 +164,15 @@ def simulate_chains(config: RepeaterConfig) -> list[ChainResult]:
     # roundoff lifts some factors a few ulps above 1, which a power of 10^5 amplifies
     table[:, 1:] = np.minimum(table[:, 1:], 1.0)
     collapsed = np.minimum.reduceat(table[:, 0], starts) * np.sqrt(gammas) < SMALL_ALPHA
-    results = []
-    for n, k, start, r, flag in zip(stations.tolist(), ar_every.tolist(), starts.tolist(),
-                                    rows.tolist(), collapsed.tolist()):
-        period = table[start:start + r]
-        # row t repeats at n // ar_every stations, one more in a cut last period
-        counts = [n // k + (t < n % k) for t in range(r)]
-        f, p = (math.prod(x ** c for x, c in zip(column, counts))
-                for column in period[:, 1:].T.tolist())
-        results.append(ChainResult(f, p, n, period, flag))
-    return results
+    q, m = np.divmod(stations, ar_every)  # row t repeats q times, once more in a cut period
+    powers = np.float_power(table[:, 1:], (q[owner] + (t < m[owner]))[:, None])
+    totals = np.empty((len(rows), 2))
+    for r in np.flatnonzero(np.bincount(rows)).tolist():  # lengths; np.unique loads numpy.ma
+        chains = np.flatnonzero(rows == r)
+        period = powers[starts[chains, None] + np.arange(r)]  # a product in row order from 1
+        totals[chains] = np.multiply.accumulate(period, axis=1, out=period)[:, -1]
+    return [ChainResult(f, p, n, table[i:i + r], c) for (f, p), n, i, r, c in zip(
+        totals.tolist(), stations.tolist(), starts.tolist(), rows.tolist(), collapsed.tolist())]
 
 
 def sweep(config: RepeaterConfig, axis: str, values: list[float]) -> list[ChainResult]:
@@ -183,20 +185,19 @@ def sweep(config: RepeaterConfig, axis: str, values: list[float]) -> list[ChainR
     """
     if axis not in ("spacing", "alpha", "gamma"):
         raise ValueError(f"axis must be spacing|alpha|gamma, got {axis!r}")
-    for v in values:
-        if not v > 0:  # NaN too, which no comparison holds for
-            raise ValueError(f"sweep values must be finite and positive, got {v}")
-        if axis == "gamma" and v >= 1.0:
-            raise ValueError("gamma sweep values must lie in (0, 1)")
+    v = np.array(values, dtype=float)
+    bad = ~(v > 0) | ((v >= 1.0) if axis == "gamma" else False)  # NaN fails v > 0 too
+    if bad.any():  # named by the first bad value
+        i = bad.argmax()
+        raise ValueError("gamma sweep values must lie in (0, 1)" if v[i] > 0 else
+                         f"sweep values must be finite and positive, got {values[i]}")
     if axis == "alpha":  # the chain set's batch warns once for all values
-        spec = quiet_spec(config.spec.L, config.spec.d, np.array(values, dtype=float))
-        return simulate_chains(replace(config, spec=spec))
+        return simulate_chains(replace(config, spec=quiet_spec(config.spec.L, config.spec.d, v)))
     if axis == "gamma":
-        spacings = [-config.attenuation_km * np.log(v) for v in values]
-        for v, s in zip(values, spacings):
-            # named by the gamma the user set; an infinite spacing is the attenuation's
-            if np.any(np.isfinite(s) & (s > config.total_km)):
-                raise ValueError(f"gamma {v} sets a spacing of {s} km, above total_km "
-                                 f"{config.total_km}")
-        values = spacings
-    return simulate_chains(replace(config, spacing_km=np.array(values, dtype=float)))
+        v = -np.multiply.outer(np.log(v), config.attenuation_km)
+        over = np.isfinite(v) & (v > config.total_km)  # as the chain set pairs them
+        if over.any():  # named by the gamma the user set; an infinite spacing is the attenuation's
+            i = np.nonzero(over)[over.ndim - v.ndim].min()  # the first value, on its own axis
+            raise ValueError(f"gamma {values[i]} sets a spacing of {v[i]} km, above total_km "
+                             f"{config.total_km}")
+    return simulate_chains(replace(config, spacing_km=v))

@@ -22,6 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import scalar_reference as ref
+from catloss.cli import LONG_HAUL_REFERENCE
 from catloss.channel import (ChannelParams, _sector_phases, _weighted_norm_sq,
                              class_probabilities, mixture_weights)
 from catloss.codes import _GRAM_TERMS, CodeSpec, LogicalCoeffs, codeword_norm_sq, gram_matrix
@@ -421,3 +422,82 @@ def test_squares_round_as_libm_pow():
     got = teleport_success_from_overlaps(mags, s_bar, coeffs)
     _same(got, [ref.teleport_success_from_overlaps(complex(t), b, coeffs.values)
                 for t, b in zip(mags.tolist(), s_bar.tolist())])
+
+
+def test_float_power_rounds_as_python_pow():
+    # the chain passes take np.float_power where the per-chain loops took Python's x ** c
+    # (libm pow): row amplitudes g ** (t / 2), intervals g ** ar_every and totals
+    # factor ** count; np.power rounds some such pairs otherwise
+    rng = np.random.default_rng(39)
+    x = np.concatenate([rng.random(60_000), 1.0 - 1e-6 * rng.random(20_000),
+                        [0.0, 5e-324, 0.5, 1.0]])
+    for c in (rng.integers(1, 2 * 10**5, len(x)), rng.integers(0, 10**5, len(x)) / 2.0):
+        _same(np.float_power(x, c), [a ** k for a, k in zip(x.tolist(), c.tolist())])
+
+
+def test_gamma_and_log_arrays_round_as_scalar_calls():
+    # the chain set's gammas, one segment_gamma pass, against the per-chain float calls, on
+    # random inputs and the benchmark's (every sweep and tables spacing, the trace's
+    # 0.01 km, at 22 km); then the gamma sweep's spacings -attenuation * log(gamma)
+    rng = np.random.default_rng(40)
+    bench = [0.01, 0.02, 0.05, 0.1, 0.5, 1.0, 5.0, 20.0] + [
+        row[1] for block in LONG_HAUL_REFERENCE.values() for row in block["rows"]]
+    spacing = np.concatenate([10.0 ** rng.uniform(-3, 3, 20_000), bench])
+    attenuation = np.concatenate([rng.uniform(1.0, 100.0, 20_000), np.full(len(bench), 22.0)])
+    got = segment_gamma(spacing, attenuation)
+    pairs = list(zip(spacing.tolist(), attenuation.tolist()))
+    _same(got, [float(np.exp(-s / a)) for s, a in pairs])  # the frozen per-chain form
+    _same(got, [segment_gamma(s, a) for s, a in pairs])
+    v = np.concatenate([rng.random(20_000), got[got > 0], [1e-320, 0.999, math.exp(-0.1)]])
+    for att in (22.0, 17.5):
+        _same(-np.multiply.outer(np.log(v), att), [-att * np.log(g) for g in v.tolist()])
+
+
+def _prod_of_powers(result, ar_every):
+    """The totals as the per-chain loop formed them: math.prod, in row order from 1, of
+    each period row's factor ** (the stations repeating the row)."""
+    n = result.n_stations
+    counts = [n // ar_every + (t < n % ar_every) for t in range(len(result.period))]
+    return [math.prod(x ** c for x, c in zip(column, counts))
+            for column in result.period[:, 1:].T.tolist()]
+
+
+@pytest.mark.filterwarnings("ignore:alpha=.*collinear")
+def test_mixed_period_set_keeps_frozen_periods_and_products():
+    # as tables runs them, rows of (alpha, spacing) under every scheme and both balanced
+    # inputs, with ar_every 1, 2 and 3: the 1-station and 2-station chains are shorter
+    # than some of their periods, so the set holds periods of 1, 2 and 3 rows
+    alpha, spacing, total = (np.array(c)[:, None, None] for c in
+                             ([6.0, 7.0, 5.5], [0.1, 0.5, 0.5], [1000.0, 1.0, 0.5]))
+    config = RepeaterConfig(total_km=total, spacing_km=spacing, spec=CodeSpec(4, 2, alpha),
+                            coeffs=BALANCED_PAIR, ar_every=np.array([[1], [2], [3]]))
+    results = simulate_chains(config)
+    assert sorted({len(r.period) for r in results}) == [1, 2, 3]
+    for cfg, got in zip(chains_of(config), results):
+        _, _, period, collapsed = ref.simulate_chain(
+            4, cfg.spec.alpha, cfg.coeffs.values, cfg.n_stations,
+            float(np.exp(-cfg.spacing_km / cfg.attenuation_km)), cfg.ar_every)
+        period[:, 1:] = np.minimum(period[:, 1:], 1.0)  # probabilities, capped at 1
+        _same(got.period, period)
+        assert got.amplitude_collapsed == collapsed
+        assert [got.fidelity, got.success_prob] == _prod_of_powers(got, cfg.ar_every)
+
+
+@pytest.mark.filterwarnings("ignore:alpha=.*collinear")
+def test_long_period_keeps_frozen_rows_and_products():
+    # repeater --L 1 --alpha 2 --spacing-km 0.01 --ar-every 50000: 10^5 stations repeat a
+    # 50,000-row period twice; every amplitude and, one frozen call each, the factors of
+    # every 2,500th row and of the restoring row (all 50,000 would take seconds)
+    coeffs, k = LogicalCoeffs.balanced(), 50_000
+    (got,) = simulate_chains(RepeaterConfig(1000.0, 0.01, CodeSpec(1, 2, 2.0), coeffs,
+                                            ar_every=k))
+    gamma = float(np.exp(-0.01 / 22.0))
+    assert got.n_stations == 2 * k and got.period.shape == (k, 3)
+    _same(got.period[:, 0], [2.0 * gamma ** (t / 2.0) for t in range(k)])
+    rows = list(range(0, k, 2_500)) + [k - 1]
+    _same(got.period[rows, 1], [min(ref.fidelity_state(1, 2, a, gamma, coeffs.values), 1.0)
+                                for a in got.period[rows, 0].tolist()])
+    assert got.period[k - 1, 2] == min(ref.restoration_factor(1, 2.0, gamma**k, coeffs.values),
+                                       1.0)
+    assert np.all(got.period[:-1, 2] == 1.0)
+    assert [got.fidelity, got.success_prob] == _prod_of_powers(got, k)

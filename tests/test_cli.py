@@ -509,6 +509,16 @@ class TestOutputsAndManifest:
         del params["func"]
         assert manifest["params"] == params
 
+    @pytest.mark.parametrize("argv", [WEIGHTS, ["sweep", "--L", "1", "--alpha", "2", "--axis",
+                                                "alpha", "--values", "2,3.5,4.25"]])
+    def test_manifest_text_is_one_sorted_dump(self, argv, tmp_path):
+        # the text json.dump wrote token by token, now written whole: two-space indent,
+        # sorted keys, one closing newline
+        assert main(argv + ["--out", str(tmp_path / "d.csv")]) == 0
+        text = (tmp_path / "d.csv.manifest.json").read_text()
+        assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+        assert text.startswith('{\n  "created_utc": ') and text.endswith('\n}\n')
+
     def test_json_format_mirrors_csv(self, tmp_path):
         base = ["weights", "--L", "1", "--alpha", "2",
                 "--gamma-min", "0.8", "--gamma-max", "1", "--gamma-steps", "3"]
@@ -1025,11 +1035,12 @@ class TestExitCodes:
         assert [path.name for path in tmp_path.iterdir()] == ["d.csv.manifest.json"]
 
     def test_failed_manifest_write_removes_both_files(self, monkeypatch, tmp_path, capsys):
-        def disk_full(obj, fh, **kwargs):
-            fh.write("{")
+        def disk_full(obj, **kwargs):
+            # the manifest is formed inside its open file: both files exist when it fails
+            assert sorted(p.name for p in tmp_path.iterdir()) == ["d.csv", "d.csv.manifest.json"]
             raise OSError(28, "No space left on device")
 
-        monkeypatch.setattr(json, "dump", disk_full)
+        monkeypatch.setattr(json, "dumps", disk_full)
         assert main(WEIGHTS + ["--out", str(tmp_path / "d.csv")]) == 1
         assert capsys.readouterr().err == "error: [Errno 28] No space left on device\n"
         assert list(tmp_path.iterdir()) == []

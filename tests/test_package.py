@@ -108,38 +108,46 @@ def test_oracles_live_in_fock(name):
 
 
 # Runs argvs through cli.main in one interpreter and prints, as JSON, whether
-# catloss.fock is loaded after importing cli and after each argv.
-_FOCK_LOADED = """
+# the module named second is loaded after importing cli and after each argv.
+_LOADED = """
 import contextlib, io, json, sys
 from catloss import cli
-loaded = ["catloss.fock" in sys.modules]
+loaded = [sys.argv[2] in sys.modules]
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(argv) == 0, argv
-    loaded.append("catloss.fock" in sys.modules)
+    loaded.append(sys.argv[2] in sys.modules)
 print(json.dumps(loaded))
 """
 
 
-def _fock_loaded(argvs):
+def _loaded(argvs, module="catloss.fock"):
     # a fresh interpreter: this session has imported fock already
-    proc = subprocess.run([sys.executable, "-c", _FOCK_LOADED, json.dumps(argvs)],
+    proc = subprocess.run([sys.executable, "-c", _LOADED, json.dumps(argvs), module],
                           capture_output=True, text=True, timeout=300,
                           env={**os.environ, "PYTHONPATH": str(SRC.parent)})
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
 
 
+CHAIN = ["--L", "1", "--alpha", "2", "--total-km", "1"]
+CLOSED_FORMS = [
+    ["weights", "--L", "1", "--alpha", "2", "--gamma-steps", "3"],
+    ["fidelity", "--L", "1", "--alpha", "2", "--gamma-steps", "3"],
+    ["repeater", *CHAIN],
+    ["repeater", *CHAIN, "--trace"],
+    ["sweep", *CHAIN, "--axis", "alpha", "--values", "2,3"],
+    ["tables", "--which", "I", "--total-km", "10"],
+]
+
+
 def test_only_the_oracle_commands_load_fock():
-    chain = ["--L", "1", "--alpha", "2", "--total-km", "1"]
-    closed_forms = [
-        ["weights", "--L", "1", "--alpha", "2", "--gamma-steps", "3"],
-        ["fidelity", "--L", "1", "--alpha", "2", "--gamma-steps", "3"],
-        ["repeater", *chain],
-        ["repeater", *chain, "--trace"],
-        ["sweep", *chain, "--axis", "alpha", "--values", "2,3"],
-        ["tables", "--which", "I", "--total-km", "10"],
-    ]
     kl_report = ["kl-report", "--L", "1", "--alphas", "2"]
-    assert _fock_loaded([*closed_forms, kl_report]) == [False] * 7 + [True]
-    assert _fock_loaded([["verify"]]) == [False, True]
+    assert _loaded([*CLOSED_FORMS, kl_report]) == [False] * 7 + [True]
+    assert _loaded([["verify"]]) == [False, True]
+
+
+def test_closed_form_commands_leave_numpy_ma_unloaded():
+    # importing numpy.ma adds about 1 MiB of resident memory and 13 ms; np.unique loads
+    # it unless asked for indices, so a chain set groups its period lengths by bincount
+    assert _loaded(CLOSED_FORMS, "numpy.ma") == [False] * 7

@@ -1,6 +1,7 @@
 """Chain simulation: composition, schemes, sweeps, reference rows."""
 
 import math
+import re
 import sys
 import warnings
 from dataclasses import replace
@@ -88,6 +89,10 @@ class TestConfig:
             with pytest.raises(ValueError, match=rf"^ar_every must be below 2\*\*63, got {big}$"):
                 RepeaterConfig(10.0, 1.0, ar_every=big, **base)
         assert simulate_chains(RepeaterConfig(10.0, 1.0, ar_every=2**63 - 1, **base))
+        # an int column of another dtype runs as int64: uint64, or objects beside a big int
+        for ints, same in ((np.uint64(3), 3), (np.array([1, 3], dtype=object), np.array([1, 3]))):
+            assert (simulate_chains(RepeaterConfig(10.0, 1.0, ar_every=ints, **base))
+                    == simulate_chains(RepeaterConfig(10.0, 1.0, ar_every=same, **base)))
         with pytest.raises(ValueError, match=r"^attenuation_km must be positive$"):
             RepeaterConfig(10.0, 1.0, attenuation_km=np.array([22.0, 0.0]), **base)
         with pytest.raises(ValueError, match=r"^total_km/spacing_km = inf must be finite"):
@@ -101,6 +106,17 @@ class TestConfig:
         with pytest.raises(ValueError, match="broadcast"):
             RepeaterConfig(10.0, np.ones(2), spec=CodeSpec(1, 2, 2.0),
                            coeffs=LogicalCoeffs([BALANCED.values] * 3))
+
+    @pytest.mark.parametrize("value, shown", [
+        (2.5, "2.5"), (2.0, "2.0"), (np.float64(3.0), "3.0"), (True, "True"), ("2", "'2'"),
+        (np.array([1.0, 2.0]), "1.0"), (np.array([1, 2.5], dtype=object), "2.5"),
+    ])
+    def test_ar_every_must_be_an_integer(self, value, shown):
+        # one ValueError naming the value, not numpy's TypeError, OverflowError or
+        # UFuncTypeError from the station counts
+        message = rf"^ar_every must be an integer, got {re.escape(shown)}$"
+        with pytest.raises(ValueError, match=message):
+            RepeaterConfig(10.0, 1.0, CodeSpec(1, 2, 2.0), BALANCED, ar_every=value)
 
     def test_set_station_counts_warn_once_per_non_integral_chain(self):
         cfg = config(total=1.0, spacing=np.array([0.3, 0.5, 0.7, 0.3]))
@@ -371,6 +387,29 @@ class TestSweep:
         with pytest.raises(ValueError, match=rf"^gamma {gamma} sets a spacing of \S+ km, "
                                              r"above total_km 1\.0$"):
             sweep(config(total=1.0), "gamma", [0.999, gamma])
+
+    def test_names_the_first_bad_value(self):
+        # either check, whichever value comes first
+        with pytest.raises(ValueError, match=r"^gamma sweep values must lie in \(0, 1\)$"):
+            sweep(config(), "gamma", [0.5, 2.0, -1.0])
+        positive = "^sweep values must be finite and positive, got "
+        with pytest.raises(ValueError, match=positive + r"-1\.0$"):
+            sweep(config(), "gamma", [0.5, -1.0, 2.0])
+        with pytest.raises(ValueError, match=positive + "0$"):
+            sweep(config(), "spacing", [1, 0, -2])
+        with pytest.raises(ValueError, match=r"^gamma 0\.25 sets a spacing of \S+ km, above"):
+            sweep(config(total=1.0), "gamma", [0.999, 0.25, 0.5])
+
+    @pytest.mark.filterwarnings("ignore:total_km/spacing_km")
+    def test_gamma_spacings_are_minus_attenuation_times_log(self):
+        # one array pass, each spacing the bits of the per-value -attenuation * log(gamma)
+        values = [0.999, 0.5, 0.9, math.exp(-0.1), 1e-3]
+        for attenuation in (22.0, 17.5):
+            cfg = replace(config(total=1e4, spacing=1.0), attenuation_km=attenuation)
+            got = sweep(cfg, "gamma", values)
+            want = [simulate_chains(replace(cfg, spacing_km=-attenuation * np.log(v)))[0]
+                    for v in values]
+            assert got == want
 
     def test_rejects_unknown_axis(self):
         # checked before the values: no values, or one invalid on every axis, names the axis
