@@ -290,16 +290,16 @@ def _chain_config(args) -> repeater.RepeaterConfig:
 
 
 def cmd_repeater(args) -> int:
-    (result,) = repeater.simulate_chains(_chain_config(args))
+    chain = repeater.chain_columns(_chain_config(args))  # one chain
+    (n,) = chain.n_stations.tolist()
     if not args.trace:
         columns = ["fidelity", "success_prob", "n_stations", "amplitude_collapsed"]
-        _emit(columns, [[result.fidelity, result.success_prob, result.n_stations,
-                         int(result.amplitude_collapsed)]], args)
+        _emit(columns, [[*chain.totals[0].tolist(), n, int(chain.amplitude_collapsed[0])]], args)
         return 0
     layout = replace(LAYOUTS[args.format])  # each period row rendered, and checked finite, once
-    rows = [layout.row(["#", *row]) for row in result.period.tolist()]
+    rows = [layout.row(["#", *row]) for row in chain.period.tolist()]
     write_output(["station", "amplitude_in", "f_factor", "p_factor"],
-                 _trace_blocks(rows, layout.row_sep, result.n_stations), args)
+                 _trace_blocks(rows, layout.row_sep, n), args)
     return 0
 
 
@@ -340,8 +340,8 @@ def _trace_blocks(rows: list[str], row_sep: str, n: int, lo: int = 1):
 
 def cmd_sweep(args) -> int:
     values = _entries(args.values, "--values", float)
-    rows = [[v, r.fidelity, r.success_prob, int(r.amplitude_collapsed)]
-            for v, r in zip(values, repeater.sweep(_chain_config(args), args.axis, values))]
+    chains = repeater.chain_columns(repeater.sweep_config(_chain_config(args), args.axis, values))
+    rows = zip(values, *chains.totals.T.tolist(), chains.amplitude_collapsed.astype(int).tolist())
     _emit([args.axis, "fidelity", "success_prob", "amplitude_collapsed"], rows, args)
     return 0
 
@@ -358,17 +358,16 @@ def cmd_tables(args) -> int:
     ]
     # every chain of the table in one set of shape (row, scheme, sign)
     alphas, spacings = np.array([row[:2] for row in block["rows"]]).T[:, :, None, None]
-    chains = iter(repeater.simulate_chains(repeater.RepeaterConfig(
+    totals = iter(repeater.chain_columns(repeater.RepeaterConfig(
         total_km=args.total_km, spacing_km=spacings, spec=codes.CodeSpec(L, 2, alphas),
         coeffs=qec.BALANCED_PAIR,
-        ar_every=np.array([[SCHEME_AR_EVERY["new"]], [SCHEME_AR_EVERY["old"]]]))))
+        ar_every=np.array([[SCHEME_AR_EVERY["new"]], [SCHEME_AR_EVERY["old"]]]))).totals.tolist())
     rows = []
     for alpha, spacing, f_new_ref, p_new_ref, f_old_ref, p_old_ref in block["rows"]:
         row = [alpha, spacing]
         for f_ref, p_ref in ((f_new_ref, p_new_ref), (f_old_ref, p_old_ref)):
-            results = {sign: next(chains) for sign in (1, -1)}
-            f_min = min(results[1].fidelity, results[-1].fidelity)
-            p_plus, p_minus = results[1].success_prob, results[-1].success_prob
+            (f_plus, p_plus), (f_minus, p_minus) = next(totals), next(totals)
+            f_min = min(f_plus, f_minus)
             f_dev = "" if f_ref is None else f_min - f_ref
             p_dev = ("" if p_ref is None or p_ref == 0
                      else min(abs(p - p_ref) / p_ref for p in (p_plus, p_minus)))

@@ -13,9 +13,13 @@ that run one, each over the whole interval since the last restoration composed
 into one loss channel (intermediate syndrome reads refine the phase
 bookkeeping, not the loss classes that weight the filter branches).
 
-A chain set is one ``RepeaterConfig`` of columns, one chain being the shape ().
-A period of ``ar_every`` stations has ``ar_every`` distinct factor pairs, so a set of
-10^5-station chains costs one mixture batch plus array passes over its period rows.
+A chain set is one ``RepeaterConfig`` of columns, one chain being the shape (),
+checked by one mask over its columns (the check that failed is looked for only
+when the mask fails).  A period of ``ar_every`` stations has ``ar_every`` distinct
+factor pairs, so a set of 10^5-station chains costs one mixture batch plus array
+passes over its period rows.  ``chain_columns`` returns the set's results as
+columns, which the CLI renders from; ``simulate_chains`` and ``sweep`` return one
+``ChainResult`` per chain.
 """
 
 from __future__ import annotations
@@ -61,17 +65,28 @@ class RepeaterConfig:
     columns: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
-        *broadcast, values = np.broadcast_arrays(*(np.expand_dims(c, -1) for c in (
-            self.total_km, self.spacing_km, self.attenuation_km, self.ar_every,
-            self.spec.alpha)), self.coeffs.values)
-        object.__setattr__(self, "columns", (*(c[..., 0] for c in broadcast), values))
+        values = self.coeffs.values
+        columns = [np.asarray(c) for c in (self.total_km, self.spacing_km, self.attenuation_km,
+                                           self.ar_every, self.spec.alpha)]
+        shape = np.broadcast(*columns, values[..., 0]).shape
+        # a column is copied only where broadcasting stretches it: np.full costs a
+        # fraction of a broadcast view for the small sets a command builds
+        object.__setattr__(self, "columns", (
+            *(c if c.shape == shape else np.full(shape, c) for c in columns),
+            values if values.shape[:-1] == shape else np.full((*shape, values.shape[-1]), values)))
         total, spacing, attenuation, ar_every = self.columns[:4]
         odd = ar_every.dtype.kind not in "iu" and [  # ints past uint64 are objects
-            k for k in ar_every.ravel().tolist() if type(k) is bool or not isinstance(k, int)]
+            k for k in ar_every.ravel().tolist()
+            if type(k) is bool or not isinstance(k, (int, np.integer))]
         if odd:  # a float, bool or str, named by the first
             raise ValueError(f"ar_every must be an integer, got {odd[0]!r}")
         with np.errstate(all="ignore"):  # a non-finite ratio fails its check below
             ratio = total / spacing
+        # one mask for the checks below: a non-finite total or spacing fails total >= spacing
+        # or gives a ratio that is infinite or NaN, so only the attenuation's needs its own
+        if ((spacing > 0) & (total >= spacing) & (ratio <= 2**53) & (attenuation > 0)
+                & np.isfinite(attenuation) & (ar_every >= 1) & (ar_every < 2**63)).all():
+            return
         for ok, message, *columns in [
             *((np.isfinite(c), f"{name} must be finite, got {{}}", c) for name, c in
               (("total_km", total), ("spacing_km", spacing), ("attenuation_km", attenuation))),
@@ -122,15 +137,28 @@ class ChainResult:
     amplitude_collapsed: bool = False
 
 
-def simulate_chains(config: RepeaterConfig) -> list[ChainResult]:
-    """Run the chains of a set, in C order of its batch shape, as one
-    ``mixture_weights`` batch: the period rows of all chains give the fidelity
-    factors, the restoring rows after them the restoration factors.  Row t of
-    a period takes alpha damped t times; it restores when t = ar_every - 1,
-    over the whole interval since the last restoration, composed."""
+@dataclass(frozen=True, eq=False)
+class ChainColumns:
+    """The chains of a set as columns, in C order of its batch shape: the fields of
+    chain i's ``ChainResult`` are ``totals[i]`` (fidelity, success_prob),
+    ``n_stations[i]``, ``amplitude_collapsed[i]`` and the period rows
+    ``period[starts[i]:starts[i] + rows[i]]``."""
+
+    totals: np.ndarray
+    n_stations: np.ndarray
+    amplitude_collapsed: np.ndarray
+    period: np.ndarray
+    starts: np.ndarray
+    rows: np.ndarray
+
+
+def chain_columns(config: RepeaterConfig) -> ChainColumns:
+    """Run the chains of a set as one ``mixture_weights`` batch: the period rows
+    of all chains give the fidelity factors, the restoring rows after them the
+    restoration factors.  Row t of a period takes alpha damped t times; it
+    restores when t = ar_every - 1, over the whole interval since the last
+    restoration, composed."""
     stations = np.ravel(config.n_stations)
-    if not stations.size:
-        return []
     *columns, values = config.columns
     _, spacing, attenuation, ar_every, alpha = (c.ravel() for c in columns)
     ar_every = ar_every.astype(np.int64)  # checked ints below 2**63, uint64 or objects too
@@ -155,7 +183,7 @@ def simulate_chains(config: RepeaterConfig) -> list[ChainResult]:
                          f"attenuation_km={attenuation[i]}, ar_every={ar_every[i]}")
     # the period rows, then the restoring rows: nominal alpha over the whole interval
     spec = CodeSpec(config.spec.L, config.spec.d, np.append(table[:, 0], alpha[restoring]))
-    coeffs = LogicalCoeffs(values.reshape(len(rows), -1)[np.append(owner, restoring)])
+    coeffs = LogicalCoeffs(values.reshape(-1, values.shape[-1])[np.append(owner, restoring)])
     weights = mixture_weights(spec, coeffs, ChannelParams(np.append(row_gammas, interval)))
     table[:, 1] = fidelity_from_weights(weights[: len(owner)])
     if restoring.size:
@@ -171,13 +199,21 @@ def simulate_chains(config: RepeaterConfig) -> list[ChainResult]:
         chains = np.flatnonzero(rows == r)
         period = powers[starts[chains, None] + np.arange(r)]  # a product in row order from 1
         totals[chains] = np.multiply.accumulate(period, axis=1, out=period)[:, -1]
-    return [ChainResult(f, p, n, table[i:i + r], c) for (f, p), n, i, r, c in zip(
-        totals.tolist(), stations.tolist(), starts.tolist(), rows.tolist(), collapsed.tolist())]
+    return ChainColumns(totals, stations, collapsed, table, starts, rows)
 
 
-def sweep(config: RepeaterConfig, axis: str, values: list[float]) -> list[ChainResult]:
-    """One chain per value of the swept axis, in input order: the chain
-    ``config`` with the swept column set to the values.
+def simulate_chains(config: RepeaterConfig) -> list[ChainResult]:
+    """Run the chains of a set, in C order of its batch shape: ``chain_columns``
+    with one ``ChainResult`` per chain."""
+    c = chain_columns(config)
+    return [ChainResult(f, p, n, c.period[i:i + r], k) for (f, p), n, i, r, k in zip(
+        c.totals.tolist(), c.n_stations.tolist(), c.starts.tolist(), c.rows.tolist(),
+        c.amplitude_collapsed.tolist())]
+
+
+def sweep_config(config: RepeaterConfig, axis: str, values: list[float]) -> RepeaterConfig:
+    """The chain set of a sweep: the chain ``config`` with the swept column set to
+    the values, one chain per value in input order.
 
     axis 'spacing' varies the station spacing in km, 'alpha' the coherent
     amplitude, and 'gamma' the per-segment transmission (realized by setting
@@ -192,7 +228,7 @@ def sweep(config: RepeaterConfig, axis: str, values: list[float]) -> list[ChainR
         raise ValueError("gamma sweep values must lie in (0, 1)" if v[i] > 0 else
                          f"sweep values must be finite and positive, got {values[i]}")
     if axis == "alpha":  # the chain set's batch warns once for all values
-        return simulate_chains(replace(config, spec=quiet_spec(config.spec.L, config.spec.d, v)))
+        return replace(config, spec=quiet_spec(config.spec.L, config.spec.d, v))
     if axis == "gamma":
         v = -np.multiply.outer(np.log(v), config.attenuation_km)
         over = np.isfinite(v) & (v > config.total_km)  # as the chain set pairs them
@@ -200,4 +236,10 @@ def sweep(config: RepeaterConfig, axis: str, values: list[float]) -> list[ChainR
             i = np.nonzero(over)[over.ndim - v.ndim].min()  # the first value, on its own axis
             raise ValueError(f"gamma {values[i]} sets a spacing of {v[i]} km, above total_km "
                              f"{config.total_km}")
-    return simulate_chains(replace(config, spacing_km=v))
+    return replace(config, spacing_km=v)
+
+
+def sweep(config: RepeaterConfig, axis: str, values: list[float]) -> list[ChainResult]:
+    """One chain per value of the swept axis, in input order: the chains of
+    ``sweep_config``."""
+    return simulate_chains(sweep_config(config, axis, values))

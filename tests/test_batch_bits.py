@@ -27,7 +27,8 @@ from catloss.channel import (ChannelParams, _sector_phases, _weighted_norm_sq,
                              class_probabilities, mixture_weights)
 from catloss.codes import _GRAM_TERMS, CodeSpec, LogicalCoeffs, codeword_norm_sq, gram_matrix
 from catloss.qec import BALANCED_PAIR, fidelity_bound, fidelity_from_weights
-from catloss.repeater import RepeaterConfig, segment_gamma, simulate_chains, sweep
+from catloss.repeater import (RepeaterConfig, chain_columns, segment_gamma, simulate_chains,
+                              sweep)
 from catloss.restore import restoration_from_weights, teleport_success_from_overlaps
 from catloss.series import sectioned_exp
 from conftest import assert_chain_totals, chains_of
@@ -462,6 +463,20 @@ def _prod_of_powers(result, ar_every):
             for column in result.period[:, 1:].T.tolist()]
 
 
+def _columns_hold_the_results(config, results):
+    """``chain_columns(config)`` holds, bit for bit, the fields of ``results``: the
+    ``ChainResult``s of ``simulate_chains(config)``, whose periods tile its table in order."""
+    columns = chain_columns(config)
+    assert columns.totals.tobytes() == np.array(
+        [[r.fidelity, r.success_prob] for r in results]).tobytes()
+    assert columns.n_stations.tolist() == [r.n_stations for r in results]
+    assert columns.amplitude_collapsed.tolist() == [r.amplitude_collapsed for r in results]
+    assert columns.rows.tolist() == [len(r.period) for r in results]
+    assert columns.period.tobytes() == np.concatenate([r.period for r in results]).tobytes()
+    for i, r, result in zip(columns.starts.tolist(), columns.rows.tolist(), results):
+        assert columns.period[i:i + r].tobytes() == result.period.tobytes()
+
+
 @pytest.mark.filterwarnings("ignore:alpha=.*collinear")
 def test_mixed_period_set_keeps_frozen_periods_and_products():
     # as tables runs them, rows of (alpha, spacing) under every scheme and both balanced
@@ -481,6 +496,7 @@ def test_mixed_period_set_keeps_frozen_periods_and_products():
         _same(got.period, period)
         assert got.amplitude_collapsed == collapsed
         assert [got.fidelity, got.success_prob] == _prod_of_powers(got, cfg.ar_every)
+    _columns_hold_the_results(config, results)
 
 
 @pytest.mark.filterwarnings("ignore:alpha=.*collinear")
@@ -489,8 +505,8 @@ def test_long_period_keeps_frozen_rows_and_products():
     # 50,000-row period twice; every amplitude and, one frozen call each, the factors of
     # every 2,500th row and of the restoring row (all 50,000 would take seconds)
     coeffs, k = LogicalCoeffs.balanced(), 50_000
-    (got,) = simulate_chains(RepeaterConfig(1000.0, 0.01, CodeSpec(1, 2, 2.0), coeffs,
-                                            ar_every=k))
+    config = RepeaterConfig(1000.0, 0.01, CodeSpec(1, 2, 2.0), coeffs, ar_every=k)
+    (got,) = simulate_chains(config)
     gamma = float(np.exp(-0.01 / 22.0))
     assert got.n_stations == 2 * k and got.period.shape == (k, 3)
     _same(got.period[:, 0], [2.0 * gamma ** (t / 2.0) for t in range(k)])
@@ -501,3 +517,4 @@ def test_long_period_keeps_frozen_rows_and_products():
                                        1.0)
     assert np.all(got.period[:-1, 2] == 1.0)
     assert [got.fidelity, got.success_prob] == _prod_of_powers(got, k)
+    _columns_hold_the_results(config, [got])

@@ -868,6 +868,27 @@ class TestExitCodes:
         assert np.all((f_plus <= 1) & (f_minus <= 1))
         assert np.array_equal(f_bound, np.minimum(f_plus, f_minus))
 
+    @pytest.mark.parametrize("argv, message", [
+        (["repeater", "--L", "1", "--alpha", "2", "--total-km", "nan"],
+         "total_km must be finite, got nan"),
+        (["repeater", "--L", "1", "--alpha", "2", "--total-km", "1", "--spacing-km", "2"],
+         "need total_km >= spacing_km > 0, got 1.0, 2.0"),
+        (["sweep", "--L", "1", "--alpha", "2", "--attenuation-km", "0", "--axis", "alpha",
+          "--values", "2,3"], "attenuation_km must be positive"),
+        (["repeater", "--L", "1", "--alpha", "2", "--ar-every", "0"],
+         "ar_every must be >= 1, got 0"),
+        (["tables", "--which", "I", "--total-km", "1e300"],
+         "total_km/spacing_km = 1e+302 must be finite and at most 2**53"),
+        (["repeater", "--L", "1", "--alpha", "2", "--total-km", "1e300", "--spacing-km", "1e-10"],
+         "total_km/spacing_km = inf must be finite and at most 2**53"),
+    ])
+    def test_invalid_chain_set_is_one(self, argv, message, capsys):
+        # each RepeaterConfig check the CLI reaches: one line naming the chain's values
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
     def test_ar_every_past_int64_is_one(self, capsys):
         # numpy held it as an object column, and np.repeat raised a TypeError
         code = main(["repeater", "--L", "1", "--alpha", "2", "--total-km", "1",
@@ -1001,7 +1022,7 @@ class TestExitCodes:
         def exhausted(*args, **kwargs):
             raise MemoryError("Unable to allocate 745. GiB")
 
-        monkeypatch.setattr("catloss.repeater.simulate_chains", exhausted)
+        monkeypatch.setattr("catloss.repeater.chain_columns", exhausted)
         out = tmp_path / "data.csv"
         code = main(["repeater", "--L", "1", "--alpha", "2", "--total-km", "1",
                      "--out", str(out)])

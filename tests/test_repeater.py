@@ -78,23 +78,34 @@ class TestConfig:
 
     def test_set_validation_names_the_first_invalid_chain(self):
         base = dict(spec=CodeSpec(1, 2, 2.0), coeffs=BALANCED)
-        with pytest.raises(ValueError, match=r"^spacing_km must be finite, got nan$"):
-            RepeaterConfig(10.0, np.array([1.0, np.nan, np.inf]), **base)
+        # every check, failed by the second of three chains and mostly the third too; a
+        # set passes one combined mask, and each of its terms alone fails some case below
+        valid = {"total_km": 10.0, "spacing_km": 1.0, "attenuation_km": 22.0, "ar_every": 1}
+        for columns, message in [
+            ({"total_km": [10.0, np.nan, np.inf]}, "total_km must be finite, got nan"),
+            ({"total_km": [10.0, np.inf, np.nan]}, "total_km must be finite, got inf"),
+            ({"spacing_km": [1.0, np.nan, np.inf]}, "spacing_km must be finite, got nan"),
+            ({"attenuation_km": [22.0, np.inf, 22.0]}, "attenuation_km must be finite, got inf"),
+            ({"spacing_km": [1.0, -1.0, -2.0]}, "need total_km >= spacing_km > 0, got 10.0, -1.0"),
+            ({"total_km": [10.0, 0.5, 0.25]}, "need total_km >= spacing_km > 0, got 0.5, 1.0"),
+            ({"attenuation_km": [22.0, 0.0, -1.0]}, "attenuation_km must be positive"),
+            ({"ar_every": [1, 0, -1]}, "ar_every must be >= 1, got 0"),
+            ({"ar_every": np.array([1, 2**63, 2**64 - 1], dtype=np.uint64)},
+             f"ar_every must be below 2**63, got {2**63}"),
+            ({"ar_every": [1, 10**20, 10**21]}, f"ar_every must be below 2**63, got {10**20}"),
+            ({"total_km": [10.0, 1e300, 1e301], "spacing_km": 1e-7},
+             "total_km/spacing_km = 1.0000000000000001e+307 must be finite and at most 2**53"),
+        ]:
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                RepeaterConfig(**{**valid, **{k: np.array(v) for k, v in columns.items()}},
+                               **base)
         with pytest.raises(ValueError, match=r"^need total_km >= spacing_km > 0, got 2\.0, 3\.0$"):
             RepeaterConfig(np.array([[10.0], [2.0]]), np.array([1.0, 3.0]), **base)
-        with pytest.raises(ValueError, match=r"^ar_every must be >= 1, got 0$"):
-            RepeaterConfig(10.0, 1.0, ar_every=np.array([1, 2, 0, -1]), **base)
         # past int64 numpy holds the column as uint64 or object, which no count array takes
         for big in (2**63, 10**20):
             with pytest.raises(ValueError, match=rf"^ar_every must be below 2\*\*63, got {big}$"):
                 RepeaterConfig(10.0, 1.0, ar_every=big, **base)
         assert simulate_chains(RepeaterConfig(10.0, 1.0, ar_every=2**63 - 1, **base))
-        # an int column of another dtype runs as int64: uint64, or objects beside a big int
-        for ints, same in ((np.uint64(3), 3), (np.array([1, 3], dtype=object), np.array([1, 3]))):
-            assert (simulate_chains(RepeaterConfig(10.0, 1.0, ar_every=ints, **base))
-                    == simulate_chains(RepeaterConfig(10.0, 1.0, ar_every=same, **base)))
-        with pytest.raises(ValueError, match=r"^attenuation_km must be positive$"):
-            RepeaterConfig(10.0, 1.0, attenuation_km=np.array([22.0, 0.0]), **base)
         with pytest.raises(ValueError, match=r"^total_km/spacing_km = inf must be finite"):
             RepeaterConfig(np.array([1.0, 1e300]), np.array([1.0, 1e-300]), **base)
         with pytest.raises(ValueError, match=r"^alpha must be finite and positive, got -1\.0$"):
@@ -110,6 +121,7 @@ class TestConfig:
     @pytest.mark.parametrize("value, shown", [
         (2.5, "2.5"), (2.0, "2.0"), (np.float64(3.0), "3.0"), (True, "True"), ("2", "'2'"),
         (np.array([1.0, 2.0]), "1.0"), (np.array([1, 2.5], dtype=object), "2.5"),
+        (np.array([2, np.True_], dtype=object), "np.True_"),
     ])
     def test_ar_every_must_be_an_integer(self, value, shown):
         # one ValueError naming the value, not numpy's TypeError, OverflowError or
@@ -117,6 +129,19 @@ class TestConfig:
         message = rf"^ar_every must be an integer, got {re.escape(shown)}$"
         with pytest.raises(ValueError, match=message):
             RepeaterConfig(10.0, 1.0, CodeSpec(1, 2, 2.0), BALANCED, ar_every=value)
+
+    @pytest.mark.parametrize("ints, same", [
+        (np.uint64(3), 3),
+        (np.array([1, 3], dtype=object), np.array([1, 3])),  # as numpy holds ints past uint64
+        (np.array([np.int64(2), 3], dtype=object), np.array([2, 3])),
+        (np.array([np.uint8(2), 3], dtype=object), np.array([2, 3])),
+    ])
+    def test_integer_columns_of_any_dtype_run_as_int64(self, ints, same):
+        base = dict(spec=CodeSpec(1, 2, 2.0), coeffs=BALANCED)
+        got = simulate_chains(RepeaterConfig(10.0, 1.0, ar_every=ints, **base))
+        want = simulate_chains(RepeaterConfig(10.0, 1.0, ar_every=same, **base))
+        assert got == want
+        assert all(np.array_equal(g.period, w.period) for g, w in zip(got, want))
 
     def test_set_station_counts_warn_once_per_non_integral_chain(self):
         cfg = config(total=1.0, spacing=np.array([0.3, 0.5, 0.7, 0.3]))
@@ -142,14 +167,17 @@ class TestConfig:
         assert config(total=1000.0, spacing=0.1).n_stations == 10000
 
     def test_columns_broadcast_once(self, monkeypatch):
-        # the set's columns are broadcast when it is made, not again by
-        # n_stations or simulate_chains (three times before)
-        callers, real = [], np.broadcast_arrays
-        monkeypatch.setattr(np, "broadcast_arrays", lambda *a: callers.append(
-            sys._getframe(1).f_globals["__name__"]) or real(*a))
+        # the set's columns are broadcast when it is made, one np.broadcast of their
+        # shapes, not again by n_stations or simulate_chains (three times before)
+        callers = {name: [] for name in ("broadcast", "broadcast_arrays", "broadcast_to")}
+        for name, found in callers.items():
+            monkeypatch.setattr(np, name, lambda *a, found=found, real=getattr(np, name), **k:
+                                found.append(sys._getframe(1).f_globals["__name__"])
+                                or real(*a, **k))
         cfg = config(alpha=np.array([6.0, 7.0]))
         results = simulate_chains(cfg)
-        assert callers.count("catloss.repeater") == 1
+        assert {name: found.count("catloss.repeater") for name, found in callers.items()} == {
+            "broadcast": 1, "broadcast_arrays": 0, "broadcast_to": 0}
         monkeypatch.undo()
         assert results == [simulate_chains(c)[0] for c in chains_of(cfg)]
 

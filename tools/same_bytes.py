@@ -16,7 +16,8 @@ a CSV or JSON dataset whose bytes differ is printed with its largest deviation
 from the old tree's, scaled as the benchmark's reference check scales it
 (``perfbench/checks.max_deviation``).
 The argvs: the benchmark workloads at seeds 0, 1 and 7, ``tables`` in CSV and
-JSON, 10^5-station traces restored every 3, 4097 and 50000 stations and a
+JSON, a ``tables`` and a ``sweep`` whose chains cut their periods or are shorter
+than them, 10^5-station traces restored every 3, 4097 and 50000 stations and a
 1,234,560-station trace, each in CSV and JSON, ``kl-report`` at L 0-3 in both
 bases for alphas 0.5 to 9 (every loss count of the lowering ladder), the
 README's usage and reproduction-map commands (their own ``--out`` dropped), the
@@ -85,6 +86,10 @@ def argvs():
     found = [argv for seed in (0, 1, 7) for name in WORKLOADS for argv in commands(name, seed)]
     found += [["tables", "--which", w, "--format", f] for w in ("I", "II", "III")
               for f in ("csv", "json")]
+    # 1-station chains shorter than their period, and cut periods
+    found += [["tables", "--which", "I", "--total-km", "1.5"],
+              ["sweep", "--L", "4", "--alpha", "6", "--axis", "spacing",
+               "--values", "0.02,0.1,0.5", "--ar-every", "3"]]
     chains = [["--spacing-km", "0.01", "--ar-every", str(n)] for n in (3, 4097, 50000)]
     chains.append(["--spacing-km", "0.001", "--total-km", "1234.56"])  # seven digits
     found += [["repeater", "--L", "1", "--alpha", "2", "--trace", *chain, "--format", f]
