@@ -13,7 +13,7 @@ from .channel import (ChannelParams, LossClassWeights, class_probabilities, mixt
                       thinning_weights)
 from .qec import FidelityResult, fidelity_bound, fidelity_from_weights
 from .restore import restoration_from_weights
-from .repeater import ChainResult, RepeaterConfig, segment_gamma, simulate_chains, sweep
+from .repeater import ChainColumns, RepeaterConfig, chain_columns, segment_gamma, sweep_config
 
 __all__ = [
     "CodeSpec", "LogicalCoeffs",
@@ -21,5 +21,5 @@ __all__ = [
     "thinning_weights",
     "FidelityResult", "fidelity_bound", "fidelity_from_weights",
     "restoration_from_weights",
-    "ChainResult", "RepeaterConfig", "segment_gamma", "simulate_chains", "sweep",
+    "ChainColumns", "RepeaterConfig", "chain_columns", "segment_gamma", "sweep_config",
 ]

@@ -17,9 +17,8 @@ A chain set is one ``RepeaterConfig`` of columns, one chain being the shape (),
 checked by one mask over its columns (the check that failed is looked for only
 when the mask fails).  A period of ``ar_every`` stations has ``ar_every`` distinct
 factor pairs, so a set of 10^5-station chains costs one mixture batch plus array
-passes over its period rows.  ``chain_columns`` returns the set's results as
-columns, which the CLI renders from; ``simulate_chains`` and ``sweep`` return one
-``ChainResult`` per chain.
+passes over its period rows.  ``chain_columns`` returns a set's results as
+``ChainColumns``, which the CLI renders from; a sweep is the set of ``sweep_config``.
 """
 
 from __future__ import annotations
@@ -39,7 +38,7 @@ DEFAULT_ATTENUATION_KM = 22.0
 
 def segment_gamma(length_km, attenuation_km=DEFAULT_ATTENUATION_KM):
     """Fibre transmission exp(-length/attenuation) per segment, elementwise; a float for scalars."""
-    if np.any(np.minimum(length_km, attenuation_km) <= 0):
+    if not np.all(np.minimum(length_km, attenuation_km) > 0):  # NaN fails > 0 too
         raise ValueError("lengths must be positive")
     return np.exp(-np.asarray(length_km, float) / attenuation_km)[()]
 
@@ -65,6 +64,10 @@ class RepeaterConfig:
     columns: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
+        if self.spec.d != 2:  # restoration, which every chain may run, is qubit-only
+            raise ValueError(f"chains carry qubit codes only, got spec.d = {self.spec.d}")
+        if self.coeffs.d != 2:
+            raise ValueError(f"coeffs.d = {self.coeffs.d} differs from spec.d = 2")
         values = self.coeffs.values
         columns = [np.asarray(c) for c in (self.total_km, self.spacing_km, self.attenuation_km,
                                            self.ar_every, self.spec.alpha)]
@@ -116,33 +119,16 @@ class RepeaterConfig:
         return n if n.ndim else int(n)
 
 
-@dataclass(frozen=True)
-class ChainResult:
-    """Chain totals plus the factor rows of one restoration period.
-
-    ``period`` holds the (amplitude_in, f_factor, p_factor) rows of stations
-    1 .. min(ar_every, n_stations); station i (1-based) repeats row
-    (i - 1) mod ar_every, the last repetition possibly cut.  A chain shorter
-    than its period never restores.  Each total is the product over the
-    period rows of factor ** (the number of stations repeating the row).
-    ``amplitude_collapsed`` flags chains whose effective amplitude fell below
-    ``codes.SMALL_ALPHA``, where the codewords can no longer be told apart.
-    """
-
-    fidelity: float
-    success_prob: float
-    n_stations: int
-    # left out of ==, since arrays have no single truth value
-    period: np.ndarray = field(compare=False)
-    amplitude_collapsed: bool = False
-
-
 @dataclass(frozen=True, eq=False)
 class ChainColumns:
-    """The chains of a set as columns, in C order of its batch shape: the fields of
-    chain i's ``ChainResult`` are ``totals[i]`` (fidelity, success_prob),
-    ``n_stations[i]``, ``amplitude_collapsed[i]`` and the period rows
-    ``period[starts[i]:starts[i] + rows[i]]``."""
+    """The chains of a set as columns, chain i in C order of its batch shape:
+    ``totals[i]`` (fidelity, success_prob), ``n_stations[i]`` and
+    ``amplitude_collapsed[i]``, set where the effective amplitude fell below
+    ``codes.SMALL_ALPHA`` and the codewords can no longer be told apart.
+    ``period[starts[i]:starts[i] + rows[i]]`` holds the (amplitude_in, f_factor,
+    p_factor) rows of stations 1 .. rows[i] = min(ar_every, n_stations); station j
+    repeats row (j - 1) mod ar_every, so a chain shorter than its period never
+    restores.  A total multiplies each row's factor ** (the stations repeating it)."""
 
     totals: np.ndarray
     n_stations: np.ndarray
@@ -202,23 +188,11 @@ def chain_columns(config: RepeaterConfig) -> ChainColumns:
     return ChainColumns(totals, stations, collapsed, table, starts, rows)
 
 
-def simulate_chains(config: RepeaterConfig) -> list[ChainResult]:
-    """Run the chains of a set, in C order of its batch shape: ``chain_columns``
-    with one ``ChainResult`` per chain."""
-    c = chain_columns(config)
-    return [ChainResult(f, p, n, c.period[i:i + r], k) for (f, p), n, i, r, k in zip(
-        c.totals.tolist(), c.n_stations.tolist(), c.starts.tolist(), c.rows.tolist(),
-        c.amplitude_collapsed.tolist())]
-
-
 def sweep_config(config: RepeaterConfig, axis: str, values: list[float]) -> RepeaterConfig:
-    """The chain set of a sweep: the chain ``config`` with the swept column set to
-    the values, one chain per value in input order.
-
-    axis 'spacing' varies the station spacing in km, 'alpha' the coherent
-    amplitude, and 'gamma' the per-segment transmission (realized by setting
-    the spacing to -attenuation * ln(gamma)).
-    """
+    """The chain set of a sweep, which ``chain_columns`` runs: the chain ``config``
+    with the swept column set to the values, one chain per value in input order.
+    axis 'spacing' varies the station spacing in km, 'alpha' the coherent amplitude,
+    and 'gamma' the per-segment transmission (the spacing -attenuation * ln(gamma))."""
     if axis not in ("spacing", "alpha", "gamma"):
         raise ValueError(f"axis must be spacing|alpha|gamma, got {axis!r}")
     v = np.array(values, dtype=float)
@@ -237,9 +211,3 @@ def sweep_config(config: RepeaterConfig, axis: str, values: list[float]) -> Repe
             raise ValueError(f"gamma {values[i]} sets a spacing of {v[i]} km, above total_km "
                              f"{config.total_km}")
     return replace(config, spacing_km=v)
-
-
-def sweep(config: RepeaterConfig, axis: str, values: list[float]) -> list[ChainResult]:
-    """One chain per value of the swept axis, in input order: the chains of
-    ``sweep_config``."""
-    return simulate_chains(sweep_config(config, axis, values))

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import settings
 
 from catloss.codes import CodeSpec, LogicalCoeffs
-from catloss.repeater import RepeaterConfig
+from catloss.repeater import RepeaterConfig, chain_columns
 
 
 def pytest_addoption(parser):
@@ -31,18 +31,32 @@ def projector(psi: np.ndarray) -> np.ndarray:
     return np.outer(psi, psi.conj())
 
 
-def assert_chain_totals(result, ar_every: int) -> None:
-    """The chain totals lie within 4 eps len(period) relative of the exact
+def period(columns, i: int) -> np.ndarray:
+    """The (amplitude_in, f_factor, p_factor) period rows of chain i of ``ChainColumns``."""
+    return columns.period[columns.starts[i]:columns.starts[i] + columns.rows[i]]
+
+
+def assert_chain_totals(columns, i: int, ar_every: int) -> None:
+    """Chain i's totals lie within 4 eps len(period) relative of the exact
     product over the period rows of row ** (stations repeating the row),
     taken in mpmath from the period's own doubles; the absolute slack of one
     subnormal step per row covers totals that underflow."""
-    rows = len(result.period)
-    counts = np.bincount(np.arange(result.n_stations) % ar_every, minlength=rows).tolist()
+    rows = period(columns, i)
+    counts = np.bincount(np.arange(columns.n_stations[i]) % ar_every, minlength=len(rows)).tolist()
     with mpmath.workprec(256):
-        for got, column in zip((result.fidelity, result.success_prob), result.period[:, 1:].T):
+        for got, column in zip(columns.totals[i].tolist(), rows[:, 1:].T):
             exact = mpmath.fprod(mpmath.mpf(x) ** k for x, k in zip(column.tolist(), counts))
-            slack = 4 * np.finfo(float).eps * rows * abs(exact) + rows * 2.0**-1074
+            slack = 4 * np.finfo(float).eps * len(rows) * abs(exact) + len(rows) * 2.0**-1074
             assert abs(mpmath.mpf(got) - exact) <= slack, (got, exact, counts)
+
+
+def assert_same_columns(columns, configs) -> None:
+    """``columns`` hold, byte for byte, the columns of the sets ``configs`` run one
+    at a time and joined in order: a set's chains run one by one give its own."""
+    ones = [chain_columns(c) for c in configs]
+    for name in ("totals", "n_stations", "amplitude_collapsed", "period", "rows"):
+        got, want = getattr(columns, name), [getattr(c, name) for c in ones]
+        assert got.tobytes() == b"".join(w.tobytes() for w in want), name
 
 
 def record_calls(monkeypatch, target: str) -> list:
@@ -56,7 +70,7 @@ def record_calls(monkeypatch, target: str) -> list:
 
 def chains_of(config: RepeaterConfig) -> list[RepeaterConfig]:
     """The chains of a chain set, each its own set of shape (), in C order
-    of the set's batch shape: the order ``simulate_chains`` returns them in."""
+    of the set's batch shape: the order of ``chain_columns``' chains."""
     *columns, values = config.columns
     total, spacing, attenuation, ar_every, alpha = (c.ravel().tolist() for c in columns)
     L, d = config.spec.L, config.spec.d

@@ -27,7 +27,7 @@ from catloss.fock import (
     teleport_success_assembled,
 )
 from catloss.qec import fidelity_from_weights
-from catloss.repeater import RepeaterConfig, simulate_chains, sweep
+from catloss.repeater import RepeaterConfig, chain_columns, sweep_config
 from catloss.restore import teleport_success_from_weights
 
 from conftest import central_difference, projector
@@ -218,16 +218,15 @@ def test_08_table_reproduction():
                     coeffs=LogicalCoeffs.of(1.0, sign),
                     ar_every=2,
                 )
-                results[sign] = simulate_chains(cfg)[0]
-            f_new = min(results[1].fidelity, results[-1].fidelity)
+                results[sign] = chain_columns(cfg).totals[0].tolist()  # (fidelity, success)
+            f_new = min(results[1][0], results[-1][0])
             assert abs(f_new - f_ref) < 0.02, (which, f_new, f_ref)
             # the published success columns mix the two balanced inputs
             # between tables, so reproduction by either counts
             p_dev = min(
-                abs(results[s].success_prob - p_ref) / p_ref for s in (1, -1)
+                abs(results[s][1] - p_ref) / p_ref for s in (1, -1)
             )
-            assert p_dev < 0.20, (which, results[1].success_prob,
-                                  results[-1].success_prob, p_ref)
+            assert p_dev < 0.20, (which, results[1][1], results[-1][1], p_ref)
             elapsed = time.perf_counter() - start
             assert elapsed < 60.0, f"table {which} row took {elapsed:.1f}s"
 
@@ -243,8 +242,7 @@ def test_09_qualitative_curve_shapes():
             ar_every=2,
         )
         values = [0.05, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 50.0, 250.0]
-        rows = sweep(base, "spacing", values)
-        probs = [r.success_prob for r in rows]
+        probs = chain_columns(sweep_config(base, "spacing", values)).totals[:, 1].tolist()
         peak = int(np.argmax(probs))
         assert 0 < peak < len(values) - 1, probs
 
@@ -252,7 +250,7 @@ def test_09_qualitative_curve_shapes():
         # collapse the correctable-weight measure saturates and stops
         # being meaningful
         f_values = [0.02, 0.05, 0.1, 0.2, 0.5, 1.0, 2.0]
-        fids = [r.fidelity for r in sweep(base, "spacing", f_values)]
+        fids = chain_columns(sweep_config(base, "spacing", f_values)).totals[:, 0].tolist()
         assert all(a > b for a, b in zip(fids, fids[1:])), fids
 
         spec = CodeSpec(1, 2, 2.0)

@@ -27,11 +27,10 @@ from catloss.channel import (ChannelParams, _sector_phases, _weighted_norm_sq,
                              class_probabilities, mixture_weights)
 from catloss.codes import _GRAM_TERMS, CodeSpec, LogicalCoeffs, codeword_norm_sq, gram_matrix
 from catloss.qec import BALANCED_PAIR, fidelity_bound, fidelity_from_weights
-from catloss.repeater import (RepeaterConfig, chain_columns, segment_gamma, simulate_chains,
-                              sweep)
+from catloss.repeater import RepeaterConfig, chain_columns, segment_gamma, sweep_config
 from catloss.restore import restoration_from_weights, teleport_success_from_overlaps
 from catloss.series import sectioned_exp
-from conftest import assert_chain_totals, chains_of
+from conftest import assert_chain_totals, assert_same_columns, chains_of, period
 from mp_truth import thinning_fidelity
 
 
@@ -336,22 +335,22 @@ def test_union_batch_of_one_alpha(code, alpha, n, drawn, seed, column):
 @given(L=st.integers(0, 7), chain_set=chains, seed=seeds,
        layout=st.sampled_from(["chains", "table", "grid"]))
 @bits_settings
-def test_simulate_chains(L, chain_set, seed, layout):
+def test_chain_columns(L, chain_set, seed, layout):
     config = _chain_set(L, chain_set, _coeffs(2, len(chain_set), seed), layout)
-    results = simulate_chains(config)
+    columns = chain_columns(config)
     one_chain = chains_of(config)
-    assert len(results) == len(one_chain) == np.prod(np.shape(config.n_stations))
-    for cfg, got in zip(one_chain, results):
+    assert len(columns.totals) == len(one_chain) == np.prod(np.shape(config.n_stations))
+    for i, cfg in enumerate(one_chain):
         # the frozen totals are sequential products over the expanded columns
-        _, _, period, collapsed = ref.simulate_chain(
+        _, _, frozen, collapsed = ref.simulate_chain(
             L, cfg.spec.alpha, cfg.coeffs.values, cfg.n_stations,
             float(np.exp(-cfg.spacing_km / cfg.attenuation_km)), cfg.ar_every,
         )
-        assert got.amplitude_collapsed == collapsed
-        period[:, 1:] = np.minimum(period[:, 1:], 1.0)  # probabilities, capped at 1
-        _same(got.period, period)
-        assert_chain_totals(got, cfg.ar_every)
-    assert results == [simulate_chains(cfg)[0] for cfg in one_chain]
+        assert columns.amplitude_collapsed[i] == collapsed
+        frozen[:, 1:] = np.minimum(frozen[:, 1:], 1.0)  # probabilities, capped at 1
+        _same(period(columns, i), frozen)
+        assert_chain_totals(columns, i, cfg.ar_every)
+    assert_same_columns(columns, one_chain)
 
 
 long_chains = st.lists(
@@ -368,21 +367,29 @@ long_chains = st.lists(
 def test_chain_totals_are_exact_products(L, chain_set, seed, layout):
     # a sequential product over the stations was 8 ulps off at 519 stations
     config = _chain_set(L, chain_set, _coeffs(2, len(chain_set), seed), layout)
-    for cfg, got in zip(chains_of(config), simulate_chains(config)):
-        assert got.n_stations == round(cfg.total_km / cfg.spacing_km)
-        assert_chain_totals(got, cfg.ar_every)
+    columns = chain_columns(config)
+    for i, cfg in enumerate(chains_of(config)):
+        assert columns.n_stations[i] == round(cfg.total_km / cfg.spacing_km)
+        assert_chain_totals(columns, i, cfg.ar_every)
 
 
-def test_empty_chain_set():
-    # a set of no chains, of any shape, returns no results, and so does a sweep
-    # of no values; a set holds one CodeSpec, so its chains share (L, d)
+def test_columns_contract():
+    # sets of shape (), (3,) and (2, 3), with chains shorter than their period, and
+    # sets of no chains, of any shape, as a sweep of no values is; a set holds one
+    # CodeSpec, so its chains share (L, d)
     base = RepeaterConfig(total_km=1.0, spacing_km=0.5, spec=CodeSpec(1, 2, 2.0),
                           coeffs=LogicalCoeffs.balanced())
+    sets = [base, replace(base, spacing_km=np.array([0.5, 0.25, 1.0]), ar_every=3),
+            replace(base, spacing_km=np.full((2, 3), 0.25), ar_every=np.array([1, 2, 5]))]
     for empty in (np.zeros(0), np.ones((2, 0))):
-        assert simulate_chains(replace(base, spacing_km=empty)) == []
-        assert simulate_chains(replace(base, spec=CodeSpec(1, 2, empty + 2.0))) == []
-    for axis in ("spacing", "alpha", "gamma"):
-        assert sweep(base, axis, []) == []
+        sets += [replace(base, spacing_km=empty), replace(base, spec=CodeSpec(1, 2, empty + 2.0))]
+    for config in sets + [sweep_config(base, axis, []) for axis in ("spacing", "alpha", "gamma")]:
+        c, n = chain_columns(config), np.size(config.n_stations)
+        assert c.totals.shape == (n, 2) and c.period.shape == (c.rows.sum(), 3)
+        for column in (c.n_stations, c.amplitude_collapsed, c.starts, c.rows):
+            assert column.shape == (n,)
+        assert c.starts.tolist() == (np.cumsum(c.rows) - c.rows).tolist()
+        assert c.rows.tolist() == np.minimum(config.columns[3].ravel(), c.n_stations).tolist()
 
 
 def test_point_shapes_are_the_batch_shapes():
@@ -454,27 +461,12 @@ def test_gamma_and_log_arrays_round_as_scalar_calls():
         _same(-np.multiply.outer(np.log(v), att), [-att * np.log(g) for g in v.tolist()])
 
 
-def _prod_of_powers(result, ar_every):
-    """The totals as the per-chain loop formed them: math.prod, in row order from 1, of
-    each period row's factor ** (the stations repeating the row)."""
-    n = result.n_stations
-    counts = [n // ar_every + (t < n % ar_every) for t in range(len(result.period))]
-    return [math.prod(x ** c for x, c in zip(column, counts))
-            for column in result.period[:, 1:].T.tolist()]
-
-
-def _columns_hold_the_results(config, results):
-    """``chain_columns(config)`` holds, bit for bit, the fields of ``results``: the
-    ``ChainResult``s of ``simulate_chains(config)``, whose periods tile its table in order."""
-    columns = chain_columns(config)
-    assert columns.totals.tobytes() == np.array(
-        [[r.fidelity, r.success_prob] for r in results]).tobytes()
-    assert columns.n_stations.tolist() == [r.n_stations for r in results]
-    assert columns.amplitude_collapsed.tolist() == [r.amplitude_collapsed for r in results]
-    assert columns.rows.tolist() == [len(r.period) for r in results]
-    assert columns.period.tobytes() == np.concatenate([r.period for r in results]).tobytes()
-    for i, r, result in zip(columns.starts.tolist(), columns.rows.tolist(), results):
-        assert columns.period[i:i + r].tobytes() == result.period.tobytes()
+def _prod_of_powers(columns, i, ar_every):
+    """Chain i's totals as the per-chain loop formed them: math.prod, in row order from 1,
+    of each period row's factor ** (the stations repeating the row)."""
+    n, rows = columns.n_stations[i].tolist(), period(columns, i)
+    counts = [n // ar_every + (t < n % ar_every) for t in range(len(rows))]
+    return [math.prod(x ** c for x, c in zip(column, counts)) for column in rows[:, 1:].T.tolist()]
 
 
 @pytest.mark.filterwarnings("ignore:alpha=.*collinear")
@@ -486,17 +478,16 @@ def test_mixed_period_set_keeps_frozen_periods_and_products():
                              ([6.0, 7.0, 5.5], [0.1, 0.5, 0.5], [1000.0, 1.0, 0.5]))
     config = RepeaterConfig(total_km=total, spacing_km=spacing, spec=CodeSpec(4, 2, alpha),
                             coeffs=BALANCED_PAIR, ar_every=np.array([[1], [2], [3]]))
-    results = simulate_chains(config)
-    assert sorted({len(r.period) for r in results}) == [1, 2, 3]
-    for cfg, got in zip(chains_of(config), results):
-        _, _, period, collapsed = ref.simulate_chain(
+    columns = chain_columns(config)
+    assert sorted(set(columns.rows.tolist())) == [1, 2, 3]
+    for i, cfg in enumerate(chains_of(config)):
+        _, _, frozen, collapsed = ref.simulate_chain(
             4, cfg.spec.alpha, cfg.coeffs.values, cfg.n_stations,
             float(np.exp(-cfg.spacing_km / cfg.attenuation_km)), cfg.ar_every)
-        period[:, 1:] = np.minimum(period[:, 1:], 1.0)  # probabilities, capped at 1
-        _same(got.period, period)
-        assert got.amplitude_collapsed == collapsed
-        assert [got.fidelity, got.success_prob] == _prod_of_powers(got, cfg.ar_every)
-    _columns_hold_the_results(config, results)
+        frozen[:, 1:] = np.minimum(frozen[:, 1:], 1.0)  # probabilities, capped at 1
+        _same(period(columns, i), frozen)
+        assert columns.amplitude_collapsed[i] == collapsed
+        assert columns.totals[i].tolist() == _prod_of_powers(columns, i, cfg.ar_every)
 
 
 @pytest.mark.filterwarnings("ignore:alpha=.*collinear")
@@ -506,15 +497,13 @@ def test_long_period_keeps_frozen_rows_and_products():
     # every 2,500th row and of the restoring row (all 50,000 would take seconds)
     coeffs, k = LogicalCoeffs.balanced(), 50_000
     config = RepeaterConfig(1000.0, 0.01, CodeSpec(1, 2, 2.0), coeffs, ar_every=k)
-    (got,) = simulate_chains(config)
-    gamma = float(np.exp(-0.01 / 22.0))
-    assert got.n_stations == 2 * k and got.period.shape == (k, 3)
-    _same(got.period[:, 0], [2.0 * gamma ** (t / 2.0) for t in range(k)])
+    columns = chain_columns(config)
+    table, gamma = columns.period, float(np.exp(-0.01 / 22.0))
+    assert columns.n_stations.tolist() == [2 * k] and table.shape == (k, 3)
+    _same(table[:, 0], [2.0 * gamma ** (t / 2.0) for t in range(k)])
     rows = list(range(0, k, 2_500)) + [k - 1]
-    _same(got.period[rows, 1], [min(ref.fidelity_state(1, 2, a, gamma, coeffs.values), 1.0)
-                                for a in got.period[rows, 0].tolist()])
-    assert got.period[k - 1, 2] == min(ref.restoration_factor(1, 2.0, gamma**k, coeffs.values),
-                                       1.0)
-    assert np.all(got.period[:-1, 2] == 1.0)
-    assert [got.fidelity, got.success_prob] == _prod_of_powers(got, k)
-    _columns_hold_the_results(config, [got])
+    _same(table[rows, 1], [min(ref.fidelity_state(1, 2, a, gamma, coeffs.values), 1.0)
+                           for a in table[rows, 0].tolist()])
+    assert table[k - 1, 2] == min(ref.restoration_factor(1, 2.0, gamma**k, coeffs.values), 1.0)
+    assert np.all(table[:-1, 2] == 1.0)
+    assert columns.totals[0].tolist() == _prod_of_powers(columns, 0, k)

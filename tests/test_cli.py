@@ -21,7 +21,7 @@ from catloss.channel import ChannelParams
 from catloss.cli import FLAGS, LAYOUTS, SUBCOMMANDS, _chain_config, build_parser, main
 from catloss.codes import CodeSpec
 from catloss.qec import fidelity_bound
-from catloss.repeater import simulate_chains
+from catloss.repeater import chain_columns
 from conftest import assert_chain_totals, record_calls
 
 
@@ -310,10 +310,10 @@ class TestRepeaterCommands:
         for ar_every, n in cases + [(4100, 2 * 4100 + 3)]:
             argv = ["repeater", "--L", "1", "--alpha", "2", "--spacing-km", "1",
                     "--total-km", str(n), "--ar-every", str(ar_every), "--trace"]
-            result = simulate_chains(_chain_config(build_parser().parse_args(argv)))[0]
-            period = result.period.tolist()
-            assert result.n_stations == n and len(period) == min(ar_every, n)
-            assert_chain_totals(result, ar_every)
+            chain = chain_columns(_chain_config(build_parser().parse_args(argv)))  # one chain
+            period = chain.period.tolist()
+            assert chain.n_stations.tolist() == [n] and len(period) == min(ar_every, n)
+            assert_chain_totals(chain, 0, ar_every)
             traces = {}
             for fmt in ("csv", "json"):
                 # the reference renders each station's row on its own

@@ -26,8 +26,8 @@ CLOSED_FORMS = ("series", "codes", "channel", "qec", "restore", "repeater")
 ALL = {
     "CodeSpec", "LogicalCoeffs", "ChannelParams", "LossClassWeights", "class_probabilities",
     "mixture_weights", "thinning_weights", "FidelityResult", "fidelity_bound",
-    "fidelity_from_weights", "restoration_from_weights", "ChainResult", "RepeaterConfig",
-    "segment_gamma", "simulate_chains", "sweep",
+    "fidelity_from_weights", "restoration_from_weights", "ChainColumns", "RepeaterConfig",
+    "chain_columns", "segment_gamma", "sweep_config",
 }
 
 
