@@ -25,7 +25,7 @@ import re
 import sys
 import warnings
 from collections.abc import Callable, Iterable
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from itertools import chain, groupby
 
@@ -105,10 +105,9 @@ class _Parser(argparse.ArgumentParser):
 class _Layout:
     """A dataset is ``head(columns)``, the rows joined by ``row_sep``, then
     ``foot``; a row is ``row_open``, cells joined by ``cell_sep``, then ``row_close``,
-    through one ``%`` template per tuple of cell types, built once per copy of the
-    layout: a float by ``floats``, a str by ``strs``, any other cell (an int) by
-    ``%s``.  A row holding a non-finite float fails, naming the first one.  The only
-    str cells are program literals (``tables``' empty cell, the trace's ``#``), so
+    spelled by ``rows``: a float by ``floats``, a str by ``strs``, any other cell (an
+    int) by ``%s``.  A row holding a non-finite float fails, naming the first one.  The
+    only str cells are program literals (``tables``' empty cell, the trace's ``#``), so
     none needs escaping."""
 
     head: Callable[[list[str]], str]
@@ -119,35 +118,21 @@ class _Layout:
     row_close: str = ""
     row_sep: str = "\n"
     foot: str = "\n"
-    templates: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    def template(self, types: tuple) -> str:
-        if types not in self.templates:
-            self.templates[types] = self.row_open + self.cell_sep.join(
-                self.floats if issubclass(t, float) else self.strs if issubclass(t, str)
-                else "%s" for t in types) + self.row_close
-        return self.templates[types]
-
-    def row(self, values) -> str:
-        text = self.template(tuple(map(type, values))) % tuple(values)
-        if "n" in text:  # nan or inf: no finite float, int or str cell spells an n
-            for value in values:
-                if isinstance(value, float) and not math.isfinite(value):
-                    raise ArithmeticError(f"non-finite value {value} in output")
-        return text
 
     def rows(self, rows) -> str:
-        """The rows joined by ``row_sep``, as ``row`` spells and checks them: each run
-        of rows with one tuple of cell types through one ``%`` over the run's joined
-        template."""
+        """The rows joined by ``row_sep``: each run of rows with one tuple of cell types
+        through one ``%`` over the run's joined row template."""
         texts = []
         for types, run in groupby(rows, lambda values: tuple(map(type, values))):
             run = list(run)
-            text = self.row_sep.join([self.template(types)] * len(run)) % tuple(
-                chain.from_iterable(run))
-            if "n" in text:
-                for values in run:  # names the first non-finite cell
-                    self.row(values)
+            template = self.row_open + self.cell_sep.join(
+                self.floats if issubclass(t, float) else self.strs if issubclass(t, str)
+                else "%s" for t in types) + self.row_close
+            text = self.row_sep.join([template] * len(run)) % tuple(chain.from_iterable(run))
+            if "n" in text:  # nan or inf: no finite float, int or str cell spells an n
+                for value in chain.from_iterable(run):  # the first non-finite cell
+                    if isinstance(value, float) and not math.isfinite(value):
+                        raise ArithmeticError(f"non-finite value {value} in output")
             texts.append(text)
         return self.row_sep.join(texts)
 
@@ -208,7 +193,7 @@ def write_output(columns: list[str], blocks: Iterable[bytes], args) -> None:
 
 def _emit(columns, rows, args):
     # every row is rendered, and checked finite, before the first byte goes out
-    write_output(columns, [replace(LAYOUTS[args.format]).rows(rows).encode()], args)
+    write_output(columns, [LAYOUTS[args.format].rows(rows).encode()], args)
 
 
 def _gamma_grid(args) -> np.ndarray:
@@ -296,23 +281,24 @@ def cmd_repeater(args) -> int:
         columns = ["fidelity", "success_prob", "n_stations", "amplitude_collapsed"]
         _emit(columns, [[*chain.totals[0].tolist(), n, int(chain.amplitude_collapsed[0])]], args)
         return 0
-    layout = replace(LAYOUTS[args.format])  # each period row rendered, and checked finite, once
-    rows = [layout.row(["#", *row]) for row in chain.period.tolist()]
+    layout = LAYOUTS[args.format]  # the period rendered, and checked finite, once
+    period = layout.rows([["#", *row] for row in chain.period.tolist()]).encode()
     write_output(["station", "amplitude_in", "f_factor", "p_factor"],
-                 _trace_blocks(rows, layout.row_sep, n), args)
+                 _trace_blocks(period, layout.row_sep.encode(), n), args)
     return 0
 
 
-def _trace_blocks(rows: list[str], row_sep: str, n: int, lo: int = 1):
-    """Stations lo..n as bytes, station i being ``rows[(i - 1) % P]`` with its ``#`` replaced
+def _trace_blocks(period: bytes, row_sep: bytes, n: int, lo: int = 1):
+    """Stations lo..n as bytes, station i being row (i - 1) % P of the ``period`` (P rows
+    joined by ``row_sep``, each opening alike up to its one ``#``) with its ``#`` replaced
     by i, in blocks ending every ``P * max(1, 4096 // P)`` stations and at each power of ten:
     the period rows rotated to the block's first station, with k placeholder digits, repeated
     by bytes ``*``; digit position i of consecutive stations holds runs of one digit, each
     10**(k - 1 - i) long, written in one pass as an ``np.repeat`` of ``0123456789...``."""
-    P, step = len(rows), len(rows) * max(1, 4096 // len(rows))
-    text = bytearray((row_sep.join(rows) + row_sep).encode()) * 2  # a rotation is a slice
+    text = bytearray(period + row_sep) * 2  # a rotation is a slice
     cells = np.flatnonzero(np.frombuffer(text, np.uint8) == ord("#"))  # each row's station
-    bounds = np.cumsum([0] + [len(row) + len(row_sep) for row in rows] * 2)  # row starts
+    bounds, P = cells - cells[0], len(cells) // 2  # row starts: rows open alike up to their #
+    step = P * max(1, 4096 // P)
     ten = np.frombuffer(b"0123456789" * (step // 5 + 2), np.uint8)  # a block has < 2 * step
     while lo <= n:
         k = len(str(lo))

@@ -14,11 +14,11 @@ into one loss channel (intermediate syndrome reads refine the phase
 bookkeeping, not the loss classes that weight the filter branches).
 
 A chain set is one ``RepeaterConfig`` of columns, one chain being the shape (),
-checked by one mask over its columns (the check that failed is looked for only
-when the mask fails).  A period of ``ar_every`` stations has ``ar_every`` distinct
-factor pairs, so a set of 10^5-station chains costs one mixture batch plus array
-passes over its period rows.  ``chain_columns`` returns a set's results as
-``ChainColumns``, which the CLI renders from; a sweep is the set of ``sweep_config``.
+checked by one list of column checks, all passing in one reduce (a message is
+formatted only for the first that fails).  A period of ``ar_every`` stations has
+``ar_every`` distinct factor pairs, so a set of 10^5-station chains costs one mixture
+batch plus array passes over its period rows.  ``chain_columns`` returns a set's
+results as ``ChainColumns``, which the CLI renders; a sweep is the set of ``sweep_config``.
 """
 
 from __future__ import annotations
@@ -85,14 +85,10 @@ class RepeaterConfig:
             raise ValueError(f"ar_every must be an integer, got {odd[0]!r}")
         with np.errstate(all="ignore"):  # a non-finite ratio fails its check below
             ratio = total / spacing
-        # one mask for the checks below: a non-finite total or spacing fails total >= spacing
-        # or gives a ratio that is infinite or NaN, so only the attenuation's needs its own
-        if ((spacing > 0) & (total >= spacing) & (ratio <= 2**53) & (attenuation > 0)
-                & np.isfinite(attenuation) & (ar_every >= 1) & (ar_every < 2**63)).all():
-            return
-        for ok, message, *columns in [
-            *((np.isfinite(c), f"{name} must be finite, got {{}}", c) for name, c in
-              (("total_km", total), ("spacing_km", spacing), ("attenuation_km", attenuation))),
+        checks = [
+            (np.isfinite(total), "total_km must be finite, got {}", total),
+            (np.isfinite(spacing), "spacing_km must be finite, got {}", spacing),
+            (np.isfinite(attenuation), "attenuation_km must be finite, got {}", attenuation),
             ((spacing > 0) & (total >= spacing), "need total_km >= spacing_km > 0, got {}, {}",
              total, spacing),
             (attenuation > 0, "attenuation_km must be positive"),
@@ -101,7 +97,10 @@ class RepeaterConfig:
             (ar_every < 2**63, "ar_every must be below 2**63, got {}", ar_every),
             # above 2**53 a float ratio no longer rounds to an exact station count
             (ratio <= 2**53, "total_km/spacing_km = {} must be finite and at most 2**53", ratio),
-        ]:
+        ]
+        if np.logical_and.reduce([ok for ok, *_ in checks], axis=None):
+            return
+        for ok, message, *columns in checks:
             if not np.all(ok):  # named by the first failing chain's values
                 i = np.argmin(ok)
                 raise ValueError(message.format(*(np.ravel(c).tolist()[i] for c in columns)))
@@ -180,11 +179,7 @@ def chain_columns(config: RepeaterConfig) -> ChainColumns:
     collapsed = np.minimum.reduceat(table[:, 0], starts) * np.sqrt(gammas) < SMALL_ALPHA
     q, m = np.divmod(stations, ar_every)  # row t repeats q times, once more in a cut period
     powers = np.float_power(table[:, 1:], (q[owner] + (t < m[owner]))[:, None])
-    totals = np.empty((len(rows), 2))
-    for r in np.flatnonzero(np.bincount(rows)).tolist():  # lengths; np.unique loads numpy.ma
-        chains = np.flatnonzero(rows == r)
-        period = powers[starts[chains, None] + np.arange(r)]  # a product in row order from 1
-        totals[chains] = np.multiply.accumulate(period, axis=1, out=period)[:, -1]
+    totals = np.multiply.reduceat(powers, starts)  # each period's product in row order
     return ChainColumns(totals, stations, collapsed, table, starts, rows)
 
 

@@ -318,7 +318,7 @@ class TestRepeaterCommands:
             for fmt in ("csv", "json"):
                 # the reference renders each station's row on its own
                 layout = LAYOUTS[fmt]
-                rows = (layout.row([str(i), *period[(i - 1) % len(period)]])
+                rows = (layout.rows([[str(i), *period[(i - 1) % len(period)]]])
                         for i in range(1, n + 1))
                 expected = (layout.head(["station", "amplitude_in", "f_factor", "p_factor"])
                             + layout.row_sep.join(rows) + layout.foot)
@@ -342,20 +342,19 @@ class TestRepeaterCommands:
     @pytest.mark.parametrize("ar_every", [1, 7, 5000])
     def test_trace_renders_each_period_row_once(self, ar_every, fmt, monkeypatch, tmp_path):
         # 20001 stations take five digit counts, and each count's rows come from
-        # the one rendering of the period; a row renders through one template,
-        # so the count is taken on the rendering of whole rows
+        # the one rendering of the period: one rows call over its ar_every rows
         rendered = []
-        row = cli._Layout.row
+        rows = cli._Layout.rows
 
         def counted(self, values):
             rendered.append(values)
-            return row(self, values)
+            return rows(self, values)
 
-        monkeypatch.setattr(cli._Layout, "row", counted)
+        monkeypatch.setattr(cli._Layout, "rows", counted)
         assert main(["repeater", "--L", "1", "--alpha", "2", "--total-km", "20001",
                      "--spacing-km", "1", "--ar-every", str(ar_every), "--trace",
                      "--format", fmt, "--out", str(tmp_path / "trace")]) == 0
-        assert len(rendered) == ar_every
+        assert [len(period) for period in rendered] == [ar_every]
 
     @pytest.mark.parametrize("fmt, size", [("csv", 4.7 * 10**6), ("json", 9.5 * 10**6)],
                              ids=["csv", "json"])
@@ -385,10 +384,10 @@ class TestRepeaterCommands:
         # blocks that start just below 10^k, k = 7..16, and end past it, and the
         # last stations below 2^53, where a leading digit's run (10^15 stations)
         # is far longer than the block; each station against str(i)
-        rows = [f"#,{j}" for j in range(P)]
+        period = "\n".join(f"#,{j}" for j in range(P)).encode()
         edges = [(10**k - 4099, 10**k + 4100) for k in range(7, 17)] + [(2**53 - 8200, 2**53)]
         for lo, n in edges:
-            got = b"\n".join(cli._trace_blocks(rows, "\n", n, lo)).decode().split("\n")
+            got = b"\n".join(cli._trace_blocks(period, b"\n", n, lo)).decode().split("\n")
             want = [f"{i},{(i - 1) % P}" for i in range(lo, n + 1)]
             same = got == want  # a bare == would have pytest diff two long lists
             assert same, (P, lo, next(i for i, (g, w) in enumerate(zip(got, want)) if g != w))
@@ -551,32 +550,33 @@ class TestOutputsAndManifest:
 
     @pytest.mark.parametrize("fmt, quote", [("csv", ""), ("json", '"')])
     def test_row_template_spells_and_checks_every_cell(self, fmt, quote):
-        layout = replace(LAYOUTS[fmt])
+        layout = LAYOUTS[fmt]
         # the str cells are program literals: bare in CSV, quoted in JSON
         cells = [quote * 2, quote + "#" + quote, "3", quote + "0.25" + quote]
-        assert layout.row(["", "#", 3, 0.25]) == (
+        assert layout.rows([["", "#", 3, 0.25]]) == (
             layout.row_open + layout.cell_sep.join(cells) + layout.row_close)
         # the first non-finite float is named
         for values, name in [([0.5, "", math.nan, math.inf], "nan"),
                              ([-math.inf, math.nan], "-inf")]:
             with pytest.raises(ArithmeticError, match=f"^non-finite value {name} in output$"):
-                layout.row(values)
+                layout.rows([values])
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_rows_render_runs_as_row_does(self, fmt, monkeypatch):
-        # tables' "" cells change the cell types between rows; sweep has an int column
+        # a run renders as its rows do one at a time: tables' "" cells change the cell
+        # types between rows; sweep has an int column
         emitted = record_calls(monkeypatch, "catloss.cli._emit")
         for argv in (DATASETS["tables"], DATASETS["sweep"]):
             assert main(argv + ["--out", os.devnull]) == 0
         mixed = [[0.5, "", 3], [0.25, "", 3], [0.5, 1e-300, 0], ["#", 2.5, 1], [0.5, "", 3]]
         for rows in [emitted[0][1], emitted[1][1], mixed, mixed[:1], []]:
-            layout = replace(LAYOUTS[fmt])
-            assert layout.rows(rows) == layout.row_sep.join(map(layout.row, rows))
+            layout = LAYOUTS[fmt]
+            assert layout.rows(rows) == layout.row_sep.join(layout.rows([row]) for row in rows)
         assert len({tuple(map(type, row)) for row in emitted[0][1]}) > 1
         # a non-finite cell inside a run: the first one in row order is named
         rows = [[0.5, "", 3], [0.5, 1.0, 2], [0.25, math.nan, 2], [math.inf, 0.5, 2]]
         with pytest.raises(ArithmeticError, match="^non-finite value nan in output$"):
-            replace(LAYOUTS[fmt]).rows(rows)
+            LAYOUTS[fmt].rows(rows)
 
     def test_full_precision_roundtrip(self, capsys):
         _, out = run(

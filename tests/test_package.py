@@ -148,6 +148,14 @@ def test_only_the_oracle_commands_load_fock():
 
 
 def test_closed_form_commands_leave_numpy_ma_unloaded():
-    # importing numpy.ma adds about 1 MiB of resident memory and 13 ms; np.unique loads
-    # it unless asked for indices, so a chain set groups its period lengths by bincount
+    # importing numpy.ma adds about 1 MiB of resident memory and 13 ms; np.unique
+    # loads it unless asked for indices, so no closed-form command calls it bare
     assert _loaded(CLOSED_FORMS, "numpy.ma") == [False] * 7
+
+
+def test_python_m_catloss_runs_the_cli():
+    # `python -m catloss` runs the console script's main: the report ends in its verdict
+    proc = subprocess.run([sys.executable, "-m", "catloss", "verify"], capture_output=True,
+                          text=True, timeout=300, env={**os.environ, "PYTHONPATH": str(SRC.parent)})
+    assert proc.stdout.endswith("all checks passed\n"), proc.stderr
+    assert proc.returncode == 0

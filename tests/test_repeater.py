@@ -77,7 +77,7 @@ class TestConfig:
     def test_set_validation_names_the_first_invalid_chain(self):
         base = dict(spec=CodeSpec(1, 2, 2.0), coeffs=BALANCED)
         # every check, failed by the second of three chains and mostly the third too; a
-        # set passes one combined mask, and each of its terms alone fails some case below
+        # set passes when every check of its one list holds, each alone failing some case below
         valid = {"total_km": 10.0, "spacing_km": 1.0, "attenuation_km": 22.0, "ar_every": 1}
         for columns, message in [
             ({"total_km": [10.0, np.nan, np.inf]}, "total_km must be finite, got nan"),
