@@ -12,8 +12,8 @@ where p_j is the loss-class probability
 
     p_j = S_{d(L+1), j}((1-gamma) alpha^2) * Nq_j(gamma alpha^2) / N0(alpha^2)
 
-built from sectioned exponentials S and sectioned codeword norms Nq, and the
-N_j / N ratio renormalizes for the input-dependent codeword overlaps.
+built from sectioned exponentials S and codeword norms Nq, every class or space
+per kernel call; the N_j / N ratio renormalizes for the input-dependent overlaps.
 ``thinning_weights`` gives the same weights from ``series.class_sums`` alone,
 with no Gram matrix and accurate in relative terms; ``weights`` and ``fidelity``
 read it, the chain commands ``mixture_weights``.
@@ -68,14 +68,13 @@ class LossClassWeights:
 
 
 def _input_and_damped(kernel, spec: CodeSpec, params: ChannelParams):
-    """One ``kernel(spec, range(L + 1), amplitudes)`` call over the input amplitudes
-    alpha, then the damped ones sqrt(gamma) * alpha, each flat and in that order (not
-    sorted, so a kernel's error names the first bad amplitude in this order): space 0
-    at the input amplitudes in alpha's shape, and every space at the damped ones in
-    the batch shape."""
+    """One ``kernel(spec, amplitude=...)`` call (every space) over the input amplitudes
+    alpha, then the damped ones sqrt(gamma) * alpha, flat, in that order (unsorted, so a
+    kernel's error names the first bad amplitude in it): space 0 at the input ones in
+    alpha's shape, and every space at the damped ones in the batch shape."""
     alpha = np.asarray(spec.alpha, dtype=float)
     damped = np.sqrt(np.asarray(params.gamma, dtype=float)) * alpha
-    values = kernel(spec, range(spec.spaces), np.concatenate([alpha.ravel(), damped.ravel()]))
+    values = kernel(spec, amplitude=np.concatenate([alpha.ravel(), damped.ravel()]))
     return (values[: alpha.size, 0].reshape(alpha.shape + values.shape[2:]),
             values[alpha.size :].reshape(damped.shape + values.shape[1:]))
 
@@ -93,9 +92,8 @@ def class_probabilities(spec: CodeSpec, params: ChannelParams) -> np.ndarray:
     # the square as libm pow rounds it, like a float's ** 2
     x = (1.0 - gamma) * np.float_power(alpha, 2.0)
     norm0, damped = _input_and_damped(codeword_norm_sq, spec, params)
-    classes = np.arange(spec.cycle)
-    sections = sectioned_exp(x, spec.cycle, classes)
-    return sections * damped[..., classes % spec.spaces] / norm0[..., None]
+    # class j lives in space j mod (L+1): the L+1 spaces, d times over
+    return sectioned_exp(x, spec.cycle) * np.tile(damped, spec.d) / norm0[..., None]
 
 
 def _sector_phases(spec: CodeSpec, j: int) -> np.ndarray:

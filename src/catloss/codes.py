@@ -1,5 +1,5 @@
 """Rotation-symmetric coherent-superposition codes: parameters, logical
-amplitudes, codeword norms and overlaps in closed form.
+amplitudes, and the codeword norms and overlaps of every space in closed form.
 
 A code instance is fixed by the correctable loss order L, the logical
 dimension d and the coherent amplitude alpha.  Logical sector k of space q
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .series import sectioned_exp
+from .series import check_integer, sectioned_exp
 
 # Below this amplitude the codewords are nearly collinear.
 SMALL_ALPHA = 0.1
@@ -53,9 +53,9 @@ class CodeSpec:
     alpha: float
 
     def __post_init__(self):
-        if self.L < 0:
+        if check_integer("L", self.L) < 0:
             raise ValueError(f"loss order must be >= 0, got {self.L}")
-        if self.d < 2:
+        if check_integer("d", self.d) < 2:
             raise ValueError(f"logical dimension must be >= 2, got {self.d}")
         alpha = np.asarray(self.alpha)
         bad = ~(np.isfinite(alpha) & (alpha > 0))
@@ -156,12 +156,12 @@ def support_residue(spec: CodeSpec, q: int) -> int:
     return (-q) % spec.spaces
 
 
-def codeword_norm_sq(spec: CodeSpec, q, amplitude=None):
-    """Squared norm of the unnormalized codeword series, sum over its class
-    of |amp|^(2n)/n!; independent of the logical index k.  ``q`` is a space
-    or a sequence of spaces, which adds a last axis."""
+def codeword_norm_sq(spec: CodeSpec, *, amplitude=None):
+    """Squared norms of the unnormalized codeword series of every space q, on a
+    last axis: the sum of |amp|^(2n)/n! over its class n = -q (mod L+1), read at
+    index -q of the sectioned exponentials; independent of the logical index k."""
     amp = np.asarray(spec.alpha if amplitude is None else amplitude, dtype=float)
-    return sectioned_exp(amp * amp, spec.spaces, support_residue(spec, np.asarray(q)))
+    return sectioned_exp(amp * amp, spec.spaces)[..., -np.arange(spec.spaces)]
 
 
 def _cmul(ar, ai, br, bi):
@@ -217,22 +217,19 @@ def _pair_gram(s) -> np.ndarray:
     return g
 
 
-def gram_matrix(spec: CodeSpec, q, amplitude=None) -> np.ndarray:
-    """d x d matrices of codeword overlaps <w_{k1,q}|w_{k2,q}> within space q,
-    with the shape of ``amplitude`` (the nominal alpha by default) leading; a
-    sequence of spaces ``q`` adds a spaces axis before the (d, d) axes.
+def gram_matrix(spec: CodeSpec, *, amplitude=None) -> np.ndarray:
+    """The only overlap routine: entry [..., q, k1, k2] of shape ``shape(amplitude) +
+    (L+1, d, d)`` is <w_{k1,q}|w_{k2,q}> at that amplitude (alpha by default).
 
-    This is the only overlap routine: entry [..., k1, k2] is the overlap of
-    sectors k1 and k2 at that amplitude.  The qubit one-loss spaces and the
-    two-loss code space use their explicit trigonometric forms; every other
-    space is the coherent-component Gram matrix, which cancels as the amplitude
-    falls and L grows (absolute error 9.8e-5 at 0.1 for L 5, 3e-8 at 0.5 for L 8),
-    all such spaces in one kernel pass over the distinct amplitudes."""
-    spaces = np.ravel(q).tolist()
-    amp = np.asarray(_codeword_amplitude(spec, 0, spaces, amplitude), dtype=float)
+    The qubit one-loss spaces and the two-loss code space, always the first spaces
+    of their codes, use their explicit trigonometric forms; every other space is
+    the coherent-component Gram matrix, which cancels as the amplitude falls and L
+    grows (absolute error 9.8e-5 at 0.1 for L 5, 3e-8 at 0.5 for L 8), all such
+    spaces in one kernel pass over the distinct amplitudes."""
+    amp = np.asarray(_codeword_amplitude(spec, 0, 0, amplitude), dtype=float)
     a2 = amp * amp
-    trig = {}
-    for x in (x for x in spaces if spec.d == 2 and (spec.L, x) in ((1, 0), (1, 1), (2, 0))):
+    trig = []
+    for x in range({(1, 2): 2, (2, 2): 1}.get((spec.L, spec.d), 0)):
         if spec.L == 1 and x == 0:
             s = (np.cos(a2) / np.cosh(a2)).astype(complex)
         elif spec.L == 1:
@@ -247,13 +244,11 @@ def gram_matrix(spec: CodeSpec, q, amplitude=None) -> np.ndarray:
         if not np.all(np.isfinite(s)):  # the two-loss form overflows to inf/inf
             bad = ~np.isfinite(s)
             raise ArithmeticError(f"overlap of space {x} at amplitude {amp[bad][0]} is {s[bad][0]}")
-        trig[x] = _pair_gram(s)
-    coherent = [x for x in spaces if x not in trig]
-    if coherent:  # each distinct amplitude once, gathered back to the amplitudes' shape
-        distinct, at = np.unique(amp.reshape(-1), return_inverse=True)
-        g = _coherent_gram(spec, coherent, distinct)[at]
-        g = g.reshape(amp.shape + g.shape[1:])
-    if trig:  # the spaces in the order asked, the coherent ones taken from g
-        rest = iter(np.moveaxis(g, -3, 0) if coherent else ())
-        g = np.stack([trig[x] if x in trig else next(rest) for x in spaces], axis=-3)
-    return g if np.ndim(q) else g[..., 0, :, :]
+        trig.append(_pair_gram(s))
+    if len(trig) == spec.spaces:
+        return np.stack(trig, axis=-3)
+    # the other spaces at each distinct amplitude once, gathered back to amp's shape
+    distinct, at = np.unique(amp.reshape(-1), return_inverse=True)
+    g = _coherent_gram(spec, range(len(trig), spec.spaces), distinct)[at]
+    g = g.reshape(amp.shape + g.shape[1:])
+    return np.stack(trig + list(np.moveaxis(g, -3, 0)), axis=-3) if trig else g

@@ -32,6 +32,7 @@ from .channel import ChannelParams, mixture_weights
 from .codes import SMALL_ALPHA, CodeSpec, LogicalCoeffs, quiet_spec
 from .qec import fidelity_from_weights
 from .restore import restoration_from_weights
+from .series import check_integer
 
 DEFAULT_ATTENUATION_KM = 22.0
 
@@ -78,11 +79,7 @@ class RepeaterConfig:
             *(c if c.shape == shape else np.full(shape, c) for c in columns),
             values if values.shape[:-1] == shape else np.full((*shape, values.shape[-1]), values)))
         total, spacing, attenuation, ar_every = self.columns[:4]
-        odd = ar_every.dtype.kind not in "iu" and [  # ints past uint64 are objects
-            k for k in ar_every.ravel().tolist()
-            if type(k) is bool or not isinstance(k, (int, np.integer))]
-        if odd:  # a float, bool or str, named by the first
-            raise ValueError(f"ar_every must be an integer, got {odd[0]!r}")
+        check_integer("ar_every", ar_every)
         with np.errstate(all="ignore"):  # a non-finite ratio fails its check below
             ratio = total / spacing
         checks = [
@@ -184,12 +181,14 @@ def chain_columns(config: RepeaterConfig) -> ChainColumns:
 
 
 def sweep_config(config: RepeaterConfig, axis: str, values: list[float]) -> RepeaterConfig:
-    """The chain set of a sweep, which ``chain_columns`` runs: the chain ``config``
-    with the swept column set to the values, one chain per value in input order.
+    """The chain set of a sweep, which ``chain_columns`` runs: the one chain ``config``
+    (not a set) with the swept column set to the values, one per value in input order.
     axis 'spacing' varies the station spacing in km, 'alpha' the coherent amplitude,
     and 'gamma' the per-segment transmission (the spacing -attenuation * ln(gamma))."""
     if axis not in ("spacing", "alpha", "gamma"):
         raise ValueError(f"axis must be spacing|alpha|gamma, got {axis!r}")
+    if shape := config.columns[0].shape:  # the swept column would meet a set's columns
+        raise ValueError(f"sweep_config takes one chain, got a set of shape {shape}")
     v = np.array(values, dtype=float)
     bad = ~(v > 0) | ((v >= 1.0) if axis == "gamma" else False)  # NaN fails v > 0 too
     if bad.any():  # named by the first bad value
@@ -199,10 +198,10 @@ def sweep_config(config: RepeaterConfig, axis: str, values: list[float]) -> Repe
     if axis == "alpha":  # the chain set's batch warns once for all values
         return replace(config, spec=quiet_spec(config.spec.L, config.spec.d, v))
     if axis == "gamma":
-        v = -np.multiply.outer(np.log(v), config.attenuation_km)
-        over = np.isfinite(v) & (v > config.total_km)  # as the chain set pairs them
+        v = -np.log(v) * config.attenuation_km
+        over = np.isfinite(v) & (v > config.total_km)
         if over.any():  # named by the gamma the user set; an infinite spacing is the attenuation's
-            i = np.nonzero(over)[over.ndim - v.ndim].min()  # the first value, on its own axis
+            i = over.argmax()
             raise ValueError(f"gamma {values[i]} sets a spacing of {v[i]} km, above total_km "
                              f"{config.total_km}")
     return replace(config, spacing_km=v)

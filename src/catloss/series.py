@@ -2,17 +2,16 @@
 
 The sectioned exponential S_{m,j}(x) = sum_{n = j mod m} x^n / n! is the
 building block of every codeword norm, codeword overlap and loss-class
-probability in this package.  It is evaluated in closed form with the
-root-of-unity filter
+probability in this package.  Both kernels return every class j < m of one
+modulus at once, on a last axis.  ``sectioned_exp`` is the root-of-unity filter
 
     S_{m,j}(x) = (1/m) sum_{r=0}^{m-1} w^{-jr} exp(w^r x),   w = exp(2*pi*i/m),
 
-which costs O(m) per call and is stable for x well below the exp overflow
-threshold (x ~ 700).  Every argument is a real x >= 0, so the result is
-real; roundoff can leave a tiny negative residue which is clamped to zero.
-
-``class_sums`` gives every class of one modulus at once, as e^{-x} S_{m,j}(x),
-by summing the terms themselves: accurate in relative terms at any x.
+stable for x well below the exp overflow threshold (x ~ 700).  Every argument
+is a real x >= 0, so the result is real; roundoff can leave a tiny negative
+residue which is clamped to zero.  ``class_sums`` gives e^{-x} S_{m,j}(x) by
+summing the terms themselves: accurate in relative terms at any x.
+``check_integer`` is the package's one rule for an integer input.
 """
 
 from __future__ import annotations
@@ -31,42 +30,51 @@ _PRODUCT_TERMS = 2**13
 _CLASS_TERMS = 2**14
 
 
-def sectioned_exp(x, modulus: int, residue):
-    """S_{m,j}(x): sum of x^n/n! over photon numbers n = j (mod m), shape
-    ``shape(x) + shape(residue)`` for real x >= 0 and an int residue or a
-    sequence of them; tiny negative roundoff is clamped to 0.  exp(w^r x) is
-    formed once and multiplied by every residue's phase row in (point,
-    residue, r) products of at most ``_PRODUCT_TERMS`` elements, each summed
-    over its last axis, so every value rounds as the one-point filter does
-    (elementwise exp and products, then a row sum).
+def check_integer(name: str, value) -> np.ndarray:
+    """``value`` as an array, every element an int or a numpy integer (ints past
+    uint64 too); a float, bool or str raises ValueError, named by the first."""
+    value = np.asarray(value)
+    odd = value.dtype.kind not in "iu" and [  # ints past uint64 are objects
+        k for k in value.ravel().tolist()
+        if type(k) is bool or not isinstance(k, (int, np.integer))]
+    if odd:
+        raise ValueError(f"{name} must be an integer, got {odd[0]!r}")
+    return value
+
+
+def sectioned_exp(x, modulus: int):
+    """S_{m,j}(x) for j = 0..m-1: the sum of x^n/n! over photon numbers n = j
+    (mod m), shape ``shape(x) + (m,)`` for real x >= 0; tiny negative roundoff is
+    clamped to 0.  exp(w^r x) is formed once and multiplied by every residue's
+    phase row in (point, residue, r) products of at most ``_PRODUCT_TERMS``
+    elements, each summed over its last axis, so every value rounds as the
+    one-point filter does (elementwise exp and products, then a row sum).
     """
     x = np.asarray(x, dtype=float)
     if np.any(x < 0):
         raise ValueError(f"expected nonnegative argument, got {x[x < 0].flat[0]}")
-    m = int(modulus)
+    m = int(check_integer("modulus", modulus))
     if m < 1:
         raise ValueError(f"modulus must be >= 1, got {modulus}")
-    js = [int(j) % m for j in np.ravel(residue)]
     if m == 1:
-        v = np.repeat(np.exp(x)[..., None], len(js), axis=-1)
+        v = np.exp(x)[..., None]
     else:
         r = np.arange(m)
         e = np.exp(np.exp(2j * np.pi * r / m) * x.reshape(-1, 1))
         # each residue's phase row exp(-2 pi i j r / m), its scalar -2 pi i j in Python
-        rows = np.exp(np.array([-2j * np.pi * j for j in js])[:, None] * r / m)
-        sums = np.empty((x.size, len(js)), dtype=complex)
+        rows = np.exp(np.array([-2j * np.pi * j for j in range(m)])[:, None] * r / m)
+        sums = np.empty((x.size, m), dtype=complex)
         step = max(1, _PRODUCT_TERMS // rows.size)  # points per (point, residue, r) product
         for lo in range(0, x.size, step):
             np.sum(e[lo : lo + step, None, :] * rows, axis=-1, out=sums[lo : lo + step])
-        v = (sums.reshape(x.shape + (len(js),)) / m).real
-        v = np.where(x[..., None] == 0, [float(j == 0) for j in js], v)
+        v = (sums.reshape(x.shape + (m,)) / m).real
+        v = np.where(x[..., None] == 0, r == 0, v)
     if np.any(v < -CLAMP_TOL):
         raise ArithmeticError(
             f"sectioned exponential of modulus {modulus} returned {v.min()}, "
             "beyond the roundoff clamp"
         )
-    v = np.where(v < 0.0, 0.0, v)
-    return v.reshape(x.shape + np.shape(residue))[()]
+    return np.where(v < 0.0, 0.0, v)
 
 
 def class_sums(y, modulus: int) -> np.ndarray:
@@ -90,7 +98,7 @@ def class_sums(y, modulus: int) -> np.ndarray:
     good = (y >= 0) & (y < math.inf)
     if not good.all():
         raise ValueError(f"expected a finite nonnegative argument, got {y[~good].flat[0]}")
-    m = int(modulus)
+    m = int(check_integer("modulus", modulus))
     if m < 1:
         raise ValueError(f"modulus must be >= 1, got {modulus}")
     flat = y.reshape(-1)

@@ -1,5 +1,5 @@
 """The mpmath truths the tests hold the closed forms to: class sums, qubit codeword
-overlaps, thinned loss-class weights and worst-case fidelities.  Imports nothing
+overlaps, thinned loss-class weights, worst-case fidelities and the restoration factor.  Imports nothing
 from catloss, pytest or hypothesis, so a script can import it too."""
 
 import mpmath
@@ -98,3 +98,47 @@ def filter_fidelity(L: int, alpha: float, gamma: float, dps: int = 30) -> tuple[
         lost, kept = class_sums((1 - g) * x, 2 * m), class_sums(g * x, 2 * m)
         weights = [[lost[j] * kept[(s * m - j) % (2 * m)] for j in range(2 * m)] for s in (0, 1)]
         return tuple(float(mpmath.fsum(w[:m]) / mpmath.fsum(w)) for w in weights)
+
+
+def _mp_overlap(L: int, q: int, x) -> mpmath.mpc:
+    """<w_{0,q}|w_{1,q}> of a qubit code at amplitude squared x, as ``mp_qubit_overlap``
+    forms it from the classes r, r + L + 1 (r = -q mod (L+1)), at the caller's precision."""
+    m, r = L + 1, (-q) % (L + 1)
+    sums = class_sums(x, 2 * m)
+    return mpmath.expjpi(mpmath.mpf(r) / m) * (sums[r] - sums[r + m]) / (sums[r] + sums[r + m])
+
+
+def _pair_norm(a, b, s) -> mpmath.mpf:
+    """(a, b)^dagger [[1, s], [conj(s), 1]] (a, b)."""
+    return abs(a) ** 2 + abs(b) ** 2 + 2 * mpmath.re(mpmath.conj(a) * s * b)
+
+
+def restoration_factor(L: int, alpha: float, gamma: float, c, dps: int = 30) -> float:
+    """One restoration step of a qubit code at ``dps`` digits: sum_j ptilde_j P_j over
+    the 2(L+1) loss classes j.  ptilde is the thinning sum of ``_thinned_residues``;
+    P_j is the teleport formula of ``restore.teleport_success_from_overlaps``,
+
+        P = (1 - |s~|)^2 / (4 N_omega N_phi^) (N_chi1 N_phi+ + N_chi2 N_phi- + N_chi3 N_psi+
+            + N_chi4 N_psi-),
+
+    at the damped overlap s~ of space j mod (L+1) (amplitude sqrt(gamma) alpha), the
+    code-space overlap s_bar at alpha, and the input (c0, c1 e^{2 pi i j / (2(L+1))})."""
+    with mpmath.workdps(dps):
+        m, x = L + 1, mpmath.mpf(alpha) ** 2
+        spread, mass = _thinned_residues(L, 2, alpha, gamma)
+        c0, c1 = (mpmath.mpc(complex(ck)) for ck in c)
+        c_hat = [abs(c0 + c1) ** 2, abs(c0 - c1) ** 2]
+        total = mpmath.fsum(h * t for h, t in zip(c_hat, mass))
+        s_bar = _mp_overlap(L, 0, x)
+        s_tilde = [_mp_overlap(L, q, mpmath.mpf(gamma) * x) for q in range(m)]
+        factor = mpmath.mpf(0)
+        for j in range(2 * m):
+            ptilde = mpmath.fsum(h * w[j] for h, w in zip(c_hat, spread)) / total
+            s, a, b = s_tilde[j % m], c0, c1 * mpmath.expjpi(mpmath.mpf(j) / m)
+            chi = [_pair_norm(u, v, s_bar) for u, v in ((a, b), (a, -b), (b, a), (-b, a))]
+            bell = [1 + mpmath.re(s * s), 1 - mpmath.re(s * s), 1 + abs(s) ** 2, 1 - abs(s) ** 2]
+            n_phi_hat = 1 + mpmath.re(s * s_bar)
+            p = ((1 - abs(s)) ** 2 / (4 * _pair_norm(a, b, s) * n_phi_hat)
+                 * mpmath.fsum(u * v for u, v in zip(chi, bell)))
+            factor += ptilde * p
+        return float(factor)

@@ -120,10 +120,9 @@ def _squares_to_zero(L, alpha, gamma, *_):
 @given(m=st.integers(1, 32), xs=st.lists(st.floats(0.0, 81.0), min_size=1, max_size=70))
 @bits_settings
 def test_sectioned_exp(m, xs):
-    residues = list(range(m))
-    batched = lambda: sectioned_exp(np.array(xs), m, residues)
-    for one_point in (ref.sectioned_exp, sectioned_exp):
-        _agree(batched, lambda x: [one_point(x, m, j) for j in residues], [(x,) for x in xs])
+    batched = lambda: sectioned_exp(np.array(xs), m)
+    _agree(batched, lambda x: [ref.sectioned_exp(x, m, j) for j in range(m)], [(x,) for x in xs])
+    _agree(batched, lambda x: sectioned_exp(x, m), [(x,) for x in xs])
 
 
 @given(L=st.integers(0, 7), d=st.integers(2, 4), drawn=drawn_points, seed=seeds,
@@ -134,18 +133,14 @@ def test_gram_matrix(L, d, drawn, seed, data):
     n = data.draw(st.sampled_from(chunk_edges(L, d)))
     amps, _ = _points(drawn, n, seed)
     spec = CodeSpec(L, d, 1.0)
-    batched = lambda: gram_matrix(spec, q, np.array(amps))
+    batched = lambda: gram_matrix(spec, amplitude=np.array(amps))[:, q]
     _agree(batched, lambda a: ref.gram_matrix(L, d, q, a), [(a,) for a in amps])
-    got = _agree(batched, lambda a: gram_matrix(spec, q, a), [(a,) for a in amps])
+    got = _agree(batched, lambda a: gram_matrix(spec, amplitude=a)[q], [(a,) for a in amps])
     assert got.shape == (n, d, d)
-    # every space in one call: the same values as the frozen and one-space forms
-    every = lambda: gram_matrix(spec, range(L + 1), np.array(amps))[:, q]
-    _agree(every, lambda a: ref.gram_matrix(L, d, q, a), [(a,) for a in amps])
-    _same(every(), got)
     # repeated and reordered amplitudes: each distinct one is evaluated once
     # and gathered back to every point it stands at
     repeated = amps + amps[::-1]
-    _agree(lambda: gram_matrix(spec, q, np.array(repeated)),
+    _agree(lambda: gram_matrix(spec, amplitude=np.array(repeated))[:, q],
            lambda a: ref.gram_matrix(L, d, q, a), [(a,) for a in repeated])
 
 
@@ -276,15 +271,15 @@ def _chain_set(L, chain_set, coeffs, layout):
 
 def _separate_calls(spec, coeffs, params):
     """p, ptilde, gram and damped_grams with the nominal amplitude in kernel calls of
-    its own: ``gram_matrix(spec, 0)`` beside the damped spaces' Gram matrices, and
-    ``codeword_norm_sq(spec, 0)`` beside the damped norms."""
+    its own: ``gram_matrix(spec)`` beside the damped spaces' Gram matrices, and
+    ``codeword_norm_sq(spec)`` beside the damped norms, each read at space 0."""
     alpha, gamma = np.asarray(spec.alpha, dtype=float), np.asarray(params.gamma, dtype=float)
     damped_amp = np.sqrt(gamma) * alpha
     classes = np.arange(spec.cycle)
-    sections = sectioned_exp((1.0 - gamma) * np.float_power(alpha, 2.0), spec.cycle, classes)
-    norms = codeword_norm_sq(spec, range(spec.spaces), damped_amp)
-    p = sections * norms[..., classes % spec.spaces] / codeword_norm_sq(spec, 0)[..., None]
-    gram, grams = gram_matrix(spec, 0), gram_matrix(spec, range(spec.spaces), damped_amp)
+    sections = sectioned_exp((1.0 - gamma) * np.float_power(alpha, 2.0), spec.cycle)
+    norms = codeword_norm_sq(spec, amplitude=damped_amp)
+    p = sections * norms[..., classes % spec.spaces] / codeword_norm_sq(spec)[..., :1]
+    gram, grams = gram_matrix(spec)[..., 0, :, :], gram_matrix(spec, amplitude=damped_amp)
     c = coeffs.values
     j = classes.reshape(spec.d, spec.spaces, 1)
     branch = _weighted_norm_sq(c[..., None, None, :] * _sector_phases(spec, j),
@@ -417,7 +412,7 @@ def test_squares_round_as_libm_pow():
     got = class_probabilities(CodeSpec(0, 2, amps), ChannelParams(gams))
     _same(got, [ref.class_probabilities(0, 2, a, g) for a, g in zip(amps.tolist(), gams.tolist())])
     # the k = 0, j = 0 coherent component has |u| = amplitude exactly
-    got = gram_matrix(CodeSpec(3, 2, 1.0), 1, amps)
+    got = gram_matrix(CodeSpec(3, 2, 1.0), amplitude=amps)[:, 1]
     _same(got, [ref.gram_matrix(3, 2, 1, a) for a in amps.tolist()])
 
     # |s_tilde| and 1 - |s_tilde| squared: real overlaps, whose hypot is exact

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from catloss.channel import ChannelParams, thinning_weights
 from catloss.codes import CodeSpec, LogicalCoeffs
-from catloss.series import _CLASS_TERMS, class_sums
+from catloss.series import _CLASS_TERMS, class_sums, sectioned_exp
 from mp_truth import mp_class_sums
 
 bits_settings = settings.get_profile("bits")  # registered in conftest.py
@@ -87,6 +87,13 @@ class TestClassSums:
     def test_rejects_bad_input(self, y, modulus, message):
         with pytest.raises(ValueError, match=message):
             class_sums(y, modulus)
+
+    @pytest.mark.parametrize("kernel", [class_sums, sectioned_exp])
+    def test_modulus_must_be_an_integer(self, kernel):
+        # not the classes of int(2.5) = 2
+        with pytest.raises(ValueError, match=r"^modulus must be an integer, got 2\.5$"):
+            kernel(1.0, 2.5)
+        assert kernel(1.0, np.int64(2)).shape == (2,)
 
 
 def random_coeffs(d, seed):

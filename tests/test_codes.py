@@ -8,7 +8,8 @@ import pytest
 import scalar_reference as ref
 from catloss import fock
 from catloss.channel import ChannelParams
-from catloss.codes import CodeSpec, LogicalCoeffs, _cmul, gram_matrix
+from catloss.codes import CodeSpec, LogicalCoeffs, _cmul, codeword_norm_sq, gram_matrix
+from catloss.series import sectioned_exp
 from catloss.fock import (
     channel_apply_exact,
     class_probabilities_kraus,
@@ -62,6 +63,19 @@ class TestSpecValidation:
                 CodeSpec(1, 2, bad)
             with pytest.raises(ValueError, match="finite"):
                 LogicalCoeffs.of(1.0, bad)
+
+    @pytest.mark.parametrize("L, d, field, shown", [
+        (1.0, 2, "L", "1.0"), (1.5, 2, "L", "1.5"), ("1", 2, "L", "'1'"), (True, 2, "L", "True"),
+        (1, 2.0, "d", "2.0"),
+    ])
+    def test_loss_order_and_dimension_must_be_integers(self, L, d, field, shown):
+        # refused when the code is made, not as an IndexError or TypeError of a later call
+        with pytest.raises(ValueError, match=rf"^{field} must be an integer, got {shown}$"):
+            CodeSpec(L, d, 2.0)
+
+    def test_numpy_integers_accepted(self):
+        spec = CodeSpec(np.int64(1), np.uint8(2), 2.0)
+        assert (spec.spaces, spec.cycle) == (2, 4)
 
     def test_small_alpha_flagged(self):
         with pytest.warns(UserWarning, match="collinear"):
@@ -257,21 +271,21 @@ class TestCoherentForm:
 class TestOverlaps:
     def test_self_overlap_is_one(self):
         spec = CodeSpec(2, 2, 3.0)
-        assert gram_matrix(spec, 1)[1, 1] == 1.0 + 0.0j
+        assert gram_matrix(spec)[1, 1, 1] == 1.0 + 0.0j
 
     def test_one_loss_code_space_form(self):
         a2 = 4.0
-        got = gram_matrix(CodeSpec(1, 2, 2.0), 0)[0, 1]
+        got = gram_matrix(CodeSpec(1, 2, 2.0))[0, 0, 1]
         assert abs(got - np.cos(a2) / np.cosh(a2)) < 1e-14
 
     def test_one_loss_error_space_form(self):
         a2 = 4.0
-        got = gram_matrix(CodeSpec(1, 2, 2.0), 1)[0, 1]
+        got = gram_matrix(CodeSpec(1, 2, 2.0))[1, 0, 1]
         assert abs(got - 1j * np.sin(a2) / np.sinh(a2)) < 1e-14
 
     def test_two_loss_code_space_form(self):
         a2 = 9.0
-        got = gram_matrix(CodeSpec(2, 2, 3.0), 0)[0, 1]
+        got = gram_matrix(CodeSpec(2, 2, 3.0))[0, 0, 1]
         num = np.exp(-a2) + 2 * np.exp(a2 / 2) * np.cos(np.sqrt(3) * a2 / 2)
         den = np.exp(a2) + 2 * np.exp(-a2 / 2) * np.cos(np.sqrt(3) * a2 / 2)
         assert abs(got - num / den) < 1e-14
@@ -287,7 +301,7 @@ class TestOverlaps:
     ])
     def test_closed_forms_match_vector_inner_products(self, L, d, q, k1, k2, alpha):
         spec = CodeSpec(L, d, alpha)
-        closed = gram_matrix(spec, q)[k1, k2]
+        closed = gram_matrix(spec)[q, k1, k2]
         direct = np.vdot(
             codeword_fock(spec, k1, q),
             codeword_fock(spec, k2, q),
@@ -297,18 +311,18 @@ class TestOverlaps:
     def test_conjugate_on_swapped_indices(self):
         spec = CodeSpec(1, 2, 2.0)
         assert abs(
-            gram_matrix(spec, 1)[0, 1] - np.conj(gram_matrix(spec, 1)[1, 0])
+            gram_matrix(spec)[1, 0, 1] - np.conj(gram_matrix(spec)[1, 1, 0])
         ) < 1e-14
 
     def test_overlap_decays_with_amplitude(self):
         vals = [
-            abs(gram_matrix(CodeSpec(1, 2, a), 0)[0, 1]) for a in (0.8, 2.0, 6.0)
+            abs(gram_matrix(CodeSpec(1, 2, a))[0, 0, 1]) for a in (0.8, 2.0, 6.0)
         ]
         assert vals[2] < vals[1] < vals[0]
 
     def test_amplitude_override(self):
         spec = CodeSpec(1, 2, 2.0)
-        damped = gram_matrix(spec, 0, 1.0)[0, 1]
+        damped = gram_matrix(spec, amplitude=1.0)[0, 0, 1]
         assert abs(damped - np.cos(1.0) / np.cosh(1.0)) < 1e-14
 
     def test_distinct_error_spaces_orthogonal(self):
@@ -341,7 +355,7 @@ class TestGramKernel:
     def test_matches_scalar_loop_bitwise(self):
         cases = 0
         for spec, q, amp in self._grid():
-            g, want = gram_matrix(spec, q, amp), ref.gram_matrix(spec.L, spec.d, q, amp)
+            g, want = gram_matrix(spec, amplitude=amp)[q], ref.gram_matrix(spec.L, spec.d, q, amp)
             for k1 in range(spec.d):
                 assert g[k1, k1] == 1.0
                 for k2 in range(k1 + 1, spec.d):
@@ -358,7 +372,7 @@ class TestGramKernel:
         # every space of a qubit code past the trigonometric forms, within 1e-12 absolute;
         # the kernel is off by 9.8e-5 at SMALL_ALPHA (L 5), and at 1e-2 and 1e-3 gives
         # |s| up to 7.6 and NaN + inf j (L 3)
-        g = gram_matrix(CodeSpec(L, 2, 1.0), range(L + 1), amp)
+        g = gram_matrix(CodeSpec(L, 2, 1.0), amplitude=amp)
         for q in range(L + 1):
             s = mp_qubit_overlap(L, q, amp)
             assert abs(g[q, 0, 1] - s) <= 1e-12, (q, g[q, 0, 1], s)
@@ -374,26 +388,38 @@ class TestGramKernel:
         assert np.array_equal(im, want.imag)
 
     def test_validates_space_and_amplitude(self):
+        # every space is returned, so no space is given: a positional one is refused
         spec = CodeSpec(2, 3, 2.0)
-        with pytest.raises(ValueError, match="space index"):
-            gram_matrix(spec, 3)
-        with pytest.raises(ValueError, match="space index"):
-            gram_matrix(spec, -1)
+        with pytest.raises(TypeError):
+            gram_matrix(spec, 1)
         for bad in (0.0, math.nan, math.inf):
             with pytest.raises(ValueError, match="finite and positive"):
-                gram_matrix(spec, 0, bad)
+                gram_matrix(spec, amplitude=bad)
+
+    def test_kernels_take_no_space_or_residue(self):
+        # every space, or every residue, on a last axis; a positional space or
+        # residue is refused, never read as an amplitude
+        spec = CodeSpec(2, 3, 2.0)
+        assert gram_matrix(spec).shape == (3, 3, 3)
+        assert gram_matrix(spec, amplitude=[1.0, 2.0]).shape == (2, 3, 3, 3)
+        assert codeword_norm_sq(spec).shape == (3,)
+        assert sectioned_exp([1.0, 2.0], 4).shape == (2, 4)
+        for call in (lambda: gram_matrix(spec, 1), lambda: codeword_norm_sq(spec, 0),
+                     lambda: sectioned_exp(1.0, 4, 1)):
+            with pytest.raises(TypeError):
+                call()
 
     def test_amplitudes_checked_once_naming_the_first_bad_one(self, monkeypatch):
         # one check for every space of the call, and one line naming the batch's
         # first bad amplitude, not numpy's summary of the whole array
         calls = record_calls(monkeypatch, "catloss.codes._codeword_amplitude")
-        gram_matrix(CodeSpec(3, 2, 1.0), range(4), np.linspace(0.5, 1, 5))
-        assert [q for _, _, q, _ in calls] == [[0, 1, 2, 3]]
+        gram_matrix(CodeSpec(3, 2, 1.0), amplitude=np.linspace(0.5, 1, 5))
+        assert len(calls) == 1
         with pytest.raises(ValueError) as error:
-            gram_matrix(CodeSpec(3, 2, 1.0), 0, np.linspace(0, 1, 3000))
+            gram_matrix(CodeSpec(3, 2, 1.0), amplitude=np.linspace(0, 1, 3000))
         assert str(error.value) == "amplitude must be finite and positive, got 0.0"
         with pytest.raises(ValueError) as error:
-            gram_matrix(CodeSpec(3, 2, 1.0), range(4), [2.0, math.nan, -1.0])
+            gram_matrix(CodeSpec(3, 2, 1.0), amplitude=[2.0, math.nan, -1.0])
         assert str(error.value) == "amplitude must be finite and positive, got nan"
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -402,7 +428,7 @@ class TestGramKernel:
         # numerical failure (CLI exit 2), not a NaN overlap, and no numpy
         # floating-point warning on the way
         with pytest.raises(ArithmeticError, match="overlap of space 0"):
-            gram_matrix(CodeSpec(2, 2, 40.0), 0)
+            gram_matrix(CodeSpec(2, 2, 40.0))
 
     def test_codeword_fock_validates_amplitude(self):
         spec = CodeSpec(2, 3, 2.0)

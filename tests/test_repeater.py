@@ -439,6 +439,17 @@ class TestSweep:
             assert_same_columns(
                 got, [replace(cfg, spacing_km=-attenuation * np.log(v)) for v in values])
 
+    @pytest.mark.parametrize("axis", ["spacing", "alpha", "gamma"])
+    def test_rejects_a_chain_set(self, axis):
+        # one chain is swept: a set's columns would meet the swept values, on every
+        # axis alike, not as a replaced column, a numpy shape mismatch or a 2-D set
+        sets = {"(2,)": replace(config(), spacing_km=np.array([0.1, 0.2])),
+                "(2, 1)": replace(config(), spec=CodeSpec(4, 2, np.array([[7.0], [8.0]])))}
+        for shape, cfg in sets.items():
+            with pytest.raises(ValueError, match=rf"^sweep_config takes one chain, got a set "
+                                                 rf"of shape {re.escape(shape)}$"):
+                sweep_config(cfg, axis, [0.5])
+
     def test_rejects_unknown_axis(self):
         # checked before the values: no values, or one invalid on every axis, names the axis
         for values in ([1.0], [], [-1.0]):

