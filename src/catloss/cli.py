@@ -150,11 +150,12 @@ LAYOUTS = {
 }
 
 
-def write_output(columns: list[str], blocks: Iterable[bytes], args) -> None:
+def write_output(columns: list[str], blocks: Iterable[bytes | memoryview], args) -> None:
     """Stream ``head``, the byte blocks (each one or more rows joined by ``row_sep``) with
     ``row_sep`` between them, then ``foot`` of ``LAYOUTS[args.format]`` to stdout, or to
     ``--out`` hashed as written plus, if ``--out`` is a regular file, a manifest whose
-    params are the parsed ``args``."""
+    params are the parsed ``args``.  A block may be any bytes-like object, a
+    ``memoryview`` too: each is hashed and written, or decoded, before the next is drawn."""
     layout = LAYOUTS[args.format]
     head, sep, foot = (t.encode() for t in (layout.head(columns), layout.row_sep, layout.foot))
     blocks = iter(blocks)
@@ -162,7 +163,7 @@ def write_output(columns: list[str], blocks: Iterable[bytes], args) -> None:
                    chain.from_iterable((sep, block) for block in blocks), [foot])
     if args.out is None:
         try:
-            sys.stdout.writelines(chunk.decode() for chunk in chunks)
+            sys.stdout.writelines(str(chunk, "utf-8") for chunk in chunks)
             sys.stdout.flush()
         except BrokenPipeError:
             # the reader left (``| head``): stop quietly, devnull takes the exit flush
@@ -289,38 +290,51 @@ def cmd_repeater(args) -> int:
 
 
 def _trace_blocks(period: bytes, row_sep: bytes, n: int, lo: int = 1):
-    """Stations lo..n as bytes, station i being row (i - 1) % P of the ``period`` (P rows
-    joined by ``row_sep``, each opening alike up to its one ``#``) with its ``#`` replaced
-    by i, in blocks ending every ``P * max(1, 4096 // P)`` stations and at each power of ten:
-    the period rows rotated to the block's first station, with k placeholder digits, repeated
-    by bytes ``*``; digit position i of consecutive stations holds runs of one digit, each
-    10**(k - 1 - i) long, written in one pass as an ``np.repeat`` of ``0123456789...``."""
+    """Stations lo..n as ``memoryview``s of one buffer, each valid until the next is drawn,
+    station i being row (i - 1) % P of the ``period`` (P rows joined by ``row_sep``, each
+    opening alike up to its one ``#``) with its ``#`` replaced by i.  Blocks are counted
+    from each power of ten, ``step`` stations long: the largest multiple of lcm(P, 10**j)
+    up to max(P, 4096), j as large as that lcm allows.  A block is the period rows rotated
+    to its first station, with k placeholder digits, tiled into the buffer; digit position
+    i of consecutive stations holds runs of one digit, each p = 10**(k - 1 - i) long,
+    written in one pass as an ``np.repeat`` of ``0123456789...``.  A block ``step`` after
+    one of its digit count has that block's rotation, and keeps its bytes but for the
+    positions whose runs moved: those with ``step`` not a multiple of 10 * p."""
     text = bytearray(period + row_sep) * 2  # a rotation is a slice
     cells = np.flatnonzero(np.frombuffer(text, np.uint8) == ord("#"))  # each row's station
     bounds, P = cells - cells[0], len(cells) // 2  # row starts: rows open alike up to their #
-    step = P * max(1, 4096 // P)
+    top = max(P, 4096)
+    base = max(b for j in range(len(str(top))) if (b := math.lcm(P, 10**j)) <= top)
+    step = base * (top // base)
     ten = np.frombuffer(b"0123456789" * (step // 5 + 2), np.uint8)  # a block has < 2 * step
+    # room for the longest block: whole periods of the widest stations
+    buf = bytearray(-(-min(step, n + 1 - lo) // P) * (len(text) // 2 + (len(str(n)) - 1) * P))
+    array, mem = np.frombuffer(buf, np.uint8), memoryview(buf)
+    held = None  # (digit count, first station) of the block in buf
     while lo <= n:
         k = len(str(lo))
-        hi = min(lo - (lo - 1) % step + step, 10**k, n + 1)
+        hi = min(lo - (lo - 10 ** (k - 1)) % step + step, 10**k, n + 1)
         a, w = (lo - 1) % P, min(hi - lo, P)  # the rotated period: rows a .. a + w - 1
         (q, r), reps = divmod(hi - lo, w), -(-(hi - lo) // w)
-        buf = text[bounds[a]:bounds[a + w]].replace(b"#", b"0" * k)
-        end = q * len(buf) + bounds[a + r] - bounds[a] + (k - 1) * r - len(row_sep)
-        buf *= reps
-        view = np.frombuffer(buf, np.uint8).reshape(reps, -1)
+        size = bounds[a + w] - bounds[a] + (k - 1) * w  # w rows, each with its row_sep
+        view = array[:reps * size].reshape(reps, size)
+        kept = held == (k, lo - step)  # then buf holds this block's rows, one block back
+        if not kept:
+            view[:] = np.frombuffer(text[bounds[a]:bounds[a + w]].replace(b"#", b"0" * k),
+                                    np.uint8)
         # a station's digits: k - 1 bytes on for each station before it in the period
         cols = cells[a:a + w] - bounds[a] + (k - 1) * np.arange(w)
         m = reps * w
         for i in range(k):  # lo's digit d holds for p - lo % p stations, each next for p
             p = 10 ** (k - 1 - i)
+            if kept and step % (10 * p) == 0:  # step stations on, each run is where it was
+                continue
             c = min(p, m)  # runs capped at the block: a leading digit's p reaches 10**15
             x, d = max(0, lo % p + c - p), lo // p % 10  # lo sits x into runs of c
             runs = np.repeat(ten[d:d + (x + m - 1) // c + 1], c)[x:x + m]
             view[:, cols + i] = runs.reshape(reps, w)
-        del view  # buf cannot resize while a view of it lives
-        del buf[end:]
-        yield buf
+        held = k, lo
+        yield mem[:q * size + bounds[a + r] - bounds[a] + (k - 1) * r - len(row_sep)]
         lo = hi
 
 

@@ -159,8 +159,9 @@ def support_residue(spec: CodeSpec, q: int) -> int:
 def codeword_norm_sq(spec: CodeSpec, *, amplitude=None):
     """Squared norms of the unnormalized codeword series of every space q, on a
     last axis: the sum of |amp|^(2n)/n! over its class n = -q (mod L+1), read at
-    index -q of the sectioned exponentials; independent of the logical index k."""
-    amp = np.asarray(spec.alpha if amplitude is None else amplitude, dtype=float)
+    index -q of the sectioned exponentials; independent of the logical index k.  An
+    amplitude that is not finite and positive is refused, as ``gram_matrix`` refuses it."""
+    amp = np.asarray(_codeword_amplitude(spec, 0, 0, amplitude), dtype=float)
     return sectioned_exp(amp * amp, spec.spaces)[..., -np.arange(spec.spaces)]
 
 

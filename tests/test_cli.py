@@ -296,17 +296,20 @@ class TestRepeaterCommands:
 
     def test_trace_rows_repeat_the_period(self, tmp_path, capsys):
         # station i repeats period row (i - 1) mod P, P = min(ar_every, n); the trace
-        # goes out in blocks of P * max(1, 4096 // P) stations (4095 for P = 3 and 7),
-        # cut again where the station number gains a digit, so the counts straddle a
-        # block edge and each power of ten up to 10^4, which for P = 3 and 7 falls
-        # mid-period; n = ar_every - 1 is a chain shorter than its ar_every, whose
-        # period has only n rows; a 4100-row period is longer than a 4096-station
-        # block, so each of its blocks is one period, and the last is cut after 3 rows
+        # goes out in blocks of step stations counted from each power of ten, step the
+        # largest multiple of lcm(P, 10**j) up to max(P, 4096), j as large as that lcm
+        # allows: 4000 for P = 1 and 2, 3000 for 3 and 3500 for 7.  The counts straddle
+        # the block edge 1000 + step, where the next block keeps the last one's bytes
+        # and rewrites only the digits whose runs moved, a second kept block and each
+        # power of ten up to 10^4, which for P = 3 and 7 falls mid-period; n = ar_every
+        # - 1 is a chain shorter than its ar_every, whose period has only n rows; a
+        # 4100-row period has blocks of 4100 (lcm(4100, 100)), and the one kept after
+        # stations 1000..5099 is cut after 3104 rows
         digit_edges = (9, 10, 11, 99, 100, 101, 9999, 10000, 10001)
-        cases = [(ar_every, n) for ar_every in (1, 2, 3, 7)
-                 for step in [ar_every * max(1, 4096 // ar_every)]
-                 for n in sorted({max(1, ar_every - 1), step - 1, step, step + 1, 2 * step + 1,
-                                  *digit_edges})]
+        steps = {1: 4000, 2: 4000, 3: 3000, 7: 3500}
+        cases = [(ar_every, n) for ar_every, step in steps.items()
+                 for n in sorted({max(1, ar_every - 1), 999 + step, 1000 + step, 1001 + step,
+                                  1001 + 2 * step, *digit_edges})]
         for ar_every, n in cases + [(4100, 2 * 4100 + 3)]:
             argv = ["repeater", "--L", "1", "--alpha", "2", "--spacing-km", "1",
                     "--total-km", str(n), "--ar-every", str(ar_every), "--trace"]
@@ -359,8 +362,9 @@ class TestRepeaterCommands:
     @pytest.mark.parametrize("fmt, size", [("csv", 4.7 * 10**6), ("json", 9.5 * 10**6)],
                              ids=["csv", "json"])
     def test_trace_streams(self, fmt, size, tmp_path):
-        # the 10^5-row trace (4.7 MB of CSV, 9.5 MB of JSON) goes out in blocks
-        # of 4096 rows: the write peaks at about 2.3 MiB; the manifest hashes
+        # the 10^5-row trace (4.7 MB of CSV, 9.5 MB of JSON, P = 2) goes out in
+        # blocks of 4000 rows counted from each power of ten, each a view of one
+        # reused buffer: the command peaks at about 0.4 MiB; the manifest hashes
         # every block, and the last station is the first with six digits
         path = tmp_path / f"trace.{fmt}"
         tracemalloc.start()
@@ -379,18 +383,50 @@ class TestRepeaterCommands:
         last = json.loads(text)["rows"][-1][0] if fmt == "json" else parse_csv(text)[1][-1][0]
         assert last == "100000"
 
-    @pytest.mark.parametrize("P", [1, 3, 7, 4100])
+    @pytest.mark.parametrize("P", [1, 2, 3, 7, 4100, 50000])
     def test_trace_digits_past_six_places(self, P):
         # blocks that start just below 10^k, k = 7..16, and end past it, and the
         # last stations below 2^53, where a leading digit's run (10^15 stations)
-        # is far longer than the block; each station against str(i)
+        # is far longer than the block; each station against str(i), each block
+        # copied as it is drawn, since the next one reuses its buffer
         period = "\n".join(f"#,{j}" for j in range(P)).encode()
         edges = [(10**k - 4099, 10**k + 4100) for k in range(7, 17)] + [(2**53 - 8200, 2**53)]
         for lo, n in edges:
-            got = b"\n".join(cli._trace_blocks(period, b"\n", n, lo)).decode().split("\n")
+            blocks = [bytes(block) for block in cli._trace_blocks(period, b"\n", n, lo)]
+            got = b"\n".join(blocks).decode().split("\n")
             want = [f"{i},{(i - 1) % P}" for i in range(lo, n + 1)]
             same = got == want  # a bare == would have pytest diff two long lists
             assert same, (P, lo, next(i for i, (g, w) in enumerate(zip(got, want)) if g != w))
+
+    def test_trace_blocks_are_views_of_one_buffer(self):
+        # every block is a memoryview of one buffer, valid until the next is drawn;
+        # with P = 2, blocks of 4000 stations counted from each power of ten, and the
+        # last block of a decade is a prefix of the full one
+        blocks, buffers = [], set()
+        for block in cli._trace_blocks(b"#,a\n#,b", b"\n", 30000):
+            assert isinstance(block, memoryview)
+            buffers.add(id(block.obj))
+            blocks.append(bytes(block))
+        assert len(buffers) == 1
+        assert [block.count(b"\n") + 1 for block in blocks] == [9, 90, 900, 4000, 4000, 1000,
+                                                                  *[4000] * 5, 1]
+        got = b"\n".join(blocks).decode().split("\n")
+        assert got == [f"{i},{'ab'[(i - 1) % 2]}" for i in range(1, 30001)]
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_trace_stdout_is_the_out_file(self, fmt, tmp_path, capsys):
+        # stdout decodes each block before the next is drawn: the 10^5-station trace
+        # (30 blocks) prints the bytes --out writes and its manifest hashes
+        argv = ["repeater", "--L", "4", "--alpha", "7", "--spacing-km", "0.01", "--trace",
+                "--format", fmt]
+        assert main(argv) == 0
+        printed = capsys.readouterr().out.encode()
+        path = tmp_path / f"trace.{fmt}"
+        assert main(argv + ["--out", str(path)]) == 0
+        same = printed == path.read_bytes()  # a bare == would have pytest diff 5-10 MB
+        assert same, len(os.path.commonprefix([printed, path.read_bytes()]))
+        manifest = json.loads((tmp_path / f"trace.{fmt}.manifest.json").read_text())
+        assert manifest["output_sha256"] == hashlib.sha256(printed).hexdigest()
 
     def test_non_integral_spacing_warns_once(self, capsys):
         with warnings.catch_warnings(record=True) as caught:

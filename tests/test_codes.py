@@ -396,6 +396,18 @@ class TestGramKernel:
             with pytest.raises(ValueError, match="finite and positive"):
                 gram_matrix(spec, amplitude=bad)
 
+    @pytest.mark.parametrize("bad", [-2.0, math.nan, 0.0, math.inf, [1.0, -1.0]])
+    def test_norms_refuse_the_amplitudes_the_gram_kernel_refuses(self, bad):
+        # a negative amplitude once gave the norms of its absolute value and a NaN
+        # one NaN norms; both kernels now raise the same error on the same input
+        spec = CodeSpec(1, 2, 2.0)
+        with pytest.raises(ValueError) as norms:
+            codeword_norm_sq(spec, amplitude=bad)
+        with pytest.raises(ValueError) as gram:
+            gram_matrix(spec, amplitude=bad)
+        assert str(norms.value) == str(gram.value)
+        assert str(norms.value).startswith("amplitude must be finite and positive, got ")
+
     def test_kernels_take_no_space_or_residue(self):
         # every space, or every residue, on a last axis; a positional space or
         # residue is refused, never read as an amplitude
